@@ -17,6 +17,8 @@ specialization in :mod:`repro.core.mqm_chain` avoids even that.
 
 from __future__ import annotations
 
+import hashlib
+import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -179,55 +181,104 @@ class MarkovQuiltMechanism(Mechanism):
                 candidates.append(self.reference.trivial_quilt(node))
         self.quilt_sets = quilt_sets
         self._sigma_cache: dict[str, tuple[float, MarkovQuilt]] = {}
+        #: ``(quilt_sets object, digest)`` of :meth:`_quilt_sets_digest`.
+        self._quilt_digest: tuple[Mapping, str] | None = None
+
+    def __getstate__(self) -> dict:
+        """Copy and pickle without the quilt-set digest memo.
+
+        The memo references the full ``quilt_sets`` map, and a per-node
+        parallel shard must ship only its own node's candidates.
+        """
+        state = self.__dict__.copy()
+        state["_quilt_digest"] = None
+        return state
 
     def calibration_fingerprint(self) -> tuple:
         """Theta (every network content-hashed), epsilon, and the candidate
-        quilt sets (which bound the search and therefore the chosen sigma)."""
-        quilts = tuple(
-            (node, tuple(tuple(sorted(q.quilt)) for q in candidates))
-            for node, candidates in sorted(self.quilt_sets.items())
-        )
+        quilt sets (which bound the search and therefore the chosen sigma).
+
+        Network fingerprints are read live, so an edit changes the key; the
+        quilt-set part is a memoized digest (see :meth:`_quilt_sets_digest`).
+        """
         return (
             "MarkovQuilt",
             self.epsilon,
             tuple(network.fingerprint() for network in self.networks),
-            quilts,
+            self._quilt_sets_digest(),
         )
+
+    def _quilt_sets_digest(self) -> str:
+        """Hash of every node's ordered candidate list, each candidate as
+        its sorted ``X_Q`` and ``X_N`` (the score reads ``card(X_N)``, so
+        candidates differing only in ``X_N`` must not share a key).
+
+        Computed on first use and kept while ``self.quilt_sets`` is the same
+        object — the lifetime of ``_sigma_cache``: reassign ``quilt_sets``
+        rather than editing it in place once the mechanism has been used.
+        """
+        quilt_sets = self.quilt_sets
+        memo = self._quilt_digest
+        if memo is None or memo[0] is not quilt_sets:
+            parts = tuple(
+                (
+                    node,
+                    tuple(
+                        (tuple(sorted(q.quilt)), tuple(sorted(q.nearby)))
+                        for q in candidates
+                    ),
+                )
+                for node, candidates in sorted(quilt_sets.items())
+            )
+            memo = (quilt_sets, hashlib.sha256(repr(parts).encode()).hexdigest())
+            self._quilt_digest = memo
+        return memo[1]
 
     def export_calibration_state(self) -> dict:
         """JSON-safe snapshot of the per-node quilt-search results (see
         :meth:`repro.core.mqm_chain.MQMExact.export_calibration_state`).
 
-        Each entry carries the node's sigma and its active quilt, so a warm
-        cache entry restores :meth:`sigma_max`, :meth:`active_quilts`, and
+        Each entry is ``[node, sigma, index]``, where ``index`` locates the
+        node's active quilt in ``quilt_sets[node]``, so a warm cache entry
+        restores :meth:`sigma_max`, :meth:`active_quilts`, and
         :meth:`quilt_signature` without re-running any quilt search.  Only
-        valid under an identical :meth:`calibration_fingerprint`.
+        valid under an identical :meth:`calibration_fingerprint`, which pins
+        every node's ordered candidate list.
         """
         return {
             "sigma_by_node": [
-                [
-                    node,
-                    float(sigma),
-                    {
-                        "quilt": sorted(quilt.quilt),
-                        "nearby": sorted(quilt.nearby),
-                        "remote": sorted(quilt.remote),
-                    },
-                ]
+                [node, float(sigma), self.quilt_sets[node].index(quilt)]
                 for node, (sigma, quilt) in sorted(self._sigma_cache.items())
             ]
         }
 
     def warm_start(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`export_calibration_state`."""
-        for node, sigma, parts in state.get("sigma_by_node", []):
-            quilt = MarkovQuilt(
-                node=str(node),
-                quilt=frozenset(parts["quilt"]),
-                nearby=frozenset(parts["nearby"]),
-                remote=frozenset(parts["remote"]),
-            )
-            self._sigma_cache[str(node)] = (float(sigma), quilt)
+        """Restore a snapshot produced by :meth:`export_calibration_state`.
+
+        The state may have been read from a file, so every entry is checked
+        before any is applied: an unknown node, an index that is not an
+        in-range integer, or a non-finite sigma raises
+        :class:`~repro.exceptions.ValidationError`.
+        """
+        restored: dict[str, tuple[float, MarkovQuilt]] = {}
+        for entry in state.get("sigma_by_node", []):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                raise ValidationError(f"malformed warm-start entry {entry!r}")
+            node, sigma, index = entry
+            candidates = self.quilt_sets.get(node) if isinstance(node, str) else None
+            if candidates is None:
+                raise ValidationError(f"warm-start state names unknown node {node!r}")
+            if type(index) is not int or not 0 <= index < len(candidates):
+                raise ValidationError(
+                    f"warm-start quilt index {index!r} for node {node!r} is not "
+                    f"in range(0, {len(candidates)})"
+                )
+            if not isinstance(sigma, (int, float)) or not math.isfinite(sigma):
+                raise ValidationError(
+                    f"warm-start sigma {sigma!r} for node {node!r} is not finite"
+                )
+            restored[node] = (float(sigma), candidates[index])
+        self._sigma_cache.update(restored)
 
     def _quilt_score(self, quilt: MarkovQuilt, influence: float) -> float:
         """The sigma contribution of an admissible quilt (Definition 4.5):
