@@ -30,10 +30,10 @@ Commands
     printing wall times, the speedup, and the bit-identity check as JSON.
 ``serve``
     Run the multi-tenant privacy service (:mod:`repro.service`) on a local
-    HTTP port over a durable tenant-ledger store (``--store`` path; SQLite
-    for ``.sqlite``/``.db`` suffixes, a JSON file otherwise, in-memory when
-    omitted).  Several service processes may share one store — budgets
-    hold across all of them.
+    HTTP port over a durable tenant-ledger store (``--store``: a SQLite
+    database path, whatever its suffix; in-memory when omitted).  Several
+    service processes may share one store — budgets hold across all of
+    them.
 ``lint``
     Run the stdlib-only AST invariant linter (:mod:`repro.staticcheck`)
     over a tree: lock discipline, check-then-act atomicity, crash-
@@ -588,8 +588,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--port", type=int, default=8787)
     p_serve.add_argument(
         "--store", default=None,
-        help="tenant-ledger path: *.sqlite/*.db for SQLite, any other "
-        "suffix for the JSON file store; omit for in-memory (no durability)",
+        help="tenant-ledger SQLite database path (any suffix); omit for "
+        "in-memory (no durability)",
     )
     p_serve.add_argument(
         "--reservation-ttl", type=float, default=3600.0,

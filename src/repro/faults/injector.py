@@ -3,7 +3,7 @@
 The model has three pieces:
 
 * **Fault points** are string names compiled into production code —
-  ``"ledger.json.commit.replace"``, ``"tenant.consume"``,
+  ``"ledger.sqlite.commit"``, ``"tenant.consume"``,
   ``"app.request"`` — each a call to :func:`fire` with keyword context
   (tenant, path, ...).  The full catalogue lives in ``docs/api.md``.
 * **Rules** (:class:`FaultRule`) match points by ``fnmatch`` pattern and
@@ -92,7 +92,7 @@ class FaultRule:
     Parameters
     ----------
     point:
-        ``fnmatch`` pattern over fault-point names (``"ledger.json.*"``).
+        ``fnmatch`` pattern over fault-point names (``"ledger.sqlite.*"``).
     action:
         ``"error"`` (raise ``ERROR_KINDS[error]``), ``"latency"`` (sleep
         ``delay`` seconds), ``"crash"`` (raise

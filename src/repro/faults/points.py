@@ -43,22 +43,6 @@ FAULT_POINTS: "dict[str, str]" = {
         "JSONFileCache flush, between temp-file write and atomic "
         "replace — a crash that strands the temp file"
     ),
-    "ledger.json.commit": (
-        "JSON store commit, before the state file is rewritten — "
-        "a transaction that dies with nothing durable"
-    ),
-    "ledger.json.commit.after": (
-        "JSON store commit, after the atomic replace — a crash the "
-        "client sees as failure but the ledger recorded"
-    ),
-    "ledger.json.commit.replace": (
-        "JSON store commit, between temp-file write and atomic "
-        "replace — torn-write territory"
-    ),
-    "ledger.json.read": (
-        "JSON store transaction entry, while reading ledger state "
-        "off disk"
-    ),
     "ledger.memory.commit": (
         "in-memory store commit, before state is swapped in"
     ),

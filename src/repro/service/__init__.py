@@ -3,8 +3,8 @@ and an ASGI front-end over the serving engine.
 
 Layering (each level usable on its own):
 
-* :mod:`repro.service.stores` — :class:`LedgerStore` and its in-memory,
-  JSON-file, and SQLite backends: exclusive per-tenant read-modify-write
+* :mod:`repro.service.stores` — :class:`LedgerStore` and its in-memory
+  and SQLite backends: exclusive per-tenant read-modify-write
   transactions, atomic across threads and processes.
 * :mod:`repro.service.ledger` — :class:`TenantLedger` (durable accountant
   state + reserve/consume/release-unused admission) and
@@ -41,7 +41,6 @@ from repro.service.retry import (
 )
 from repro.service.stores import (
     InMemoryLedgerStore,
-    JSONFileLedgerStore,
     LedgerStore,
     LedgerTransaction,
     SQLiteLedgerStore,
@@ -51,7 +50,6 @@ from repro.service.stores import (
 __all__ = [
     "AsgiApp",
     "InMemoryLedgerStore",
-    "JSONFileLedgerStore",
     "LedgerStore",
     "LedgerTransaction",
     "PrivacyService",

@@ -150,15 +150,15 @@ class _StreamState:
 class PrivacyService:
     """The service core: workloads, tenant ledgers, streaming sessions.
 
-    All handlers are synchronous (store transactions are blocking file or
-    SQLite work); :class:`AsgiApp` runs them on worker threads.
+    All handlers are synchronous (store transactions are blocking SQLite
+    work); :class:`AsgiApp` runs them on worker threads.
 
     Parameters
     ----------
     store:
-        A :class:`~repro.service.stores.LedgerStore`, a path (``.sqlite`` /
-        ``.db`` suffixes select SQLite, anything else the JSON file store),
-        or ``None`` for in-memory (no durability; tests and demos).
+        A :class:`~repro.service.stores.LedgerStore`, a path (a SQLite
+        database, whatever its suffix), or ``None`` for in-memory (no
+        durability; tests and demos).
     workloads:
         Hosted workloads by name; defaults to :func:`default_workloads`.
     reservation_ttl:

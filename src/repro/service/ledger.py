@@ -14,7 +14,12 @@ tenant's epsilon).  :class:`TenantLedger` provides both on top of a
   accountant_from_state`, bit-identical), applies the release arithmetic,
   and persists the result, all inside one exclusive store transaction.  A
   restarted service picks up exactly — not conservatively — where the
-  previous one stopped.
+  previous one stopped.  Only debits must be on stable storage before the
+  call returns: :meth:`TenantLedger.reserve` and
+  :meth:`TenantLedger.release_unused` commit with ``sync=False``, because
+  a power loss that undoes a hold or a return only over-holds budget
+  until the recovery sweep, and a debit against a reservation flushes the
+  reservation with it.
 * **Reservation admission** (reserve → consume → release-unused).  A
   session carves its epsilon sub-budget out of the tenant ledger *up
   front*: :meth:`TenantLedger.reserve` admits ``n`` prospective releases
@@ -57,10 +62,12 @@ LedgerStore.run` (the closure form of ``transact``) and is safe to re-run
 from a fresh read, which is what lets
 :class:`~repro.service.retry.RetryingLedgerStore` retry transient store
 errors end to end: reservation ids are fixed before the cycle starts (a
-re-run overwrites the same entry), consumes replay — client-supplied
-idempotency keys and the private per-call keys keyless :meth:`TenantLedger.
-consume` mints for itself both persist with the debit — and
-``release_unused`` is idempotent-by-absence.
+re-run overwrites the same entry), consumes replay — a client-supplied
+idempotency key persists with the debit, and a keyless
+:meth:`TenantLedger.consume` stamps its private call id on the reservation
+it debits — and ``release_unused`` is idempotent-by-absence.  Tenant state
+is therefore the accountant's aggregates plus the live reservations and
+client keys, never a per-release log.
 """
 
 from __future__ import annotations
@@ -91,20 +98,16 @@ from repro.faults import fire
 from repro.service.stores import LedgerStore, LedgerTransaction
 
 #: Stored-state schema version; bumped on incompatible layout changes.
-#: (Idempotency records were added additively under the ``"idempotency"``
-#: key — absent in old states, defaulted on read — so the version holds.)
+#: (Idempotency records under the ``"idempotency"`` key and a reservation's
+#: ``"last_consume"`` slot were added additively — absent in old states,
+#: defaulted on read — so the version holds.)
 STATE_VERSION = 1
 
-#: Key prefix for the private idempotency records keyless
-#: :meth:`TenantLedger.consume` calls mint to stay replay-safe under a
-#: retrying store wrapper.  ``uuid4`` suffixes make collisions with
-#: client-supplied keys a non-event.
-_RETRY_KEY_PREFIX = "retry."
-
-#: Retry records only need to outlive one retry cycle (seconds, not
-#: hours); consume prunes them opportunistically past this horizon so
-#: they never pile up between recovery sweeps.
-_RETRY_RECORD_TTL = 600.0
+#: Key prefix of the per-call replay records older states hold under
+#: ``"idempotency"`` (keyless consumes once wrote one per release).
+#: Nothing replays them any more, so :meth:`TenantLedger.sweep` drops
+#: them whatever their age.
+_LEGACY_RETRY_PREFIX = "retry."
 
 
 @dataclass(frozen=True)
@@ -318,7 +321,7 @@ class TenantLedger:
                 self.tenant, reservation_id, float(epsilon), int(n_releases), 0
             )
 
-        return self.store.run(self.tenant, handler)
+        return self.store.run(self.tenant, handler, sync=False)
 
     def consume(
         self,
@@ -339,11 +342,19 @@ class TenantLedger:
         persists nothing.  Returns the reservation's post-consume state.
 
         Safe to re-run by a retrying store wrapper even without a client
-        idempotency key: each call fixes a private key before the cycle
-        starts and persists it with the debit, so a re-run after a commit
-        that actually landed (the store errored *after* committing)
-        replays the committed result instead of double-debiting — or
-        refusing a debit the tenant already paid for.
+        idempotency key: each call fixes a private id before the cycle
+        starts and writes it into the reservation as ``last_consume`` with
+        the debit, so a re-run after a commit that actually landed (the
+        store errored *after* committing) finds its own id and replays the
+        committed result instead of double-debiting — or refusing a debit
+        the tenant already paid for.  This needs one holder per
+        reservation, so no other consume lands between the commit and the
+        re-run; every caller is one (:class:`ReservationAccountant` holds
+        its mutex across the debit, a stream its session lock, a one-shot
+        release runs reserve/consume/release in sequence).  A re-run that
+        finds the reservation gone (released or expired in between) raises
+        :class:`~repro.exceptions.UnknownReservationError`; the committed
+        debit stands, so spend is never under-counted.
         """
         if n_releases < 1:
             raise PrivacyParameterError(
@@ -355,22 +366,13 @@ class TenantLedger:
             reservation_id=reservation_id,
             n_releases=int(n_releases),
         )
-        retry_key = _RETRY_KEY_PREFIX + uuid.uuid4().hex
+        call_id = uuid.uuid4().hex
 
         def handler(txn: LedgerTransaction) -> Reservation:
             state = self._require(txn.state)
-            records = state.setdefault("idempotency", {})
-            record = records.get(retry_key)
-            if record is not None:
-                stored = record["response"]
-                return Reservation(
-                    self.tenant,
-                    stored["reservation_id"],
-                    stored["epsilon"],
-                    stored["n_reserved"],
-                    stored["n_consumed"],
-                )
-            self._prune_retry_records(records)
+            entry = state["reservations"].get(reservation_id)
+            if entry is not None and entry.get("last_consume") == call_id:
+                return self._reservation(reservation_id, entry)
             result = self._consume_in_state(
                 state,
                 reservation_id,
@@ -380,41 +382,10 @@ class TenantLedger:
                 quilt_signature=quilt_signature,
                 rdp_curve=rdp_curve,
             )
-            records[retry_key] = {
-                "response": {
-                    "reservation_id": result.reservation_id,
-                    "epsilon": result.epsilon,
-                    "n_reserved": result.n_reserved,
-                    "n_consumed": result.n_consumed,
-                },
-                "reservation_id": reservation_id,
-                "n_releases": int(n_releases),
-                "epsilon": float(epsilon),
-                "created_at": time.time(),
-            }
+            state["reservations"][reservation_id]["last_consume"] = call_id
             return result
 
         return self.store.run(self.tenant, handler)
-
-    def _prune_retry_records(self, records: "dict[str, Any]") -> None:
-        """Drop expired auto-generated retry records (in-transaction).
-
-        Keyless consumes mint one record each; without this opportunistic
-        pruning a service that never runs :meth:`sweep` would grow state
-        without bound.  Client-supplied keys are left for :meth:`sweep` —
-        they must survive the full client retry horizon.
-        """
-        ttl = _RETRY_RECORD_TTL
-        if self.idempotency_ttl is not None:
-            ttl = min(ttl, self.idempotency_ttl)
-        cutoff = time.time() - ttl
-        for key in [
-            key
-            for key, record in records.items()
-            if key.startswith(_RETRY_KEY_PREFIX)
-            and record["created_at"] < cutoff
-        ]:
-            del records[key]
 
     def consume_idempotent(
         self,
@@ -543,6 +514,9 @@ class TenantLedger:
         )
         entry["n_consumed"] += int(n_releases)
         state["accountant"] = accountant.state_dict()
+        return self._reservation(reservation_id, entry)
+
+    def _reservation(self, reservation_id: str, entry: Mapping) -> Reservation:
         return Reservation(
             self.tenant,
             reservation_id,
@@ -572,7 +546,7 @@ class TenantLedger:
                 return 0
             return int(entry["n_reserved"] - entry["n_consumed"])
 
-        return self.store.run(self.tenant, handler)
+        return self.store.run(self.tenant, handler, sync=False)
 
     # -- recovery ----------------------------------------------------------
     def sweep(self, *, now: "float | None" = None) -> dict:
@@ -581,7 +555,8 @@ class TenantLedger:
         Reclaims every reservation past ``reservation_ttl`` (returning its
         unconsumed remainder to the budget — the consumed part was debited
         durably and stays spent) and prunes idempotency records past
-        ``idempotency_ttl``.  This is the *recovery sweep*: run it at
+        ``idempotency_ttl``, plus every legacy ``retry.`` record an older
+        state still holds.  This is the *recovery sweep*: run it at
         service startup and after killing workers, and no orphaned
         reservation outlives its TTL plus one sweep.  Returns reclaim
         stats; a no-op sweep returns zeros.
@@ -600,22 +575,23 @@ class TenantLedger:
                 reclaimed_releases += int(remainder)
                 reclaimed_epsilon += remainder * entry["epsilon"]
             records = state.setdefault("idempotency", {})
-            pruned = 0
+            cutoff = None
             if self.idempotency_ttl is not None:
                 cutoff = (time.time() if now is None else now) - self.idempotency_ttl
-                for key in [
-                    key
-                    for key, record in records.items()
-                    if record["created_at"] < cutoff
-                ]:
-                    del records[key]
-                    pruned += 1
+            stale = [
+                key
+                for key, record in records.items()
+                if key.startswith(_LEGACY_RETRY_PREFIX)
+                or (cutoff is not None and record["created_at"] < cutoff)
+            ]
+            for key in stale:
+                del records[key]
             return {
                 "tenant": self.tenant,
                 "expired_reservations": len(expired),
                 "reclaimed_releases": reclaimed_releases,
                 "reclaimed_epsilon": reclaimed_epsilon,
-                "pruned_idempotency_records": pruned,
+                "pruned_idempotency_records": len(stale),
                 "outstanding_reservations": len(reservations),
             }
 

@@ -1,12 +1,13 @@
 """Transient-failure retry for ledger stores: bounded backoff with jitter.
 
-A durable store under load throws *transient* errors — the JSON store's
-lock sidecar times out (:class:`~repro.utils.filelock.LockTimeoutError`),
-SQLite reports ``database is locked`` past its busy timeout, a network
-filesystem hiccups an ``EIO`` — none of which mean the operation cannot
-succeed, only that it could not succeed *now*.  Surfacing every one as a
-503 wastes work the client will simply retry over HTTP (more load, more
-contention); hanging forever violates request deadlines.
+A durable store under load throws *transient* errors — SQLite reports
+``database is locked`` past its busy timeout, a network filesystem
+hiccups an ``EIO``, a store built on an inter-process lock times out
+(:class:`~repro.utils.filelock.LockTimeoutError`) — none of which mean
+the operation cannot succeed, only that it could not succeed *now*.
+Surfacing every one as a 503 wastes work the client will simply retry
+over HTTP (more load, more contention); hanging forever violates request
+deadlines.
 
 :class:`RetryingLedgerStore` wraps any
 :class:`~repro.service.stores.LedgerStore` and retries the **acquisition
@@ -26,8 +27,9 @@ What is deliberately **not** retried:
   retry requires the closure form (:meth:`~repro.service.stores.
   LedgerStore.run`), and re-running a cycle whose commit may or may not
   have landed is only exactly-once when the handler is idempotent — which
-  is precisely what the ledger's idempotency keys provide (see
-  ``docs/architecture.md``).
+  is precisely what the ledger provides: client idempotency keys, and
+  for keyless consumes the call id stamped on the debited reservation
+  (see ``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -160,14 +162,16 @@ class RetryingLedgerStore(LedgerStore):
 
     # -- LedgerStore -------------------------------------------------------
     @contextlib.contextmanager
-    def transact(self, tenant: str) -> Iterator[LedgerTransaction]:
+    def transact(
+        self, tenant: str, *, sync: bool = True
+    ) -> Iterator[LedgerTransaction]:
         # Retry only the enter (read/lock) phase; the caller's inline body
         # and the commit run once.  Exactly-once across commit failures is
         # the idempotency layer's job, not this one's.
         entered: "list[Any]" = []
 
         def enter() -> LedgerTransaction:
-            manager = self.inner.transact(tenant)
+            manager = self.inner.transact(tenant, sync=sync)
             txn = manager.__enter__()
             entered.append(manager)
             return txn
@@ -184,9 +188,15 @@ class RetryingLedgerStore(LedgerStore):
         else:
             manager.__exit__(None, None, None)
 
-    def run(self, tenant: str, fn: "Callable[[LedgerTransaction], Any]") -> Any:
+    def run(
+        self,
+        tenant: str,
+        fn: "Callable[[LedgerTransaction], Any]",
+        *,
+        sync: bool = True,
+    ) -> Any:
         # The closure form retries the WHOLE cycle — enter, fn, commit.
-        return self._attempt(lambda: self.inner.run(tenant, fn))
+        return self._attempt(lambda: self.inner.run(tenant, fn, sync=sync))
 
     def peek(self, tenant: str) -> "dict[str, Any] | None":
         return self._attempt(lambda: self.inner.peek(tenant))

@@ -18,39 +18,37 @@ states that both spent the last epsilon would mint budget out of thin air.
 Ledger writers therefore hold the exclusion for the whole
 read-decide-write cycle, never just the write.
 
-Three backends:
+Two backends:
 
 * :class:`InMemoryLedgerStore` — process-local; the default for tests and
   single-process serving without durability.
-* :class:`JSONFileLedgerStore` — one JSON file, transactions serialized by
-  an :class:`~repro.utils.filelock.InterProcessLock` on a ``<path>.lock``
-  sidecar (flock where available, portable ``O_EXCL`` fallback elsewhere),
-  writes through an atomic temp-file replace.  Zero-dependency and
-  human-inspectable; every transaction rewrites the whole file, so it suits
-  tens of tenants, not thousands.
 * :class:`SQLiteLedgerStore` — a WAL-mode SQLite database, one row per
   tenant, each transaction a ``BEGIN IMMEDIATE`` cycle so concurrent
-  writers queue on SQLite's own cross-process locking.  The natural
-  production default.
+  writers queue on SQLite's own cross-process locking.  The one durable
+  store: stdlib, crash-safe, and each transaction rewrites one tenant's
+  row, not every tenant's state.
+
+A transaction opened with ``sync=False`` commits just as atomically and
+survives the process dying, but may reach stable storage only after it
+returns: an OS crash or power loss can undo it, unless a later synced
+commit to the same store has returned (that commit's flush covers every
+earlier one).  The ledger opens such transactions only to hold or return
+budget, never to debit, so a lost one can over-hold budget until the
+recovery sweep but never under-count spend.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import os
 import sqlite3
-import tempfile
 import threading
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.exceptions import ValidationError
 from repro.faults import fire
-from repro.utils.filelock import InterProcessLock
-
-from typing import Callable
 
 
 class LedgerTransaction:
@@ -74,13 +72,17 @@ class LedgerStore(ABC):
     """Durable per-tenant ledger state with exclusive transactions."""
 
     @abstractmethod
-    def transact(self, tenant: str) -> "contextlib.AbstractContextManager[LedgerTransaction]":
+    def transact(
+        self, tenant: str, *, sync: bool = True
+    ) -> "contextlib.AbstractContextManager[LedgerTransaction]":
         """Open an exclusive read-modify-write transaction on one tenant.
 
         The returned context manager yields a :class:`LedgerTransaction`;
         no other transaction on the same store — in this thread, another
         thread, or another process — can interleave between the read and
-        the commit.  On exception nothing is written.
+        the commit.  On exception nothing is written.  With ``sync=False``
+        the commit need not be on stable storage when the block exits
+        (see the module docstring).
         """
 
     @abstractmethod
@@ -97,7 +99,13 @@ class LedgerStore(ABC):
     def tenants(self) -> list[str]:
         """Sorted names of every tenant with persisted state."""
 
-    def run(self, tenant: str, fn: "Callable[[LedgerTransaction], Any]") -> Any:
+    def run(
+        self,
+        tenant: str,
+        fn: "Callable[[LedgerTransaction], Any]",
+        *,
+        sync: bool = True,
+    ) -> Any:
         """Run ``fn`` inside one :meth:`transact` cycle; return its result.
 
         The functional twin of :meth:`transact` — and the retryable one:
@@ -109,7 +117,7 @@ class LedgerStore(ABC):
         of the state they are handed, and the exactly-once protections —
         idempotency keys, reservation ids — live *in* that state).
         """
-        with self.transact(tenant) as txn:
+        with self.transact(tenant, sync=sync) as txn:
             return fn(txn)
 
     def close(self) -> None:
@@ -131,7 +139,10 @@ class InMemoryLedgerStore(LedgerStore):
         self._lock = threading.RLock()
 
     @contextlib.contextmanager
-    def transact(self, tenant: str) -> Iterator[LedgerTransaction]:
+    def transact(
+        self, tenant: str, *, sync: bool = True
+    ) -> Iterator[LedgerTransaction]:
+        # Nothing here outlives the process, so there is nothing to sync.
         with self._lock:
             fire("ledger.memory.read", tenant=tenant)
             raw = self._states.get(tenant)
@@ -152,123 +163,6 @@ class InMemoryLedgerStore(LedgerStore):
             return sorted(self._states)
 
 
-class JSONFileLedgerStore(LedgerStore):
-    """One JSON file ``{tenant: state}`` with lock-held transactions.
-
-    Unlike the calibration cache's merge-on-write, the inter-process lock
-    is held for the **entire** read-modify-write cycle (ledger states do
-    not merge; see the module docstring), and the in-memory copy is never
-    trusted across transactions — every transaction re-reads the file, so
-    any number of processes sharing the path see one serialized history.
-    The commit is an atomic temp-file ``os.replace``, so a crash mid-write
-    leaves the previous state intact.
-    """
-
-    def __init__(self, path: str | Path, *, lock_timeout: float = 60.0) -> None:
-        self.path = Path(path)
-        self._lock_path = Path(str(self.path) + ".lock")
-        self._lock_timeout = float(lock_timeout)
-        self._thread_lock = threading.RLock()
-        self._closed = False
-
-    @property
-    def lock_timeout(self) -> float:
-        return self._lock_timeout
-
-    def _read(self) -> dict[str, Any]:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return {}
-        try:
-            loaded = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ValidationError(
-                f"ledger store file {self.path} is corrupt: {error}"
-            ) from error
-        if not isinstance(loaded, dict):
-            raise ValidationError(
-                f"ledger store file {self.path} must hold a JSON object"
-            )
-        return loaded
-
-    def _write(self, states: dict[str, Any]) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Any temp file matching our prefix belongs to a *dead* transaction
-        # (live writers hold the inter-process lock we are inside), so a
-        # crash between mkstemp and os.replace never accumulates garbage
-        # past the next successful commit.
-        self._sweep_orphans()
-        handle, temp_path = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(states, stream)
-            fire("ledger.json.commit.replace", path=str(self.path))
-            os.replace(temp_path, self.path)
-        except BaseException as error:
-            # A *simulated crash* must leave the temp file behind exactly
-            # as a power loss would — the orphan sweep above is what cleans
-            # it up; unlinking here would untest that path.
-            if not getattr(error, "simulates_crash", False):
-                if os.path.exists(temp_path):
-                    os.unlink(temp_path)
-            raise
-
-    def _sweep_orphans(self) -> None:
-        """Unlink temp files crashed writers left beside the store (called
-        with the inter-process lock held)."""
-        for orphan in self.path.parent.glob(f"{self.path.name}*.tmp"):
-            with contextlib.suppress(OSError):
-                orphan.unlink()
-
-    @contextlib.contextmanager
-    def transact(self, tenant: str) -> Iterator[LedgerTransaction]:
-        with self._thread_lock:
-            if self._closed:
-                raise ValidationError(
-                    f"ledger store {self.path} is closed; open a new store"
-                )
-            fire("ledger.json.read", tenant=tenant, path=str(self.path))
-            with InterProcessLock(
-                self._lock_path, timeout=self._lock_timeout
-            ):
-                states = self._read()
-                txn = LedgerTransaction(tenant, states.get(tenant))
-                yield txn
-                if txn.state is not None:
-                    fire("ledger.json.commit", tenant=tenant, path=str(self.path))
-                    states[tenant] = txn.state
-                    self._write(states)
-                    fire(
-                        "ledger.json.commit.after",
-                        tenant=tenant,
-                        path=str(self.path),
-                    )
-
-    def close(self) -> None:
-        """Refuse new transactions; in-flight ones finish normally.
-
-        Safe with a transaction in flight: callers on other threads are
-        waited out (the thread lock serializes us behind them), a caller on
-        *this* thread (the lock is reentrant) keeps its already-admitted
-        transaction, and either way the per-transaction
-        :class:`~repro.utils.filelock.InterProcessLock` is released by its
-        own ``with`` block — never stranding the lock sidecar for other
-        processes to wait out.  Idempotent.
-        """
-        with self._thread_lock:
-            self._closed = True
-
-    def peek(self, tenant: str) -> "dict[str, Any] | None":
-        # Lock-free: os.replace is atomic, so this sees a committed file.
-        return self._read().get(tenant)
-
-    def tenants(self) -> list[str]:
-        return sorted(self._read())
-
-
 class SQLiteLedgerStore(LedgerStore):
     """A WAL-mode SQLite database, one state row per tenant.
 
@@ -278,7 +172,21 @@ class SQLiteLedgerStore(LedgerStore):
     of failing.  WAL mode keeps readers unblocked and makes single-row
     commits cheap.  One connection per store instance, serialized by a
     thread lock — open one store per thread or share one; both are safe.
+
+    A synced commit runs at ``synchronous=FULL`` (the WAL is flushed
+    before COMMIT returns), a ``sync=False`` one at ``NORMAL`` (no flush;
+    WAL frames are appended in commit order, so the next synced commit's
+    flush makes it durable too).  Tenant rows are small, so a commit
+    writes a few pages, and the WAL is checkpointed every
+    :attr:`WAL_CHECKPOINT_PAGES` pages: commits then overwrite WAL pages
+    in place instead of growing the file, which on a journaling
+    filesystem such as ext4 would make each flush commit the journal
+    too.
     """
+
+    #: WAL size, in pages, at which a commit checkpoints it into the
+    #: database and the next commit starts the WAL over.
+    WAL_CHECKPOINT_PAGES = 32
 
     _SCHEMA = """
         CREATE TABLE IF NOT EXISTS tenant_ledgers (
@@ -296,26 +204,52 @@ class SQLiteLedgerStore(LedgerStore):
         self._closed = False
         self._close_pending = False
         self._txn_depth = 0
+        self._synced = True  # the connection's level: FULL (True) or NORMAL
         self.busy_timeout_s = float(busy_timeout_s)
         # Autocommit mode: transaction boundaries are explicit BEGIN/COMMIT,
         # never implicitly opened by the driver mid-cycle.
         self._conn = sqlite3.connect(
             str(self.path), isolation_level=None, check_same_thread=False
         )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}")
-        self._conn.execute(self._SCHEMA)
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=FULL")
+            self._conn.execute(
+                f"PRAGMA wal_autocheckpoint={self.WAL_CHECKPOINT_PAGES}"
+            )
+            self._conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}")
+            self._conn.execute(self._SCHEMA)
+        except sqlite3.OperationalError:
+            self._conn.close()
+            raise
+        except sqlite3.DatabaseError as error:  # not a database, or corrupt
+            self._conn.close()
+            raise ValidationError(
+                f"ledger store {self.path} is not a SQLite database: {error}"
+            ) from error
+
+    def _require_open(self) -> None:
+        """Refuse use after :meth:`close` (called with the thread lock held)."""
+        if self._closed or self._close_pending:
+            raise ValidationError(
+                f"ledger store {self.path} is closed; open a new store"
+            )
 
     @contextlib.contextmanager
-    def transact(self, tenant: str) -> Iterator[LedgerTransaction]:
+    def transact(
+        self, tenant: str, *, sync: bool = True
+    ) -> Iterator[LedgerTransaction]:
         with self._thread_lock:
-            if self._closed or self._close_pending:
-                raise ValidationError(
-                    f"ledger store {self.path} is closed; open a new store"
-                )
+            self._require_open()
             self._txn_depth += 1
             try:
                 fire("ledger.sqlite.begin", tenant=tenant, path=str(self.path))
+                # The level cannot change inside a transaction; a nested
+                # transact fails at BEGIN below either way.
+                if sync != self._synced and not self._conn.in_transaction:
+                    level = "FULL" if sync else "NORMAL"
+                    self._conn.execute(f"PRAGMA synchronous={level}")
+                    self._synced = sync
                 self._conn.execute("BEGIN IMMEDIATE")
                 committed = False
                 try:
@@ -362,6 +296,7 @@ class SQLiteLedgerStore(LedgerStore):
 
     def peek(self, tenant: str) -> "dict[str, Any] | None":
         with self._thread_lock:
+            self._require_open()
             row = self._conn.execute(
                 "SELECT state FROM tenant_ledgers WHERE tenant = ?", (tenant,)
             ).fetchone()
@@ -369,6 +304,7 @@ class SQLiteLedgerStore(LedgerStore):
 
     def tenants(self) -> list[str]:
         with self._thread_lock:
+            self._require_open()
             rows = self._conn.execute(
                 "SELECT tenant FROM tenant_ledgers ORDER BY tenant"
             ).fetchall()
@@ -395,11 +331,8 @@ class SQLiteLedgerStore(LedgerStore):
 
 
 def ledger_store_from_path(path: "str | Path | None") -> LedgerStore:
-    """A store for a path: SQLite for ``.sqlite``/``.sqlite3``/``.db``
-    suffixes, the JSON file store otherwise, in-memory for ``None``."""
+    """A store for a path: SQLite at ``path`` (any suffix), in-memory for
+    ``None``."""
     if path is None:
         return InMemoryLedgerStore()
-    path = Path(path)
-    if path.suffix.lower() in (".sqlite", ".sqlite3", ".db"):
-        return SQLiteLedgerStore(path)
-    return JSONFileLedgerStore(path)
+    return SQLiteLedgerStore(path)

@@ -21,7 +21,8 @@ Catalogue
   :mod:`repro.faults.points`; every test/bench pattern matches a
   declared point (:mod:`.faultpoints`).
 * **R6** ``transaction-discipline`` — ledger debits and idempotency
-  writes inside the same ``store.run`` closure (:mod:`.transactions`).
+  writes inside the same synced ``store.run`` closure
+  (:mod:`.transactions`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """R5 fault-point conformance.
 
 The chaos suite's power comes from *named* fault points: production code
-calls ``fire("ledger.json.commit")`` and tests arm fnmatch patterns
+calls ``fire("ledger.sqlite.commit")`` and tests arm fnmatch patterns
 against those names.  Both sides can rot silently — a ``fire()`` site
 nobody registered is invisible to coverage reporting, and a typo'd test
 pattern arms a rule that never fires and proves nothing.  This rule

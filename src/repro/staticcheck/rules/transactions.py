@@ -1,18 +1,23 @@
 """R6 transaction discipline in the tenant ledger.
 
 The ledger's exactly-once story is: a debit
-(``_consume_in_state(...)``) and the idempotency record that makes its
-retry replayable are written by the **same** transaction closure — the
-``handler`` passed to ``store.run(tenant, handler)``.  Split them across
-closures (or write either after the transaction returns) and a crash
-between the two yields a double-debit or a paid-for refusal on retry.
+(``_consume_in_state(...)``) and the replay record that makes its retry
+replayable (a client idempotency record, or the call id a keyless consume
+stamps on its reservation's ``"last_consume"`` slot) are written by the
+**same** transaction closure — the ``handler`` passed to
+``store.run(tenant, handler)``.  Split them across closures (or write
+either after the transaction returns) and a crash between the two yields
+a double-debit or a paid-for refusal on retry.
 
 The rule checks, per method that opens transactions (calls ``*.run(...)``
 or uses ``with *.transact(...)``):
 
-* every debit call and every idempotency write (``records[k] = ...`` or
-  ``...["idempotency"][k] = ...``) sits inside a transactional region —
-  a closure passed to ``*.run(...)`` or a ``with *.transact(...)`` body;
+* every debit call and every replay-record write (``records[k] = ...``,
+  ``...["idempotency"][k] = ...`` or ``...["last_consume"] = ...``) sits
+  inside a transactional region — a closure passed to ``*.run(...)`` or
+  a ``with *.transact(...)`` body;
+* that region is synced: a ``sync=False`` commit may be undone by a power
+  loss after the value it paid for was released;
 * when a method has both kinds, they share one region.
 """
 
@@ -47,29 +52,45 @@ def _is_transact_with(node: ast.AST) -> bool:
     )
 
 
-def _idempotency_write_target(node: ast.AST) -> bool:
-    """Whether a store-context Subscript writes an idempotency record:
-    ``records[k] = ...`` or ``<x>["idempotency"][k] = ...``."""
+def _unsynced(call: ast.AST) -> bool:
+    """Whether a ``run``/``transact`` call passes ``sync=False``."""
+    return isinstance(call, ast.Call) and any(
+        kw.arg == "sync"
+        and isinstance(kw.value, ast.Constant)
+        and kw.value.value is False
+        for kw in call.keywords
+    )
+
+
+def _is_key(node: ast.AST, key: str) -> bool:
+    """Whether ``node`` is a ``<x>["<key>"]`` subscript."""
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value == key
+    )
+
+
+def _replay_write_target(node: ast.AST) -> bool:
+    """Whether an assignment target writes a replay record:
+    ``records[k] = ...``, ``<x>["idempotency"][k] = ...`` or
+    ``<x>["last_consume"] = ...``."""
     if not isinstance(node, ast.Subscript):
         return False
     base = node.value
-    if isinstance(base, ast.Name) and base.id == "records":
-        return True
-    if (
-        isinstance(base, ast.Subscript)
-        and isinstance(base.slice, ast.Constant)
-        and base.slice.value == "idempotency"
-    ):
-        return True
-    return False
+    return (
+        (isinstance(base, ast.Name) and base.id == "records")
+        or _is_key(base, "idempotency")
+        or _is_key(node, "last_consume")
+    )
 
 
 class TransactionDisciplineRule(Rule):
-    """R6: debit and idempotency write inside one transaction closure."""
+    """R6: debit and replay-record write inside one transaction closure."""
 
     rule_id = "R6"
     name = "transaction-discipline"
-    title = "ledger debits and idempotency writes share a transaction"
+    title = "ledger debits and replay-record writes share a transaction"
     default_targets = ("src/repro/service/ledger.py",)
 
     def check(self, unit: FileUnit, linter: "Linter") -> "Iterator[Finding]":
@@ -86,13 +107,15 @@ class TransactionDisciplineRule(Rule):
 
     def _check_method(self, unit, func, parents):
         run_closure_names: "set[str]" = set()
+        unsynced_closure_names: "set[str]" = set()
         opens_transactions = False
         for node in ast.walk(func):
             if isinstance(node, ast.Call) and call_name(node) == "run":
                 opens_transactions = True
-                run_closure_names.update(
-                    arg.id for arg in node.args if isinstance(arg, ast.Name)
-                )
+                names = {arg.id for arg in node.args if isinstance(arg, ast.Name)}
+                run_closure_names.update(names)
+                if _unsynced(node):
+                    unsynced_closure_names.update(names)
             elif _is_transact_with(node):
                 opens_transactions = True
         if not opens_transactions:
@@ -118,7 +141,7 @@ class TransactionDisciplineRule(Rule):
                 debits.append((node, region_of(node)))
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
-                    if _idempotency_write_target(target):
+                    if _replay_write_target(target):
                         writes.append((target, region_of(node)))
 
         for node, region in debits + writes:
@@ -126,10 +149,20 @@ class TransactionDisciplineRule(Rule):
                 yield self.finding(
                     unit,
                     node,
-                    "ledger debit / idempotency write outside any "
+                    "ledger debit / replay-record write outside any "
                     "transaction closure — move it into the handler "
                     "passed to store.run (or a 'with store.transact' "
                     "body) so commit covers it",
+                )
+            elif getattr(region, "name", None) in unsynced_closure_names or any(
+                _unsynced(item.context_expr) for item in getattr(region, "items", ())
+            ):
+                yield self.finding(
+                    unit,
+                    node,
+                    "ledger debit / replay-record write in a sync=False "
+                    "transaction — a power loss could undo it after the "
+                    "release it pays for left the service; commit it synced",
                 )
         regions = {
             region
@@ -141,7 +174,7 @@ class TransactionDisciplineRule(Rule):
             yield self.finding(
                 unit,
                 anchor,
-                "debit and idempotency write live in different "
+                "debit and replay-record write live in different "
                 "transaction closures — a crash between the two "
                 "commits one without the other (double-debit or "
                 "paid-for refusal on retry)",

@@ -16,9 +16,9 @@ Two cooperating implementations behind one context-manager interface:
 
 The fallback exists because :class:`~repro.serving.cache.JSONFileCache`
 used to degrade to *no cross-process lock at all* on platforms without
-``fcntl`` — a silent lost-update window.  Consumers (the calibration cache,
-the JSON ledger store) now always get a real mutual-exclusion guarantee;
-only its failure mode differs per platform.
+``fcntl`` — a silent lost-update window.  The calibration cache now always
+gets a real mutual-exclusion guarantee; only its failure mode differs per
+platform.
 
 The module-level ``fcntl`` name is resolved at *acquire* time, so tests can
 ``monkeypatch.setattr(filelock, "fcntl", None)`` to force the fallback path
@@ -76,8 +76,8 @@ class InterProcessLock:
 
     Not reentrant: one instance guards one critical section at a time.
     Instances are cheap — create one per acquisition site rather than
-    sharing, or serialize shared use behind a thread lock (both the cache
-    and the ledger store do the latter).
+    sharing, or serialize shared use behind a thread lock (the cache does
+    the latter).
     """
 
     def __init__(

@@ -4,9 +4,9 @@ Covers the injector itself (rule matching, scheduling, determinism, the
 ``REPRO_FAULTS`` wire format), the retrying store wrapper (what retries,
 what must not, backoff/deadline bounds), the fault points compiled into
 every ledger store backend, and the crash-between-``mkstemp``-and-
-``os.replace`` recovery paths of both atomic file writers (ledger store
-and calibration cache): a simulated crash leaves the temp file behind
-exactly as a power loss would, and the next successful commit sweeps it.
+``os.replace`` recovery path of the calibration cache's atomic file
+writer: a simulated crash leaves the temp file behind exactly as a power
+loss would, and the next successful commit sweeps it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 from repro.exceptions import (
     BudgetExhaustedError,
     ReproError,
+    UnknownReservationError,
     ValidationError,
 )
 from repro.faults import (
@@ -40,11 +41,7 @@ from repro.service.retry import (
     is_transient_store_error,
     with_retries,
 )
-from repro.service.stores import (
-    InMemoryLedgerStore,
-    JSONFileLedgerStore,
-    SQLiteLedgerStore,
-)
+from repro.service.stores import InMemoryLedgerStore, SQLiteLedgerStore
 from repro.utils.filelock import LockTimeoutError
 
 
@@ -71,15 +68,15 @@ def test_error_rule_raises_each_kind():
 
 def test_fnmatch_patterns_and_context_history():
     injector = FaultInjector(
-        [FaultRule("ledger.json.*", action="error", error="io", times=2)]
+        [FaultRule("ledger.memory.*", action="error", error="io", times=2)]
     )
     injector.fire("ledger.sqlite.commit")  # no match
     with pytest.raises(OSError):
-        injector.fire("ledger.json.commit", tenant="t")
+        injector.fire("ledger.memory.commit", tenant="t")
     with pytest.raises(OSError):
-        injector.fire("ledger.json.read")
-    injector.fire("ledger.json.commit")  # times exhausted
-    assert injector.fired("ledger.json.*") == 2
+        injector.fire("ledger.memory.read")
+    injector.fire("ledger.memory.commit")  # times exhausted
+    assert injector.fired("ledger.memory.*") == 2
     assert injector.fired("ledger.sqlite.*") == 0
     assert injector.history[0]["context"] == {"tenant": "t"}
     stats = injector.stats()
@@ -309,8 +306,8 @@ def test_retry_run_replays_whole_cycle_after_commit_fault():
 
 def test_retry_run_replays_keyless_consume_after_commit_fault():
     # A transient error *after* the commit landed must not double-debit a
-    # keyless consume: the private per-call idempotency key turns the
-    # wrapper's whole-cycle re-run into a replay of the committed result.
+    # keyless consume: the private call id stamped on the reservation turns
+    # the wrapper's whole-cycle re-run into a replay of the committed result.
     store = RetryingLedgerStore(
         InMemoryLedgerStore(), RetryPolicy(max_attempts=4), sleep=lambda _s: None
     )
@@ -323,7 +320,7 @@ def test_retry_run_replays_keyless_consume_after_commit_fault():
     assert (after.n_consumed, after.n_remaining) == (2, 2)
     assert ledger.snapshot()["spent_epsilon"] == pytest.approx(2.0)
 
-    # Draining flavor: without the key, the re-run would find 0 releases
+    # Draining flavor: without the call id, the re-run would find 0 releases
     # left and raise ReservationError while the budget was already spent.
     with injected(
         [FaultRule("ledger.memory.commit.after", error="io", times=1)]
@@ -331,6 +328,32 @@ def test_retry_run_replays_keyless_consume_after_commit_fault():
         final = ledger.consume(reservation.reservation_id, 2, epsilon=1.0)
     assert (final.n_consumed, final.n_remaining) == (4, 0)
     assert ledger.snapshot()["spent_epsilon"] == pytest.approx(4.0)
+
+
+def test_keyless_rerun_after_reservation_vanished_keeps_the_debit():
+    # The re-run finds its reservation gone (released between the commit
+    # and the retry): it cannot replay, so it refuses — and the committed
+    # debit stands, so spend is never under-counted.
+    inner = InMemoryLedgerStore()
+    reservation = None
+
+    def release_then_sleep(_seconds: float) -> None:
+        TenantLedger(inner, "acme").release_unused(reservation.reservation_id)
+
+    store = RetryingLedgerStore(
+        inner, RetryPolicy(max_attempts=4), sleep=release_then_sleep
+    )
+    ledger = _ledger(store)
+    reservation = ledger.reserve(4, 1.0)
+    with injected(
+        [FaultRule("ledger.memory.commit.after", error="io", times=1)]
+    ):
+        with pytest.raises(UnknownReservationError):
+            ledger.consume(reservation.reservation_id, 2, epsilon=1.0)
+    snapshot = ledger.snapshot()
+    assert snapshot["spent_epsilon"] == pytest.approx(2.0)
+    assert snapshot["n_releases"] == 2
+    assert snapshot["n_reservations"] == 0
 
 
 def test_with_retries_is_idempotent():
@@ -351,12 +374,10 @@ def test_retry_policy_validation():
 
 
 # -- store fault points, per backend ---------------------------------------
-@pytest.fixture(params=["memory", "json", "sqlite"])
+@pytest.fixture(params=["memory", "sqlite"])
 def store_and_kind(request, tmp_path):
     if request.param == "memory":
         store = InMemoryLedgerStore()
-    elif request.param == "json":
-        store = JSONFileLedgerStore(tmp_path / "ledgers.json")
     else:
         store = SQLiteLedgerStore(tmp_path / "ledgers.sqlite")
     yield store, request.param
@@ -365,7 +386,6 @@ def store_and_kind(request, tmp_path):
 
 _COMMIT_POINT = {
     "memory": "ledger.memory.commit",
-    "json": "ledger.json.commit",
     "sqlite": "ledger.sqlite.commit",
 }
 
@@ -383,21 +403,6 @@ def test_commit_fault_persists_nothing(store_and_kind):
     # The reservation survives untouched and is still consumable.
     consumed = ledger.consume(reservation.reservation_id, 2, epsilon=1.0)
     assert consumed.n_consumed == 2
-
-
-def test_crash_between_mkstemp_and_replace_leaves_then_sweeps_tmp(tmp_path):
-    store = JSONFileLedgerStore(tmp_path / "ledgers.json")
-    ledger = _ledger(store)
-    with injected([FaultRule("ledger.json.commit.replace", action="crash")]):
-        with pytest.raises(SimulatedCrashError):
-            ledger.reserve(1, 1.0)
-    orphans = list(tmp_path.glob("ledgers.json*.tmp"))
-    assert len(orphans) == 1  # the crash left its partial write behind
-    assert ledger.snapshot()["n_reservations"] == 0  # nothing committed
-    # The next successful transaction sweeps the orphan before writing.
-    ledger.reserve(1, 1.0)
-    assert list(tmp_path.glob("ledgers.json*.tmp")) == []
-    assert ledger.snapshot()["n_reservations"] == 1
 
 
 def test_cache_crash_between_mkstemp_and_replace(tmp_path):

@@ -1,7 +1,6 @@
 """The portable inter-process lock, with the ``fcntl``-free fallback.
 
-The bug this guards: ``JSONFileCache`` (and now the JSON ledger store)
-silently ran with *no cross-process lock at all* on platforms without
+The bug this guards: ``JSONFileCache`` silently ran with *no cross-process lock at all* on platforms without
 ``fcntl`` — concurrent writers could interleave read-modify-write cycles
 and lose updates without any error.  ``InterProcessLock`` closes that hole
 with an ``O_CREAT | O_EXCL`` lock-file fallback; these tests force the

@@ -1,7 +1,7 @@
 """Conformance of every :class:`~repro.service.stores.LedgerStore` backend.
 
-One parametrized suite: whatever the backend (in-memory dict, JSON file,
-SQLite), a store must provide exclusive read-modify-write transactions,
+One parametrized suite: whatever the backend (in-memory dict, SQLite), a
+store must provide exclusive read-modify-write transactions,
 abandon changes on exception, expose lock-free-safe peeks, and isolate
 tenants.  The cross-process guarantees get their own hammering in
 ``tests/test_ledger_concurrency.py``; this file is the functional floor."""
@@ -15,20 +15,17 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.service.stores import (
     InMemoryLedgerStore,
-    JSONFileLedgerStore,
     SQLiteLedgerStore,
     ledger_store_from_path,
 )
 
-BACKENDS = ("memory", "json", "sqlite")
+BACKENDS = ("memory", "sqlite")
 
 
 @pytest.fixture(params=BACKENDS)
 def store(request, tmp_path):
     if request.param == "memory":
         built = InMemoryLedgerStore()
-    elif request.param == "json":
-        built = JSONFileLedgerStore(tmp_path / "ledgers.json")
     else:
         built = SQLiteLedgerStore(tmp_path / "ledgers.sqlite")
     yield built
@@ -107,20 +104,67 @@ def test_threaded_increments_never_lost(store):
     assert store.peek("counter")["n"] == 200
 
 
-def test_json_store_corrupt_file_refused(tmp_path):
-    path = tmp_path / "ledgers.json"
-    path.write_text("{not json")
-    store = JSONFileLedgerStore(path)
-    with pytest.raises(ValidationError, match="corrupt"):
-        store.peek("acme")
-
-
-def test_json_store_survives_missing_file(tmp_path):
-    store = JSONFileLedgerStore(tmp_path / "sub" / "ledgers.json")
-    assert store.peek("acme") is None
-    with store.transact("acme") as txn:
+def test_unsynced_transaction_commits_like_any_other(store):
+    with store.transact("acme", sync=False) as txn:
         txn.state = {"n": 1}
+    assert store.run("acme", lambda txn: txn.state["n"], sync=False) == 1
     assert store.peek("acme") == {"n": 1}
+
+
+def test_sqlite_flushes_only_synced_commits(tmp_path):
+    """A synced commit runs at ``synchronous=FULL`` (the WAL is flushed
+    before COMMIT returns), a ``sync=False`` one at ``NORMAL``."""
+    store = SQLiteLedgerStore(tmp_path / "ledgers.sqlite")
+
+    def level(txn):
+        txn.state = {"n": 1}
+        return store._conn.execute("PRAGMA synchronous").fetchone()[0]
+
+    try:
+        assert store.run("acme", level) == 2
+        assert store.run("acme", level, sync=False) == 1
+        assert store.run("acme", level) == 2
+    finally:
+        store.close()
+
+
+def test_sqlite_wal_stays_bounded(tmp_path):
+    """Commits checkpoint the WAL every ``WAL_CHECKPOINT_PAGES`` pages, so
+    it stops growing and later commits overwrite its pages in place."""
+    path = tmp_path / "ledgers.sqlite"
+    store = SQLiteLedgerStore(path)
+    try:
+        for i in range(400):
+            with store.transact(f"t{i % 4}", sync=i % 2 == 0) as txn:
+                txn.state = {"i": i, "pad": "x" * 900}
+        page = store._conn.execute("PRAGMA page_size").fetchone()[0]
+        wal = (tmp_path / "ledgers.sqlite-wal").stat().st_size
+    finally:
+        store.close()
+    assert wal <= 2 * SQLiteLedgerStore.WAL_CHECKPOINT_PAGES * (page + 24)
+
+
+@pytest.mark.parametrize("name", ["ledgers.sqlite", "ledgers.json"])
+def test_sqlite_store_refuses_foreign_file(tmp_path, name):
+    """A file that is not a SQLite database (say, a JSON ledger file) is
+    refused with a typed error naming it, whatever its suffix."""
+    path = tmp_path / name
+    path.write_text('{"acme": {"n": 1}}')
+    with pytest.raises(ValidationError, match="not a SQLite database") as caught:
+        ledger_store_from_path(path)
+    assert str(path) in str(caught.value)
+    assert path.read_text() == '{"acme": {"n": 1}}'  # left untouched
+
+
+def test_sqlite_store_creates_missing_directory(tmp_path):
+    store = SQLiteLedgerStore(tmp_path / "sub" / "ledgers.sqlite")
+    try:
+        assert store.peek("acme") is None
+        with store.transact("acme") as txn:
+            txn.state = {"n": 1}
+        assert store.peek("acme") == {"n": 1}
+    finally:
+        store.close()
 
 
 def test_sqlite_store_persists_across_instances(tmp_path):
@@ -143,8 +187,8 @@ def test_sqlite_store_persists_across_instances(tmp_path):
         ("ledgers.sqlite", SQLiteLedgerStore),
         ("ledgers.sqlite3", SQLiteLedgerStore),
         ("ledgers.db", SQLiteLedgerStore),
-        ("ledgers.json", JSONFileLedgerStore),
-        ("ledgers", JSONFileLedgerStore),
+        ("ledgers.json", SQLiteLedgerStore),
+        ("ledgers", SQLiteLedgerStore),
     ],
 )
 def test_store_from_path_dispatch(tmp_path, path, expected):
@@ -170,6 +214,12 @@ def test_closed_durable_store_refuses_new_transactions(store):
     with pytest.raises(ValidationError, match="closed"):
         with store.transact("acme"):
             pass
+    # Reads are refused the same way, naming the store.
+    with pytest.raises(ValidationError, match="closed") as caught:
+        store.peek("acme")
+    assert str(store.path) in str(caught.value)
+    with pytest.raises(ValidationError, match="closed"):
+        store.tenants()
 
 
 def test_close_during_transact_lets_the_commit_finish(store):
@@ -184,10 +234,7 @@ def test_close_during_transact_lets_the_commit_finish(store):
         with store.transact("acme"):
             pass
     # The commit landed: a fresh store on the same path sees it.
-    if isinstance(store, SQLiteLedgerStore):
-        reborn = SQLiteLedgerStore(store.path)
-    else:
-        reborn = JSONFileLedgerStore(store.path)
+    reborn = SQLiteLedgerStore(store.path)
     try:
         assert reborn.peek("acme") == {"n": 1}
     finally:
@@ -219,19 +266,3 @@ def test_sqlite_close_from_another_thread_waits_for_commit(tmp_path):
         assert reborn.peek("acme") == {"n": 7}
     finally:
         reborn.close()
-
-
-def test_json_close_never_strands_the_lock_sidecar(tmp_path):
-    store = JSONFileLedgerStore(tmp_path / "ledgers.json")
-    with store.transact("acme") as txn:
-        txn.state = {"n": 1}
-        store.close()
-    # Another store (process) on the same path can transact immediately —
-    # the per-transaction inter-process lock was released, not stranded.
-    other = JSONFileLedgerStore(tmp_path / "ledgers.json", lock_timeout=2.0)
-    try:
-        with other.transact("acme") as txn:
-            txn.state["n"] += 1
-        assert other.peek("acme") == {"n": 2}
-    finally:
-        other.close()

@@ -483,7 +483,7 @@ def test_admin_recover_reclaims_expired_reservations():
 def test_startup_recovery_sweep_runs(tmp_path):
     import time
 
-    path = str(tmp_path / "ledgers.json")
+    path = str(tmp_path / "ledgers.sqlite")
     app = create_app(path, reservation_ttl=0.05)
     client = TestClient(app)
     _tenant(client, budget=2.0, accountant="linear")

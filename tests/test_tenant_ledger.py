@@ -110,6 +110,34 @@ def test_consume_exactly_once_and_refusals(ledger):
         ledger.consume(res.reservation_id, epsilon=0.5)
 
 
+class _SyncLog(InMemoryLedgerStore):
+    """Records the ``sync`` flag of every transaction."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log: list = []
+
+    def transact(self, tenant, *, sync=True):
+        self.log.append(sync)
+        return super().transact(tenant, sync=sync)
+
+
+def test_only_debits_need_a_flush():
+    """Holds and returns commit unsynced (a power loss undoing one only
+    over-holds budget until the sweep); creation and every debit commit
+    synced."""
+    store = _SyncLog()
+    ledger = _created(TenantLedger(store, "acme"), budget=2.0)
+    res = ledger.reserve(3, 0.5)
+    ledger.consume(res.reservation_id, epsilon=0.5)
+    ledger.consume_idempotent(
+        res.reservation_id, 1, epsilon=0.5, idempotency_key="k", response={}
+    )
+    ledger.release_unused(res.reservation_id)
+    ledger.sweep()
+    assert store.log == [True, False, True, True, False, True]
+
+
 def test_refused_consume_changes_nothing(ledger):
     _created(ledger, budget=2.0)
     res = ledger.reserve(1, 0.5)
