@@ -4,8 +4,9 @@ The quantity that matters for the serving north star is releases/second.
 Cold = a fresh mechanism per release (per-release recalibration, what naive
 use of the paper's algorithms costs); warm = one :class:`PrivacyEngine` whose
 calibration cache is hot, answering batches with a single vectorized noise
-draw.  The recorded artifact is JSON (``results/engine_throughput.json``)
-matching the shape of ``python -m repro throughput``.
+draw.  The recorded artifact is JSON (``results/engine_throughput.json``):
+the workload, cold and warm ``{releases, seconds, rps}``, the speedup and
+the engine's cache stats.
 
 The MQM chain workload here is the acceptance workload for the engine: the
 warm/batched path must be at least 10x faster than per-release

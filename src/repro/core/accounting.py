@@ -49,7 +49,6 @@ on randomized schedules).
 
 from __future__ import annotations
 
-import copy
 import math
 import threading
 from dataclasses import dataclass, field
@@ -203,8 +202,10 @@ class BaseAccountant:
     ``audit_trail`` fields and implement three arithmetic hooks — all called
     with the mutex held:
 
-    * :meth:`_stage_locked` — the prospective total if ``n`` more releases
-      at ``epsilon`` were admitted, plus an opaque commit token;
+    * :meth:`_stage_locked` — the prospective total if an ordered list of
+      ``(n_releases, epsilon)`` charges were admitted, plus an opaque commit
+      token (:meth:`record_many` stages its one charge; :meth:`preview`
+      stages every charge it prices, and never commits);
     * :meth:`_apply_locked` — commit a staged token;
     * :meth:`_spent_locked` — the current total.
 
@@ -220,6 +221,12 @@ class BaseAccountant:
     # -- runtime state shared by all subclasses -------------------------
     def _init_runtime(self) -> None:
         """Build the non-field runtime state (called from __post_init__)."""
+        # NaN compares false against every total, so it would admit without
+        # limit; ``None`` is the one spelling of "unlimited".
+        if self.budget is not None and math.isnan(self.budget):
+            raise PrivacyParameterError(
+                f"budget must be a number or None, got {self.budget}"
+            )
         self._count = len(self.records)
         self._signatures = {r.quilt_signature for r in self.records}
         # Reentrant so locked methods may call other locked methods
@@ -241,10 +248,14 @@ class BaseAccountant:
         raise NotImplementedError
 
     def _stage_locked(
-        self, n_releases: int, epsilon: float, rdp_curve: RdpCurve | None
+        self,
+        charges: Sequence[tuple[int, float]],
+        rdp_curve: RdpCurve | None,
     ) -> tuple[float, Any]:
-        """``(prospective_total, commit_token)`` for ``n`` more releases
-        (mutex held).  Nothing is mutated."""
+        """``(prospective_total, commit_token)`` if the ``(n_releases,
+        epsilon)`` charges were admitted in order on top of the ledger
+        (mutex held; every ``n_releases >= 1``).  ``rdp_curve``, when given,
+        prices every charge.  Nothing is mutated."""
         raise NotImplementedError
 
     def _apply_locked(self, token: Any) -> None:
@@ -304,7 +315,7 @@ class BaseAccountant:
         linear accountant ignores it, the Rényi accountant uses it in place
         of the conservative pure-release curve.
         """
-        if epsilon <= 0:
+        if not epsilon > 0:  # written so that NaN is refused too
             raise PrivacyParameterError(f"epsilon must be positive, got {epsilon}")
         if n_releases < 1:
             raise PrivacyParameterError(
@@ -316,7 +327,9 @@ class BaseAccountant:
                     "releases use different active Markov quilts; Theorem 4.4 does "
                     "not apply and Pufferfish privacy may not compose"
                 )
-            total, token = self._stage_locked(n_releases, float(epsilon), rdp_curve)
+            total, token = self._stage_locked(
+                [(n_releases, float(epsilon))], rdp_curve
+            )
             if self.budget is not None and total > self.budget + BUDGET_ATOL:
                 spent = self._spent_locked()
                 raise BudgetExhaustedError(
@@ -393,9 +406,7 @@ class BaseAccountant:
         reservation — not the eventual release — when the total would
         overshoot (see :mod:`repro.service.ledger`).
         """
-        with self._mutex:
-            clone = copy.deepcopy(self)
-        total = clone._spent_locked()  # repro-lint: disable=R1 -- clone is a frame-private deepcopy; no other thread can see it
+        staged: list[tuple[int, float]] = []
         for n_releases, epsilon in charges:
             if n_releases < 0:
                 raise PrivacyParameterError(
@@ -403,16 +414,13 @@ class BaseAccountant:
                 )
             if n_releases == 0:
                 continue
-            if epsilon <= 0:
+            if not epsilon > 0:
                 raise PrivacyParameterError(
                     f"epsilon must be positive, got {epsilon}"
                 )
-            total, token = clone._stage_locked(int(n_releases), float(epsilon), None)  # repro-lint: disable=R1 -- clone is frame-private
-            clone._apply_locked(token)  # repro-lint: disable=R1 -- clone is frame-private
-            # The count advance normally happens in record_many, after the
-            # hooks; the clone must mirror it or staged linear totals stall.
-            clone._count += int(n_releases)
-        return total
+            staged.append((int(n_releases), float(epsilon)))
+        with self._mutex:
+            return self._stage_locked(staged, None)[0]
 
     # -- durable serialization -------------------------------------------
     #: Discriminator stored in :meth:`state_dict`; subclass responsibility.
@@ -632,10 +640,17 @@ class RenyiAccountant(BaseAccountant):
         return self._convert(self._rdp)
 
     def _stage_locked(
-        self, n_releases: int, epsilon: float, rdp_curve: RdpCurve | None
+        self,
+        charges: Sequence[tuple[int, float]],
+        rdp_curve: RdpCurve | None,
     ) -> tuple[float, Any]:
-        costs = self._costs(epsilon, rdp_curve)
-        prospective = self._rdp + n_releases * costs
+        # Charge by charge, in order: the same float-summation sequence as
+        # recording them one ``record_many`` at a time.  The token keeps the
+        # last charge's curve — record_many's only one — for the trail.
+        prospective, costs = self._rdp, None
+        for n_releases, epsilon in charges:
+            costs = self._costs(epsilon, rdp_curve)
+            prospective = prospective + n_releases * costs
         total = float(np.min(prospective + self._overhead))
         return total, (prospective, costs)
 

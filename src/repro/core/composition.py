@@ -20,7 +20,7 @@ contract with strong-composition arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.core.accounting import (
     BaseAccountant,
@@ -81,12 +81,17 @@ class CompositionAccountant(BaseAccountant):
         return self._count * self._worst
 
     def _stage_locked(
-        self, n_releases: int, epsilon: float, rdp_curve: RdpCurve | None
+        self,
+        charges: Sequence[tuple[int, float]],
+        rdp_curve: RdpCurve | None,
     ) -> tuple[float, Any]:
         # Linear accounting has no use for a Rényi curve; Theorem 4.4 only
         # reads (count, worst epsilon).
-        worst = max(self._worst, epsilon)
-        return (self._count + n_releases) * worst, worst
+        count, worst = self._count, self._worst
+        for n_releases, epsilon in charges:
+            count += n_releases
+            worst = max(worst, epsilon)
+        return count * worst, worst
 
     def _apply_locked(self, token: float) -> None:
         self._worst = token

@@ -24,7 +24,7 @@ span, so window ``k``'s admission arithmetic is identical to window 0's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.core.accounting import (
     BaseAccountant,
@@ -95,17 +95,21 @@ class SlidingWindowAccountant(BaseAccountant):
         return count * worst
 
     def _stage_locked(
-        self, n_releases: int, epsilon: float, rdp_curve: RdpCurve | None
+        self,
+        charges: Sequence[tuple[int, float]],
+        rdp_curve: RdpCurve | None,
     ) -> tuple[float, Any]:
         count, worst = self._live_totals_locked()
-        worst = max(worst, epsilon)
-        return (count + n_releases) * worst, (n_releases, epsilon)
+        for n_releases, epsilon in charges:
+            count += n_releases
+            worst = max(worst, epsilon)
+        return count * worst, charges
 
     def _apply_locked(self, token: Any) -> None:
-        n_releases, epsilon = token
         bucket = self._buckets.setdefault(self._window, [0, 0.0])
-        bucket[0] += n_releases
-        bucket[1] = max(bucket[1], epsilon)
+        for n_releases, epsilon in token:
+            bucket[0] += n_releases
+            bucket[1] = max(bucket[1], epsilon)
 
     # -- the logical clock ------------------------------------------------
     @property

@@ -105,7 +105,7 @@ class Workload:
 
 def default_workloads() -> "dict[str, Workload]":
     """The built-in demo workloads: Laplace and Gaussian MQM over the
-    hub-and-spoke network used by the ``accounting`` CLI demo.
+    hub-and-spoke network that ``benchmarks/bench_accounting.py`` drains.
 
     Small enough to calibrate in milliseconds, real enough to exercise the
     full quilt search, both noise kinds, and (for the Gaussian) the
@@ -338,7 +338,7 @@ class PrivacyService:
         body = require_object(body)
         workload, engine = self._workload(get_str(body, "workload"))
         n = get_int(body, "n", default=1, minimum=1, maximum=MAX_RELEASES_PER_CALL)
-        seed = get_int(body, "seed")
+        seed = get_int(body, "seed", minimum=0)
         idempotency_key = get_str(body, "idempotency_key")
         ledger = self.ledger(tenant)
         if idempotency_key is not None:
@@ -405,7 +405,7 @@ class PrivacyService:
             minimum=1,
             maximum=MAX_RELEASES_PER_CALL,
         )
-        seed = get_int(body, "seed")
+        seed = get_int(body, "seed", minimum=0)
         block_size = get_int(body, "block_size", default=64, minimum=1)
         ledger = self.ledger(tenant)
         reservation = ledger.reserve(n_reserved, workload.mechanism.epsilon)

@@ -10,6 +10,7 @@ bodies free of defensive plumbing.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping
 
 from repro.exceptions import ValidationError
@@ -93,7 +94,14 @@ def get_float(
         raise ValidationError(
             f"field {name!r} must be a number, got {value!r}"
         )
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    # Python's json parses NaN, Infinity and 1e309; none is a usable
+    # parameter, and a NaN budget compares false against every total.
+    if not math.isfinite(value):
+        raise ValidationError(f"field {name!r} must be finite, got {value}")
     if positive and value <= 0:
         raise ValidationError(f"field {name!r} must be positive, got {value}")
     return value

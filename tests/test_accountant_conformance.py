@@ -182,6 +182,22 @@ class TestValidation:
         with pytest.raises(PrivacyParameterError):
             make().record_many(n_releases, EPSILON)
 
+    def test_nan_epsilon_is_refused(self, make):
+        """A NaN epsilon would make the linear total NaN-or-zero and admit
+        without limit; recording and previewing both refuse it."""
+        accountant = make(budget=1.0)
+        with pytest.raises(PrivacyParameterError, match="epsilon"):
+            accountant.record(float("nan"))
+        with pytest.raises(PrivacyParameterError, match="epsilon"):
+            accountant.preview([(1, float("nan"))])
+        assert len(accountant) == 0
+
+    def test_nan_budget_is_refused(self, make):
+        """NaN compares false against every total, so a NaN budget would
+        admit releases without limit; ``None`` is the only "unlimited"."""
+        with pytest.raises(PrivacyParameterError, match="budget"):
+            make(budget=float("nan"))
+
 
 class TestSignatureCondition:
     def test_mixed_signatures_are_refused(self, make):

@@ -27,6 +27,7 @@ stdlib ``random`` sweeps over seeded instances, no extra dependencies.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 
@@ -40,6 +41,7 @@ from repro.core.accounting import (
     pure_rdp_curve,
 )
 from repro.core.composition import CompositionAccountant
+from repro.core.windowed import SlidingWindowAccountant
 from repro.exceptions import BudgetExhaustedError, PrivacyParameterError
 
 SEEDS = range(12)
@@ -381,3 +383,60 @@ class TestPreview:
         """Preview prices, it does not refuse — admission layers decide."""
         accountant = CompositionAccountant(budget=1.0)
         assert accountant.preview([(10, 0.5)]) == pytest.approx(5.0)
+
+
+#: Charge lists for the exactness pins: empty, zero-count entries mixed in,
+#: a repeated epsilon, and a new worst epsilon after smaller ones.
+EXACT_SCHEDULES = [
+    [],
+    [(0, 0.7)],
+    [(3, 0.2), (0, 0.9), (1, 0.05)],
+    [(2, 0.3), (2, 0.3), (5, 0.125), (1, 1.1)],
+    [(0, 0.4), (7, 0.01), (0, 2.0), (4, 0.6)],
+    *(random_schedule(random.Random(seed)) for seed in range(3)),
+]
+
+
+def _assert_preview_is_exact(accountant, schedule) -> None:
+    """``preview(schedule)`` is bit-for-bit what recording the schedule on a
+    copy would report, and the previewing accountant does not move."""
+    before = accountant.state_dict()
+    shadow = copy.deepcopy(accountant)
+    for n, eps in schedule:
+        if n:
+            shadow.record_many(n, eps, quilt_signature=("q",))
+    assert accountant.preview(schedule) == shadow.total_epsilon()
+    assert accountant.state_dict() == before
+
+
+class TestPreviewExactness:
+    """``preview`` stages its charges through the same hook as
+    ``record_many``, so the totals agree with ``==``, not approximately."""
+
+    @pytest.mark.parametrize("schedule", EXACT_SCHEDULES)
+    def test_linear(self, schedule):
+        accountant = CompositionAccountant()
+        accountant.record_many(2, 0.25, quilt_signature=("q",))
+        _assert_preview_is_exact(accountant, schedule)
+
+    @pytest.mark.parametrize("schedule", EXACT_SCHEDULES)
+    def test_renyi_with_a_mechanism_curve_in_history(self, schedule):
+        accountant = RenyiAccountant(delta=1e-5)
+        accountant.record_many(3, 0.2, quilt_signature=("q",))
+        accountant.record_many(
+            2,
+            0.4,
+            quilt_signature=("q",),
+            rdp_curve=lambda a: np.where(np.isinf(a), 0.4, 0.01 * a),
+        )
+        _assert_preview_is_exact(accountant, schedule)
+
+    @pytest.mark.parametrize("schedule", EXACT_SCHEDULES)
+    def test_sliding_across_a_window_advance(self, schedule):
+        accountant = SlidingWindowAccountant(window_span=2)
+        accountant.record_many(4, 0.3, quilt_signature=("q",))
+        accountant.advance_window()
+        accountant.record_many(1, 0.1, quilt_signature=("q",))
+        _assert_preview_is_exact(accountant, schedule)
+        accountant.advance_window()  # the 0.3 window expires
+        _assert_preview_is_exact(accountant, schedule)

@@ -68,3 +68,24 @@ class TestCli:
     def test_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             cli_main(["experiments", "bogus"])
+
+    def test_calibrate_is_bit_identical(self, capsys):
+        argv = ["calibrate", "--workers", "1", "--grid-points", "2", "--length", "20"]
+        assert cli_main(argv) == 0
+        assert '"bit_identical": true' in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--length", "0"],
+            # The benchmark demos left the CLI; benchmarks/bench_*.py run them.
+            ["throughput"],
+            ["stream"],
+            ["accounting"],
+            ["temporal"],
+        ],
+    )
+    def test_usage_errors_exit_2(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2

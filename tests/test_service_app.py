@@ -9,6 +9,7 @@ This file is the CI service-smoke lane."""
 from __future__ import annotations
 
 import json
+import math
 import threading
 
 import pytest
@@ -201,6 +202,41 @@ def test_malformed_json_is_400(client):
     bad = client.post("/tenants/acme/release", json_body="not-an-object")
     assert bad.status == 400
     assert "object" in bad.json()["message"]
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [math.nan, math.inf, -math.inf, 10**400],
+    ids=["nan", "inf", "-inf", "int-overflow"],
+)
+def test_non_finite_budget_is_400_and_creates_no_tenant(client, budget):
+    # The test client encodes NaN / Infinity as the bare tokens Python's
+    # json accepts; 10**400 overflows the float range.
+    response = client.post("/tenants/bad", {"budget": budget})
+    assert response.status == 400
+    assert "'budget'" in response.json()["message"]
+    assert client.get("/tenants").json() == {"tenants": []}
+
+
+@pytest.mark.parametrize(
+    "path, body",
+    [
+        ("/tenants/acme/release", {"workload": "hub-laplace", "seed": -1}),
+        (
+            "/tenants/acme/stream",
+            {"workload": "hub-laplace", "n_reserved": 2, "seed": -1},
+        ),
+    ],
+)
+def test_negative_seed_is_400_and_spends_nothing(client, path, body):
+    _tenant(client)
+    before = client.get("/tenants/acme").json()
+    response = client.post(path, body)
+    assert response.status == 400
+    assert "'seed'" in response.json()["message"]
+    after = client.get("/tenants/acme").json()
+    assert after["n_reservations"] == 0
+    assert after["spent_epsilon"] == before["spent_epsilon"]
 
 
 def test_unknown_route_and_method(client):

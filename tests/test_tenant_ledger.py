@@ -192,6 +192,22 @@ def test_parameter_validation(ledger):
         ledger.create(budget=2.0, accountant="exotic")
 
 
+@pytest.mark.parametrize("accountant", ["linear", "renyi", "sliding"])
+def test_stored_nan_budget_fails_closed(accountant):
+    """A NaN budget written before non-finite budgets were refused is
+    refused when the ledger is read back, not treated as unlimited."""
+    store = InMemoryLedgerStore()
+    ledger = _created(TenantLedger(store, "acme"), accountant=accountant)
+
+    def poison(txn):
+        txn.state["accountant"]["budget"] = float("nan")
+
+    store.run("acme", poison)
+    with pytest.raises(PrivacyParameterError, match="budget"):
+        ledger.reserve(1, 0.5)
+    assert store.peek("acme")["reservations"] == {}
+
+
 # -- durability ------------------------------------------------------------
 def test_restart_rehydrates_renyi_bit_identically(tmp_path):
     """Gaussian releases with mechanism curves, through the store, across a
