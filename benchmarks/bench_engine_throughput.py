@@ -134,14 +134,14 @@ def test_warm_batch_release_rate(benchmark, workload):
 
 def test_disk_cache_round_trip_speed(tmp_path, workload):
     """A second process (simulated by a fresh mechanism + cache object over
-    the same JSON file) skips the quilt search entirely."""
-    from repro.serving import CalibrationCache, JSONFileCache
+    the same SQLite file) skips the quilt search entirely."""
+    from repro.serving import CalibrationCache, SQLiteCache
 
     family, data, query = workload
-    path = tmp_path / "calibrations.json"
+    path = tmp_path / "calibrations.sqlite"
     first = PrivacyEngine(
         MQMExact(family, EPSILON, max_window=WINDOW),
-        cache=CalibrationCache(JSONFileCache(path)),
+        cache=CalibrationCache(SQLiteCache(path)),
     )
     cold = time.perf_counter()
     first.calibrate(query, data)
@@ -149,7 +149,7 @@ def test_disk_cache_round_trip_speed(tmp_path, workload):
 
     second = PrivacyEngine(
         MQMExact(family, EPSILON, max_window=WINDOW),
-        cache=CalibrationCache(JSONFileCache(path)),
+        cache=CalibrationCache(SQLiteCache(path)),
     )
     warm = time.perf_counter()
     calibration = second.calibrate(query, data)

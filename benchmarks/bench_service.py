@@ -73,7 +73,7 @@ def service_report(tmp_path_factory):
     # -- warm: steady state on one long-lived service + store --------------
     store_path = base / "warm.sqlite"
     client = _new_client(store_path)
-    client.post("/tenants/t", {"budget": 1e6, "audit_trail": False})
+    client.post("/tenants/t", {"budget": 1e6})
     client.post("/tenants/t/release", {"workload": "hub-laplace", "n": 1})
 
     # Single releases: the per-request durability price (3 transactions).

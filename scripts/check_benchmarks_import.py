@@ -47,7 +47,6 @@ STDLIB_ONLY = frozenset(
         "repro.staticcheck",
         "repro.staticcheck.cli",
         "repro.staticcheck.rules",
-        "repro.utils.filelock",
         "repro.__main__",
     }
 )

@@ -90,9 +90,9 @@ _LAZY_EXPORTS: "dict[str, str]" = {
     "ParallelCalibrator": "repro.parallel",
     "CalibrationCache": "repro.serving",
     "InMemoryLRUCache": "repro.serving",
-    "JSONFileCache": "repro.serving",
     "PrivacyEngine": "repro.serving",
     "ReleaseSession": "repro.serving",
+    "SQLiteCache": "repro.serving",
     "DiscreteBayesianNetwork": "repro.distributions",
     "DiscreteDistribution": "repro.distributions",
     "FiniteChainFamily": "repro.distributions",

@@ -148,6 +148,19 @@ class BudgetExhaustedError(PrivacyParameterError):
         return {**super().payload(), "ledger": self.ledger()}
 
 
+class LockTimeoutError(ReproError, TimeoutError):
+    """A lock could not be acquired within its timeout.
+
+    Transient contention (HTTP 503): the retrying ledger store retries it
+    and the service answers it with ``Retry-After``.  The fault
+    injector's ``lock_timeout`` kind raises it.  Subclasses
+    :class:`TimeoutError` so generic timeout handling keeps working.
+    """
+
+    http_status = 503  # transient contention; the client may retry
+    retry_after = 1.0  # seconds, sent as ``Retry-After``
+
+
 class NotApplicableError(ReproError, RuntimeError):
     """Raised when a mechanism does not apply to the given instantiation.
 

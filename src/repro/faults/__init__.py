@@ -6,7 +6,7 @@ stores that throw mid-commit, locks that time out, clients that vanish
 between reserve and consume.  This package provides the machinery to
 prove that: named **fault points** compiled into the hot paths
 (:class:`~repro.service.stores.LedgerStore` transactions, the
-:class:`~repro.serving.cache.JSONFileCache` flush,
+:class:`~repro.serving.cache.SQLiteCache` put,
 :class:`~repro.service.ledger.TenantLedger` operations, the ASGI app),
 and a seeded :class:`FaultInjector` that fires configured faults at them
 — transient errors, latency, or simulated crashes — on a reproducible

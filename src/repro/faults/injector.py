@@ -41,8 +41,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import contextlib
 
-from repro.exceptions import ValidationError
-from repro.utils.filelock import LockTimeoutError
+from repro.exceptions import LockTimeoutError, ValidationError
 
 
 class SimulatedCrashError(BaseException):
@@ -50,10 +49,10 @@ class SimulatedCrashError(BaseException):
 
     Derives from :class:`BaseException` (not :class:`Exception`) so it
     sails through ``except Exception`` recovery paths the way a real
-    crash would, and carries ``simulates_crash = True`` so the few
-    crash-path cleanup handlers that catch ``BaseException`` (the
-    temp-file unlinks in the stores) know to leave partial state on disk
-    — cleaning up would defeat the point of simulating a crash.
+    crash would, and carries ``simulates_crash = True`` so a crash-path
+    cleanup handler that catches ``BaseException`` knows to leave partial
+    state on disk — cleaning up would defeat the point of simulating a
+    crash.
     """
 
     simulates_crash = True

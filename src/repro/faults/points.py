@@ -31,17 +31,9 @@ FAULT_POINTS: "dict[str, str]" = {
         "ASGI dispatch, after routing but before the handler runs — "
         "faults the request path itself"
     ),
-    "cache.flush": (
-        "JSONFileCache flush, before the temp file is written — "
-        "a calibration-cache write that never starts"
-    ),
-    "cache.flush.after": (
-        "JSONFileCache flush, after the atomic replace — a crash with "
-        "the new cache contents already durable"
-    ),
-    "cache.flush.replace": (
-        "JSONFileCache flush, between temp-file write and atomic "
-        "replace — a crash that strands the temp file"
+    "cache.sqlite.commit": (
+        "SQLiteCache put, before the upsert runs — a calibration-cache "
+        "write that never lands"
     ),
     "ledger.memory.commit": (
         "in-memory store commit, before state is swapped in"

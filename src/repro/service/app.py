@@ -74,7 +74,6 @@ from repro.serving.engine import PrivacyEngine
 from repro.service.ledger import ReservationAccountant, TenantLedger
 from repro.service.retry import RetryPolicy, RetryingLedgerStore, with_retries
 from repro.service.schemas import (
-    get_bool,
     get_float,
     get_int,
     get_str,
@@ -280,7 +279,6 @@ class PrivacyService:
             ),
             delta=get_float(body, "delta", default=1e-6, positive=True),
             window_span=get_int(body, "window_span", default=1, minimum=1),
-            audit_trail=get_bool(body, "audit_trail", default=True),
         )
 
     def get_tenant(self, tenant: str) -> dict:

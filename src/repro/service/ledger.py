@@ -194,7 +194,6 @@ class TenantLedger:
         accountant: str = "linear",
         delta: float = 1e-6,
         window_span: int = 1,
-        audit_trail: bool = True,
         exist_ok: bool = True,
     ) -> dict:
         """Create the tenant's ledger (idempotent when ``exist_ok``).
@@ -205,18 +204,20 @@ class TenantLedger:
         applies to the ``"sliding"`` accountant: the budget is enforced
         over the trailing ``window_span`` logical windows, advanced via
         :meth:`advance_window`.
+
+        The accountant keeps aggregates only (``audit_trail=False``):
+        enforcement restores them verbatim, and a per-release trail would
+        grow the row every transaction rewrites.
         """
         if accountant == "linear":
             fresh: BaseAccountant = CompositionAccountant(
-                budget=budget, audit_trail=audit_trail
+                budget=budget, audit_trail=False
             )
         elif accountant == "renyi":
-            fresh = RenyiAccountant(
-                budget=budget, delta=delta, audit_trail=audit_trail
-            )
+            fresh = RenyiAccountant(budget=budget, delta=delta, audit_trail=False)
         elif accountant == "sliding":
             fresh = SlidingWindowAccountant(
-                budget=budget, window_span=window_span, audit_trail=audit_trail
+                budget=budget, window_span=window_span, audit_trail=False
             )
         else:
             raise ValidationError(
@@ -282,7 +283,7 @@ class TenantLedger:
 
         def handler(txn: LedgerTransaction) -> Reservation:
             state = self._require(txn.state)
-            self._expire_locked(state)
+            self._pop_expired_locked(state)
             accountant = accountant_from_state(state["accountant"])
             outstanding = [
                 (r["n_reserved"] - r["n_consumed"], r["epsilon"])
@@ -555,25 +556,23 @@ class TenantLedger:
         Reclaims every reservation past ``reservation_ttl`` (returning its
         unconsumed remainder to the budget — the consumed part was debited
         durably and stays spent) and prunes idempotency records past
-        ``idempotency_ttl``, plus every legacy ``retry.`` record an older
-        state still holds.  This is the *recovery sweep*: run it at
-        service startup and after killing workers, and no orphaned
-        reservation outlives its TTL plus one sweep.  Returns reclaim
-        stats; a no-op sweep returns zeros.
+        ``idempotency_ttl``, plus every legacy ``retry.`` record and
+        accountant audit trail an older state still holds.  This is the
+        *recovery sweep*: run it at service startup and after killing
+        workers, and no orphaned reservation outlives its TTL plus one
+        sweep.  Returns reclaim stats; a no-op sweep returns zeros.
         """
         fire("tenant.sweep", tenant=self.tenant)
 
         def handler(txn: LedgerTransaction) -> dict:
             state = self._require(txn.state)
-            reservations = state["reservations"]
-            expired = self._expired_ids(state, now=now)
-            reclaimed_releases = 0
-            reclaimed_epsilon = 0.0
-            for rid in expired:
-                entry = reservations.pop(rid)
-                remainder = entry["n_reserved"] - entry["n_consumed"]
-                reclaimed_releases += int(remainder)
-                reclaimed_epsilon += remainder * entry["epsilon"]
+            expired = self._pop_expired_locked(state, now=now)
+            reclaimed = [
+                (r["n_reserved"] - r["n_consumed"], r["epsilon"]) for r in expired
+            ]
+            # Enforcement reads the aggregates only; see create().
+            state["accountant"].pop("trail", None)
+            state["accountant"]["audit_trail"] = False
             records = state.setdefault("idempotency", {})
             cutoff = None
             if self.idempotency_ttl is not None:
@@ -589,10 +588,10 @@ class TenantLedger:
             return {
                 "tenant": self.tenant,
                 "expired_reservations": len(expired),
-                "reclaimed_releases": reclaimed_releases,
-                "reclaimed_epsilon": reclaimed_epsilon,
+                "reclaimed_releases": sum(n for n, _ in reclaimed),
+                "reclaimed_epsilon": sum((n * eps for n, eps in reclaimed), 0.0),
                 "pruned_idempotency_records": len(stale),
-                "outstanding_reservations": len(reservations),
+                "outstanding_reservations": len(state["reservations"]),
             }
 
         return self.store.run(self.tenant, handler)
@@ -632,20 +631,15 @@ class TenantLedger:
             state["accountant"] = accountant.state_dict()
             # Same-transaction reservation sweep: reclamation and expiry
             # are one atomic reconciliation, as in :meth:`sweep`.
-            reservations = state["reservations"]
-            expired = self._expired_ids(state, now=now)
-            reclaimed_releases = 0
-            for rid in expired:
-                entry = reservations.pop(rid)
-                reclaimed_releases += int(
-                    entry["n_reserved"] - entry["n_consumed"]
-                )
+            expired = self._pop_expired_locked(state, now=now)
             return {
                 "tenant": self.tenant,
                 **stats,
                 "expired_reservations": len(expired),
-                "reclaimed_releases": reclaimed_releases,
-                "outstanding_reservations": len(reservations),
+                "reclaimed_releases": sum(
+                    r["n_reserved"] - r["n_consumed"] for r in expired
+                ),
+                "outstanding_reservations": len(state["reservations"]),
             }
 
         return self.store.run(self.tenant, handler)
@@ -706,27 +700,26 @@ class TenantLedger:
             )
         return state
 
-    def _expire_locked(self, state: Mapping) -> None:
-        """Drop reservations older than the TTL (inside a transaction).
+    def _pop_expired_locked(
+        self, state: Mapping, *, now: "float | None" = None
+    ) -> "list[dict]":
+        """Remove and return the reservations older than the TTL (inside a
+        transaction).
 
-        Only *admission* prunes: an expired id that later tries to consume
-        fails loudly with :class:`~repro.exceptions.
+        Only admission and the sweeps prune: an expired id that later
+        tries to consume fails loudly with :class:`~repro.exceptions.
         UnknownReservationError` rather than silently re-admitting.
         """
-        for rid in self._expired_ids(state):
-            del state["reservations"][rid]
-
-    def _expired_ids(
-        self, state: Mapping, *, now: "float | None" = None
-    ) -> "list[str]":
         if self.reservation_ttl is None:
             return []
         now = time.time() if now is None else now
-        return [
+        reservations = state["reservations"]
+        expired = [
             rid
-            for rid, r in state["reservations"].items()
+            for rid, r in reservations.items()
             if now - r["created_at"] > self.reservation_ttl
         ]
+        return [reservations.pop(rid) for rid in expired]
 
 
 _ATOL = 1e-12  # same float-sum slack as the in-memory accountants
@@ -756,7 +749,7 @@ class ReservationAccountant(BaseAccountant):
         self._reservation = reservation
         self.budget = reservation.epsilon_total
         self.records: list = []
-        self.audit_trail = False  # the durable ledger is the audit trail
+        self.audit_trail = False  # the tenant ledger keeps aggregates only
         self._consumed = reservation.n_consumed
         self._init_runtime()
 

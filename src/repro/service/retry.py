@@ -2,9 +2,10 @@
 
 A durable store under load throws *transient* errors — SQLite reports
 ``database is locked`` past its busy timeout, a network filesystem
-hiccups an ``EIO``, a store built on an inter-process lock times out
-(:class:`~repro.utils.filelock.LockTimeoutError`) — none of which mean
-the operation cannot succeed, only that it could not succeed *now*.
+hiccups an ``EIO``, a lock wait times out
+(:class:`~repro.exceptions.LockTimeoutError`, which the fault injector's
+``lock_timeout`` kind raises) — none of which mean the operation cannot
+succeed, only that it could not succeed *now*.
 Surfacing every one as a 503 wastes work the client will simply retry
 over HTTP (more load, more contention); hanging forever violates request
 deadlines.
@@ -41,16 +42,15 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from repro.exceptions import ReproError, ValidationError
+from repro.exceptions import LockTimeoutError, ReproError, ValidationError
 from repro.faults import fire
 from repro.service.stores import LedgerStore, LedgerTransaction
-from repro.utils.filelock import LockTimeoutError
 
 
 def is_transient_store_error(error: BaseException) -> bool:
     """The default retry predicate.
 
-    Transient: lock-sidecar timeouts, SQLite busy/locked, and plain
+    Transient: lock timeouts, SQLite busy/locked, and plain
     ``OSError`` (EIO and friends — the disk blipped, not the logic).
     Never transient: every other :class:`~repro.exceptions.ReproError`
     (refusals and validation are deterministic) and anything else.

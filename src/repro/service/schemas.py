@@ -105,14 +105,3 @@ def get_float(
     if positive and value <= 0:
         raise ValidationError(f"field {name!r} must be positive, got {value}")
     return value
-
-
-def get_bool(
-    body: Mapping[str, Any], name: str, *, default: bool
-) -> bool:
-    value = body.get(name, default)
-    if not isinstance(value, bool):
-        raise ValidationError(
-            f"field {name!r} must be a boolean, got {value!r}"
-        )
-    return value

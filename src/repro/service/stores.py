@@ -10,13 +10,13 @@ service makes happens inside one — which is exactly why a thundering herd
 of concurrent sessions can never jointly over-commit a tenant budget: two
 admissions cannot interleave between the read and the write.
 
-This is deliberately *not* the merge-on-write discipline of
-:class:`~repro.serving.cache.JSONFileCache`.  Cache entries are
-content-keyed and deterministic, so concurrent writers can be reconciled
-after the fact by merging; a budget ledger is a counter — merging two
-states that both spent the last epsilon would mint budget out of thin air.
-Ledger writers therefore hold the exclusion for the whole
-read-decide-write cycle, never just the write.
+This is deliberately more than the blind upsert of
+:class:`~repro.serving.cache.SQLiteCache`.  Cache entries are
+content-keyed and deterministic, so a cache writer never reads before it
+writes; a budget ledger is a counter — two writers that both read before
+either wrote would spend the last epsilon twice.  Ledger writers
+therefore hold the exclusion for the whole read-decide-write cycle, never
+just the write.
 
 Two backends:
 

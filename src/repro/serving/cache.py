@@ -1,12 +1,20 @@
 """Calibration cache: pluggable backends plus the keyed front-end.
 
 The expensive half of every mechanism (the noise-scale computation) is
-memoized here.  Backends store JSON-safe payloads keyed by the opaque string
-keys of :mod:`repro.serving.fingerprint`:
+memoized here.  Backends store each JSON-safe payload as its JSON text,
+keyed by the opaque string keys of :mod:`repro.serving.fingerprint`:
 
 * :class:`InMemoryLRUCache` — a bounded, process-local LRU; the default.
-* :class:`JSONFileCache` — a write-through on-disk store so calibrations
-  survive process restarts (the "warm start a new server replica" path).
+* :class:`SQLiteCache` — a SQLite table, so calibrations survive process
+  restarts and are shared by every process that opens the same file (the
+  "warm start a new server replica" path).
+
+Storing text is what keeps entries immutable without copying them:
+``put`` encodes the payload before it touches storage, so the caller's
+object stays detached and a payload that is not JSON-safe is refused with
+nothing stored; ``get`` decodes a fresh object on every hit, so a caller
+mutating what it got (``mechanism.warm_start`` receives the payload's
+``"state"``) cannot corrupt the entry the next caller reads.
 
 :class:`CalibrationCache` ties a backend to the key construction and tracks
 hit/miss statistics.  It never invents keys: a calibration is only ever
@@ -17,23 +25,19 @@ signature, epsilon) combination it was computed under — see
 
 from __future__ import annotations
 
-import contextlib
-import copy
 import json
-import os
-import tempfile
+import sqlite3
 import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.core.laplace import Calibration, Mechanism
 from repro.core.queries import Query
 from repro.exceptions import ValidationError
 from repro.faults import fire
 from repro.serving.fingerprint import cache_key
-from repro.utils.filelock import InterProcessLock
 
 
 class CacheBackend(ABC):
@@ -45,7 +49,8 @@ class CacheBackend(ABC):
 
     @abstractmethod
     def put(self, key: str, payload: dict[str, Any]) -> None:
-        """Store (or overwrite) one payload."""
+        """Store (or overwrite) one payload.  A payload that is not JSON-safe
+        raises ``TypeError`` and stores nothing."""
 
     @abstractmethod
     def __len__(self) -> int:
@@ -62,34 +67,31 @@ class InMemoryLRUCache(CacheBackend):
     Parameters
     ----------
     max_entries:
-        Eviction threshold.  Calibration payloads are tiny (a scale plus
-        diagnostics), so the default comfortably covers thousands of distinct
-        (family, query, epsilon) combinations.
+        Eviction threshold.  An entry is a scale, its diagnostics and the
+        mechanism's warm-start state, which grows with the network: 5.6 KB
+        of JSON for the 200-node ``household_blocks(20, 10)`` network, so
+        4096 such entries hold about 23 MB.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
         if max_entries < 1:
             raise ValidationError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = int(max_entries)
-        self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
+        self._entries: OrderedDict[str, str] = OrderedDict()  # key -> JSON text
         self._lock = threading.Lock()
 
     def get(self, key: str) -> dict[str, Any] | None:
         with self._lock:
-            payload = self._entries.get(key)
-            if payload is not None:
-                self._entries.move_to_end(key)
-        # Hand out a private copy: the stored payload is shared by every
-        # future hit, and callers (``CalibrationCache.get_or_compute``) pass
-        # its ``"state"`` sub-dict into ``mechanism.warm_start`` — a
-        # mechanism that mutates its warm-start structures must not corrupt
-        # the cache entry behind every later tenant's back.
-        return copy.deepcopy(payload) if payload is not None else None
+            text = self._entries.get(key)
+            if text is None:
+                return None
+            self._entries.move_to_end(key)
+        return json.loads(text)
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
-        payload = copy.deepcopy(payload)  # detach from the caller's reference
+        text = json.dumps(payload)
         with self._lock:
-            self._entries[key] = payload
+            self._entries[key] = text
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -103,159 +105,74 @@ class InMemoryLRUCache(CacheBackend):
             self._entries.clear()
 
 
-class JSONFileCache(CacheBackend):
-    """Write-through JSON file backend.
+class SQLiteCache(CacheBackend):
+    """Durable backend: a WAL-mode SQLite table, one row per entry.
 
-    The whole store is one JSON object ``{key: payload}``.  Writes go through
-    an atomic replace (write to a sibling temp file, then ``os.replace``) so
-    a crash mid-write never corrupts the store, and each flush re-reads the
-    file and merges its current contents under this process's entries — two
-    processes sharing one cache file therefore accumulate each other's
-    calibrations instead of clobbering them.  (Merging is safe because
-    entries are content-keyed and deterministic: both writers can only ever
-    hold the same value for the same key.)
+    ``put`` is one upsert and ``get`` one SELECT, so every process that
+    opens the same file sees each entry any of them committed, and
+    SQLite's own lock serializes writers across threads and processes —
+    no writer can lose another's entry.  Commits run at
+    ``synchronous=NORMAL``: a power loss may undo the last commits, which
+    costs one recomputation each, never a wrong answer, because entries
+    are content-keyed and deterministic.  One connection per instance,
+    serialized by a thread lock.
+    """
 
-    The read-merge-replace sequence is serialized across writers — threads
-    *and* processes — by an exclusive lock on a ``<path>.lock`` sidecar
-    (:class:`~repro.utils.filelock.InterProcessLock`: ``fcntl`` flock where
-    available, an ``O_CREAT|O_EXCL`` lock-file fallback with bounded retry
-    and a stale-holder TTL everywhere else); without it, two writers that
-    both read before either replaced would silently drop one side's entries
-    (the lost-update race ``tests/test_cache_concurrency.py`` hammers).  A
-    miss in :meth:`get`
-    re-reads the file (when its stat changed) before answering, so entries
-    another process persisted after this backend was constructed are found
-    without a restart.  Suitable for the calibration workload — hundreds of
-    entries, written once and read many times — not as a general-purpose
-    database.
+    _SCHEMA = """
+        CREATE TABLE IF NOT EXISTS calibrations (
+            key     TEXT PRIMARY KEY,
+            payload TEXT NOT NULL
+        )
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._lock_path = Path(str(self.path) + ".lock")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._entries: dict[str, dict[str, Any]] = {}
-        self._disk_stat: tuple[int, int] | None = None
-        if self.path.exists():
-            stat_before = self._stat()  # before the read; see _read_disk_locked
-            try:
-                loaded = json.loads(self.path.read_text())
-            except (OSError, json.JSONDecodeError) as error:
-                raise ValidationError(
-                    f"calibration cache file {self.path} is unreadable: {error}"
-                ) from error
-            if not isinstance(loaded, dict):
-                raise ValidationError(
-                    f"calibration cache file {self.path} must hold a JSON object"
-                )
-            self._entries = loaded
-            self._disk_stat = stat_before
-
-    @contextlib.contextmanager
-    def _file_lock(self) -> Iterator[None]:
-        """Exclusive cross-process lock held for a read-merge-replace cycle.
-
-        Advisory and cooperative: every writer in this codebase takes it.
-        The sidecar (never the data file itself) is locked so the atomic
-        ``os.replace`` of the data file cannot invalidate the lock.  On
-        platforms without ``fcntl``, :class:`~repro.utils.filelock.
-        InterProcessLock` transparently switches to its ``O_CREAT|O_EXCL``
-        lock-file mode — still a real mutual-exclusion guarantee, with
-        bounded retry instead of an indefinite block.
-        """
-        with InterProcessLock(self._lock_path):
-            yield
-
-    def _stat(self) -> tuple[int, int] | None:
+        # Autocommit mode: each statement is its own transaction.
+        self._conn = sqlite3.connect(
+            str(self.path), isolation_level=None, check_same_thread=False
+        )
         try:
-            stat = self.path.stat()
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size)
-
-    def _read_disk_locked(self) -> None:
-        """Merge the file's current contents under our in-memory entries.
-
-        The stat is captured *before* the read: if another process replaces
-        the file in between, the recorded stat mismatches the new file and
-        the next miss re-reads (a harmless retry) — recording it after the
-        read could pair the new stat with the old contents and make the
-        newer entries permanently invisible to this process.
-        """
-        stat_before = self._stat()
-        try:
-            on_disk = json.loads(self.path.read_text())
-        except (OSError, json.JSONDecodeError):
-            # Missing file (nothing to merge), or an unreadable one: keep
-            # ours; the next changed-stat miss retries.
-            return
-        if isinstance(on_disk, dict):
-            merged = dict(on_disk)
-            merged.update(self._entries)
-            self._entries = merged
-        self._disk_stat = stat_before
+            # The busy timeout (ms) comes first: switching a fresh file to
+            # WAL takes a lock that concurrent openers must wait for.
+            self._conn.execute("PRAGMA busy_timeout=60000")
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute(self._SCHEMA)
+        except sqlite3.OperationalError:
+            self._conn.close()
+            raise
+        except sqlite3.DatabaseError as error:  # not a database, or corrupt
+            self._conn.close()
+            raise ValidationError(
+                f"calibration cache {self.path} is not a SQLite database: {error}"
+            ) from error
 
     def get(self, key: str) -> dict[str, Any] | None:
         with self._lock:
-            payload = self._entries.get(key)
-            if payload is None:
-                # Another process may have persisted this entry since our
-                # last read; re-read only when the file actually changed.
-                if self._stat() != self._disk_stat:
-                    self._read_disk_locked()
-                payload = self._entries.get(key)
-        # Same isolation contract as :class:`InMemoryLRUCache`: a caller
-        # mutating the returned payload must not corrupt the in-memory view
-        # (which the next flush would also persist to disk).
-        return copy.deepcopy(payload) if payload is not None else None
+            row = self._conn.execute(
+                "SELECT payload FROM calibrations WHERE key = ?", (key,)
+            ).fetchone()
+        return None if row is None else json.loads(row[0])
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
-        payload = copy.deepcopy(payload)  # detach from the caller's reference
-        with self._lock, self._file_lock():
-            self._entries[key] = payload
-            self._flush_locked(merge=True)
-
-    def _flush_locked(self, *, merge: bool = False) -> None:
-        fire("cache.flush", path=str(self.path))
-        if merge and self.path.exists():
-            # Pick up entries other processes persisted since our last read;
-            # our own entries win (values for a shared key are identical by
-            # construction — content-keyed, deterministic computation).
-            self._read_disk_locked()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Temp files matching our prefix belong to writers that died between
-        # mkstemp and os.replace (live ones hold the file lock we are inside)
-        # — sweep them so a crash never accumulates garbage past the next
-        # successful flush.
-        for orphan in self.path.parent.glob(f"{self.path.name}*.tmp"):
-            with contextlib.suppress(OSError):
-                orphan.unlink()
-        handle, temp_path = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(self._entries, stream)
-            fire("cache.flush.replace", path=str(self.path))
-            os.replace(temp_path, self.path)
-            self._disk_stat = self._stat()
-            fire("cache.flush.after", path=str(self.path))
-        except BaseException as error:
-            # A *simulated* crash must leave the temp file behind exactly as
-            # a real one would — the orphan sweep above is what reclaims it.
-            if not getattr(error, "simulates_crash", False):
-                if os.path.exists(temp_path):
-                    os.unlink(temp_path)
-            raise
+        text = json.dumps(payload)
+        with self._lock:
+            fire("cache.sqlite.commit", path=str(self.path))
+            self._conn.execute(
+                "INSERT INTO calibrations (key, payload) VALUES (?, ?) "
+                "ON CONFLICT (key) DO UPDATE SET payload = excluded.payload",
+                (key, text),
+            )
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return self._conn.execute("SELECT COUNT(*) FROM calibrations").fetchone()[0]
 
     def clear(self) -> None:
-        with self._lock, self._file_lock():
-            self._entries.clear()
-            self._flush_locked()
+        with self._lock:
+            self._conn.execute("DELETE FROM calibrations")
 
 
 class CalibrationCache:

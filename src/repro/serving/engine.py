@@ -65,7 +65,7 @@ class PrivacyEngine:
     cache:
         Calibration cache; defaults to a fresh in-memory LRU.  Pass a
         :class:`~repro.serving.cache.CalibrationCache` backed by a
-        :class:`~repro.serving.cache.JSONFileCache` to persist calibrations
+        :class:`~repro.serving.cache.SQLiteCache` to persist calibrations
         across processes.
     epsilon_budget:
         Optional total epsilon this engine may spend (Theorem 4.4

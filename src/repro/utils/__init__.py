@@ -1,9 +1,7 @@
 """Shared utilities: input validation and random-generator handling.
 
-Names resolve lazily (PEP 562): :mod:`repro.utils.filelock` is pure
-stdlib and is imported by the (also stdlib-only) fault-injection and
-lint tooling, so importing this package must not drag in the
-numpy-backed ``rngtools``/``validation`` modules.
+Names resolve lazily (PEP 562), so importing this package does not drag
+in the numpy-backed ``rngtools``/``validation`` modules.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ def __getattr__(name: str) -> Any:
         value = getattr(importlib.import_module(module_name), name)
         globals()[name] = value
         return value
-    if name in ("filelock", "rngtools", "validation"):
+    if name in ("rngtools", "validation"):
         module = importlib.import_module(f"repro.utils.{name}")
         globals()[name] = module
         return module

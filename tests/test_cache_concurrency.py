@@ -1,26 +1,28 @@
-"""Concurrency hammering of the merge-on-write JSON calibration cache.
+"""Concurrency hammering of the SQLite calibration cache.
 
 The lost-update race these tests target: two writers that each read the
-store, then each atomically replace it, silently drop whichever side
-replaced first.  ``JSONFileCache`` closes it with an exclusive ``fcntl``
-lock on a sidecar held across every read-merge-replace cycle; these tests
-hammer the store from many threads (each with its *own* backend instance,
-so the per-instance thread lock cannot serialize them) and from a second
-interpreter process, then assert no entry was lost and the file never held
-corrupt JSON.
+whole store, then each write it back, silently drop whichever side wrote
+first.  ``SQLiteCache`` never reads before it writes — a put is one
+upsert, serialized by SQLite's own lock; these tests hammer the store from
+many threads (each with its *own* backend instance, so the per-instance
+thread lock cannot serialize them) and from a second interpreter process,
+then assert no entry was lost.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sqlite3
 import subprocess
 import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.serving.cache import CalibrationCache, InMemoryLRUCache, JSONFileCache
+from repro.serving.cache import CalibrationCache, InMemoryLRUCache, SQLiteCache
 
 N_THREADS = 8
 KEYS_PER_WRITER = 20
@@ -31,10 +33,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 #: KEYS_PER_WRITER entries under a given prefix, one put per entry.
 _SUBPROCESS_WRITER = """
 import sys
-from repro.serving.cache import JSONFileCache
+from repro.serving.cache import SQLiteCache
 
 path, prefix, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
-backend = JSONFileCache(path)
+backend = SQLiteCache(path)
 for i in range(count):
     backend.put(f"{prefix}-{i}", {"scale": float(i), "writer": prefix})
 """
@@ -47,8 +49,8 @@ def _payload(writer: str, i: int) -> dict:
 def _write_keys(path: Path, prefix: str, errors: list) -> None:
     try:
         # A private backend instance per thread: the interesting interleaving
-        # is between *instances*, whose only coordination is the file lock.
-        backend = JSONFileCache(path)
+        # is between *instances*, whose only coordination is SQLite's lock.
+        backend = SQLiteCache(path)
         for i in range(KEYS_PER_WRITER):
             backend.put(f"{prefix}-{i}", _payload(prefix, i))
     except BaseException as error:  # pragma: no cover - only on regression
@@ -56,14 +58,14 @@ def _write_keys(path: Path, prefix: str, errors: list) -> None:
 
 
 def _read_store(path: Path) -> dict:
-    text = path.read_text()
-    store = json.loads(text)  # raises on corrupt JSON — part of the assertion
-    assert isinstance(store, dict)
-    return store
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        rows = conn.execute("SELECT key, payload FROM calibrations").fetchall()
+    # json.loads raises on a corrupt payload — part of the assertion.
+    return {key: json.loads(payload) for key, payload in rows}
 
 
 def test_threaded_writers_lose_no_entries(tmp_path):
-    path = tmp_path / "calibrations.json"
+    path = tmp_path / "calibrations.sqlite"
     errors: list = []
     threads = [
         threading.Thread(target=_write_keys, args=(path, f"t{t}", errors))
@@ -83,7 +85,7 @@ def test_threaded_writers_lose_no_entries(tmp_path):
 
 
 def test_second_process_and_threads_lose_no_entries(tmp_path):
-    path = tmp_path / "calibrations.json"
+    path = tmp_path / "calibrations.sqlite"
     process = subprocess.Popen(
         [sys.executable, "-c", _SUBPROCESS_WRITER, str(path), "proc", str(KEYS_PER_WRITER)],
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
@@ -106,8 +108,8 @@ def test_second_process_and_threads_lose_no_entries(tmp_path):
 
 
 def test_get_miss_picks_up_entries_from_another_process(tmp_path):
-    path = tmp_path / "calibrations.json"
-    backend = JSONFileCache(path)  # constructed before the file exists
+    path = tmp_path / "calibrations.sqlite"
+    backend = SQLiteCache(path)  # constructed before the file exists
     backend.put("mine", {"scale": 1.0})
     subprocess.run(
         [sys.executable, "-c", _SUBPROCESS_WRITER, str(path), "theirs", "1"],
@@ -115,45 +117,24 @@ def test_get_miss_picks_up_entries_from_another_process(tmp_path):
         check=True,
         timeout=120,
     )
-    # The other process's entry was written after our last read; the miss
-    # path must re-read the changed file instead of answering from memory.
+    # The other process's entry was written after our own put; a get must
+    # find it without reopening the store.
     assert backend.get("theirs-0") == {"scale": 0.0, "writer": "theirs"}
     assert backend.get("mine") == {"scale": 1.0}
 
 
-def test_get_does_not_reread_unchanged_file(tmp_path):
-    path = tmp_path / "calibrations.json"
-    backend = JSONFileCache(path)
-    backend.put("a", {"scale": 1.0})
-    stat_before = backend._stat()
-    assert backend.get("missing") is None
-    # A miss on an unchanged file answers from memory — no write, no re-read
-    # bookkeeping churn.
-    assert backend._stat() == stat_before
-    assert backend._disk_stat == stat_before
-
-
-@pytest.mark.skipif(sys.platform == "win32", reason="fcntl sidecar is POSIX-only")
-def test_lock_sidecar_is_created_next_to_the_store(tmp_path):
-    path = tmp_path / "nested" / "calibrations.json"
-    JSONFileCache(path).put("a", {"scale": 1.0})
-    assert (tmp_path / "nested" / "calibrations.json.lock").exists()
-    assert _read_store(path) == {"a": {"scale": 1.0}}
-
-
 def test_interleaved_backends_agree_with_merge_semantics(tmp_path):
     """Two live backends alternating puts both converge to the union."""
-    path = tmp_path / "calibrations.json"
-    left = JSONFileCache(path)
-    right = JSONFileCache(path)
+    path = tmp_path / "calibrations.sqlite"
+    left = SQLiteCache(path)
+    right = SQLiteCache(path)
     for i in range(10):
         left.put(f"left-{i}", _payload("left", i))
         right.put(f"right-{i}", _payload("right", i))
     store = _read_store(path)
     expected = {f"left-{i}" for i in range(10)} | {f"right-{i}" for i in range(10)}
     assert set(store) == expected
-    # The last writer merged everything it saw, so its memory view is the
-    # union too; the other side catches up via the miss path.
+    # Each side reads the other's entries from the shared table.
     assert right.get("left-9") == _payload("left", 9)
     assert left.get("right-9") == _payload("right", 9)
 
@@ -162,8 +143,8 @@ def test_interleaved_backends_agree_with_merge_semantics(tmp_path):
 # Payload aliasing: a caller mutating what a backend handed out (or what it
 # handed in) must never corrupt the stored entry.  The warm-start path feeds
 # the payload's nested "state" dict straight into mechanism.warm_start, so
-# without boundary copies the first tenant's mutation would poison every
-# later tenant's calibration.
+# a shared object would let the first tenant's mutation poison every later
+# tenant's calibration.
 # ---------------------------------------------------------------------------
 
 _NESTED = {"scale": 1.0, "state": {"sigmas": [1.0, 2.0], "order": ["a", "b"]}}
@@ -173,7 +154,7 @@ _NESTED = {"scale": 1.0, "state": {"sigmas": [1.0, 2.0], "order": ["a", "b"]}}
 def backend(request, tmp_path):
     if request.param == "memory":
         return InMemoryLRUCache()
-    return JSONFileCache(tmp_path / "calibrations.json")
+    return SQLiteCache(tmp_path / "nested" / "calibrations.sqlite")  # creates nested/
 
 
 def test_mutating_a_hit_does_not_corrupt_the_entry(backend):
@@ -201,6 +182,16 @@ def test_two_hits_never_share_mutable_state(backend):
     assert first == second
     assert first["state"] is not second["state"]
     assert first["state"]["sigmas"] is not second["state"]["sigmas"]
+
+
+def test_non_json_payload_is_refused_without_poisoning(backend):
+    backend.put("k", {"scale": 1.0})
+    with pytest.raises(TypeError):
+        backend.put("bad", {"scale": 2.0, "state": np.arange(3)})
+    assert len(backend) == 1
+    backend.put("next", {"scale": 3.0})
+    assert backend.get("next") == {"scale": 3.0}
+    assert backend.get("bad") is None
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@
 Covers the injector itself (rule matching, scheduling, determinism, the
 ``REPRO_FAULTS`` wire format), the retrying store wrapper (what retries,
 what must not, backoff/deadline bounds), the fault points compiled into
-every ledger store backend, and the crash-between-``mkstemp``-and-
-``os.replace`` recovery path of the calibration cache's atomic file
-writer: a simulated crash leaves the temp file behind exactly as a power
-loss would, and the next successful commit sweeps it.
+every ledger store backend, and a crash before the calibration cache's
+SQLite commit: committed entries survive, the crashed put lands nothing,
+and the next put lands.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import pytest
 
 from repro.exceptions import (
     BudgetExhaustedError,
+    LockTimeoutError,
     ReproError,
     UnknownReservationError,
     ValidationError,
@@ -42,7 +42,6 @@ from repro.service.retry import (
     with_retries,
 )
 from repro.service.stores import InMemoryLedgerStore, SQLiteLedgerStore
-from repro.utils.filelock import LockTimeoutError
 
 
 @pytest.fixture(autouse=True)
@@ -405,34 +404,21 @@ def test_commit_fault_persists_nothing(store_and_kind):
     assert consumed.n_consumed == 2
 
 
-def test_cache_crash_between_mkstemp_and_replace(tmp_path):
-    from repro.serving.cache import JSONFileCache
+def test_cache_crash_before_sqlite_commit(tmp_path):
+    from repro.serving.cache import SQLiteCache
 
-    cache = JSONFileCache(tmp_path / "cal.json")
+    cache = SQLiteCache(tmp_path / "cal.sqlite")
     cache.put("k0", {"scale": 1.0})
-    with injected([FaultRule("cache.flush.replace", action="crash")]):
+    with injected([FaultRule("cache.sqlite.commit", action="crash")]):
         with pytest.raises(SimulatedCrashError):
             cache.put("k1", {"scale": 2.0})
-    assert len(list(tmp_path.glob("cal.json*.tmp"))) == 1
-    # On-disk store still holds only the pre-crash committed entry.
-    fresh = JSONFileCache(tmp_path / "cal.json")
+    # The store holds only the pre-crash committed entry.
+    fresh = SQLiteCache(tmp_path / "cal.sqlite")
     assert fresh.get("k0") == {"scale": 1.0}
     assert fresh.get("k1") is None
-    # Next flush sweeps the orphan and lands the entry.
+    # The next put lands.
     cache.put("k1", {"scale": 2.0})
-    assert list(tmp_path.glob("cal.json*.tmp")) == []
-    assert JSONFileCache(tmp_path / "cal.json").get("k1") == {"scale": 2.0}
-
-
-def test_cache_nonsimulated_error_still_unlinks_its_tmp(tmp_path):
-    from repro.serving.cache import JSONFileCache
-
-    cache = JSONFileCache(tmp_path / "cal.json")
-    with injected([FaultRule("cache.flush.replace", error="io")]):
-        with pytest.raises(OSError):
-            cache.put("k", {"scale": 1.0})
-    # An ordinary error is cleaned up eagerly — no orphan left.
-    assert list(tmp_path.glob("cal.json*.tmp")) == []
+    assert SQLiteCache(tmp_path / "cal.sqlite").get("k1") == {"scale": 2.0}
 
 
 def test_latency_rule_sleeps_not_raises(store_and_kind):

@@ -9,9 +9,11 @@ that it follows network edits and ``quilt_sets`` reassignment, and that
 state read from a corrupted cache file is refused rather than trusted.
 """
 
+import contextlib
 import json
 import math
 import pickle
+import sqlite3
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from repro.distributions.temporal import TemporalNetwork
 from repro.exceptions import ValidationError
 from repro.parallel import ParallelCalibrator
 from repro.parallel.shards import per_node_general_shard
-from repro.serving import CalibrationCache, InMemoryLRUCache, JSONFileCache
+from repro.serving import CalibrationCache, InMemoryLRUCache, SQLiteCache
 
 EPSILON = 5.0
 
@@ -76,8 +78,8 @@ def _assert_matches_cold(warm, cold):
 @pytest.mark.parametrize("family", sorted(SCENARIOS))
 @pytest.mark.parametrize("kind", sorted(MECHANISMS))
 def test_warm_hit_matches_cold_search(tmp_path, kind, family, backend):
-    path = tmp_path / "calibrations.json"
-    writer = InMemoryLRUCache() if backend == "memory" else JSONFileCache(path)
+    path = tmp_path / "calibrations.sqlite"
+    writer = InMemoryLRUCache() if backend == "memory" else SQLiteCache(path)
     cold = _mechanism(kind, family)
     query, data = _workload(cold)
     calibration, hit = CalibrationCache(writer).get_or_compute(cold, query, data)
@@ -86,7 +88,7 @@ def test_warm_hit_matches_cold_search(tmp_path, kind, family, backend):
 
     # "file-reopened" is a second backend instance reading the same file,
     # as a restarted server replica would.
-    reader = JSONFileCache(path) if backend == "file-reopened" else writer
+    reader = SQLiteCache(path) if backend == "file-reopened" else writer
     warm = _mechanism(kind, family)
     warm_calibration, hit = CalibrationCache(reader).get_or_compute(warm, query, data)
     assert hit
@@ -218,14 +220,18 @@ def test_per_node_shard_carries_no_key_memo():
 def _corrupt_first_entry(path, position, value):
     """Overwrite one field of the first state entry (the whole entry when
     ``position`` is None)."""
-    entries = json.loads(path.read_text())
-    (payload,) = entries.values()
-    sigma_by_node = payload["state"]["sigma_by_node"]
-    if position is None:
-        sigma_by_node[0] = value
-    else:
-        sigma_by_node[0][position] = value
-    path.write_text(json.dumps(entries))
+    with contextlib.closing(sqlite3.connect(path)) as conn, conn:
+        ((key, text),) = conn.execute("SELECT key, payload FROM calibrations")
+        payload = json.loads(text)
+        sigma_by_node = payload["state"]["sigma_by_node"]
+        if position is None:
+            sigma_by_node[0] = value
+        else:
+            sigma_by_node[0][position] = value
+        conn.execute(
+            "UPDATE calibrations SET payload = ? WHERE key = ?",
+            (json.dumps(payload), key),
+        )
 
 
 @pytest.mark.parametrize(
@@ -243,14 +249,14 @@ def _corrupt_first_entry(path, position, value):
     ],
 )
 def test_corrupted_cache_file_state_is_rejected(tmp_path, position, value):
-    path = tmp_path / "calibrations.json"
+    path = tmp_path / "calibrations.sqlite"
     cold = _mechanism("laplace", "hub")
     query, data = _workload(cold)
-    CalibrationCache(JSONFileCache(path)).get_or_compute(cold, query, data)
+    CalibrationCache(SQLiteCache(path)).get_or_compute(cold, query, data)
     _corrupt_first_entry(path, position, value)
 
     warm = _mechanism("laplace", "hub")
     with pytest.raises(ValidationError, match="warm-start"):
-        CalibrationCache(JSONFileCache(path)).get_or_compute(warm, query, data)
+        CalibrationCache(SQLiteCache(path)).get_or_compute(warm, query, data)
     # Nothing from the rejected state was applied.
     assert warm._sigma_cache == {}

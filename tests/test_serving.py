@@ -14,8 +14,8 @@ from repro.exceptions import BudgetExhaustedError, ValidationError
 from repro.serving import (
     CalibrationCache,
     InMemoryLRUCache,
-    JSONFileCache,
     PrivacyEngine,
+    SQLiteCache,
     cache_key,
     data_signature,
     warm_engines,
@@ -218,14 +218,14 @@ class TestCalibrationCache:
             InMemoryLRUCache(max_entries=0)
 
     def test_json_backend_round_trip(self, tmp_path, family, data, query):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache.sqlite"
         mech = MQMExact(family, 1.0, max_window=20)
-        first = CalibrationCache(JSONFileCache(path))
+        first = CalibrationCache(SQLiteCache(path))
         calibration, hit = first.get_or_compute(mech, query, data)
         assert not hit
 
         fresh_mech = MQMExact(family, 1.0, max_window=20)
-        second = CalibrationCache(JSONFileCache(path))
+        second = CalibrationCache(SQLiteCache(path))
         restored, hit = second.get_or_compute(fresh_mech, query, data)
         assert hit
         assert restored.scale == calibration.scale
@@ -234,26 +234,26 @@ class TestCalibrationCache:
     def test_json_backend_warm_starts_mechanism(self, tmp_path, family, data, query):
         """A disk hit restores the mechanism's per-length sigma table, so
         even direct sigma_max calls skip the quilt search."""
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache.sqlite"
         mech = MQMExact(family, 1.0, max_window=20)
-        CalibrationCache(JSONFileCache(path)).get_or_compute(mech, query, data)
+        CalibrationCache(SQLiteCache(path)).get_or_compute(mech, query, data)
 
         fresh = MQMExact(family, 1.0, max_window=20)
         assert fresh._sigma_cache == {}
-        CalibrationCache(JSONFileCache(path)).get_or_compute(fresh, query, data)
+        CalibrationCache(SQLiteCache(path)).get_or_compute(fresh, query, data)
         assert fresh._sigma_cache == mech._sigma_cache
 
     def test_json_backend_rejects_garbage(self, tmp_path):
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache.sqlite"
         path.write_text("not json at all {{{")
         with pytest.raises(ValidationError):
-            JSONFileCache(path)
+            SQLiteCache(path)
         path.write_text("[1, 2, 3]")
         with pytest.raises(ValidationError):
-            JSONFileCache(path)
+            SQLiteCache(path)
 
     def test_clear(self, tmp_path):
-        backend = JSONFileCache(tmp_path / "cache.json")
+        backend = SQLiteCache(tmp_path / "cache.sqlite")
         backend.put("k", {"v": 1})
         backend.clear()
         assert len(backend) == 0
@@ -261,13 +261,13 @@ class TestCalibrationCache:
     def test_json_backend_merges_concurrent_writers(self, tmp_path):
         """Two backends over one file must accumulate each other's entries
         rather than clobbering (last-writer-wins would lose calibrations)."""
-        path = tmp_path / "cache.json"
-        writer_a = JSONFileCache(path)
-        writer_b = JSONFileCache(path)  # loaded before A writes anything
+        path = tmp_path / "cache.sqlite"
+        writer_a = SQLiteCache(path)
+        writer_b = SQLiteCache(path)  # opened before A writes anything
         writer_a.put("a", {"v": 1})
-        writer_b.put("b", {"v": 2})  # flush must pick up A's entry from disk
+        writer_b.put("b", {"v": 2})  # must not drop A's entry
 
-        fresh = JSONFileCache(path)
+        fresh = SQLiteCache(path)
         assert fresh.get("a") == {"v": 1}
         assert fresh.get("b") == {"v": 2}
 
