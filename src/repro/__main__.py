@@ -15,9 +15,9 @@ Commands
 ``serve``
     Run the multi-tenant privacy service (:mod:`repro.service`) on a local
     HTTP port over a durable tenant-ledger store (``--store``: a SQLite
-    database path, whatever its suffix; in-memory when omitted).  Several
-    service processes may share one store — budgets hold across all of
-    them.
+    database path, whatever its suffix; when omitted, a private SQLite
+    ``:memory:`` database that dies with the process).  Several service
+    processes may share one store — budgets hold across all of them.
 ``lint``
     Run the stdlib-only AST invariant linter (:mod:`repro.staticcheck`)
     over a tree: lock discipline, check-then-act atomicity, crash-
@@ -198,8 +198,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--port", type=int, default=8787)
     p_serve.add_argument(
         "--store", default=None,
-        help="tenant-ledger SQLite database path (any suffix); omit for "
-        "in-memory (no durability)",
+        help="tenant-ledger SQLite database path (any suffix); omit for a "
+        "private SQLite :memory: database (no durability across restarts)",
     )
     p_serve.add_argument(
         "--reservation-ttl", type=float, default=3600.0,

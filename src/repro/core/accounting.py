@@ -434,14 +434,14 @@ class BaseAccountant:
         """Inverse of :meth:`_state_extra_locked` (mutex held)."""
         raise NotImplementedError
 
-    def state_dict(self, *, include_trail: bool = True) -> dict:
+    def state_dict(self) -> dict:
         """The complete ledger as a JSON-safe dict.
 
         Everything the budget enforcement depends on rides along — count,
         the linear worst-epsilon or the full Rényi running curve, the quilt
-        signatures, and (unless ``include_trail=False``) the audit trail
-        with per-release RDP curves.  :func:`accountant_from_state` inverts
-        it **bit-identically**: the aggregates are restored verbatim rather
+        signatures, and the audit trail (when one is kept) with per-release
+        RDP curves.  :func:`accountant_from_state` inverts it
+        **bit-identically**: the aggregates are restored verbatim rather
         than replayed, so float-summation order cannot drift and
         ``eps(delta)`` round-trips exactly — the property the durable
         tenant ledgers are built on.
@@ -458,7 +458,7 @@ class BaseAccountant:
                 ),
             }
             state.update(self._state_extra_locked())
-            if include_trail and self.records:
+            if self.records:
                 state["trail"] = _encode_trail(self.records)
             return state
 

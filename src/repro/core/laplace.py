@@ -237,33 +237,17 @@ class Mechanism(ABC):
             return sample_gaussian(scale, size, rng)
         raise PrivacyParameterError(f"unknown noise kind {self.noise_kind!r}")
 
-    def calibrate(
-        self,
-        query: Query,
-        data: np.ndarray,
-        *,
-        parallel: "bool | int | ParallelCalibrator | None" = None,  # noqa: F821
-    ) -> Calibration:
+    def calibrate(self, query: Query, data: np.ndarray) -> Calibration:
         """The expensive half of a release, as an explicit step.
 
         Runs the mechanism's scale computation (support enumeration, quilt
         search, ...) and packages the result.  The returned object can be
         passed back to :meth:`release` any number of times — or cached by a
         :class:`repro.serving.CalibrationCache` keyed on
-        :meth:`calibration_fingerprint`.
-
-        ``parallel`` shards the computation across worker processes via
-        :class:`repro.parallel.ParallelCalibrator` (``True`` for one worker
-        per core, an int for an explicit worker count, or a calibrator
-        instance).  The result is bit-identical to the serial computation;
-        mechanisms without a shard decomposition ignore the option.
+        :meth:`calibration_fingerprint`.  To shard the computation across
+        processes, use :meth:`repro.parallel.ParallelCalibrator.calibrate`
+        (bit-identical to this serial path).
         """
-        if parallel is not None and parallel is not False:
-            from repro.parallel import as_calibrator
-
-            calibrator = as_calibrator(parallel)
-            if calibrator is not None:
-                return calibrator.calibrate(self, query, data)
         return Calibration(
             scale=float(self.noise_scale(query, data)),
             epsilon=self.epsilon,

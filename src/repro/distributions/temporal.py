@@ -51,7 +51,7 @@ stream can run forever on a bounded node count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -105,7 +105,6 @@ class RecalibrationReport:
 class _CalibrationMemo:
     edit_index: int
     mechanism: "MarkovQuiltMechanism"
-    closures: dict = field(default_factory=dict)
 
 
 class TemporalNetwork:

@@ -35,14 +35,6 @@ FAULT_POINTS: "dict[str, str]" = {
         "SQLiteCache put, before the upsert runs — a calibration-cache "
         "write that never lands"
     ),
-    "ledger.memory.commit": (
-        "in-memory store commit, before state is swapped in"
-    ),
-    "ledger.memory.commit.after": (
-        "in-memory store commit, after state is swapped in — "
-        "committed-but-reported-failed"
-    ),
-    "ledger.memory.read": "in-memory store transaction entry",
     "ledger.sqlite.begin": (
         "SQLite store BEGIN IMMEDIATE — lock acquisition and "
         "busy-timeout territory"

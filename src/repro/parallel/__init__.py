@@ -10,8 +10,7 @@ state the serial path produces (bit-identical — see
 * :class:`ParallelCalibrator` — plan/execute/merge engine with a serial
   fallback for degenerate or small workloads.
 * :func:`as_calibrator` — normalizes the ``parallel=`` option accepted by
-  :class:`~repro.serving.PrivacyEngine` and
-  :meth:`~repro.core.laplace.Mechanism.calibrate`.
+  :class:`~repro.serving.PrivacyEngine`.
 * :class:`Shard` / :func:`run_shard` — the picklable work-item model.
 """
 

@@ -3,16 +3,17 @@ and an ASGI front-end over the serving engine.
 
 Layering (each level usable on its own):
 
-* :mod:`repro.service.stores` — :class:`LedgerStore` and its in-memory
-  and SQLite backends: exclusive per-tenant read-modify-write
-  transactions, atomic across threads and processes.
+* :mod:`repro.service.stores` — :class:`LedgerStore` and its SQLite
+  backend (a file, or a private ``":memory:"`` database): exclusive
+  per-tenant read-modify-write transactions, atomic across threads and
+  processes.
 * :mod:`repro.service.ledger` — :class:`TenantLedger` (durable accountant
   state + reserve/consume/release-unused admission) and
   :class:`ReservationAccountant` (plugs a reservation into a stock
   :class:`~repro.serving.engine.PrivacyEngine`).
 * :mod:`repro.service.retry` — :class:`RetryingLedgerStore`: transparent
   bounded-backoff retry of transient store errors under a
-  :class:`RetryPolicy` (the service wraps its store in one by default).
+  :class:`RetryPolicy` (the service always wraps its store in one).
 * :mod:`repro.service.app` — :class:`PrivacyService` handlers and the
   dependency-free :class:`AsgiApp` exposing calibrate/release/stream over
   HTTP with request deadlines, backpressure, idempotency-keyed releases,
@@ -40,7 +41,6 @@ from repro.service.retry import (
     with_retries,
 )
 from repro.service.stores import (
-    InMemoryLedgerStore,
     LedgerStore,
     LedgerTransaction,
     SQLiteLedgerStore,
@@ -49,7 +49,6 @@ from repro.service.stores import (
 
 __all__ = [
     "AsgiApp",
-    "InMemoryLedgerStore",
     "LedgerStore",
     "LedgerTransaction",
     "PrivacyService",

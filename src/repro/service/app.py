@@ -72,7 +72,7 @@ from repro.faults import current as current_injector
 from repro.faults import fire
 from repro.serving.engine import PrivacyEngine
 from repro.service.ledger import ReservationAccountant, TenantLedger
-from repro.service.retry import RetryPolicy, RetryingLedgerStore, with_retries
+from repro.service.retry import with_retries
 from repro.service.schemas import (
     get_float,
     get_int,
@@ -80,6 +80,7 @@ from repro.service.schemas import (
     require_object,
 )
 from repro.service.stores import LedgerStore, ledger_store_from_path
+from repro.utils.validation import check_positive
 
 #: Per-request cap on batched/streamed chunk sizes — a service-side sanity
 #: bound (memory, response size), not a privacy parameter.
@@ -152,27 +153,25 @@ class PrivacyService:
     All handlers are synchronous (store transactions are blocking SQLite
     work); :class:`AsgiApp` runs them on worker threads.
 
+    Construction runs :meth:`recover`, so a restarted replica reconciles
+    stranded state (expired reservations of a killed predecessor) before
+    serving its first request.
+
     Parameters
     ----------
     store:
         A :class:`~repro.service.stores.LedgerStore`, a path (a SQLite
-        database, whatever its suffix), or ``None`` for in-memory (no
-        durability; tests and demos).
+        database, whatever its suffix), or ``None`` for a private
+        ``":memory:"`` database (no durability; tests and demos).  The
+        store is wrapped in :func:`~repro.service.retry.with_retries`, which
+        absorbs transient store errors (lock timeouts, SQLite busy, EIO);
+        pass a :class:`~repro.service.retry.RetryingLedgerStore` to choose
+        another policy.
     workloads:
         Hosted workloads by name; defaults to :func:`default_workloads`.
     reservation_ttl:
-        Abandoned-reservation TTL forwarded to every
-        :class:`~repro.service.ledger.TenantLedger`.
-    retry_policy:
-        Transient store errors (lock timeouts, SQLite busy, EIO) are
-        absorbed by wrapping the store in a
-        :class:`~repro.service.retry.RetryingLedgerStore` — pass a
-        :class:`~repro.service.retry.RetryPolicy` to tune, ``None`` for
-        defaults, or ``False`` to use the store raw.
-    recover_on_start:
-        Run :meth:`recover` at construction so a restarted replica
-        reconciles stranded state (expired reservations of a killed
-        predecessor) before serving its first request.
+        Abandoned-reservation TTL, in seconds, forwarded to every
+        :class:`~repro.service.ledger.TenantLedger`; positive and finite.
     """
 
     def __init__(
@@ -180,21 +179,15 @@ class PrivacyService:
         store: "LedgerStore | str | None" = None,
         *,
         workloads: "Mapping[str, Workload] | None" = None,
-        reservation_ttl: "float | None" = 3600.0,
-        retry_policy: "RetryPolicy | None | bool" = None,
-        recover_on_start: bool = True,
+        reservation_ttl: float = 3600.0,
     ) -> None:
-        if isinstance(store, LedgerStore):
-            self.store = store
-        else:
-            self.store = ledger_store_from_path(store)
-        if retry_policy is not False:
-            policy = retry_policy if isinstance(retry_policy, RetryPolicy) else None
-            self.store = with_retries(self.store, policy)
+        self.reservation_ttl = check_positive(reservation_ttl, "reservation_ttl")
+        if not isinstance(store, LedgerStore):
+            store = ledger_store_from_path(store)
+        self.store = with_retries(store)
         self.workloads = dict(
             workloads if workloads is not None else default_workloads()
         )
-        self.reservation_ttl = reservation_ttl
         # One warm engine per workload: owns the shared calibration cache;
         # requests get with_accountant() clones against tenant ledgers.
         self._engines = {
@@ -202,17 +195,28 @@ class PrivacyService:
         }
         self._streams: dict[str, _StreamState] = {}
         self._streams_lock = threading.Lock()
-        if recover_on_start:
-            self.recover()
+        self.recover()
 
     def close(self) -> None:
+        """Return every open stream's unused budget, then close the store.
+
+        One failed return strands neither the other streams nor the store:
+        the first error is re-raised at the end (the TTL sweep reclaims its
+        reservation).  A simulated crash escapes at once, like a real one.
+        """
         with self._streams_lock:
             states = list(self._streams.values())
             self._streams.clear()
+        errors: list[Exception] = []
         for state in states:
             state.session.close()
-            state.ledger.release_unused(state.accountant.reservation_id)
+            try:
+                state.ledger.release_unused(state.accountant.reservation_id)
+            except Exception as error:
+                errors.append(error)
         self.store.close()
+        if errors:
+            raise errors[0]
 
     # -- plumbing ---------------------------------------------------------
     def ledger(self, tenant: str) -> TenantLedger:
@@ -239,12 +243,9 @@ class PrivacyService:
 
     # -- handlers ---------------------------------------------------------
     def health(self) -> dict:
-        store = self.store
-        if isinstance(store, RetryingLedgerStore):
-            store = store.inner
         return {
             "status": "ok",
-            "store": type(store).__name__,
+            "store": type(self.store.inner).__name__,
             "workloads": sorted(self.workloads),
             "tenants": self.store.tenants(),
             "open_sessions": len(self._streams),
@@ -568,34 +569,21 @@ class AsgiApp:
         self,
         service: PrivacyService,
         *,
-        request_timeout: "float | None" = 30.0,
-        max_concurrency: "int | None" = 64,
+        request_timeout: float = 30.0,
+        max_concurrency: int = 64,
     ) -> None:
-        if request_timeout is not None and request_timeout <= 0:
+        if not isinstance(max_concurrency, int) or max_concurrency < 1:
             raise ValidationError(
-                f"request_timeout must be positive or None, got {request_timeout}"
-            )
-        if max_concurrency is not None and max_concurrency < 1:
-            raise ValidationError(
-                f"max_concurrency must be >= 1 or None, got {max_concurrency}"
+                f"max_concurrency must be an int >= 1, got {max_concurrency!r}"
             )
         self.service = service
-        self.request_timeout = request_timeout
+        self.request_timeout = check_positive(request_timeout, "request_timeout")
         self.max_concurrency = max_concurrency
-        self._slots = (
-            threading.BoundedSemaphore(max_concurrency)
-            if max_concurrency is not None
-            else None
-        )
+        self._slots = threading.BoundedSemaphore(max_concurrency)
         # One worker per slot: admitted work can never be queued behind
         # the pool, where a deadline could cancel it before it starts.
-        self._executor = (
-            concurrent.futures.ThreadPoolExecutor(
-                max_workers=max_concurrency,
-                thread_name_prefix="repro-service",
-            )
-            if max_concurrency is not None
-            else None
+        self._executor = concurrent.futures.ThreadPoolExecutor(
+            max_workers=max_concurrency, thread_name_prefix="repro-service"
         )
         s = service
         # (method, pattern segments, handler, takes_body)
@@ -692,7 +680,7 @@ class AsgiApp:
             else:
                 await _read_body(receive)  # drain
                 args = tuple(params)
-            if self._slots is not None and not self._slots.acquire(blocking=False):
+            if not self._slots.acquire(blocking=False):
                 return (
                     503,
                     {
@@ -714,31 +702,24 @@ class AsgiApp:
                     fire("app.request", method=method, path=path)
                     return handler(*call_args)
                 finally:
-                    if self._slots is not None:
-                        self._slots.release()
+                    self._slots.release()
 
-            if self._executor is not None:
-                try:
-                    work = self._executor.submit(guarded, *args)
-                except RuntimeError:
-                    # Pool shutting down: the work never ran, so guarded's
-                    # finally cannot give the slot back — do it here.
-                    if self._slots is not None:
-                        self._slots.release()
-                    raise
-                # Exactly one of two paths releases the slot: guarded's
-                # finally (the work ran), or this callback (the work was
-                # cancelled before a worker picked it up, so guarded never
-                # began — a future that ran is never in the cancelled
-                # state, and a cancelled one never runs).
-                work.add_done_callback(self._release_if_never_started)
-                coroutine = asyncio.wrap_future(work)
-            else:
-                coroutine = asyncio.to_thread(guarded, *args)
-            if self.request_timeout is not None:
-                result = await asyncio.wait_for(coroutine, self.request_timeout)
-            else:
-                result = await coroutine
+            try:
+                work = self._executor.submit(guarded, *args)
+            except RuntimeError:
+                # Pool shutting down: the work never ran, so guarded's
+                # finally cannot give the slot back — do it here.
+                self._slots.release()
+                raise
+            # Exactly one of two paths releases the slot: guarded's finally
+            # (the work ran), or this callback (the work was cancelled
+            # before a worker picked it up, so guarded never began — a
+            # future that ran is never in the cancelled state, and a
+            # cancelled one never runs).
+            work.add_done_callback(self._release_if_never_started)
+            result = await asyncio.wait_for(
+                asyncio.wrap_future(work), self.request_timeout
+            )
             return 200, result, []
         except _MethodNotAllowed as error:
             return 405, {"error": "MethodNotAllowed", "message": str(error)}, []
@@ -752,7 +733,7 @@ class AsgiApp:
                 headers.append((b"retry-after", str(seconds).encode()))
             return error.http_status, error.payload(), headers
         except asyncio.TimeoutError:
-            retry_after = max(1, math.ceil(self.request_timeout or 1))
+            retry_after = max(1, math.ceil(self.request_timeout))
             return (
                 503,
                 {
@@ -780,7 +761,7 @@ class AsgiApp:
             )
 
     def _release_if_never_started(self, work: "concurrent.futures.Future") -> None:
-        if work.cancelled() and self._slots is not None:
+        if work.cancelled():
             self._slots.release()
 
     def close(self) -> None:
@@ -791,8 +772,7 @@ class AsgiApp:
         Does *not* close the underlying service — that stays the owner's
         call, as in the lifespan shutdown path.
         """
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+        self._executor.shutdown(wait=False, cancel_futures=True)
 
     async def _lifespan(self, receive, send) -> None:
         while True:
@@ -827,22 +807,14 @@ def create_app(
     store: "LedgerStore | str | None" = None,
     *,
     workloads: "Mapping[str, Workload] | None" = None,
-    reservation_ttl: "float | None" = 3600.0,
-    retry_policy: "RetryPolicy | None | bool" = None,
-    recover_on_start: bool = True,
-    request_timeout: "float | None" = 30.0,
-    max_concurrency: "int | None" = 64,
+    reservation_ttl: float = 3600.0,
+    request_timeout: float = 30.0,
+    max_concurrency: int = 64,
 ) -> AsgiApp:
     """Build the service and its ASGI app in one call (the usual entry
     point for servers and tests)."""
     return AsgiApp(
-        PrivacyService(
-            store,
-            workloads=workloads,
-            reservation_ttl=reservation_ttl,
-            retry_policy=retry_policy,
-            recover_on_start=recover_on_start,
-        ),
+        PrivacyService(store, workloads=workloads, reservation_ttl=reservation_ttl),
         request_timeout=request_timeout,
         max_concurrency=max_concurrency,
     )

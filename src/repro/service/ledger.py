@@ -96,6 +96,7 @@ from repro.exceptions import (
 )
 from repro.faults import fire
 from repro.service.stores import LedgerStore, LedgerTransaction
+from repro.utils.validation import check_positive
 
 #: Stored-state schema version; bumped on incompatible layout changes.
 #: (Idempotency records under the ``"idempotency"`` key and a reservation's
@@ -108,6 +109,11 @@ STATE_VERSION = 1
 #: Nothing replays them any more, so :meth:`TenantLedger.sweep` drops
 #: them whatever their age.
 _LEGACY_RETRY_PREFIX = "retry."
+
+#: Seconds a client idempotency record (key + replayable response) is kept
+#: before :meth:`TenantLedger.sweep` prunes it.  Must comfortably exceed
+#: the longest client retry horizon.
+IDEMPOTENCY_TTL = 3600.0
 
 
 @dataclass(frozen=True)
@@ -151,40 +157,21 @@ class TenantLedger:
     reservation_ttl:
         Seconds after which an unconsumed reservation is presumed abandoned
         (its session crashed without :meth:`release_unused`) and its
-        remainder stops counting against admission.  ``None`` disables
-        expiry.  The TTL must comfortably exceed the longest legitimate
-        session; it exists so a crashed client cannot strand tenant budget
-        forever.
-    idempotency_ttl:
-        Seconds an idempotency record (key + replayable response) is kept
-        before :meth:`sweep` prunes it.  Must comfortably exceed the
-        longest client retry horizon; ``None`` keeps records forever.
+        remainder stops counting against admission.  Must be positive and
+        finite, and comfortably exceed the longest legitimate session; it
+        exists so a crashed client cannot strand tenant budget forever.
     """
 
     def __init__(
-        self,
-        store: LedgerStore,
-        tenant: str,
-        *,
-        reservation_ttl: "float | None" = 3600.0,
-        idempotency_ttl: "float | None" = 3600.0,
+        self, store: LedgerStore, tenant: str, *, reservation_ttl: float = 3600.0
     ) -> None:
         if not tenant or "/" in tenant:
             raise ValidationError(
                 f"tenant must be a non-empty string without '/', got {tenant!r}"
             )
-        if reservation_ttl is not None and reservation_ttl <= 0:
-            raise ValidationError(
-                f"reservation_ttl must be positive or None, got {reservation_ttl}"
-            )
-        if idempotency_ttl is not None and idempotency_ttl <= 0:
-            raise ValidationError(
-                f"idempotency_ttl must be positive or None, got {idempotency_ttl}"
-            )
         self.store = store
         self.tenant = tenant
-        self.reservation_ttl = reservation_ttl
-        self.idempotency_ttl = idempotency_ttl
+        self.reservation_ttl = check_positive(reservation_ttl, "reservation_ttl")
 
     # -- tenant lifecycle -------------------------------------------------
     def create(
@@ -309,7 +296,7 @@ class TenantLedger:
                     n_completed=0,
                     accountant=type(accountant).__name__,
                 )
-                if outstanding and self.reservation_ttl is not None:
+                if outstanding:
                     error.retry_after = self.reservation_ttl
                 raise error
             state["reservations"][reservation_id] = {
@@ -556,7 +543,7 @@ class TenantLedger:
         Reclaims every reservation past ``reservation_ttl`` (returning its
         unconsumed remainder to the budget — the consumed part was debited
         durably and stays spent) and prunes idempotency records past
-        ``idempotency_ttl``, plus every legacy ``retry.`` record and
+        :data:`IDEMPOTENCY_TTL`, plus every legacy ``retry.`` record and
         accountant audit trail an older state still holds.  This is the
         *recovery sweep*: run it at service startup and after killing
         workers, and no orphaned reservation outlives its TTL plus one
@@ -574,14 +561,12 @@ class TenantLedger:
             state["accountant"].pop("trail", None)
             state["accountant"]["audit_trail"] = False
             records = state.setdefault("idempotency", {})
-            cutoff = None
-            if self.idempotency_ttl is not None:
-                cutoff = (time.time() if now is None else now) - self.idempotency_ttl
+            cutoff = (time.time() if now is None else now) - IDEMPOTENCY_TTL
             stale = [
                 key
                 for key, record in records.items()
                 if key.startswith(_LEGACY_RETRY_PREFIX)
-                or (cutoff is not None and record["created_at"] < cutoff)
+                or record["created_at"] < cutoff
             ]
             for key in stale:
                 del records[key]
@@ -710,8 +695,6 @@ class TenantLedger:
         tries to consume fails loudly with :class:`~repro.exceptions.
         UnknownReservationError` rather than silently re-admitting.
         """
-        if self.reservation_ttl is None:
-            return []
         now = time.time() if now is None else now
         reservations = state["reservations"]
         expired = [

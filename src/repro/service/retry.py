@@ -11,26 +11,27 @@ over HTTP (more load, more contention); hanging forever violates request
 deadlines.
 
 :class:`RetryingLedgerStore` wraps any
-:class:`~repro.service.stores.LedgerStore` and retries the **acquisition
-phase** of a transaction (entering :meth:`~repro.service.stores.
-LedgerStore.transact` — where lock timeouts and busy errors live) plus
-whole :meth:`~repro.service.stores.LedgerStore.run` cycles and reads,
-under a :class:`RetryPolicy`: bounded exponential backoff, full seeded
-jitter (so a thundering herd decorrelates deterministically in tests),
-and a hard wall-clock deadline.
+:class:`~repro.service.stores.LedgerStore` and retries whole
+:meth:`~repro.service.stores.LedgerStore.run` cycles — enter, handler,
+commit — plus :meth:`~repro.service.stores.LedgerStore.peek` and
+:meth:`~repro.service.stores.LedgerStore.tenants`, under a
+:class:`RetryPolicy`: bounded exponential backoff, full seeded jitter (so
+a thundering herd decorrelates deterministically in tests), and a hard
+wall-clock deadline.  Every ledger mutation is a ``run`` closure, so every
+one is retried end to end.
 
 What is deliberately **not** retried:
 
 * Domain refusals (:class:`~repro.exceptions.ReproError` except the lock
   timeout) — a budget refusal does not become grantable by retrying.
-* A *commit* failure inside an open ``with store.transact(...)`` block —
-  the caller's inline body cannot be re-run by a wrapper.  Commit-phase
-  retry requires the closure form (:meth:`~repro.service.stores.
-  LedgerStore.run`), and re-running a cycle whose commit may or may not
-  have landed is only exactly-once when the handler is idempotent — which
-  is precisely what the ledger provides: client idempotency keys, and
-  for keyless consumes the call id stamped on the debited reservation
-  (see ``docs/architecture.md``).
+* A ``with store.transact(...)`` block — the caller's inline body cannot
+  be re-run by a wrapper, so :meth:`RetryingLedgerStore.transact` passes
+  straight through to the inner store.
+
+Re-running a cycle whose commit may or may not have landed is only
+exactly-once when the handler is idempotent — which is precisely what the
+ledger provides: client idempotency keys, and for keyless consumes the
+call id stamped on the debited reservation (see ``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import random
 import sqlite3
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.exceptions import LockTimeoutError, ReproError, ValidationError
 from repro.faults import fire
@@ -161,32 +162,11 @@ class RetryingLedgerStore(LedgerStore):
                 self._sleep(delay)
 
     # -- LedgerStore -------------------------------------------------------
-    @contextlib.contextmanager
     def transact(
         self, tenant: str, *, sync: bool = True
-    ) -> Iterator[LedgerTransaction]:
-        # Retry only the enter (read/lock) phase; the caller's inline body
-        # and the commit run once.  Exactly-once across commit failures is
-        # the idempotency layer's job, not this one's.
-        entered: "list[Any]" = []
-
-        def enter() -> LedgerTransaction:
-            manager = self.inner.transact(tenant, sync=sync)
-            txn = manager.__enter__()
-            entered.append(manager)
-            return txn
-
-        txn = self._attempt(enter)
-        manager = entered[-1]
-        try:
-            yield txn
-        except BaseException:
-            import sys
-
-            if not manager.__exit__(*sys.exc_info()):
-                raise
-        else:
-            manager.__exit__(None, None, None)
+    ) -> "contextlib.AbstractContextManager[LedgerTransaction]":
+        # An inline body cannot be re-run: use run() for retries.
+        return self.inner.transact(tenant, sync=sync)
 
     def run(
         self,
@@ -208,10 +188,9 @@ class RetryingLedgerStore(LedgerStore):
         self.inner.close()
 
 
-def with_retries(
-    store: LedgerStore, policy: "RetryPolicy | None" = None
-) -> LedgerStore:
-    """Wrap ``store`` in retries unless it already is (idempotent)."""
+def with_retries(store: LedgerStore) -> "RetryingLedgerStore":
+    """Wrap ``store`` in default-policy retries unless it already is
+    (idempotent: pass a :class:`RetryingLedgerStore` for another policy)."""
     if isinstance(store, RetryingLedgerStore):
         return store
-    return RetryingLedgerStore(store, policy)
+    return RetryingLedgerStore(store)

@@ -18,15 +18,13 @@ either wrote would spend the last epsilon twice.  Ledger writers
 therefore hold the exclusion for the whole read-decide-write cycle, never
 just the write.
 
-Two backends:
-
-* :class:`InMemoryLedgerStore` — process-local; the default for tests and
-  single-process serving without durability.
-* :class:`SQLiteLedgerStore` — a WAL-mode SQLite database, one row per
-  tenant, each transaction a ``BEGIN IMMEDIATE`` cycle so concurrent
-  writers queue on SQLite's own cross-process locking.  The one durable
-  store: stdlib, crash-safe, and each transaction rewrites one tenant's
-  row, not every tenant's state.
+One backend, :class:`SQLiteLedgerStore`: a WAL-mode SQLite database, one
+row per tenant, each transaction a ``BEGIN IMMEDIATE`` cycle so concurrent
+writers queue on SQLite's own cross-process locking.  Stdlib, crash-safe,
+and each transaction rewrites one tenant's row, not every tenant's state.
+At ``":memory:"`` it is a private in-memory database of that store
+instance — no durability, the same code path (tests, demos, and ``repro
+serve`` without ``--store``).
 
 A transaction opened with ``sync=False`` commits just as atomically and
 survives the process dying, but may reach stable storage only after it
@@ -124,54 +122,17 @@ class LedgerStore(ABC):
         """Release backend resources (connections, handles).  Idempotent."""
 
 
-class InMemoryLedgerStore(LedgerStore):
-    """Process-local store: a dict behind one lock.
-
-    The transaction lock is global (not per tenant) — contention is
-    irrelevant at in-memory speeds and a single lock cannot deadlock.
-    States are deep-copied through JSON on the way in and out, so a
-    handler mutating a peeked state cannot corrupt the store and the
-    store behaves byte-for-byte like its durable siblings.
-    """
-
-    def __init__(self) -> None:
-        self._states: dict[str, str] = {}  # tenant -> JSON text
-        self._lock = threading.RLock()
-
-    @contextlib.contextmanager
-    def transact(
-        self, tenant: str, *, sync: bool = True
-    ) -> Iterator[LedgerTransaction]:
-        # Nothing here outlives the process, so there is nothing to sync.
-        with self._lock:
-            fire("ledger.memory.read", tenant=tenant)
-            raw = self._states.get(tenant)
-            txn = LedgerTransaction(tenant, None if raw is None else json.loads(raw))
-            yield txn
-            if txn.state is not None:
-                fire("ledger.memory.commit", tenant=tenant)
-                self._states[tenant] = json.dumps(txn.state)
-                fire("ledger.memory.commit.after", tenant=tenant)
-
-    def peek(self, tenant: str) -> "dict[str, Any] | None":
-        with self._lock:
-            raw = self._states.get(tenant)
-            return None if raw is None else json.loads(raw)
-
-    def tenants(self) -> list[str]:
-        with self._lock:
-            return sorted(self._states)
-
-
 class SQLiteLedgerStore(LedgerStore):
     """A WAL-mode SQLite database, one state row per tenant.
 
     ``BEGIN IMMEDIATE`` takes SQLite's write lock at transaction *start*
     (not first write), so the whole read-decide-write cycle is exclusive
-    across processes; concurrent writers queue on ``busy_timeout`` instead
-    of failing.  WAL mode keeps readers unblocked and makes single-row
-    commits cheap.  One connection per store instance, serialized by a
-    thread lock — open one store per thread or share one; both are safe.
+    across processes; concurrent writers queue for up to 60 s
+    (``busy_timeout``) instead of failing.  WAL mode keeps readers
+    unblocked and makes single-row commits cheap.  One connection per store
+    instance, serialized by a thread lock — open one store per thread or
+    share one; both are safe.  At ``":memory:"`` the database is private to
+    the instance and dies with it (SQLite keeps no WAL there).
 
     A synced commit runs at ``synchronous=FULL`` (the WAL is flushed
     before COMMIT returns), a ``sync=False`` one at ``NORMAL`` (no flush;
@@ -195,9 +156,7 @@ class SQLiteLedgerStore(LedgerStore):
         )
     """
 
-    def __init__(
-        self, path: str | Path, *, busy_timeout_s: float = 60.0
-    ) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._thread_lock = threading.RLock()
@@ -205,7 +164,6 @@ class SQLiteLedgerStore(LedgerStore):
         self._close_pending = False
         self._txn_depth = 0
         self._synced = True  # the connection's level: FULL (True) or NORMAL
-        self.busy_timeout_s = float(busy_timeout_s)
         # Autocommit mode: transaction boundaries are explicit BEGIN/COMMIT,
         # never implicitly opened by the driver mid-cycle.
         self._conn = sqlite3.connect(
@@ -217,7 +175,7 @@ class SQLiteLedgerStore(LedgerStore):
             self._conn.execute(
                 f"PRAGMA wal_autocheckpoint={self.WAL_CHECKPOINT_PAGES}"
             )
-            self._conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_s * 1000)}")
+            self._conn.execute("PRAGMA busy_timeout=60000")
             self._conn.execute(self._SCHEMA)
         except sqlite3.OperationalError:
             self._conn.close()
@@ -331,8 +289,6 @@ class SQLiteLedgerStore(LedgerStore):
 
 
 def ledger_store_from_path(path: "str | Path | None") -> LedgerStore:
-    """A store for a path: SQLite at ``path`` (any suffix), in-memory for
-    ``None``."""
-    if path is None:
-        return InMemoryLedgerStore()
-    return SQLiteLedgerStore(path)
+    """A SQLite store at ``path`` (any suffix); for ``None``, a private
+    ``":memory:"`` database (no durability)."""
+    return SQLiteLedgerStore(":memory:" if path is None else path)

@@ -197,12 +197,12 @@ class ReleaseSession:
 
         Shorter chunks signal the end of the stream: exhaustion
         (``max_releases``) or a closed session return whatever was drawn
-        (possibly ``[]``).  If the budget refuses mid-chunk, the releases
-        already debited are returned rather than lost — the very next draw
-        (or ``take``) raises the same
-        :class:`~repro.exceptions.BudgetExhaustedError`, so the refusal is
-        never silently swallowed; only a chunk whose *first* draw is refused
-        raises immediately.
+        (possibly ``[]``).  If a draw fails mid-chunk — the budget refuses,
+        or the debit itself errors — the releases already debited are
+        returned rather than lost.  The failure is never silently
+        swallowed: a budget refusal repeats on the very next draw (or
+        ``take``), and so does any error that persists; only a chunk whose
+        *first* draw fails raises immediately.
         """
         if n < 1:
             raise ValidationError(f"take(n) requires n >= 1, got {n}")
@@ -212,7 +212,7 @@ class ReleaseSession:
                 chunk.append(next(self))
             except StopIteration:
                 break
-            except BudgetExhaustedError:
+            except Exception:
                 if not chunk:
                     raise
                 break

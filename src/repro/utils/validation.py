@@ -19,11 +19,16 @@ PROBABILITY_ATOL = 1e-8
 
 
 def check_positive(value: float, name: str) -> float:
-    """Return ``value`` unchanged after checking it is strictly positive."""
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
+    """Return ``value`` as a float after checking it is a strictly positive
+    finite number (``None`` and non-numbers are refused too)."""
+    try:
+        number = float(value)
+        valid = bool(np.isfinite(number)) and number > 0.0
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
         raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
-    return value
+    return number
 
 
 def check_unit_interval(value: float, name: str, *, open_ends: bool = False) -> float:

@@ -59,7 +59,6 @@ def _make_store(tmp_path: Path):
 #: abandon the worker's cycle mid-flight, exactly like a killed request.
 def _chaos_rules() -> list[FaultRule]:
     return [
-        FaultRule("ledger.*.read", error="io", probability=0.05, times=None),
         FaultRule("ledger.*.commit", error="io", probability=0.05, times=None),
         FaultRule(
             "ledger.sqlite.begin", error="sqlite_busy", probability=0.05, times=None

@@ -3,9 +3,9 @@
 Covers the injector itself (rule matching, scheduling, determinism, the
 ``REPRO_FAULTS`` wire format), the retrying store wrapper (what retries,
 what must not, backoff/deadline bounds), the fault points compiled into
-every ledger store backend, and a crash before the calibration cache's
-SQLite commit: committed entries survive, the crashed put lands nothing,
-and the next put lands.
+the ledger store (at ``:memory:`` and at a file), and a crash before the
+calibration cache's SQLite commit: committed entries survive, the crashed
+put lands nothing, and the next put lands.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from repro.service.retry import (
     is_transient_store_error,
     with_retries,
 )
-from repro.service.stores import InMemoryLedgerStore, SQLiteLedgerStore
+from repro.service.stores import SQLiteLedgerStore
 
 
 @pytest.fixture(autouse=True)
@@ -67,16 +67,16 @@ def test_error_rule_raises_each_kind():
 
 def test_fnmatch_patterns_and_context_history():
     injector = FaultInjector(
-        [FaultRule("ledger.memory.*", action="error", error="io", times=2)]
+        [FaultRule("ledger.sqlite.*", action="error", error="io", times=2)]
     )
-    injector.fire("ledger.sqlite.commit")  # no match
+    injector.fire("cache.sqlite.commit")  # no match
     with pytest.raises(OSError):
-        injector.fire("ledger.memory.commit", tenant="t")
+        injector.fire("ledger.sqlite.commit", tenant="t")
     with pytest.raises(OSError):
-        injector.fire("ledger.memory.read")
-    injector.fire("ledger.memory.commit")  # times exhausted
-    assert injector.fired("ledger.memory.*") == 2
-    assert injector.fired("ledger.sqlite.*") == 0
+        injector.fire("ledger.sqlite.begin")
+    injector.fire("ledger.sqlite.commit")  # times exhausted
+    assert injector.fired("ledger.sqlite.*") == 2
+    assert injector.fired("cache.sqlite.*") == 0
     assert injector.history[0]["context"] == {"tenant": "t"}
     stats = injector.stats()
     assert stats["total_fired"] == 2
@@ -224,12 +224,12 @@ def _ledger(store, **kwargs):
 def test_retry_absorbs_transient_enter_faults():
     sleeps = []
     store = RetryingLedgerStore(
-        InMemoryLedgerStore(),
+        SQLiteLedgerStore(":memory:"),
         RetryPolicy(max_attempts=5, base_delay=0.01),
         sleep=sleeps.append,
     )
     ledger = _ledger(store)
-    with injected([FaultRule("ledger.memory.read", error="io", times=3)]):
+    with injected([FaultRule("ledger.sqlite.begin", error="io", times=3)]):
         reservation = ledger.reserve(2, 1.0)
     assert reservation.n_reserved == 2
     assert len(sleeps) == 3
@@ -242,12 +242,12 @@ def test_retry_absorbs_transient_enter_faults():
 def test_retry_gives_up_after_max_attempts():
     sleeps = []
     store = RetryingLedgerStore(
-        InMemoryLedgerStore(),
+        SQLiteLedgerStore(":memory:"),
         RetryPolicy(max_attempts=3),
         sleep=sleeps.append,
     )
     ledger = _ledger(store)
-    with injected([FaultRule("ledger.memory.read", error="io", times=None)]):
+    with injected([FaultRule("ledger.sqlite.begin", error="io", times=None)]):
         with pytest.raises(OSError):
             ledger.reserve(1, 1.0)
     assert len(sleeps) == 2  # attempts - 1 sleeps
@@ -256,7 +256,7 @@ def test_retry_gives_up_after_max_attempts():
 def test_retry_never_retries_domain_refusals():
     calls = []
     store = RetryingLedgerStore(
-        InMemoryLedgerStore(), RetryPolicy(), sleep=calls.append
+        SQLiteLedgerStore(":memory:"), RetryPolicy(), sleep=calls.append
     )
     ledger = _ledger(store)
     with pytest.raises(BudgetExhaustedError):
@@ -266,14 +266,14 @@ def test_retry_never_retries_domain_refusals():
 
 def test_retry_respects_deadline():
     store = RetryingLedgerStore(
-        InMemoryLedgerStore(),
+        SQLiteLedgerStore(":memory:"),
         # Any backoff sleep would cross a zero-width deadline budget left
         # after the first attempt, so exactly one attempt's error escapes.
         RetryPolicy(max_attempts=50, base_delay=0.2, max_delay=0.2, deadline=0.05),
         sleep=lambda _s: None,
     )
     ledger = _ledger(store)
-    with injected([FaultRule("ledger.memory.read", error="io", times=None)]) as inj:
+    with injected([FaultRule("ledger.sqlite.begin", error="io", times=None)]) as inj:
         with pytest.raises(OSError):
             ledger.reserve(1, 1.0)
     assert inj.fired() < 50
@@ -283,12 +283,12 @@ def test_retry_run_replays_whole_cycle_after_commit_fault():
     # An error *after* the commit landed: run() re-runs the closure, which
     # must observe the committed state and stay exactly-once by idempotency.
     store = RetryingLedgerStore(
-        InMemoryLedgerStore(), RetryPolicy(max_attempts=4), sleep=lambda _s: None
+        SQLiteLedgerStore(":memory:"), RetryPolicy(max_attempts=4), sleep=lambda _s: None
     )
     ledger = _ledger(store)
     reservation = ledger.reserve(3, 1.0)
     with injected(
-        [FaultRule("ledger.memory.commit.after", error="io", times=1)]
+        [FaultRule("ledger.sqlite.commit.after", error="io", times=1)]
     ):
         response, replayed = ledger.consume_idempotent(
             reservation.reservation_id,
@@ -308,12 +308,12 @@ def test_retry_run_replays_keyless_consume_after_commit_fault():
     # keyless consume: the private call id stamped on the reservation turns
     # the wrapper's whole-cycle re-run into a replay of the committed result.
     store = RetryingLedgerStore(
-        InMemoryLedgerStore(), RetryPolicy(max_attempts=4), sleep=lambda _s: None
+        SQLiteLedgerStore(":memory:"), RetryPolicy(max_attempts=4), sleep=lambda _s: None
     )
     ledger = _ledger(store)
     reservation = ledger.reserve(4, 1.0)
     with injected(
-        [FaultRule("ledger.memory.commit.after", error="io", times=1)]
+        [FaultRule("ledger.sqlite.commit.after", error="io", times=1)]
     ):
         after = ledger.consume(reservation.reservation_id, 2, epsilon=1.0)
     assert (after.n_consumed, after.n_remaining) == (2, 2)
@@ -322,7 +322,7 @@ def test_retry_run_replays_keyless_consume_after_commit_fault():
     # Draining flavor: without the call id, the re-run would find 0 releases
     # left and raise ReservationError while the budget was already spent.
     with injected(
-        [FaultRule("ledger.memory.commit.after", error="io", times=1)]
+        [FaultRule("ledger.sqlite.commit.after", error="io", times=1)]
     ):
         final = ledger.consume(reservation.reservation_id, 2, epsilon=1.0)
     assert (final.n_consumed, final.n_remaining) == (4, 0)
@@ -333,7 +333,7 @@ def test_keyless_rerun_after_reservation_vanished_keeps_the_debit():
     # The re-run finds its reservation gone (released between the commit
     # and the retry): it cannot replay, so it refuses — and the committed
     # debit stands, so spend is never under-counted.
-    inner = InMemoryLedgerStore()
+    inner = SQLiteLedgerStore(":memory:")
     reservation = None
 
     def release_then_sleep(_seconds: float) -> None:
@@ -345,7 +345,7 @@ def test_keyless_rerun_after_reservation_vanished_keeps_the_debit():
     ledger = _ledger(store)
     reservation = ledger.reserve(4, 1.0)
     with injected(
-        [FaultRule("ledger.memory.commit.after", error="io", times=1)]
+        [FaultRule("ledger.sqlite.commit.after", error="io", times=1)]
     ):
         with pytest.raises(UnknownReservationError):
             ledger.consume(reservation.reservation_id, 2, epsilon=1.0)
@@ -356,7 +356,7 @@ def test_keyless_rerun_after_reservation_vanished_keeps_the_debit():
 
 
 def test_with_retries_is_idempotent():
-    store = InMemoryLedgerStore()
+    store = SQLiteLedgerStore(":memory:")
     wrapped = with_retries(store)
     assert isinstance(wrapped, RetryingLedgerStore)
     assert with_retries(wrapped) is wrapped
@@ -376,25 +376,19 @@ def test_retry_policy_validation():
 @pytest.fixture(params=["memory", "sqlite"])
 def store_and_kind(request, tmp_path):
     if request.param == "memory":
-        store = InMemoryLedgerStore()
+        store = SQLiteLedgerStore(":memory:")
     else:
         store = SQLiteLedgerStore(tmp_path / "ledgers.sqlite")
     yield store, request.param
     store.close()
 
 
-_COMMIT_POINT = {
-    "memory": "ledger.memory.commit",
-    "sqlite": "ledger.sqlite.commit",
-}
-
-
 def test_commit_fault_persists_nothing(store_and_kind):
-    store, kind = store_and_kind
+    store, _kind = store_and_kind
     ledger = _ledger(store)
     before = ledger.snapshot()
     reservation = ledger.reserve(2, 1.0)
-    with injected([FaultRule(_COMMIT_POINT[kind], error="io")]):
+    with injected([FaultRule("ledger.sqlite.commit", error="io")]):
         with pytest.raises(OSError):
             ledger.consume(reservation.reservation_id, 2, epsilon=1.0)
     after = ledger.snapshot()

@@ -21,7 +21,7 @@ import pytest
 from repro.core.accounting import RenyiAccountant
 from repro.service import create_app
 from repro.service.ledger import TenantLedger
-from repro.service.stores import InMemoryLedgerStore, SQLiteLedgerStore
+from repro.service.stores import SQLiteLedgerStore
 from repro.service.testing import TestClient
 
 EPSILON = 0.5  # a power of two: aggregate sums stay exact floats
@@ -30,7 +30,7 @@ SLACK_BYTES = 16  # counters gain digits; nothing else may grow
 
 
 def _ledger(accountant: str = "linear") -> TenantLedger:
-    ledger = TenantLedger(InMemoryLedgerStore(), "acme")
+    ledger = TenantLedger(SQLiteLedgerStore(":memory:"), "acme")
     ledger.create(budget=None, accountant=accountant)
     return ledger
 
@@ -175,7 +175,7 @@ def _legacy_state(ledger: TenantLedger) -> None:
 
 
 def test_sweep_drops_legacy_retry_records_whatever_their_age():
-    ledger = TenantLedger(InMemoryLedgerStore(), "acme")
+    ledger = TenantLedger(SQLiteLedgerStore(":memory:"), "acme")
     ledger.create(budget=10.0, accountant="linear")
     _legacy_state(ledger)
 

@@ -6,9 +6,9 @@ with reserve/consume cycles must stop at **exactly** ``floor(budget /
 epsilon)`` total releases for a linear tenant.  Not approximately: one
 release too many is a privacy violation, one too few means admission
 leaked budget (reservations not returned).  The SQLite store is
-hammered; the cross-process runs use inline ``-c`` programs against the
-same store path, exactly like a fleet of service processes sharing a
-ledger."""
+hammered, by threads at a file and at a shared ``:memory:`` database; the
+cross-process runs use inline ``-c`` programs against the same store path,
+exactly like a fleet of service processes sharing a ledger."""
 
 from __future__ import annotations
 
@@ -34,7 +34,9 @@ N_WORKERS = 6
 CHUNK = 2  # releases per reservation attempt
 
 
-def _make_store(tmp_path: Path):
+def _make_store(tmp_path: Path, kind: str = "sqlite"):
+    if kind == "memory":
+        return SQLiteLedgerStore(":memory:")
     return SQLiteLedgerStore(tmp_path / "ledgers.sqlite")
 
 
@@ -64,9 +66,9 @@ def _drain_worker(store, results: list, index: int) -> None:
         results[index] = error
 
 
-@pytest.mark.parametrize("kind", ["sqlite"])
+@pytest.mark.parametrize("kind", ["sqlite", "memory"])
 def test_threads_stop_at_exact_budget(kind, tmp_path):
-    store = _make_store(tmp_path)
+    store = _make_store(tmp_path, kind)
     try:
         TenantLedger(store, "acme").create(budget=BUDGET)
         results: list = [None] * N_WORKERS

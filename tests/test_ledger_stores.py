@@ -1,10 +1,11 @@
 """Conformance of every :class:`~repro.service.stores.LedgerStore` backend.
 
-One parametrized suite: whatever the backend (in-memory dict, SQLite), a
-store must provide exclusive read-modify-write transactions,
-abandon changes on exception, expose lock-free-safe peeks, and isolate
-tenants.  The cross-process guarantees get their own hammering in
-``tests/test_ledger_concurrency.py``; this file is the functional floor."""
+One parametrized suite over the one backend, SQLite, at a private
+``:memory:`` database and at a file: either way a store must provide
+exclusive read-modify-write transactions, abandon changes on exception,
+expose lock-free-safe peeks, and isolate tenants.  The cross-process
+guarantees get their own hammering in ``tests/test_ledger_concurrency.py``;
+this file is the functional floor."""
 
 from __future__ import annotations
 
@@ -13,11 +14,7 @@ import threading
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.service.stores import (
-    InMemoryLedgerStore,
-    SQLiteLedgerStore,
-    ledger_store_from_path,
-)
+from repro.service.stores import SQLiteLedgerStore, ledger_store_from_path
 
 BACKENDS = ("memory", "sqlite")
 
@@ -25,7 +22,7 @@ BACKENDS = ("memory", "sqlite")
 @pytest.fixture(params=BACKENDS)
 def store(request, tmp_path):
     if request.param == "memory":
-        built = InMemoryLedgerStore()
+        built = SQLiteLedgerStore(":memory:")
     else:
         built = SQLiteLedgerStore(tmp_path / "ledgers.sqlite")
     yield built
@@ -183,7 +180,7 @@ def test_sqlite_store_persists_across_instances(tmp_path):
 @pytest.mark.parametrize(
     "path, expected",
     [
-        (None, InMemoryLedgerStore),
+        (None, SQLiteLedgerStore),
         ("ledgers.sqlite", SQLiteLedgerStore),
         ("ledgers.sqlite3", SQLiteLedgerStore),
         ("ledgers.db", SQLiteLedgerStore),
@@ -197,6 +194,8 @@ def test_store_from_path_dispatch(tmp_path, path, expected):
     )
     try:
         assert isinstance(store, expected)
+        if path is None:  # a private in-memory database, not a file
+            assert str(store.path) == ":memory:"
     finally:
         store.close()
 
@@ -208,8 +207,6 @@ def test_close_is_idempotent(store):
 
 
 def test_closed_durable_store_refuses_new_transactions(store):
-    if isinstance(store, InMemoryLedgerStore):
-        pytest.skip("the in-memory store has nothing to close")
     store.close()
     with pytest.raises(ValidationError, match="closed"):
         with store.transact("acme"):
@@ -225,8 +222,8 @@ def test_closed_durable_store_refuses_new_transactions(store):
 def test_close_during_transact_lets_the_commit_finish(store):
     """close() racing an in-flight transaction: the transaction commits
     (its atomicity is the whole point), only *new* ones are refused."""
-    if isinstance(store, InMemoryLedgerStore):
-        pytest.skip("the in-memory store has nothing to close")
+    if str(store.path) == ":memory:":
+        pytest.skip("a closed :memory: database cannot be reopened to check")
     with store.transact("acme") as txn:
         txn.state = {"n": 1}
         store.close()  # mid-transaction: must not poison the commit

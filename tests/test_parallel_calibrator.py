@@ -267,17 +267,6 @@ def test_engine_parallel_lands_in_shared_cache(tmp_path):
     assert warm.scale == MQMExact(family, 1.0, max_window=40).calibrate(query, data).scale
 
 
-def test_mechanism_calibrate_parallel_option():
-    family = _two_chains(2)
-    query = StateFrequencyQuery(1, 30)
-    data = np.zeros(30, dtype=int)
-    serial = MQMExact(family, 1.0, max_window=30).calibrate(query, data)
-    parallel = MQMExact(family, 1.0, max_window=30).calibrate(
-        query, data, parallel=_pooled()
-    )
-    assert parallel.scale == serial.scale
-
-
 def test_plan_is_empty_when_warm_or_undecomposable():
     family = _two_chains(2)
     query = StateFrequencyQuery(1, 20)

@@ -14,13 +14,16 @@ import threading
 
 import pytest
 
+from repro.exceptions import ValidationError
+from repro.faults import FaultRule, injected
 from repro.service import create_app
+from repro.service.stores import SQLiteLedgerStore
 from repro.service.testing import TestClient
 
 
 @pytest.fixture()
 def client():
-    app = create_app()  # in-memory store, default demo workloads
+    app = create_app()  # private :memory: store, default demo workloads
     yield TestClient(app)
     app.service.close()
 
@@ -176,6 +179,54 @@ def test_stream_matches_release_prefix(client):
         "/tenants/s2/release", {"workload": "hub-laplace", "n": 4, "seed": 11}
     ).json()["values"]
     assert streamed == batched
+
+
+def test_failed_stream_chunk_returns_the_values_already_paid_for(client):
+    """A debit that errors mid-chunk answers with the values already
+    debited, not a 500 that loses them; the next chunk resumes after them."""
+    _tenant(client, name="s1", budget=10.0, accountant="linear")
+    _tenant(client, name="s2", budget=10.0, accountant="linear")
+    sid = client.post(
+        "/tenants/s1/stream",
+        {"workload": "hub-laplace", "n_reserved": 10, "seed": 5},
+    ).json()["session_id"]
+    with injected([FaultRule("tenant.consume", error="io", after=2, times=1)]):
+        partial = client.post(f"/sessions/{sid}/next", {"n": 4})
+    assert partial.status == 200
+    assert partial.json()["n"] == 2
+    ledger = client.get("/tenants/s1").json()
+    assert (ledger["n_releases"], ledger["spent_epsilon"]) == (2, 1.0)
+    following = client.post(f"/sessions/{sid}/next", {"n": 4}).json()
+    client.delete(f"/sessions/{sid}")
+    batched = client.post(
+        "/tenants/s2/release", {"workload": "hub-laplace", "n": 6, "seed": 5}
+    ).json()["values"]
+    assert partial.json()["values"] == batched[:2]
+    assert following["values"] == batched[2:6]
+
+
+def test_close_returns_every_stream_before_reraising(tmp_path):
+    """One stream's failed return strands neither the others nor the
+    store: close() returns the rest, closes the store, then re-raises."""
+    path = tmp_path / "ledgers.sqlite"
+    app = create_app(str(path))
+    client = TestClient(app)
+    _tenant(client, budget=4.0, accountant="linear")
+    for _ in range(2):
+        opened = client.post(
+            "/tenants/acme/stream", {"workload": "hub-laplace", "n_reserved": 2}
+        )
+        assert opened.status == 200
+    with injected([FaultRule("tenant.release_unused", error="io", times=1)]):
+        with pytest.raises(OSError):
+            app.service.close()
+    with pytest.raises(ValidationError, match="closed"):
+        app.service.ledger("acme").reserve(1, 0.5)
+    reopened = SQLiteLedgerStore(path)
+    try:  # only the faulted reservation is left, for the TTL sweep
+        assert len(reopened.peek("acme")["reservations"]) == 1
+    finally:
+        reopened.close()
 
 
 # -- validation / routing ---------------------------------------------------
@@ -368,9 +419,9 @@ def test_429_with_nothing_outstanding_is_final(client):
 
 
 def test_lock_timeout_is_503_with_retry_after():
-    from repro.faults import FaultRule, injected
-
-    app = create_app(retry_policy=False)  # raw store: no transparent retry
+    # tenant.reserve fires before the admission cycle opens, outside the
+    # store's retries, so the lock timeout reaches the client.
+    app = create_app()
     client = TestClient(app)
     _tenant(client)
     with injected(
@@ -432,6 +483,16 @@ def test_idempotent_replay_survives_restart(tmp_path):
 
 
 # -- deadlines and backpressure ---------------------------------------------
+@pytest.mark.parametrize(
+    "option", ["max_concurrency", "request_timeout", "reservation_ttl"]
+)
+def test_none_limit_is_refused_by_name(option):
+    """Every limit is a number: ``None`` is a typed refusal naming the
+    option, not a ``TypeError`` and not "unbounded"."""
+    with pytest.raises(ValidationError, match=option):
+        create_app(**{option: None})
+
+
 def test_saturated_service_returns_503_immediately(client):
     app = client.app
     assert app._slots is not None
@@ -452,8 +513,6 @@ def test_saturated_service_returns_503_immediately(client):
 
 def test_request_deadline_returns_503_timeout():
     import time
-
-    from repro.faults import FaultRule, injected
 
     app = create_app(request_timeout=0.05)
     client = TestClient(app)
@@ -537,8 +596,6 @@ def test_startup_recovery_sweep_runs(tmp_path):
 
 # -- fault observability and the 500 catch-all -------------------------------
 def test_admin_faults_reports_injector_state(client):
-    from repro.faults import FaultRule, injected
-
     assert client.get("/admin/faults").json() == {"installed": False}
     with injected([FaultRule("no.such.point", action="latency")]):  # repro-lint: disable=R5 -- deliberately unmatched: asserts idle rules are observable but inert
         status = client.get("/admin/faults").json()

@@ -329,6 +329,42 @@ class TestBudgetExhaustedPayload:
         assert excinfo.value.n_completed == 5
         assert engine.spent_epsilon() == pytest.approx(5.0)
 
+    def test_take_mid_chunk_error_returns_the_debited_prefix(
+        self, workload, monkeypatch
+    ):
+        """Any debit error mid-chunk returns the releases already debited;
+        an error on a chunk's first draw raises, and a simulated crash
+        always escapes."""
+        from repro.faults import SimulatedCrashError
+
+        family, data = workload
+        query = StateFrequencyQuery(1, LENGTH)
+        engine = make_engine(family)
+        session = engine.stream(data, query, rng=1)
+        debit = engine._debit_one
+        # Debit attempts 3 and 4 error, attempt 6 is a simulated crash.
+        failures = {
+            3: OSError("disk blip"),
+            4: OSError("disk blip"),
+            6: SimulatedCrashError("killed"),
+        }
+        calls = []
+
+        def flaky_debit(signature):
+            calls.append(signature)
+            if len(calls) in failures:
+                raise failures[len(calls)]
+            debit(signature)
+
+        monkeypatch.setattr(engine, "_debit_one", flaky_debit)
+        assert len(session.take(5)) == 2
+        with pytest.raises(OSError):
+            session.take(5)  # the error persists into the first draw
+        with pytest.raises(SimulatedCrashError):
+            session.take(5)  # mid-chunk, after one debited release
+        assert session.n_yielded == 3
+        assert engine.spent_epsilon() == pytest.approx(3.0)
+
     def test_batch_payload_reports_atomic_refusal(self, workload):
         family, data = workload
         query = StateFrequencyQuery(1, LENGTH)

@@ -24,12 +24,12 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.service.ledger import ReservationAccountant, TenantLedger
-from repro.service.stores import InMemoryLedgerStore, SQLiteLedgerStore
+from repro.service.stores import SQLiteLedgerStore
 
 
 @pytest.fixture()
 def ledger():
-    return TenantLedger(InMemoryLedgerStore(), "acme")
+    return TenantLedger(SQLiteLedgerStore(":memory:"), "acme")
 
 
 def _created(ledger, *, budget=2.0, accountant="linear", **kwargs):
@@ -59,7 +59,7 @@ def test_create_is_idempotent_and_never_rewrites(ledger):
 
 
 def test_tenant_name_validation():
-    store = InMemoryLedgerStore()
+    store = SQLiteLedgerStore(":memory:")
     with pytest.raises(ValidationError):
         TenantLedger(store, "")
     with pytest.raises(ValidationError):
@@ -110,11 +110,11 @@ def test_consume_exactly_once_and_refusals(ledger):
         ledger.consume(res.reservation_id, epsilon=0.5)
 
 
-class _SyncLog(InMemoryLedgerStore):
+class _SyncLog(SQLiteLedgerStore):
     """Records the ``sync`` flag of every transaction."""
 
     def __init__(self) -> None:
-        super().__init__()
+        super().__init__(":memory:")
         self.log: list = []
 
     def transact(self, tenant, *, sync=True):
@@ -196,7 +196,7 @@ def test_parameter_validation(ledger):
 def test_stored_nan_budget_fails_closed(accountant):
     """A NaN budget written before non-finite budgets were refused is
     refused when the ledger is read back, not treated as unlimited."""
-    store = InMemoryLedgerStore()
+    store = SQLiteLedgerStore(":memory:")
     ledger = _created(TenantLedger(store, "acme"), accountant=accountant)
 
     def poison(txn):
@@ -258,7 +258,7 @@ def workload():
 
 def test_reservation_accountant_drives_engine(workload):
     mechanism, data, query = workload
-    ledger = TenantLedger(InMemoryLedgerStore(), "acme")
+    ledger = TenantLedger(SQLiteLedgerStore(":memory:"), "acme")
     ledger.create(budget=5.0)
     res = ledger.reserve(6, 0.5)
     accountant = ReservationAccountant(ledger, res)
@@ -279,7 +279,7 @@ def test_reservation_accountant_drives_engine(workload):
 
 def test_reservation_accountant_streams(workload):
     mechanism, data, query = workload
-    ledger = TenantLedger(InMemoryLedgerStore(), "acme")
+    ledger = TenantLedger(SQLiteLedgerStore(":memory:"), "acme")
     ledger.create(budget=5.0)
     res = ledger.reserve(5, 0.5)
     engine = PrivacyEngineFactory(mechanism, ReservationAccountant(ledger, res))
@@ -296,7 +296,7 @@ def test_reservation_accountant_streams(workload):
 
 def test_reservation_accountant_rejects_foreign_epsilon(workload):
     mechanism, data, query = workload
-    ledger = TenantLedger(InMemoryLedgerStore(), "acme")
+    ledger = TenantLedger(SQLiteLedgerStore(":memory:"), "acme")
     ledger.create(budget=5.0)
     res = ledger.reserve(2, 0.25)  # reserved at a different epsilon
     accountant = ReservationAccountant(ledger, res)

@@ -18,7 +18,9 @@ class TestCheckPositive:
     def test_accepts_positive(self):
         assert check_positive(2.5, "x") == 2.5
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [0.0, -1.0, float("nan"), float("inf"), None, "abc"]
+    )
     def test_rejects_non_positive(self, bad):
         with pytest.raises(ValidationError):
             check_positive(bad, "x")

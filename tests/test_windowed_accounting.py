@@ -29,7 +29,7 @@ from repro.exceptions import (
 )
 from repro.service import create_app
 from repro.service.ledger import TenantLedger
-from repro.service.stores import InMemoryLedgerStore
+from repro.service.stores import SQLiteLedgerStore
 from repro.service.testing import TestClient
 
 BUDGET = 1.0
@@ -193,7 +193,7 @@ def test_identical_schedules_replay_bit_identically():
 # -- the ledger's windowed reclamation sweep -------------------------------
 @pytest.fixture()
 def ledger():
-    return TenantLedger(InMemoryLedgerStore(), "acme", reservation_ttl=60.0)
+    return TenantLedger(SQLiteLedgerStore(":memory:"), "acme", reservation_ttl=60.0)
 
 
 def test_ledger_sliding_tenant_sustains_floor_per_window(ledger):
