@@ -30,7 +30,7 @@ setup(
     install_requires=["numpy>=1.22"],
     extras_require={
         "graphs": ["networkx>=2.6"],
-        "dev": ["pytest", "pytest-benchmark"],
+        "dev": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     classifiers=[
         "Intended Audience :: Science/Research",

@@ -14,9 +14,10 @@ Mechanism (Algorithm 2):
 * conditional distributions ``P(X_A | X_i = a)`` and marginals, computed by
   the :mod:`repro.inference` variable-elimination engine — exact for any
   network whose elimination width is tractable, with no joint-size cap,
-* Markov blankets and **d-separation** (via moralized ancestral graphs),
-  which certifies condition 2 of Definition 4.2 (``X_R`` independent of
-  ``X_i`` given ``X_Q``) *for every* distribution that factorizes over G,
+* Markov blankets and **d-separation** (Bayes-ball reachability over a
+  parent/child index), which certifies condition 2 of Definition 4.2
+  (``X_R`` independent of ``X_i`` given ``X_Q``) *for every* distribution
+  that factorizes over G,
 * automatic generation of Markov-quilt candidates by graph distance.
 
 Nodes are identified by string names; each node has a finite number of
@@ -82,6 +83,9 @@ class DiscreteBayesianNetwork:
     def __init__(self) -> None:
         self._states: dict[str, int] = {}
         self._parents: dict[str, tuple[str, ...]] = {}
+        # Children per node in insertion order; only add_node changes the
+        # DAG, so the index never goes stale.
+        self._children: dict[str, list[str]] = {}
         self._cpds: dict[str, np.ndarray] = {}
         self._order: list[str] = []
         self._fingerprint: str | None = None
@@ -122,6 +126,9 @@ class DiscreteBayesianNetwork:
             raise ValidationError(f"cpd for {name!r} must be non-negative with last axis summing to 1")
         self._states[name] = int(n_states)
         self._parents[name] = tuple(parents)
+        self._children[name] = []
+        for parent in dict.fromkeys(parents):
+            self._children[parent].append(name)
         self._cpds[name] = table / table.sum(axis=-1, keepdims=True)
         self._order.append(name)
         # Content changed: re-hash on next request and drop the memoized
@@ -210,7 +217,7 @@ class DiscreteBayesianNetwork:
 
     def children(self, name: str) -> tuple[str, ...]:
         """Children of ``name`` in insertion order."""
-        return tuple(n for n in self._order if name in self._parents[n])
+        return tuple(self._children[name])
 
     def cpd(self, name: str) -> np.ndarray:
         """The CPD table of ``name`` (copy)."""
@@ -227,38 +234,67 @@ class DiscreteBayesianNetwork:
 
     def undirected_neighbors(self, name: str) -> frozenset[str]:
         """Neighbors in the undirected skeleton (parents and children)."""
-        return frozenset(self._parents[name]) | frozenset(self.children(name))
+        return frozenset((*self._parents[name], *self._children[name]))
 
     # ------------------------------------------------------------------
-    # d-separation (moralized ancestral graph method)
+    # d-separation (Bayes-ball reachability)
     # ------------------------------------------------------------------
     def is_d_separated(self, x: str, targets: Iterable[str], given: Iterable[str]) -> bool:
         """True when every node in ``targets`` is d-separated from ``x`` by
         ``given``; certifies ``P(targets | given, x) = P(targets | given)``
         for all distributions factorizing over this DAG.
+
+        ``x`` inside ``given`` is ignored (it is the conditioning node, not
+        evidence), and a target inside ``given`` counts as separated.  The
+        search is Bayes-ball reachability (Shachter 1998; Koller & Friedman,
+        Algorithm 3.1): it walks the active trails out of ``x`` and stops at
+        the first target it reaches, so it visits only what ``x`` can reach.
+        Raises :class:`ValidationError` naming any unknown node.
         """
         targets = set(targets)
         given = set(given)
+        self._require_known(targets | given | {x})
         if x in targets:
             return False
+        given.discard(x)
+        targets -= given
         if not targets:
             return True
-        relevant = {x} | targets | given
-        ancestral = self._ancestral_closure(relevant)
-        adjacency = self._moralized_adjacency(ancestral)
-        # BFS from x avoiding the separator.
-        visited = {x}
-        frontier = [x]
-        while frontier:
-            node = frontier.pop()
-            for nxt in adjacency.get(node, ()):  # pragma: no branch
-                if nxt in given or nxt in visited:
+        # A collider passes the ball only if it or a descendant is observed.
+        opens_collider = self._ancestral_closure(given)
+        # The ball travels up (arrived from a child, or at x) or down
+        # (arrived from a parent); each (node, direction) is visited once.
+        up, down = [x], []
+        seen_up: set[str] = set()
+        seen_down: set[str] = set()
+        while up or down:
+            if up:
+                node = up.pop()
+                if node in seen_up:
                     continue
-                if nxt in targets:
+                seen_up.add(node)
+                if node in targets:
                     return False
-                visited.add(nxt)
-                frontier.append(nxt)
+                if node not in given:
+                    up.extend(self._parents[node])
+                    down.extend(self._children[node])
+            else:
+                node = down.pop()
+                if node in seen_down:
+                    continue
+                seen_down.add(node)
+                if node in targets:
+                    return False
+                if node not in given:
+                    down.extend(self._children[node])
+                if node in opens_collider:
+                    up.extend(self._parents[node])
         return True
+
+    def _require_known(self, names: set[str]) -> None:
+        unknown = names - self._states.keys()
+        if unknown:
+            raise ValidationError(f"unknown node(s) {sorted(unknown)!r}")
 
     def ancestral_closure(self, names: Iterable[str]) -> frozenset[str]:
         """``names`` plus every DAG ancestor of a named node.
@@ -270,9 +306,7 @@ class DiscreteBayesianNetwork:
         max-influence.
         """
         seed = set(names)
-        unknown = [n for n in seed if n not in self._states]
-        if unknown:
-            raise ValidationError(f"unknown node(s) {sorted(unknown)!r}")
+        self._require_known(seed)
         return frozenset(self._ancestral_closure(seed))
 
     def _ancestral_closure(self, seed: set[str]) -> set[str]:
@@ -285,19 +319,6 @@ class DiscreteBayesianNetwork:
                     closure.add(parent)
                     frontier.append(parent)
         return closure
-
-    def _moralized_adjacency(self, subset: set[str]) -> dict[str, set[str]]:
-        adjacency: dict[str, set[str]] = {n: set() for n in subset}
-        for node in subset:
-            parents = [p for p in self._parents[node] if p in subset]
-            for parent in parents:
-                adjacency[node].add(parent)
-                adjacency[parent].add(node)
-            # Marry co-parents.
-            for a, b in itertools.combinations(parents, 2):
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        return adjacency
 
     # ------------------------------------------------------------------
     # Markov quilt candidates
@@ -317,20 +338,21 @@ class DiscreteBayesianNetwork:
         ``X_N`` is the set of nodes still connected to ``node`` in the
         skeleton after deleting ``quilt_nodes``; ``X_R`` is the rest.  Returns
         ``None`` when d-separation fails (the candidate is not a valid quilt).
+        Raises :class:`ValidationError` naming any unknown node.
         """
-        quilt_set = frozenset(quilt_nodes) - {node}
-        remaining = [n for n in self._order if n not in quilt_set]
+        quilt_set = frozenset(quilt_nodes)
+        self._require_known(quilt_set | {node})
+        quilt_set -= {node}
         # Connected component of `node` in the skeleton minus the quilt.
         component = {node}
         frontier = [node]
-        remaining_set = set(remaining)
         while frontier:
             current = frontier.pop()
-            for nxt in self.undirected_neighbors(current):
-                if nxt in remaining_set and nxt not in component:
+            for nxt in (*self._parents[current], *self._children[current]):
+                if nxt not in quilt_set and nxt not in component:
                     component.add(nxt)
                     frontier.append(nxt)
-        remote = frozenset(remaining_set - component)
+        remote = frozenset(self._states.keys() - quilt_set - component)
         if remote and not self.is_d_separated(node, remote, quilt_set):
             return None
         return MarkovQuilt(node=node, quilt=quilt_set, nearby=frozenset(component), remote=remote)
@@ -462,7 +484,7 @@ class DiscreteBayesianNetwork:
         while frontier:
             next_frontier: list[str] = []
             for node in frontier:
-                for nxt in self.undirected_neighbors(node):
+                for nxt in (*self._parents[node], *self._children[node]):
                     if distances[nxt] == float("inf"):
                         distances[nxt] = distances[node] + 1
                         next_frontier.append(nxt)

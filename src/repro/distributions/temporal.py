@@ -23,7 +23,10 @@ for node ``i`` therefore survives exactly when:
    (ordered, including the nearby/remote partitions) to the one it was
    computed under, and
 2. for every candidate ``q`` of ``i``,
-   ``ancestral_closure(q.quilt | {i})`` avoids ``D``.
+   ``ancestral_closure(q.quilt | {i})`` avoids ``D``.  Since ``d`` lies in
+   ``ancestral_closure(S)`` exactly when ``S`` meets ``d``'s descendants,
+   this is checked as: neither ``i`` nor any ``q.quilt`` holds a node of
+   ``D`` or a descendant of one.
 
 Because the inference engine prunes barren nodes (factors outside the
 query's ancestral closure never enter the contraction), a surviving sigma
@@ -52,7 +55,7 @@ stream can run forever on a bounded node count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -413,24 +416,27 @@ class TemporalNetwork:
             # Pure-CPD edits preserve the DAG, and candidate enumeration is
             # structural — d-separation reads edges and cardinalities, never
             # CPD values — so the previous candidate lists replay verbatim
-            # and the O(nodes x candidates) moralization sweep is skipped.
+            # and the O(nodes x candidates) d-separation sweep is skipped.
             mechanism = MarkovQuiltMechanism(
                 [self._net], epsilon, quilt_sets=memo.mechanism.quilt_sets
             )
             mechanism.quilt_generator = quilt_generator
         reused = 0
         if memo is not None:
-            dirty: set[str] = set()
-            for edit in self._edits[memo.edit_index :]:
-                dirty.update(edit.dirty)
+            stale = self._descendants(
+                name
+                for edit in self._edits[memo.edit_index :]
+                for name in edit.dirty
+            )
             previous = memo.mechanism
             for node in self.nodes:
                 cached = previous._sigma_cache.get(node)
-                if cached is None:
+                if cached is None or node in stale:
                     continue
-                if mechanism.quilt_sets[node] != previous.quilt_sets.get(node):
+                candidates = mechanism.quilt_sets[node]
+                if candidates != previous.quilt_sets.get(node):
                     continue
-                if self._closures_avoid(mechanism, node, dirty):
+                if all(stale.isdisjoint(quilt.quilt) for quilt in candidates):
                     mechanism._sigma_cache[node] = cached
                     reused += 1
         mechanism.sigma_max()  # force every remaining node
@@ -448,24 +454,18 @@ class TemporalNetwork:
             cold=memo is None,
         )
 
-    def _closures_avoid(
-        self, mechanism: "MarkovQuiltMechanism", node: str, dirty: set[str]
-    ) -> bool:
-        """True when no candidate quilt closure of ``node`` touches ``dirty``.
-
-        The closure of candidate ``q`` is ``ancestral_closure(q.quilt |
-        {node})`` on the *current* network: the engine's barren-node pruning
-        makes ``P(X_Q | X_i)`` a function of exactly those CPDs, so a clean
-        closure means the old influence — and the old sigma — replays
-        bit-for-bit.
-        """
-        if not dirty:
-            return True
-        for quilt in mechanism.quilt_sets[node]:
-            closure = self._net.ancestral_closure(set(quilt.quilt) | {node})
-            if closure & dirty:
-                return False
-        return True
+    def _descendants(self, dirty: Iterable[str]) -> set[str]:
+        """The live nodes of ``dirty`` and all their descendants: the
+        nodes whose conditionals an edit of ``dirty`` can change (rule 2 of
+        the module docstring).  Retired names are not live and drop out."""
+        stale = {name for name in dirty if name in self._windows}
+        frontier = list(stale)
+        while frontier:
+            for child in self._net.children(frontier.pop()):
+                if child not in stale:
+                    stale.add(child)
+                    frontier.append(child)
+        return stale
 
 
 __all__ = [

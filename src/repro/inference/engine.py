@@ -13,6 +13,10 @@ loops, once per conditioning value.  This engine replaces enumeration with
   memoized per query shape,
 * all products and marginalizations run as ``np.einsum`` contractions
   (:func:`repro.inference.factor.contract`),
+* each bucket's message is memoized under the exact inputs of its
+  contraction, so the quilt candidates of a search — which share most of
+  their elimination work — contract each distinct bucket once; a hit
+  returns the very floats a recomputation would,
 * :meth:`InferenceEngine.conditional_tables` answers the mechanism's inner
   loop *batched*: one ``(k_node, *target_shape)`` tensor holding
   ``P(targets | node = v)`` for every ``v`` at once, from a single
@@ -32,8 +36,11 @@ orders, and cached marginals.
 
 from __future__ import annotations
 
+import itertools
+import operator
+import threading
 from collections import OrderedDict
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +53,13 @@ MAX_CACHED_ENGINES = 64
 #: Batched conditional tensors retained per engine (LRU by query shape).
 MAX_CACHED_TABLES = 128
 
+#: Cells of elimination messages retained per engine (LRU; 2^17 float64
+#: cells is 1 MiB).  A message is retained only if it fills at most 1/64 of
+#: the bound, so the memo always has room for 64 of them: a wide message
+#: belongs to the last buckets of one query and hardly ever repeats, while
+#: it would evict dozens of small ones that every candidate shares.
+MAX_MESSAGE_CELLS = 1 << 17
+
 
 class InferenceEngine:
     """Sum-product inference over one fixed network.
@@ -54,6 +68,10 @@ class InferenceEngine:
     it never mutates the network and is unaffected by (and unaware of) later
     ``add_node`` calls — :func:`engine_for` keys on the content fingerprint,
     so a grown network simply resolves to a fresh engine.
+
+    Registry engines are shared by threads: message ids come from one
+    atomic counter, and the message memo and the table cache change only
+    under the engine's lock.
     """
 
     def __init__(self, network) -> None:
@@ -72,6 +90,11 @@ class InferenceEngine:
         self._closure_cache: dict[frozenset, frozenset] = {}
         self._marginal_cache: dict[str, np.ndarray] = {}
         self._table_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+        # (eliminated variable, input ids) -> (message id, message).
+        self._messages: "OrderedDict[tuple, tuple[int, Factor]]" = OrderedDict()
+        self._message_cells = 0
+        self._message_ids = itertools.count()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Public queries
@@ -112,8 +135,8 @@ class InferenceEngine:
                 "condition on them via `given` only"
             )
         self._check_nodes(targets)
-        self._check_evidence(given)
-        joint = self._eliminate(targets, given).table
+        evidence = self._check_evidence(given)
+        joint = self._eliminate(targets, evidence).table
         total = float(joint.sum())
         if total <= 0.0:
             raise ValidationError(
@@ -159,10 +182,11 @@ class InferenceEngine:
         if len(set(targets)) != len(targets):
             raise ValidationError(f"targets must be distinct, got {targets!r}")
         key = (targets, node)
-        cached = self._table_cache.get(key)
-        if cached is not None:
-            self._table_cache.move_to_end(key)
-            return cached
+        with self._lock:
+            cached = self._table_cache.get(key)
+            if cached is not None:
+                self._table_cache.move_to_end(key)
+                return cached
         self._check_nodes(targets + (node,))
         joint = self._eliminate(targets + (node,), {}).table
         # Move the node axis first: joint axes are (targets..., node).
@@ -179,9 +203,10 @@ class InferenceEngine:
         # engine — a silently wrong conditional here would mis-calibrate
         # every later max_influence on an equal-content network.
         out.flags.writeable = False
-        self._table_cache[key] = out
-        while len(self._table_cache) > MAX_CACHED_TABLES:
-            self._table_cache.popitem(last=False)
+        with self._lock:
+            self._table_cache[key] = out
+            while len(self._table_cache) > MAX_CACHED_TABLES:
+                self._table_cache.popitem(last=False)
         return out
 
     # ------------------------------------------------------------------
@@ -192,16 +217,26 @@ class InferenceEngine:
         if unknown:
             raise ValidationError(f"unknown node(s) {unknown!r}")
 
-    def _check_evidence(self, given: Mapping[str, int]) -> None:
+    def _check_evidence(self, given: Mapping[str, int]) -> dict[str, int]:
+        """``given`` with every value checked to be an integral state."""
         self._check_nodes(tuple(given))
+        evidence: dict[str, int] = {}
         for name, value in given.items():
-            if not 0 <= int(value) < self._states[name]:
+            try:
+                state = operator.index(value)
+            except TypeError:
+                raise ValidationError(
+                    f"evidence {name}={value!r} is not an integral state index"
+                ) from None
+            if not 0 <= state < self._states[name]:
                 # An out-of-range state has probability zero by definition —
                 # surface it as the zero-probability conditioning error the
                 # enumeration path raised for the same input.
                 raise ValidationError(
                     f"conditioning event {dict(given)!r} has zero probability"
                 )
+            evidence[name] = state
+        return evidence
 
     def _ancestral_closure(self, seed: frozenset) -> frozenset:
         """``seed`` plus every DAG ancestor of a seed node (memoized).
@@ -227,43 +262,78 @@ class InferenceEngine:
         self._closure_cache[seed] = result
         return result
 
-    def _eliminate(self, keep: tuple[str, ...], given: Mapping[str, int]) -> Factor:
-        """Unnormalized ``sum_{others} P(X) * 1[given]`` over the kept axes."""
-        evidence = {name: int(value) for name, value in given.items()}
+    def _eliminate(self, keep: tuple[str, ...], evidence: Mapping[str, int]) -> Factor:
+        """Unnormalized ``sum_{others} P(X) * 1[evidence]`` over the kept axes.
+
+        ``evidence`` maps names to checked integral states.  Every factor
+        carries an id: a CPD's is its node plus its pinned evidence, a
+        message's is minted when it is computed.  A bucket's message is
+        memoized under ``(variable, ids of its inputs in order)``; equal keys
+        name the same ``contract`` of the same arrays in the same operand
+        order, so a hit returns exactly the floats recomputing would.
+        """
         relevant = self._ancestral_closure(frozenset(keep) | frozenset(evidence))
-        factors: list[Factor] = []
+        factors: list[tuple[Hashable, Factor]] = []
         scalar = 1.0
-        for name in self.nodes:
-            if name not in relevant:
-                continue  # barren: sums out to exactly 1
+        # Nodes outside the closure are barren: they sum out to exactly 1.
+        for name in sorted(relevant, key=self._position.__getitem__):
             factor = self._factor_of[name]
-            for var in factor.variables:
-                if var in evidence:
-                    factor = factor.restrict(var, evidence[var])
+            pins = tuple((v, evidence[v]) for v in factor.variables if v in evidence)
+            for var, value in pins:
+                factor = factor.restrict(var, value)
             if factor.is_scalar:
                 scalar *= factor.scalar()
             else:
-                factors.append(factor)
+                factors.append((name if not pins else (name, pins), factor))
         for var in self._elimination_order(
-            frozenset(keep), frozenset(evidence), factors
+            frozenset(keep), frozenset(evidence), [f for _, f in factors]
         ):
-            bucket = [f for f in factors if var in f.variables]
+            bucket = [entry for entry in factors if var in entry[1].variables]
             if not bucket:
                 continue
-            factors = [f for f in factors if var not in f.variables]
-            scope: set[str] = set()
-            for factor in bucket:
-                scope.update(factor.variables)
-            scope.discard(var)
-            reduced = contract(bucket, sorted(scope, key=self._position.__getitem__))
+            factors = [entry for entry in factors if var not in entry[1].variables]
+            ident, reduced = self._message(var, bucket)
             if reduced.is_scalar:
                 scalar *= reduced.scalar()
             else:
-                factors.append(reduced)
+                factors.append((ident, reduced))
         if not factors:
             return Factor((), np.asarray(scalar))
-        result = contract(factors, keep)
+        result = contract([f for _, f in factors], keep)
         return Factor(keep, result.table * scalar)
+
+    def _message(
+        self, var: str, bucket: list[tuple[Hashable, Factor]]
+    ) -> tuple[int, Factor]:
+        """The bucket's product with ``var`` summed out, memoized (LRU by
+        cells, at most :data:`MAX_MESSAGE_CELLS`)."""
+        key = (var, tuple(ident for ident, _ in bucket))
+        with self._lock:
+            hit = self._messages.get(key)
+            if hit is not None:
+                self._messages.move_to_end(key)
+                return hit
+        scope: set[str] = set()
+        for _, factor in bucket:
+            scope.update(factor.variables)
+        scope.discard(var)
+        reduced = contract(
+            [f for _, f in bucket], sorted(scope, key=self._position.__getitem__)
+        )
+        reduced.table.flags.writeable = False
+        entry = (next(self._message_ids), reduced)
+        cells = reduced.table.size
+        with self._lock:
+            hit = self._messages.get(key)
+            if hit is not None:  # another thread computed it meanwhile
+                return hit
+            if cells <= MAX_MESSAGE_CELLS // 64:
+                self._messages[key] = entry
+                self._message_cells += cells
+                while self._message_cells > MAX_MESSAGE_CELLS:
+                    _, (_, evicted) = self._messages.popitem(last=False)
+                    self._message_cells -= evicted.table.size
+        return entry
 
     def _elimination_order(
         self, keep: frozenset, removed: frozenset, factors: Sequence[Factor]

@@ -1,8 +1,14 @@
 """Unit tests for the discrete Bayesian-network substrate."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given as for_all
+from hypothesis import settings
+from hypothesis import strategies as st
 
+from repro.distributions import structured
 from repro.distributions.bayesnet import DiscreteBayesianNetwork
 from repro.exceptions import ValidationError
 
@@ -167,3 +173,200 @@ class TestInference:
 
     def test_joint_size(self, diamond):
         assert diamond.joint_size() == 16
+
+
+class TestIntegralEvidence:
+    """Evidence values are state indices: a float or a string is refused,
+    never truncated to a neighbouring state."""
+
+    @pytest.fixture
+    def chain3(self):
+        return DiscreteBayesianNetwork.chain(
+            np.array([0.6, 0.4]), np.array([[0.85, 0.15], [0.2, 0.8]]), 3
+        )
+
+    @pytest.mark.parametrize("value", [1.7, 0.2, 1.0, np.float64(1.0), "1", None])
+    def test_non_integral_evidence_is_refused(self, chain3, value):
+        with pytest.raises(ValidationError, match="integral"):
+            chain3.conditional_table(["X2"], {"X1": value})
+        with pytest.raises(ValidationError, match="integral"):
+            chain3.inference_engine().marginals_given(("X2",), {"X1": value})
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.uint8(1), True])
+    def test_integral_evidence_matches_int(self, chain3, value):
+        expected = chain3.conditional_table(["X2", "X1"], {"X1": 1})
+        assert chain3.conditional_table(["X2", "X1"], {"X1": value}) == expected
+
+
+# ----------------------------------------------------------------------
+# Bayes-ball versus the moralized-ancestral-graph criterion
+# ----------------------------------------------------------------------
+def moralized_d_separated(net, x, targets, given) -> bool:
+    """The reference d-separation test: BFS from ``x`` avoiding ``given`` in
+    the moralized graph of ``ancestral_closure({x} | targets | given)``
+    (Lauritzen et al. 1990).  ``is_d_separated`` must answer exactly as this
+    does, including for ``x`` in ``given`` and targets in ``given``."""
+    targets = set(targets)
+    given = set(given)
+    if x in targets:
+        return False
+    if not targets:
+        return True
+    ancestral = net.ancestral_closure({x} | targets | given)
+    adjacency = {n: set() for n in ancestral}
+    for node in ancestral:
+        parents = [p for p in net.parents(node) if p in ancestral]
+        for parent in parents:
+            adjacency[node].add(parent)
+            adjacency[parent].add(node)
+        for a, b in itertools.combinations(parents, 2):  # marry co-parents
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    visited = {x}
+    frontier = [x]
+    while frontier:
+        for nxt in adjacency[frontier.pop()]:
+            if nxt in given or nxt in visited:
+                continue
+            if nxt in targets:
+                return False
+            visited.add(nxt)
+            frontier.append(nxt)
+    return True
+
+
+def dag_from_parents(parent_lists) -> DiscreteBayesianNetwork:
+    """Binary nodes ``V0..V{n-1}``; d-separation reads only the DAG."""
+    net = DiscreteBayesianNetwork()
+    for i, parents in enumerate(parent_lists):
+        names = [f"V{p}" for p in parents]
+        net.add_node(f"V{i}", 2, parents=names, cpd=np.full((2,) * (len(names) + 1), 0.5))
+    return net
+
+
+@st.composite
+def dsep_queries(draw):
+    """A DAG of at most 12 nodes of one shape, and an ``(x, targets,
+    given)`` query in which ``x`` and some targets may sit inside
+    ``given``."""
+    shape = draw(st.sampled_from(["chain", "tree", "v-structures", "components", "random"]))
+    n = draw(st.integers(1, 12))
+    parent_lists = [[]]
+    for i in range(1, n):
+        earlier = st.integers(0, i - 1)
+        if shape == "chain":
+            parents = [i - 1]
+        elif shape == "tree":
+            parents = [draw(earlier)]
+        elif shape == "v-structures":
+            parents = draw(st.lists(earlier, min_size=min(i, 2), max_size=2, unique=True))
+        elif shape == "components":
+            parents = draw(st.lists(earlier, max_size=1))
+        else:
+            parents = draw(st.lists(earlier, max_size=3, unique=True))
+        parent_lists.append(parents)
+    net = dag_from_parents(parent_lists)
+    nodes = st.sampled_from(net.nodes)
+    x = draw(nodes)
+    targets = draw(st.sets(nodes, max_size=n))
+    given = draw(st.sets(nodes, max_size=n))
+    if draw(st.booleans()):
+        given.add(x)
+    if targets and draw(st.booleans()):
+        given.add(draw(st.sampled_from(sorted(targets))))
+    return net, x, targets, given
+
+
+class TestBayesBall:
+    @settings(max_examples=400, deadline=None)
+    @for_all(dsep_queries())
+    def test_matches_moralized_oracle(self, query):
+        net, x, targets, given = query
+        assert net.is_d_separated(x, targets, given) == moralized_d_separated(
+            net, x, targets, given
+        )
+
+    def test_x_in_given_is_ignored(self):
+        """A naive Bayes-ball would block every trail at an observed ``x``."""
+        chain4 = DiscreteBayesianNetwork.chain(
+            np.array([0.8, 0.2]), np.array([[0.9, 0.1], [0.4, 0.6]]), 4
+        )
+        assert not chain4.is_d_separated("X2", {"X4"}, {"X2"})
+        assert chain4.is_d_separated("X2", {"X4"}, {"X2", "X3"})
+
+    def test_target_in_given_counts_as_separated(self, chain5):
+        assert chain5.is_d_separated("X1", {"X2"}, {"X2"})
+        assert chain5.is_d_separated("X1", {"X2", "X3"}, {"X2", "X4"})
+        assert not chain5.is_d_separated("X3", {"X2", "X5"}, {"X2"})
+
+    def test_children_index_follows_insertion_order(self, diamond):
+        diamond.add_node("X0", 2, parents=["X1", "X4"], cpd=np.full((2, 2, 2), 0.5))
+        assert diamond.children("X1") == ("X2", "X3", "X0")
+        assert diamond.children("X4") == ("X0",)
+        diamond.update_cpd("X2", [[0.5, 0.5], [0.5, 0.5]])
+        assert diamond.children("X1") == ("X2", "X3", "X0")
+        assert diamond.undirected_neighbors("X4") == frozenset({"X2", "X3", "X0"})
+
+
+def _structure(scenario):
+    """A scenario's reference network and generator (only the DAG matters)."""
+    return scenario.reference, scenario.quilt_generator
+
+
+CERTIFICATION_CASES = {
+    "grid-4x5": lambda: _structure(structured.grid_scenario(4, 5)),
+    "hub-5x4": lambda: _structure(structured.hub_and_spoke_scenario(5, 4)),
+    "blocks-6x5": lambda: _structure(structured.household_blocks_scenario(6, 5)),
+    "distance-shells": lambda: (
+        structured.grid_network(4, 5),
+        lambda net, node: net.distance_quilts(node),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATION_CASES))
+def test_every_candidate_certifies_as_the_oracle_does(case):
+    """Each d-separation check a quilt generator makes — the certificate
+    behind every candidate it keeps or drops — answers as the oracle."""
+    net, generator = CERTIFICATION_CASES[case]()
+    calls = []
+    check = net.is_d_separated
+
+    def recording(x, targets, given):
+        answer = check(x, targets, given)
+        calls.append((x, frozenset(targets), frozenset(given), answer))
+        return answer
+
+    net.is_d_separated = recording
+    for node in net.nodes:
+        generator(net, node)
+    assert calls
+    for x, targets, given, answer in calls:
+        assert answer == moralized_d_separated(net, x, targets, given), (x, sorted(given))
+
+
+class TestUnknownNodes:
+    """Unknown names raise instead of surfacing as a ``KeyError`` or a
+    quilt that holds a node the network does not have."""
+
+    @pytest.fixture
+    def chain4(self):
+        return DiscreteBayesianNetwork.chain(
+            np.array([0.8, 0.2]), np.array([[0.9, 0.1], [0.4, 0.6]]), 4
+        )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda net: net.is_d_separated("X1", {"X9"}, {"X2"}),
+            lambda net: net.is_d_separated("X9", {"X1"}, set()),
+            lambda net: net.is_d_separated("X1", {"X4"}, {"X9"}),
+            lambda net: net.is_d_separated("X1", set(), {"X9"}),
+            lambda net: net.quilt_from_set("X1", {"X9"}),
+            lambda net: net.quilt_from_set("X9", {"X2"}),
+        ],
+        ids=["target", "x", "given", "given-no-targets", "quilt-node", "node"],
+    )
+    def test_raises_validation_error_naming_the_node(self, chain4, call):
+        with pytest.raises(ValidationError, match="X9"):
+            call(chain4)
