@@ -75,9 +75,7 @@ def composition_demo() -> None:
     print(f"releasing with eps={per_release_eps} per query, budget 2.0:")
     while True:
         try:
-            accountant.record(
-                per_release_eps, mechanism="MQMExact", quilt_signature=signature
-            )
+            accountant.record(per_release_eps, quilt_signature=signature)
         except PrivacyParameterError as stop:
             print(f"  stopped: {stop}")
             break

@@ -8,7 +8,7 @@ from repro.core.accounting import (
     RenyiAccountant,
     pure_rdp_curve,
 )
-from repro.core.composition import CompositionAccountant, CompositionRecord
+from repro.core.composition import CompositionAccountant
 from repro.core.framework import (
     PufferfishInstantiation,
     Secret,
@@ -52,7 +52,6 @@ __all__ = [
     "BaseAccountant",
     "Calibration",
     "CompositionAccountant",
-    "CompositionRecord",
     "CountQuery",
     "DataModel",
     "FluCliqueModel",

@@ -17,12 +17,20 @@ Two accountants enforce one epsilon budget behind one interface:
 Both accountants subclass :class:`BaseAccountant`, which owns the entire
 check-then-record cycle: the lock discipline (one reentrant mutex around
 check *and* commit, so concurrent recorders can never jointly over-spend),
-input validation, the same-quilt signature condition, the audit trail, and
-the :class:`~repro.exceptions.BudgetExhaustedError` payload (including the
+input validation, the same-quilt signature condition, the durable
+``state_dict`` round trip, and the
+:class:`~repro.exceptions.BudgetExhaustedError` payload (including the
 structured ``accountant`` field naming the class that refused).  Subclasses
 only provide the arithmetic — what a release costs and what the running
 total converts to — so the two accountants cannot drift on thread safety or
 pickling behavior.
+
+An accountant *is* its aggregates.  Theorem 4.4 reads only the release
+count, the largest per-release epsilon and the shared quilt signature; the
+Rényi ledger adds its running divergence curve.  No per-release log is
+kept, so memory and :meth:`BaseAccountant.state_dict` stay O(1) however
+many releases a ledger has served, and ``state_dict`` /
+:func:`accountant_from_state` is the one way to persist and restore one.
 
 Soundness of the Rényi ledger
 -----------------------------
@@ -50,8 +58,9 @@ on randomized schedules).
 from __future__ import annotations
 
 import math
+import operator
 import threading
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
@@ -91,28 +100,6 @@ def pure_rdp_curve(epsilon: float, orders: np.ndarray) -> np.ndarray:
     return np.minimum(float(epsilon), quadratic)
 
 
-@dataclass(frozen=True)
-class CompositionRecord:
-    """One recorded release.
-
-    ``rdp_orders`` / ``rdp_values`` carry the release's *own* Rényi cost
-    curve (the mechanism-supplied ``rdp_curve`` evaluated on the recording
-    accountant's order grid) whenever one was charged; ``None`` for pure
-    releases, whose curve is reproducible from ``epsilon`` alone.  They make
-    the audit trail a *complete* ledger: a
-    :class:`RenyiAccountant` rebuilt from its trail (restart-from-trail,
-    pickling ``records`` separately, a durable store replaying history)
-    recovers bit-identical running totals instead of falling back to the
-    conservative pure-release envelope — the PR 6 restart bug.
-    """
-
-    epsilon: float
-    mechanism: str
-    quilt_signature: Hashable
-    rdp_orders: tuple[float, ...] | None = None
-    rdp_values: tuple[float, ...] | None = None
-
-
 def encode_signature(signature: Hashable) -> Any:
     """A quilt signature as a JSON-safe value (tuples tagged, scalars raw).
 
@@ -139,68 +126,42 @@ def decode_signature(encoded: Any) -> Hashable:
     return encoded
 
 
-def _encode_trail(records: Sequence[CompositionRecord]) -> list[dict]:
-    """The audit trail as JSON-safe run-length groups.
+def check_count(value: Any, name: str, *, minimum: int = 1) -> int:
+    """``value`` as an ``int`` after checking it is an integral count of at
+    least ``minimum``.
 
-    Consecutive references to the *same* record object (how ``record_many``
-    appends batches) collapse into one group, so the encoding preserves the
-    exact grouping the running totals were accumulated with — decoding and
-    replaying reproduces them bit for bit.
+    ``operator.index`` refuses ``2.5``, ``2.0``, NaN and ``"2"`` instead of
+    truncating them, so a ledger is never charged for a count the caller
+    did not serve.  Call it before taking any lock.
     """
-    groups: list[dict] = []
-    index = 0
-    while index < len(records):
-        record = records[index]
-        count = 1
-        while index + count < len(records) and records[index + count] is record:
-            count += 1
-        groups.append(
-            {
-                "n": count,
-                "epsilon": record.epsilon,
-                "mechanism": record.mechanism,
-                "quilt_signature": encode_signature(record.quilt_signature),
-                "rdp_orders": (
-                    None if record.rdp_orders is None else list(record.rdp_orders)
-                ),
-                "rdp_values": (
-                    None if record.rdp_values is None else list(record.rdp_values)
-                ),
-            }
-        )
-        index += count
-    return groups
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise PrivacyParameterError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
+    if count < minimum:
+        raise PrivacyParameterError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
-def _decode_trail(groups: Sequence[Mapping]) -> list[CompositionRecord]:
-    """Inverse of :func:`_encode_trail` (group identity preserved)."""
-    records: list[CompositionRecord] = []
-    for group in groups:
-        record = CompositionRecord(
-            float(group["epsilon"]),
-            str(group["mechanism"]),
-            decode_signature(group["quilt_signature"]),
-            rdp_orders=(
-                None
-                if group.get("rdp_orders") is None
-                else tuple(float(a) for a in group["rdp_orders"])
-            ),
-            rdp_values=(
-                None
-                if group.get("rdp_values") is None
-                else tuple(float(v) for v in group["rdp_values"])
-            ),
-        )
-        records.extend([record] * int(group["n"]))
-    return records
+def check_charge(
+    n_releases: Any, epsilon: float, *, minimum: int = 1
+) -> tuple[int, float]:
+    """One ``(n_releases, epsilon)`` charge as ``(int, float)``: an integral
+    count of at least ``minimum`` (:func:`check_count`) at a positive
+    epsilon (NaN refused too) — the one check every accounting entry point
+    runs before it touches a ledger."""
+    if not epsilon > 0:  # written so that NaN is refused too
+        raise PrivacyParameterError(f"epsilon must be positive, got {epsilon}")
+    return check_count(n_releases, "n_releases", minimum=minimum), float(epsilon)
 
 
 class BaseAccountant:
     """The shared check-then-record contract of every budget accountant.
 
-    Subclasses are dataclasses exposing ``budget`` / ``records`` /
-    ``audit_trail`` fields and implement three arithmetic hooks — all called
-    with the mutex held:
+    Subclasses are dataclasses exposing a ``budget`` field and implement
+    three arithmetic hooks — all called with the mutex held:
 
     * :meth:`_stage_locked` — the prospective total if an ordered list of
       ``(n_releases, epsilon)`` charges were admitted, plus an opaque commit
@@ -212,23 +173,30 @@ class BaseAccountant:
     Everything else — the reentrant mutex around the whole
     check-then-record cycle, ``__getstate__``/``__setstate__`` dropping and
     rebuilding the lock for pickling, parameter validation, the Theorem 4.4
-    same-quilt signature condition, the audit trail / ``audit_trail=False``
-    aggregates-only mode, and the structured
-    :class:`~repro.exceptions.BudgetExhaustedError` payload — lives here
-    once, so the accountants cannot drift on any of it.
+    same-quilt signature condition, the :meth:`state_dict` round trip, and
+    the structured :class:`~repro.exceptions.BudgetExhaustedError` payload —
+    lives here once, so the accountants cannot drift on any of it.
+    ``audit_trail`` survives only as a constructor keyword that must be
+    ``False``: no accountant keeps anything per release.
     """
 
     # -- runtime state shared by all subclasses -------------------------
-    def _init_runtime(self) -> None:
+    def _init_runtime(self, audit_trail: bool = False) -> None:
         """Build the non-field runtime state (called from __post_init__)."""
+        if audit_trail:
+            raise PrivacyParameterError(
+                "the per-release audit trail is gone: accountants keep "
+                "aggregates only, so audit_trail must be False; persist a "
+                "ledger with state_dict() and accountant_from_state()"
+            )
         # NaN compares false against every total, so it would admit without
         # limit; ``None`` is the one spelling of "unlimited".
         if self.budget is not None and math.isnan(self.budget):
             raise PrivacyParameterError(
                 f"budget must be a number or None, got {self.budget}"
             )
-        self._count = len(self.records)
-        self._signatures = {r.quilt_signature for r in self.records}
+        self._count = 0
+        self._signatures = set()
         # Reentrant so locked methods may call other locked methods
         # (total_epsilon -> is_composable).  Dropped/rebuilt across pickling.
         self._mutex = threading.RLock()
@@ -262,74 +230,48 @@ class BaseAccountant:
         """Commit a token produced by :meth:`_stage_locked` (mutex held)."""
         raise NotImplementedError
 
-    def _trail_curve_locked(
-        self, epsilon: float, rdp_curve: RdpCurve | None, token: Any
-    ) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
-        """The ``(orders, values)`` to persist in this release's trail
-        record, or ``None`` when ``epsilon`` alone reproduces the cost
-        (mutex held; ``token`` is the staged commit token, so accountants
-        that already evaluated the curve need not evaluate it twice).
-
-        The base returns ``None`` — linear accounting never charges curves,
-        so its trail carries nothing to lose.
-        """
-        return None
-
     # -- the one check-then-record cycle --------------------------------
     def record(
         self,
         epsilon: float,
         *,
-        mechanism: str = "MQM",
         quilt_signature: Hashable = None,
         rdp_curve: RdpCurve | None = None,
-    ) -> CompositionRecord:
+    ) -> None:
         """Register a release; raises if it would exceed the budget or break
         the same-quilt condition."""
-        return self.record_many(
-            1,
-            epsilon,
-            mechanism=mechanism,
-            quilt_signature=quilt_signature,
-            rdp_curve=rdp_curve,
-        )[0]
+        self.record_many(
+            1, epsilon, quilt_signature=quilt_signature, rdp_curve=rdp_curve
+        )
 
     def record_many(
         self,
         n_releases: int,
         epsilon: float,
         *,
-        mechanism: str = "MQM",
         quilt_signature: Hashable = None,
         rdp_curve: RdpCurve | None = None,
-    ) -> list[CompositionRecord]:
+    ) -> None:
         """Register ``n_releases`` identical releases atomically.
 
         The serving layer's batched path records whole batches through here;
         either every release fits under the budget (and shares the standing
-        quilt signature) or none is recorded.  The audit trail stores one
-        frozen record object referenced ``n_releases`` times.
+        quilt signature) or none is recorded.  ``n_releases`` must be an
+        integer (:func:`check_charge`).
 
         ``rdp_curve`` optionally supplies the releases' own Rényi cost curve
         (mechanisms exposing ``rdp_curve``, e.g. the Gaussian MQM); the
         linear accountant ignores it, the Rényi accountant uses it in place
         of the conservative pure-release curve.
         """
-        if not epsilon > 0:  # written so that NaN is refused too
-            raise PrivacyParameterError(f"epsilon must be positive, got {epsilon}")
-        if n_releases < 1:
-            raise PrivacyParameterError(
-                f"n_releases must be >= 1, got {n_releases}"
-            )
+        n_releases, epsilon = check_charge(n_releases, epsilon)
         with self._mutex:
             if self._signatures and quilt_signature not in self._signatures:
                 raise PrivacyParameterError(
                     "releases use different active Markov quilts; Theorem 4.4 does "
                     "not apply and Pufferfish privacy may not compose"
                 )
-            total, token = self._stage_locked(
-                [(n_releases, float(epsilon))], rdp_curve
-            )
+            total, token = self._stage_locked([(n_releases, epsilon)], rdp_curve)
             if self.budget is not None and total > self.budget + BUDGET_ATOL:
                 spent = self._spent_locked()
                 raise BudgetExhaustedError(
@@ -344,24 +286,9 @@ class BaseAccountant:
                     n_completed=0,
                     accountant=type(self).__name__,
                 )
-            trail_curve = (
-                self._trail_curve_locked(float(epsilon), rdp_curve, token)
-                if self.audit_trail
-                else None
-            )
             self._apply_locked(token)
-            record = CompositionRecord(
-                float(epsilon),
-                mechanism,
-                quilt_signature,
-                rdp_orders=None if trail_curve is None else trail_curve[0],
-                rdp_values=None if trail_curve is None else trail_curve[1],
-            )
-            if self.audit_trail:
-                self.records.extend([record] * n_releases)
             self._count += n_releases
             self._signatures.add(quilt_signature)
-            return [record] * n_releases
 
     # -- shared reads ----------------------------------------------------
     @property
@@ -404,23 +331,12 @@ class BaseAccountant:
         the service ledger previews every outstanding reservation's
         unconsumed remainder plus the new request, and refuses the
         reservation — not the eventual release — when the total would
-        overshoot (see :mod:`repro.service.ledger`).
+        overshoot (see :mod:`repro.service.ledger`).  Counts must be
+        integers ``>= 0`` (a zero count prices nothing).
         """
-        staged: list[tuple[int, float]] = []
-        for n_releases, epsilon in charges:
-            if n_releases < 0:
-                raise PrivacyParameterError(
-                    f"n_releases must be >= 0, got {n_releases}"
-                )
-            if n_releases == 0:
-                continue
-            if not epsilon > 0:
-                raise PrivacyParameterError(
-                    f"epsilon must be positive, got {epsilon}"
-                )
-            staged.append((int(n_releases), float(epsilon)))
+        staged = [check_charge(n, epsilon, minimum=0) for n, epsilon in charges]
         with self._mutex:
-            return self._stage_locked(staged, None)[0]
+            return self._stage_locked([c for c in staged if c[0]], None)[0]
 
     # -- durable serialization -------------------------------------------
     #: Discriminator stored in :meth:`state_dict`; subclass responsibility.
@@ -437,20 +353,19 @@ class BaseAccountant:
     def state_dict(self) -> dict:
         """The complete ledger as a JSON-safe dict.
 
-        Everything the budget enforcement depends on rides along — count,
-        the linear worst-epsilon or the full Rényi running curve, the quilt
-        signatures, and the audit trail (when one is kept) with per-release
-        RDP curves.  :func:`accountant_from_state` inverts it
-        **bit-identically**: the aggregates are restored verbatim rather
-        than replayed, so float-summation order cannot drift and
-        ``eps(delta)`` round-trips exactly — the property the durable
-        tenant ledgers are built on.
+        The ledger is its aggregates, and all of them ride along: count,
+        the quilt signatures, and the linear worst-epsilon, the full Rényi
+        running curve or the sliding window buckets.  Its size does not
+        depend on how many releases were recorded.
+        :func:`accountant_from_state` inverts it **bit-identically**: the
+        aggregates are restored verbatim rather than replayed, so
+        float-summation order cannot drift and ``eps(delta)`` round-trips
+        exactly — the property the durable tenant ledgers are built on.
         """
         with self._mutex:
             state: dict[str, Any] = {
                 "kind": self._STATE_KIND,
                 "budget": None if self.budget is None else float(self.budget),
-                "audit_trail": bool(self.audit_trail),
                 "count": int(self._count),
                 "signatures": sorted(
                     (encode_signature(s) for s in self._signatures),
@@ -458,13 +373,10 @@ class BaseAccountant:
                 ),
             }
             state.update(self._state_extra_locked())
-            if self.records:
-                state["trail"] = _encode_trail(self.records)
             return state
 
     def _restore_state(self, state: Mapping) -> None:
         with self._mutex:
-            self.records = _decode_trail(state.get("trail") or [])
             self._count = int(state["count"])
             self._signatures = {
                 decode_signature(s) for s in state["signatures"]
@@ -478,29 +390,27 @@ def accountant_from_state(state: Mapping) -> BaseAccountant:
     The restored ledger enforces identically to the one that was dumped:
     same budget decisions on the same future schedule, bit-identical
     ``eps(delta)`` for Rényi ledgers (running curves restored verbatim,
-    never re-derived through the envelope).
+    never re-derived through the envelope).  States written while
+    accountants could keep an audit trail also carry ``audit_trail`` and
+    ``trail`` keys; neither is read, so such a state restores to the same
+    spend and its next :meth:`~BaseAccountant.state_dict` drops both.
     """
     kind = state.get("kind")
     if kind == "linear":
         from repro.core.composition import CompositionAccountant
 
-        accountant: BaseAccountant = CompositionAccountant(
-            budget=state["budget"], audit_trail=bool(state["audit_trail"])
-        )
+        accountant: BaseAccountant = CompositionAccountant(budget=state["budget"])
     elif kind == "renyi":
         accountant = RenyiAccountant(
             budget=state["budget"],
             delta=float(state["delta"]),
             orders=tuple(float(a) for a in state["orders"]),
-            audit_trail=bool(state["audit_trail"]),
         )
     elif kind == "sliding":
         from repro.core.windowed import SlidingWindowAccountant
 
         accountant = SlidingWindowAccountant(
-            budget=state["budget"],
-            window_span=int(state["window_span"]),
-            audit_trail=bool(state["audit_trail"]),
+            budget=state["budget"], window_span=int(state["window_span"])
         )
     else:
         raise PrivacyParameterError(
@@ -544,24 +454,24 @@ class RenyiAccountant(BaseAccountant):
         ``inf``; ``inf`` is always appended if missing (it is what makes
         the accountant never-worse-than-linear).
     audit_trail:
-        As for the linear accountant: ``False`` keeps only O(1) aggregates.
+        Accepted only as ``False`` (see :class:`BaseAccountant`): the
+        running curve is the whole ledger.
     """
 
     budget: float | None = None
     delta: float = 1e-6
     orders: Sequence[float] = DEFAULT_ORDERS
-    records: list[CompositionRecord] = field(default_factory=list)
-    audit_trail: bool = True
+    audit_trail: InitVar[bool] = False
 
     _STATE_KIND = "renyi"
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, audit_trail: bool) -> None:
         if not 0.0 < self.delta < 1.0:
             raise PrivacyParameterError(
                 f"delta must be in (0, 1), got {self.delta}"
             )
         orders = tuple(float(a) for a in self.orders)
-        if any(a <= 1.0 for a in orders):
+        if any(not a > 1.0 for a in orders):  # written so that NaN is refused too
             raise PrivacyParameterError(
                 f"all Rényi orders must be > 1, got {sorted(orders)}"
             )
@@ -574,42 +484,7 @@ class RenyiAccountant(BaseAccountant):
             self._overhead = math.log(1.0 / self.delta) / (self._order_array - 1.0)
         self._overhead[np.isinf(self._order_array)] = 0.0
         self._rdp = np.zeros_like(self._order_array)
-        self._init_runtime()
-        if self.records:
-            # Rebuild the running curve from the audit trail, **exactly**:
-            # records carry the mechanism-supplied curve they were charged
-            # (``rdp_values`` on this accountant's grid), so Gaussian
-            # releases replay at their true cost, not the conservative
-            # pure-epsilon envelope (the PR 6 restart bug).  Consecutive
-            # references to one record object — how ``record_many`` appends
-            # batches — are re-grouped so the ``_rdp + n * costs``
-            # accumulation repeats the original float-summation order bit
-            # for bit (object identity survives pickling: the pickle memo
-            # restores repeated references as one object).
-            index = 0
-            while index < len(self.records):
-                record = self.records[index]
-                count = 1
-                while (
-                    index + count < len(self.records)
-                    and self.records[index + count] is record
-                ):
-                    count += 1
-                self._rdp = self._rdp + count * self._record_costs(record)
-                index += count
-
-    def _record_costs(self, record: CompositionRecord) -> np.ndarray:
-        """One trail record's per-order cost curve, exactly as charged."""
-        if record.rdp_values is None:
-            return pure_rdp_curve(record.epsilon, self._order_array)
-        if tuple(record.rdp_orders or ()) != self.orders:
-            raise PrivacyParameterError(
-                f"audit-trail record carries an RDP curve on order grid "
-                f"{record.rdp_orders}, but this accountant uses "
-                f"{self.orders}; rebuild with the recording accountant's "
-                f"grid — re-gridding a curve is not sound"
-            )
-        return np.asarray(record.rdp_values, dtype=float)
+        self._init_runtime(audit_trail)
 
     # -- arithmetic hooks -------------------------------------------------
     def _costs(self, epsilon: float, rdp_curve: RdpCurve | None) -> np.ndarray:
@@ -645,28 +520,15 @@ class RenyiAccountant(BaseAccountant):
         rdp_curve: RdpCurve | None,
     ) -> tuple[float, Any]:
         # Charge by charge, in order: the same float-summation sequence as
-        # recording them one ``record_many`` at a time.  The token keeps the
-        # last charge's curve — record_many's only one — for the trail.
-        prospective, costs = self._rdp, None
+        # recording them one ``record_many`` at a time.  The token is the
+        # prospective curve itself.
+        prospective = self._rdp
         for n_releases, epsilon in charges:
-            costs = self._costs(epsilon, rdp_curve)
-            prospective = prospective + n_releases * costs
-        total = float(np.min(prospective + self._overhead))
-        return total, (prospective, costs)
+            prospective = prospective + n_releases * self._costs(epsilon, rdp_curve)
+        return float(np.min(prospective + self._overhead)), prospective
 
-    def _apply_locked(self, token: tuple[np.ndarray, np.ndarray]) -> None:
-        self._rdp = token[0]
-
-    def _trail_curve_locked(
-        self, epsilon: float, rdp_curve: RdpCurve | None, token: Any
-    ) -> tuple[tuple[float, ...], tuple[float, ...]] | None:
-        # Pure releases reproduce from epsilon alone; mechanism-supplied
-        # curves are persisted on this accountant's grid (already evaluated
-        # during staging — the token carries them) so restart-from-trail
-        # replays them exactly instead of the conservative envelope.
-        if rdp_curve is None:
-            return None
-        return self.orders, tuple(float(c) for c in token[1])
+    def _apply_locked(self, token: np.ndarray) -> None:
+        self._rdp = token
 
     def _state_extra_locked(self) -> dict:
         return {

@@ -10,7 +10,7 @@ exactly ``K * eps`` when the levels are equal).
 condition via a hashable *quilt signature* (see
 :meth:`~repro.core.markov_quilt.MarkovQuiltMechanism.quilt_signature`), and
 reports the accumulated guarantee.  The check-then-record cycle, lock
-discipline, audit trail, and refusal payload all live in the shared
+discipline, durable state, and refusal payload all live in the shared
 :class:`~repro.core.accounting.BaseAccountant` — this module only supplies
 the linear arithmetic.  The Rényi alternative
 (:class:`~repro.core.accounting.RenyiAccountant`) implements the same
@@ -19,17 +19,13 @@ contract with strong-composition arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.core.accounting import (
-    BaseAccountant,
-    CompositionRecord,
-    RdpCurve,
-)
+from repro.core.accounting import BaseAccountant, RdpCurve
 from repro.exceptions import PrivacyParameterError
 
-__all__ = ["CompositionAccountant", "CompositionRecord", "compose_epsilons"]
+__all__ = ["CompositionAccountant", "compose_epsilons"]
 
 
 @dataclass
@@ -37,10 +33,9 @@ class CompositionAccountant(BaseAccountant):
     """Tracks Markov Quilt Mechanism releases over one database.
 
     The Theorem 4.4 guarantee only depends on ``(count, max epsilon, shared
-    signature)``, so those aggregates are maintained incrementally — every
-    budget check is O(1) however many releases a long-lived engine has
-    served.  ``records`` remains the full audit trail; treat it as read-only
-    (mutating it externally desynchronizes the aggregates).
+    signature)``, so those aggregates are the whole ledger, maintained
+    incrementally — every budget check is O(1) and memory is constant
+    however many releases a long-lived engine has served.
 
     **Thread safety.**  The check-then-record cycle of
     :meth:`~repro.core.accounting.BaseAccountant.record_many` holds an
@@ -59,22 +54,19 @@ class CompositionAccountant(BaseAccountant):
         Optional total epsilon budget; ``record`` raises once the
         accumulated guarantee would exceed it.
     audit_trail:
-        When ``True`` (default) every release appends to ``records``.  An
-        indefinite stream debits per yield, so its trail grows linearly with
-        releases served; ``audit_trail=False`` keeps only the O(1)
-        aggregates (count, worst epsilon, signatures) — same enforcement,
-        constant memory, empty ``records``.
+        Accepted only as ``False``; ``True`` raises
+        :class:`~repro.exceptions.PrivacyParameterError` (no accountant keeps
+        a per-release trail).
     """
 
     budget: float | None = None
-    records: list[CompositionRecord] = field(default_factory=list)
-    audit_trail: bool = True
+    audit_trail: InitVar[bool] = False
 
     _STATE_KIND = "linear"
 
-    def __post_init__(self) -> None:
-        self._worst = max((r.epsilon for r in self.records), default=0.0)
-        self._init_runtime()
+    def __post_init__(self, audit_trail: bool) -> None:
+        self._worst = 0.0
+        self._init_runtime(audit_trail)
 
     # -- linear arithmetic (mutex held by the base) ----------------------
     def _spent_locked(self) -> float:
@@ -109,6 +101,6 @@ def compose_epsilons(epsilons: list[float]) -> float:
     used the same quilt sets: ``K * max_k eps_k``."""
     if not epsilons:
         return 0.0
-    if any(e <= 0 for e in epsilons):
+    if any(not e > 0 for e in epsilons):  # written so that NaN is refused too
         raise PrivacyParameterError("all epsilons must be positive")
     return len(epsilons) * max(epsilons)

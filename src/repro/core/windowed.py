@@ -23,14 +23,10 @@ span, so window ``k``'s admission arithmetic is identical to window 0's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.core.accounting import (
-    BaseAccountant,
-    CompositionRecord,
-    RdpCurve,
-)
+from repro.core.accounting import BaseAccountant, RdpCurve, check_count
 from repro.exceptions import PrivacyParameterError
 
 __all__ = ["SlidingWindowAccountant"]
@@ -46,40 +42,29 @@ class SlidingWindowAccountant(BaseAccountant):
         Epsilon budget enforced over the trailing ``window_span`` windows
         (``None`` disables enforcement, as in the other accountants).
     window_span:
-        How many consecutive windows stay live.  A release charged in
-        window ``w`` expires once the clock passes ``w + window_span - 1``.
-    records:
-        Optional pre-existing audit trail; charged to the initial window.
+        How many consecutive windows stay live (an integer ``>= 1``).  A
+        release charged in window ``w`` expires once the clock passes
+        ``w + window_span - 1``.
     audit_trail:
-        As in :class:`~repro.core.composition.CompositionAccountant`; an
-        indefinite stream should pass ``False`` (the trail grows per
-        release; the enforcement aggregates are O(live windows)).
+        Accepted only as ``False``, as in
+        :class:`~repro.core.composition.CompositionAccountant`: the
+        enforcement aggregates are O(live windows) however long the stream.
     """
 
     budget: float | None = None
     window_span: int = 1
-    records: list[CompositionRecord] = field(default_factory=list)
-    audit_trail: bool = True
+    audit_trail: InitVar[bool] = False
 
     _STATE_KIND = "sliding"
 
-    def __post_init__(self) -> None:
-        if self.window_span < 1:
-            raise PrivacyParameterError(
-                f"window_span must be >= 1, got {self.window_span}"
-            )
-        self.window_span = int(self.window_span)
+    def __post_init__(self, audit_trail: bool) -> None:
+        self.window_span = check_count(self.window_span, "window_span")
         self._window = 0
         # window index -> [release count, worst epsilon]; only live windows
         # are ever present (advance drops expired buckets whole — that drop
         # *is* the exact reclamation).
         self._buckets: dict[int, list] = {}
-        if self.records:
-            self._buckets[self._window] = [
-                len(self.records),
-                max(r.epsilon for r in self.records),
-            ]
-        self._init_runtime()
+        self._init_runtime(audit_trail)
 
     # -- windowed linear arithmetic (mutex held by the base) -------------
     def _live_totals_locked(self) -> tuple[int, float]:
@@ -124,22 +109,24 @@ class SlidingWindowAccountant(BaseAccountant):
             return self._live_totals_locked()[0]
 
     def advance_window(self, steps: int = 1) -> dict:
-        """Advance the clock by ``steps`` windows; expire what falls out."""
-        if steps < 1:
-            raise PrivacyParameterError(f"steps must be >= 1, got {steps}")
+        """Advance the clock by ``steps`` windows (an integer ``>= 1``);
+        expire what falls out."""
+        steps = check_count(steps, "steps")
         with self._mutex:
-            return self._advance_to_locked(self._window + int(steps))
+            return self._advance_to_locked(self._window + steps)
 
     def advance_to(self, window: int) -> dict:
-        """Advance the clock to an absolute index (monotone — no rewinds:
-        a rewind would resurrect expired charges and double-admit)."""
+        """Advance the clock to an absolute integer index (monotone — no
+        rewinds: a rewind would resurrect expired charges and
+        double-admit)."""
+        window = check_count(window, "window", minimum=0)
         with self._mutex:
-            if int(window) < self._window:
+            if window < self._window:
                 raise PrivacyParameterError(
                     f"window clock is monotone: at {self._window}, "
                     f"cannot rewind to {window}"
                 )
-            return self._advance_to_locked(int(window))
+            return self._advance_to_locked(window)
 
     def _advance_to_locked(self, window: int) -> dict:
         spent_before = self._spent_locked()

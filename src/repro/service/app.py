@@ -352,9 +352,7 @@ class PrivacyService:
         try:
             # Draw against a local accountant bounded by the reservation
             # envelope — no durable writes between reserve and commit.
-            local = CompositionAccountant(
-                budget=reservation.epsilon_total, audit_trail=False
-            )
+            local = CompositionAccountant(budget=reservation.epsilon_total)
             clone = engine.with_accountant(local, tenant=tenant, rng=seed)
             releases = clone.release_repeated(workload.data, workload.query, n)
             response = {
@@ -374,7 +372,6 @@ class PrivacyService:
                     epsilon=workload.mechanism.epsilon,
                     idempotency_key=idempotency_key,
                     response=response,
-                    mechanism=workload.mechanism.name,
                     quilt_signature=clone._quilt_signature(),
                     rdp_curve=clone._rdp_curve(),
                 )
@@ -383,7 +380,6 @@ class PrivacyService:
                     reservation.reservation_id,
                     len(releases),
                     epsilon=workload.mechanism.epsilon,
-                    mechanism=workload.mechanism.name,
                     quilt_signature=clone._quilt_signature(),
                     rdp_curve=clone._rdp_curve(),
                 )

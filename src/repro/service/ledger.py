@@ -79,10 +79,11 @@ from typing import Any, Hashable, Mapping
 
 from repro.core.accounting import (
     BaseAccountant,
-    CompositionRecord,
     RdpCurve,
     RenyiAccountant,
     accountant_from_state,
+    check_charge,
+    check_count,
 )
 from repro.core.composition import CompositionAccountant
 from repro.core.windowed import SlidingWindowAccountant
@@ -192,20 +193,15 @@ class TenantLedger:
         over the trailing ``window_span`` logical windows, advanced via
         :meth:`advance_window`.
 
-        The accountant keeps aggregates only (``audit_trail=False``):
-        enforcement restores them verbatim, and a per-release trail would
-        grow the row every transaction rewrites.
+        The row stores the accountant's aggregates, which is all an
+        accountant keeps, so it does not grow with the releases served.
         """
         if accountant == "linear":
-            fresh: BaseAccountant = CompositionAccountant(
-                budget=budget, audit_trail=False
-            )
+            fresh: BaseAccountant = CompositionAccountant(budget=budget)
         elif accountant == "renyi":
-            fresh = RenyiAccountant(budget=budget, delta=delta, audit_trail=False)
+            fresh = RenyiAccountant(budget=budget, delta=delta)
         elif accountant == "sliding":
-            fresh = SlidingWindowAccountant(
-                budget=budget, window_span=window_span, audit_trail=False
-            )
+            fresh = SlidingWindowAccountant(budget=budget, window_span=window_span)
         else:
             raise ValidationError(
                 f"accountant must be 'linear', 'renyi', or 'sliding', "
@@ -257,15 +253,8 @@ class TenantLedger:
         that actually landed overwrites the same entry with the same
         content instead of granting a second sub-budget.
         """
-        if n_releases < 1:
-            raise PrivacyParameterError(
-                f"n_releases must be >= 1, got {n_releases}"
-            )
-        if epsilon <= 0:
-            raise PrivacyParameterError(
-                f"epsilon must be positive, got {epsilon}"
-            )
-        fire("tenant.reserve", tenant=self.tenant, n_releases=int(n_releases))
+        n_releases, epsilon = check_charge(n_releases, epsilon)
+        fire("tenant.reserve", tenant=self.tenant, n_releases=n_releases)
         reservation_id = uuid.uuid4().hex
 
         def handler(txn: LedgerTransaction) -> Reservation:
@@ -277,7 +266,7 @@ class TenantLedger:
                 for rid, r in state["reservations"].items()
                 if rid != reservation_id  # a re-run must not double-count itself
             ]
-            charges = outstanding + [(int(n_releases), float(epsilon))]
+            charges = outstanding + [(n_releases, epsilon)]
             prospective = accountant.preview(charges)
             budget = accountant.budget
             if budget is not None and prospective > budget + _ATOL:
@@ -292,7 +281,7 @@ class TenantLedger:
                     budget=budget,
                     spent=spent,
                     remaining=max(0.0, budget - spent),
-                    requested=int(n_releases),
+                    requested=n_releases,
                     n_completed=0,
                     accountant=type(accountant).__name__,
                 )
@@ -300,14 +289,12 @@ class TenantLedger:
                     error.retry_after = self.reservation_ttl
                 raise error
             state["reservations"][reservation_id] = {
-                "epsilon": float(epsilon),
-                "n_reserved": int(n_releases),
+                "epsilon": epsilon,
+                "n_reserved": n_releases,
                 "n_consumed": 0,
                 "created_at": time.time(),
             }
-            return Reservation(
-                self.tenant, reservation_id, float(epsilon), int(n_releases), 0
-            )
+            return Reservation(self.tenant, reservation_id, epsilon, n_releases, 0)
 
         return self.store.run(self.tenant, handler, sync=False)
 
@@ -317,7 +304,6 @@ class TenantLedger:
         n_releases: int = 1,
         *,
         epsilon: float,
-        mechanism: str = "MQM",
         quilt_signature: Hashable = None,
         rdp_curve: "RdpCurve | None" = None,
     ) -> Reservation:
@@ -344,15 +330,12 @@ class TenantLedger:
         :class:`~repro.exceptions.UnknownReservationError`; the committed
         debit stands, so spend is never under-counted.
         """
-        if n_releases < 1:
-            raise PrivacyParameterError(
-                f"n_releases must be >= 1, got {n_releases}"
-            )
+        n_releases = check_count(n_releases, "n_releases")
         fire(
             "tenant.consume",
             tenant=self.tenant,
             reservation_id=reservation_id,
-            n_releases=int(n_releases),
+            n_releases=n_releases,
         )
         call_id = uuid.uuid4().hex
 
@@ -364,9 +347,8 @@ class TenantLedger:
             result = self._consume_in_state(
                 state,
                 reservation_id,
-                int(n_releases),
+                n_releases,
                 epsilon=float(epsilon),
-                mechanism=mechanism,
                 quilt_signature=quilt_signature,
                 rdp_curve=rdp_curve,
             )
@@ -383,7 +365,6 @@ class TenantLedger:
         epsilon: float,
         idempotency_key: str,
         response: Any,
-        mechanism: str = "MQM",
         quilt_signature: Hashable = None,
         rdp_curve: "RdpCurve | None" = None,
     ) -> "tuple[Any, bool]":
@@ -408,15 +389,12 @@ class TenantLedger:
                 f"idempotency_key must be a non-empty string, "
                 f"got {idempotency_key!r}"
             )
-        if n_releases < 1:
-            raise PrivacyParameterError(
-                f"n_releases must be >= 1, got {n_releases}"
-            )
+        n_releases = check_count(n_releases, "n_releases")
         fire(
             "tenant.consume",
             tenant=self.tenant,
             reservation_id=reservation_id,
-            n_releases=int(n_releases),
+            n_releases=n_releases,
             idempotency_key=idempotency_key,
         )
 
@@ -429,16 +407,15 @@ class TenantLedger:
             self._consume_in_state(
                 state,
                 reservation_id,
-                int(n_releases),
+                n_releases,
                 epsilon=float(epsilon),
-                mechanism=mechanism,
                 quilt_signature=quilt_signature,
                 rdp_curve=rdp_curve,
             )
             records[idempotency_key] = {
                 "response": response,
                 "reservation_id": reservation_id,
-                "n_releases": int(n_releases),
+                "n_releases": n_releases,
                 "epsilon": float(epsilon),
                 "created_at": time.time(),
             }
@@ -467,7 +444,6 @@ class TenantLedger:
         n_releases: int,
         *,
         epsilon: float,
-        mechanism: str,
         quilt_signature: Hashable,
         rdp_curve: "RdpCurve | None",
     ) -> Reservation:
@@ -494,13 +470,12 @@ class TenantLedger:
             )
         accountant = accountant_from_state(state["accountant"])
         accountant.record_many(
-            int(n_releases),
-            float(epsilon),
-            mechanism=mechanism,
+            n_releases,
+            epsilon,
             quilt_signature=quilt_signature,
             rdp_curve=rdp_curve,
         )
-        entry["n_consumed"] += int(n_releases)
+        entry["n_consumed"] += n_releases
         state["accountant"] = accountant.state_dict()
         return self._reservation(reservation_id, entry)
 
@@ -544,10 +519,10 @@ class TenantLedger:
         unconsumed remainder to the budget — the consumed part was debited
         durably and stays spent) and prunes idempotency records past
         :data:`IDEMPOTENCY_TTL`, plus every legacy ``retry.`` record and
-        accountant audit trail an older state still holds.  This is the
-        *recovery sweep*: run it at service startup and after killing
-        workers, and no orphaned reservation outlives its TTL plus one
-        sweep.  Returns reclaim stats; a no-op sweep returns zeros.
+        the ``trail`` / ``audit_trail`` keys an older accountant state still
+        holds.  This is the *recovery sweep*: run it at service startup and
+        after killing workers, and no orphaned reservation outlives its TTL
+        plus one sweep.  Returns reclaim stats; a no-op sweep returns zeros.
         """
         fire("tenant.sweep", tenant=self.tenant)
 
@@ -557,9 +532,9 @@ class TenantLedger:
             reclaimed = [
                 (r["n_reserved"] - r["n_consumed"], r["epsilon"]) for r in expired
             ]
-            # Enforcement reads the aggregates only; see create().
+            # Accountants keep aggregates only; nothing reads these keys.
             state["accountant"].pop("trail", None)
-            state["accountant"]["audit_trail"] = False
+            state["accountant"].pop("audit_trail", None)
             records = state.setdefault("idempotency", {})
             cutoff = (time.time() if now is None else now) - IDEMPOTENCY_TTL
             stale = [
@@ -610,9 +585,9 @@ class TenantLedger:
                     "the 'sliding' accountant"
                 )
             if window is not None:
-                stats = accountant.advance_to(int(window))
+                stats = accountant.advance_to(window)
             else:
-                stats = accountant.advance_window(int(steps))
+                stats = accountant.advance_window(steps)
             state["accountant"] = accountant.state_dict()
             # Same-transaction reservation sweep: reclamation and expiry
             # are one atomic reconciliation, as in :meth:`sweep`.
@@ -731,8 +706,6 @@ class ReservationAccountant(BaseAccountant):
         self._ledger = ledger
         self._reservation = reservation
         self.budget = reservation.epsilon_total
-        self.records: list = []
-        self.audit_trail = False  # the tenant ledger keeps aggregates only
         self._consumed = reservation.n_consumed
         self._init_runtime()
 
@@ -767,19 +740,11 @@ class ReservationAccountant(BaseAccountant):
         n_releases: int,
         epsilon: float,
         *,
-        mechanism: str = "MQM",
         quilt_signature: Hashable = None,
         rdp_curve: "RdpCurve | None" = None,
-    ) -> list:
-        if epsilon <= 0:
-            raise PrivacyParameterError(
-                f"epsilon must be positive, got {epsilon}"
-            )
-        if n_releases < 1:
-            raise PrivacyParameterError(
-                f"n_releases must be >= 1, got {n_releases}"
-            )
-        if float(epsilon) != self._reservation.epsilon:
+    ) -> None:
+        n_releases, epsilon = check_charge(n_releases, epsilon)
+        if epsilon != self._reservation.epsilon:
             raise ReservationError(
                 f"this session reserved epsilon={self._reservation.epsilon:g} "
                 f"per release, cannot record epsilon={epsilon:g}"
@@ -801,7 +766,7 @@ class ReservationAccountant(BaseAccountant):
                     budget=self.budget,
                     spent=spent,
                     remaining=max(0.0, self.budget - spent),
-                    requested=int(n_releases),
+                    requested=n_releases,
                     n_completed=0,
                     accountant=type(self).__name__,
                 )
@@ -810,14 +775,11 @@ class ReservationAccountant(BaseAccountant):
             # here and nothing — local or durable — has changed.
             self._ledger.consume(
                 self._reservation.reservation_id,
-                int(n_releases),
-                epsilon=float(epsilon),
-                mechanism=mechanism,
+                n_releases,
+                epsilon=epsilon,
                 quilt_signature=quilt_signature,
                 rdp_curve=rdp_curve,
             )
-            record = CompositionRecord(float(epsilon), mechanism, quilt_signature)
-            self._consumed += int(n_releases)
-            self._count += int(n_releases)
+            self._consumed += n_releases
+            self._count += n_releases
             self._signatures.add(quilt_signature)
-            return [record] * int(n_releases)

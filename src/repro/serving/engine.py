@@ -220,7 +220,6 @@ class PrivacyEngine:
         self.accountant.record_many(
             len(requests),
             epsilon,
-            mechanism=self.mechanism.name,
             quilt_signature=self._quilt_signature(),
             rdp_curve=self._rdp_curve(),
         )
@@ -341,7 +340,6 @@ class PrivacyEngine:
         """
         self.accountant.record(
             self.mechanism.epsilon,
-            mechanism=self.mechanism.name,
             quilt_signature=quilt_signature,
             rdp_curve=self._rdp_curve(),
         )

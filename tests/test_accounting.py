@@ -20,6 +20,9 @@ this module proves the *arithmetic* claims specific to
   its epsilon; ``epsilon_at`` is monotone in delta; ``rdp_totals`` is
   additive; ``optimal_order`` moves from ``inf`` to finite orders as
   strong composition starts to win.
+* **State round trips** — a Gaussian-curve Rényi ledger survives a JSON
+  ``state_dict`` round trip bit for bit, and states written while
+  accountants could keep an audit trail restore to the same spend.
 
 Property-test style follows ``tests/test_property_calibration.py``:
 stdlib ``random`` sweeps over seeded instances, no extra dependencies.
@@ -28,21 +31,27 @@ stdlib ``random`` sweeps over seeded instances, no extra dependencies.
 from __future__ import annotations
 
 import copy
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from repro.core import GaussianMarkovQuiltMechanism
 from repro.core.accounting import (
     BUDGET_ATOL,
     DEFAULT_ORDERS,
     RenyiAccountant,
+    accountant_from_state,
     pure_rdp_curve,
 )
 from repro.core.composition import CompositionAccountant
+from repro.core.queries import CountQuery
 from repro.core.windowed import SlidingWindowAccountant
+from repro.distributions.structured import hub_and_spoke_network
 from repro.exceptions import BudgetExhaustedError, PrivacyParameterError
+from repro.serving import PrivacyEngine
 
 SEEDS = range(12)
 
@@ -244,7 +253,7 @@ class TestParameterValidation:
                 RenyiAccountant(delta=bad)
 
     def test_orders_must_exceed_one(self):
-        for bad in ([1.0, 2.0], [0.5], [-2.0, 3.0]):
+        for bad in ([1.0, 2.0], [0.5], [-2.0, 3.0], [math.nan]):
             with pytest.raises(PrivacyParameterError):
                 RenyiAccountant(orders=bad)
 
@@ -378,6 +387,8 @@ class TestPreview:
             accountant.preview([(1, -0.5)])
         with pytest.raises(PrivacyParameterError):
             accountant.preview([(-1, 0.5)])
+        with pytest.raises(PrivacyParameterError, match="n_releases"):
+            accountant.preview([(2.5, 0.5)])
 
     def test_preview_ignores_budget(self):
         """Preview prices, it does not refuse — admission layers decide."""
@@ -440,3 +451,116 @@ class TestPreviewExactness:
         _assert_preview_is_exact(accountant, schedule)
         accountant.advance_window()  # the 0.3 window expires
         _assert_preview_is_exact(accountant, schedule)
+
+
+GAUSSIAN_DELTA = 1e-5
+GAUSSIAN_EPSILON = 0.4
+GAUSSIAN_BUDGET = 6.0
+
+
+@pytest.fixture()
+def gaussian_workload():
+    network = hub_and_spoke_network(3, 2)
+    mechanism = GaussianMarkovQuiltMechanism(
+        [network], GAUSSIAN_EPSILON, delta=GAUSSIAN_DELTA
+    )
+    return mechanism, np.ones(len(network.nodes)), CountQuery()
+
+
+class TestStateRoundTrip:
+    """``state_dict`` / ``accountant_from_state`` is the one way to persist
+    and restore a ledger; the running curve is restored verbatim, so the
+    comparisons are ``==``, not approximate."""
+
+    def test_state_dict_round_trip_bit_identical(self, gaussian_workload):
+        mechanism, data, query = gaussian_workload
+        live = RenyiAccountant(budget=GAUSSIAN_BUDGET, delta=GAUSSIAN_DELTA)
+        engine = PrivacyEngine(mechanism, accountant=live, rng=0)
+        with engine.stream(data, query, block_size=32) as session:
+            with pytest.raises(BudgetExhaustedError):
+                while True:
+                    next(session)
+        assert session.n_yielded > 0
+
+        restored = accountant_from_state(json.loads(json.dumps(live.state_dict())))
+        assert isinstance(restored, RenyiAccountant)
+        assert restored.total_epsilon() == live.total_epsilon()
+        assert np.array_equal(restored._rdp, live._rdp)
+        assert len(restored) == len(live) == session.n_yielded
+        # The restored ledger refuses the same next release.
+        with pytest.raises(BudgetExhaustedError):
+            restored.record(
+                GAUSSIAN_EPSILON,
+                quilt_signature=mechanism.quilt_signature(),
+                rdp_curve=mechanism.rdp_curve,
+            )
+
+    def test_batched_state_round_trip(self, gaussian_workload):
+        mechanism, data, query = gaussian_workload
+        acc = RenyiAccountant(budget=GAUSSIAN_BUDGET, delta=GAUSSIAN_DELTA)
+        PrivacyEngine(mechanism, accountant=acc, rng=0).release_repeated(
+            data, query, 7
+        )
+        restored = accountant_from_state(acc.state_dict())
+        assert restored.total_epsilon() == acc.total_epsilon()
+        assert np.array_equal(restored._rdp, acc._rdp)
+        assert len(restored) == 7
+
+
+#: ``state_dict()`` output of ledgers that kept the (since removed) audit
+#: trail, as JSON text: 3 releases at 0.25 then 1 at 0.5 (linear); 2 pure
+#: releases at 0.25 then 1 with its own curve (Rényi on orders 2, 8, inf);
+#: 2 releases at 0.25, one window advance, 1 at 0.125 (sliding, span 2).
+LEGACY_STATES = {
+    "linear": (
+        '{"kind": "linear", "budget": 2.0, "audit_trail": true, '
+        '"count": 4, "signatures": [{"tuple": ["q"]}], "worst": 0.5, '
+        '"trail": [{"n": 3, "epsilon": 0.25, "mechanism": "MQM", '
+        '"quilt_signature": {"tuple": ["q"]}, "rdp_orders": null, '
+        '"rdp_values": null}, {"n": 1, "epsilon": 0.5, '
+        '"mechanism": "MQM", "quilt_signature": {"tuple": ["q"]}, '
+        '"rdp_orders": null, "rdp_values": null}]}',
+        2.0,
+    ),
+    "renyi": (
+        '{"kind": "renyi", "budget": 4.0, "audit_trail": true, '
+        '"count": 3, "signatures": [{"tuple": ["q"]}], "delta": 1e-05, '
+        '"orders": [2.0, 8.0, Infinity], "rdp": [0.1875, 0.75, 1.0], '
+        '"trail": [{"n": 2, "epsilon": 0.25, "mechanism": "MQM", '
+        '"quilt_signature": {"tuple": ["q"]}, "rdp_orders": null, '
+        '"rdp_values": null}, {"n": 1, "epsilon": 0.5, '
+        '"mechanism": "MQM", "quilt_signature": {"tuple": ["q"]}, '
+        '"rdp_orders": [2.0, 8.0, Infinity], "rdp_values": [0.0625, '
+        '0.25, 0.5]}]}',
+        1.0,
+    ),
+    "sliding": (
+        '{"kind": "sliding", "budget": 1.0, "audit_trail": true, '
+        '"count": 3, "signatures": [{"tuple": ["q"]}], "window_span": 2, '
+        '"window": 1, "windows": [[0, 2, 0.25], [1, 1, 0.125]], '
+        '"trail": [{"n": 2, "epsilon": 0.25, "mechanism": "MQM", '
+        '"quilt_signature": {"tuple": ["q"]}, "rdp_orders": null, '
+        '"rdp_values": null}, {"n": 1, "epsilon": 0.125, '
+        '"mechanism": "MQM", "quilt_signature": {"tuple": ["q"]}, '
+        '"rdp_orders": null, "rdp_values": null}]}',
+        0.75,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEGACY_STATES))
+def test_state_with_a_legacy_trail_restores_the_same_spend(kind):
+    """The ``audit_trail`` and ``trail`` keys are ignored: the aggregates
+    restore verbatim, and the next ``state_dict`` carries neither key."""
+    text, spent = LEGACY_STATES[kind]
+    legacy = json.loads(text)
+    restored = accountant_from_state(legacy)
+    assert restored.total_epsilon() == spent
+    assert len(restored) == legacy["count"]
+    state = restored.state_dict()
+    assert "trail" not in state and "audit_trail" not in state
+    assert state == {
+        key: value
+        for key, value in legacy.items()
+        if key not in ("trail", "audit_trail")
+    }

@@ -20,6 +20,8 @@ class TestComposeEpsilons:
     def test_rejects_non_positive(self):
         with pytest.raises(PrivacyParameterError):
             compose_epsilons([0.5, 0.0])
+        with pytest.raises(PrivacyParameterError):
+            compose_epsilons([0.5, float("nan")])
 
 
 class TestAccountant:
@@ -70,13 +72,19 @@ class TestAccountant:
         assert CompositionAccountant().total_epsilon() == 0.0
 
     def test_aggregates_only_mode_enforces_without_a_trail(self):
-        """audit_trail=False: same budget enforcement, O(1) memory — the
-        mode for indefinite streaming sessions whose per-yield debits would
-        otherwise grow ``records`` forever."""
+        """audit_trail=False (the only accepted value): budget enforcement
+        from O(1) aggregates — count, worst epsilon, signatures — so an
+        indefinite stream's per-yield debits never grow the ledger."""
         acc = CompositionAccountant(budget=3.0, audit_trail=False)
         for _ in range(3):
             acc.record(1.0, quilt_signature="s")
-        assert acc.records == []  # no trail kept
+        assert acc.state_dict() == {
+            "kind": "linear",
+            "budget": 3.0,
+            "count": 3,
+            "signatures": ["s"],
+            "worst": 1.0,
+        }
         assert len(acc) == 3
         assert acc.total_epsilon() == pytest.approx(3.0)
         assert acc.remaining() == pytest.approx(0.0)

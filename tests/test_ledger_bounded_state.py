@@ -1,28 +1,34 @@
 """Tenant state stays bounded: O(live reservations + client keys).
 
 Budget enforcement only needs the accountant's aggregates, so a tenant's
-stored state must not grow with the releases it serves: tenant
-accountants keep no audit trail, keyless consumes keep their replay slot
-on the reservation they debit, and that slot dies with the reservation;
-only client idempotency keys outlive a release, until the sweep's TTL.
-These tests pin that at ledger level over 10,000 releases and for every
-accountant kind, at service level over the HTTP surface, and for states
+stored state must not grow with the releases it serves: accountants keep
+aggregates only, keyless consumes keep their replay slot on the
+reservation they debit, and that slot dies with the reservation; only
+client idempotency keys outlive a release, until the sweep's TTL.  These
+tests pin that at ledger level over 10,000 releases and for every
+accountant kind, for an in-process engine's accountant over 10,000
+streamed releases, at service level over the HTTP surface, and for states
 written before replay moved onto the reservation (their ``retry.``
-records are swept whatever their age) or while tenants kept a trail (the
-startup sweep strips it)."""
+records are swept whatever their age) or while accountants kept an audit
+trail (the startup sweep strips it)."""
 
 from __future__ import annotations
 
 import json
 import time
 
+import numpy as np
 import pytest
 
+from repro.core import GaussianMarkovQuiltMechanism, MarkovQuiltMechanism
 from repro.core.accounting import RenyiAccountant
+from repro.core.queries import CountQuery
+from repro.distributions.structured import hub_and_spoke_network
 from repro.service import create_app
 from repro.service.ledger import TenantLedger
 from repro.service.stores import SQLiteLedgerStore
 from repro.service.testing import TestClient
+from repro.serving import PrivacyEngine
 
 EPSILON = 0.5  # a power of two: aggregate sums stay exact floats
 CHECKPOINTS = (100, 1_000, 10_000)
@@ -96,6 +102,35 @@ def test_every_accountant_keeps_state_flat(accountant):
         if n in (10, 100, 1_000):
             shapes[n] = _shape(ledger.store.peek(ledger.tenant))
     assert shapes[10] == shapes[100] == shapes[1_000], shapes
+
+
+@pytest.mark.parametrize(
+    "make_engine",
+    [
+        lambda network: PrivacyEngine(MarkovQuiltMechanism([network], EPSILON)),
+        lambda network: PrivacyEngine(
+            GaussianMarkovQuiltMechanism([network], EPSILON), accountant="renyi"
+        ),
+    ],
+    ids=["default", "gaussian-renyi"],
+)
+def test_streaming_engine_accountant_keeps_state_flat(make_engine):
+    """An engine's own accountant is its aggregates too: 10,000 streamed
+    releases (one debit each) leave its ``state_dict`` the same shape and
+    under 2 KB."""
+    network = hub_and_spoke_network(3, 2)
+    engine = make_engine(network)
+    shapes, sizes = {}, {}
+    with engine.stream(np.ones(len(network.nodes)), CountQuery(), rng=0) as session:
+        for n in range(1, CHECKPOINTS[-1] + 1):
+            next(session)
+            if n in CHECKPOINTS:
+                state = engine.accountant.state_dict()
+                shapes[n] = _shape(state)
+                sizes[n] = len(json.dumps(state))
+    assert len(engine.accountant) == CHECKPOINTS[-1]
+    assert all(shape == shapes[CHECKPOINTS[0]] for shape in shapes.values()), shapes
+    assert max(sizes.values()) < 2048, sizes
 
 
 def test_service_default_tenant_row_stays_flat():
@@ -215,11 +250,23 @@ def test_startup_sweep_strips_a_legacy_trail(tmp_path):
     store = SQLiteLedgerStore(path)
     ledger = TenantLedger(store, "acme")
     ledger.create(budget=10.0, accountant="renyi")
-    legacy = RenyiAccountant(budget=10.0)  # keeps a trail by default
-    legacy.record_many(3, EPSILON)
-    legacy.record(EPSILON)
+    spent = RenyiAccountant(budget=10.0)
+    spent.record_many(3, EPSILON)
+    spent.record(EPSILON)
+    group = {
+        "epsilon": EPSILON,
+        "mechanism": "MQM",
+        "quilt_signature": None,
+        "rdp_orders": None,
+        "rdp_values": None,
+    }
     with store.transact("acme") as txn:
-        txn.state["accountant"] = legacy.state_dict()
+        # The row as a trail-keeping accountant once wrote it.
+        txn.state["accountant"] = {
+            **spent.state_dict(),
+            "audit_trail": True,
+            "trail": [{"n": 3, **group}, {"n": 1, **group}],
+        }
     assert "trail" in store.peek("acme")["accountant"]
     before = ledger.snapshot()
     store.close()
@@ -228,7 +275,7 @@ def test_startup_sweep_strips_a_legacy_trail(tmp_path):
     try:
         accountant_state = app.service.store.peek("acme")["accountant"]
         assert "trail" not in accountant_state
-        assert accountant_state["audit_trail"] is False
+        assert "audit_trail" not in accountant_state
         after = TestClient(app).get("/tenants/acme").json()
         assert after["spent_epsilon"] == before["spent_epsilon"]
         assert after["n_releases"] == before["n_releases"] == 4

@@ -181,13 +181,17 @@ def test_admission_prices_renyi_composition(ledger):
 
 def test_parameter_validation(ledger):
     _created(ledger)
-    with pytest.raises(PrivacyParameterError):
-        ledger.reserve(0, 0.5)
-    with pytest.raises(PrivacyParameterError):
-        ledger.reserve(1, -0.5)
+    # Counts are integers (a fractional one is refused, not truncated) and
+    # epsilon is a positive number (NaN too is refused).
+    for n_releases, epsilon in ((0, 0.5), (1, -0.5), (2.5, 0.5), (1, float("nan"))):
+        with pytest.raises(PrivacyParameterError):
+            ledger.reserve(n_releases, epsilon)
     res = ledger.reserve(1, 0.5)
-    with pytest.raises(PrivacyParameterError):
-        ledger.consume(res.reservation_id, 0, epsilon=0.5)
+    before = ledger.store.peek(ledger.tenant)
+    for n_releases in (0, 1.0, "1"):
+        with pytest.raises(PrivacyParameterError):
+            ledger.consume(res.reservation_id, n_releases, epsilon=0.5)
+    assert ledger.store.peek(ledger.tenant) == before
     with pytest.raises(ValidationError):
         ledger.create(budget=2.0, accountant="exotic")
 

@@ -108,8 +108,12 @@ def test_clock_is_monotone():
     assert accountant.window == 5
     with pytest.raises(PrivacyParameterError, match="monotone"):
         accountant.advance_to(4)
-    with pytest.raises(PrivacyParameterError):
-        accountant.advance_window(0)
+    # Whole windows only: a fractional or NaN step is refused, not truncated.
+    for bad in (0, 1.9, float("nan"), "1"):
+        with pytest.raises(PrivacyParameterError, match="steps"):
+            accountant.advance_window(bad)
+    with pytest.raises(PrivacyParameterError, match="window"):
+        accountant.advance_to(6.7)
     assert accountant.window == 5
 
 
@@ -123,18 +127,9 @@ def test_advance_to_jump_expires_everything_between():
 
 
 def test_window_span_validation():
-    with pytest.raises(PrivacyParameterError):
-        SlidingWindowAccountant(window_span=0)
-
-
-def test_preexisting_records_charge_the_initial_window():
-    source = SlidingWindowAccountant()
-    source.record_many(3, EPSILON)
-    rebuilt = SlidingWindowAccountant(records=list(source.records))
-    assert rebuilt.live_release_count() == 3
-    assert rebuilt.total_epsilon() == pytest.approx(3 * EPSILON)
-    rebuilt.advance_window()
-    assert rebuilt.total_epsilon() == 0.0
+    for bad in (0, 1.5):
+        with pytest.raises(PrivacyParameterError):
+            SlidingWindowAccountant(window_span=bad)
 
 
 # -- durability ------------------------------------------------------------
