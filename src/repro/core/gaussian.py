@@ -155,9 +155,10 @@ class GaussianMarkovQuiltMechanism(MarkovQuiltMechanism):
         computation is repeated here.
         """
         sigma = self.sigma_max()
+        results = self._node_results()
         profile = []
         for node in self.reference.nodes:
-            score, quilt = self.sigma_for_node(node)
+            score, quilt = results[node]
             card = float(quilt.card_nearby())
             rho = card * card / (2.0 * score * score)
             leakage = min(

@@ -124,6 +124,12 @@ class MarkovQuiltMechanism(Mechanism):
         generation is used, unchanged.
     max_radius:
         Radius cap for the default quilt generation.
+
+    Each node's ``(sigma, active quilt)`` is searched once and memoized for
+    the networks and candidate sets it was computed on: an in-place network
+    edit or a reassigned ``quilt_sets`` drops every result before its next
+    use (:meth:`_node_results`), and :meth:`quilt_signature` is built once
+    per set of results.
     """
 
     name = "MarkovQuilt"
@@ -181,18 +187,57 @@ class MarkovQuiltMechanism(Mechanism):
                 candidates.append(self.reference.trivial_quilt(node))
         self.quilt_sets = quilt_sets
         self._sigma_cache: dict[str, tuple[float, MarkovQuilt]] = {}
+        #: ``(network fingerprints, quilt_sets object)`` the entries of
+        #: ``_sigma_cache`` were computed for (see :meth:`_node_results`).
+        self._sigma_inputs: tuple[tuple[str, ...], Mapping] = (
+            self._fingerprints(),
+            quilt_sets,
+        )
         #: ``(quilt_sets object, digest)`` of :meth:`_quilt_sets_digest`.
         self._quilt_digest: tuple[Mapping, str] | None = None
+        #: Memo of :meth:`quilt_signature`, dropped whenever a per-node
+        #: result may change.
+        self._signature: tuple | None = None
 
     def __getstate__(self) -> dict:
-        """Copy and pickle without the quilt-set digest memo.
+        """Copy and pickle without the quilt-set digest or signature memos.
 
-        The memo references the full ``quilt_sets`` map, and a per-node
-        parallel shard must ship only its own node's candidates.
+        The digest memo references the full ``quilt_sets`` map, and a
+        per-node parallel shard must ship only its own node's candidates;
+        for the same reason a clone whose ``quilt_sets`` was reassigned
+        ships neither its stale results nor the old map they were recorded
+        against.  Stale network fingerprints are kept as recorded:
+        :meth:`repro.distributions.temporal.TemporalNetwork.calibrated_mechanism`
+        reads a previous mechanism's results across edits on purpose.
         """
         state = self.__dict__.copy()
         state["_quilt_digest"] = None
+        state["_signature"] = None
+        fingerprints, quilt_sets = self._sigma_inputs
+        if quilt_sets is not self.quilt_sets:
+            state["_sigma_cache"] = {}
+            state["_sigma_inputs"] = (fingerprints, self.quilt_sets)
         return state
+
+    def _fingerprints(self) -> tuple[str, ...]:
+        """Every network's content fingerprint (memoized by the network)."""
+        return tuple(network.fingerprint() for network in self.networks)
+
+    def _node_results(self) -> dict[str, tuple[float, MarkovQuilt]]:
+        """``_sigma_cache``, emptied first (with the signature memo) when a
+        network was edited or ``quilt_sets`` reassigned since its entries
+        were computed, so per-node results follow the inputs the cache key
+        reads.  Networks compare by their memoized fingerprints and
+        ``quilt_sets`` by identity: about a microsecond, where the
+        quilt-set digest would cost more than a recalibration.
+        """
+        fingerprints = self._fingerprints()
+        recorded, quilt_sets = self._sigma_inputs
+        if quilt_sets is not self.quilt_sets or recorded != fingerprints:
+            self._sigma_cache = {}
+            self._signature = None
+            self._sigma_inputs = (fingerprints, self.quilt_sets)
+        return self._sigma_cache
 
     def calibration_fingerprint(self) -> tuple:
         """Theta (every network content-hashed), epsilon, and the candidate
@@ -204,7 +249,7 @@ class MarkovQuiltMechanism(Mechanism):
         return (
             "MarkovQuilt",
             self.epsilon,
-            tuple(network.fingerprint() for network in self.networks),
+            self._fingerprints(),
             self._quilt_sets_digest(),
         )
 
@@ -214,8 +259,9 @@ class MarkovQuiltMechanism(Mechanism):
         candidates differing only in ``X_N`` must not share a key).
 
         Computed on first use and kept while ``self.quilt_sets`` is the same
-        object — the lifetime of ``_sigma_cache``: reassign ``quilt_sets``
-        rather than editing it in place once the mechanism has been used.
+        object, which is also as long as the per-node results are kept:
+        reassign ``quilt_sets`` rather than editing it in place once the
+        mechanism has been used.
         """
         quilt_sets = self.quilt_sets
         memo = self._quilt_digest
@@ -248,7 +294,7 @@ class MarkovQuiltMechanism(Mechanism):
         return {
             "sigma_by_node": [
                 [node, float(sigma), self.quilt_sets[node].index(quilt)]
-                for node, (sigma, quilt) in sorted(self._sigma_cache.items())
+                for node, (sigma, quilt) in sorted(self._node_results().items())
             ]
         }
 
@@ -257,8 +303,11 @@ class MarkovQuiltMechanism(Mechanism):
 
         The state may have been read from a file, so every entry is checked
         before any is applied: an unknown node, an index that is not an
-        in-range integer, or a non-finite sigma raises
-        :class:`~repro.exceptions.ValidationError`.
+        in-range integer, or a sigma that is not a finite positive number
+        (every real sigma is ``card(X_N) / (epsilon - e) > 0``; a bool is
+        refused too) raises :class:`~repro.exceptions.ValidationError`.
+        Entries merge into the per-node results; the signature memo is
+        dropped.
         """
         restored: dict[str, tuple[float, MarkovQuilt]] = {}
         for entry in state.get("sigma_by_node", []):
@@ -273,12 +322,18 @@ class MarkovQuiltMechanism(Mechanism):
                     f"warm-start quilt index {index!r} for node {node!r} is not "
                     f"in range(0, {len(candidates)})"
                 )
-            if not isinstance(sigma, (int, float)) or not math.isfinite(sigma):
+            if (
+                isinstance(sigma, bool)
+                or not isinstance(sigma, (int, float))
+                or not 0.0 < sigma < math.inf
+            ):
                 raise ValidationError(
-                    f"warm-start sigma {sigma!r} for node {node!r} is not finite"
+                    f"warm-start sigma {sigma!r} for node {node!r} is not a "
+                    "finite positive number"
                 )
             restored[node] = (float(sigma), candidates[index])
-        self._sigma_cache.update(restored)
+        self._node_results().update(restored)
+        self._signature = None
 
     def _quilt_score(self, quilt: MarkovQuilt, influence: float) -> float:
         """The sigma contribution of an admissible quilt (Definition 4.5):
@@ -290,7 +345,8 @@ class MarkovQuiltMechanism(Mechanism):
 
     def sigma_for_node(self, node: str) -> tuple[float, MarkovQuilt]:
         """``(sigma_i, active quilt)`` for one node (Definition 4.5)."""
-        if node not in self._sigma_cache:
+        results = self._node_results()
+        if node not in results:
             best_score = float("inf")
             best_quilt: MarkovQuilt | None = None
             for quilt in self.quilt_sets[node]:
@@ -304,23 +360,36 @@ class MarkovQuiltMechanism(Mechanism):
                     best_quilt = quilt
             if best_quilt is None:  # pragma: no cover - trivial quilt always scores
                 raise PrivacyParameterError(f"no admissible quilt for node {node!r}")
-            self._sigma_cache[node] = (best_score, best_quilt)
-        return self._sigma_cache[node]
+            results[node] = (best_score, best_quilt)
+            self._signature = None
+        return results[node]
+
+    def _all_results(self) -> dict[str, tuple[float, MarkovQuilt]]:
+        """Every node's ``(sigma, active quilt)``, searching the missing
+        ones: one staleness check for the whole network, not one per node."""
+        results = self._node_results()
+        for node in self.reference.nodes:
+            if node not in results:
+                self.sigma_for_node(node)
+        return results
 
     def sigma_max(self) -> float:
         """``max_i sigma_i`` — the noise multiplier of Algorithm 2."""
-        return max(self.sigma_for_node(node)[0] for node in self.reference.nodes)
+        results = self._all_results()
+        return max(results[node][0] for node in self.reference.nodes)
 
     def active_quilts(self) -> dict[str, MarkovQuilt]:
         """The active quilt of every node (used for composition accounting)."""
-        return {node: self.sigma_for_node(node)[1] for node in self.reference.nodes}
+        results = self._all_results()
+        return {node: results[node][1] for node in self.reference.nodes}
 
     def noise_scale(self, query: Query, data: np.ndarray) -> float:
         return query.lipschitz * self.sigma_max() / 1.0
 
     def scale_details(self, query: Query, data: np.ndarray) -> dict:
-        worst = max(self.reference.nodes, key=lambda n: self.sigma_for_node(n)[0])
-        sigma, quilt = self.sigma_for_node(worst)
+        results = self._all_results()
+        worst = max(self.reference.nodes, key=lambda n: results[n][0])
+        sigma, quilt = results[worst]
         return {
             "sigma_max": sigma,
             "worst_node": worst,
@@ -329,8 +398,19 @@ class MarkovQuiltMechanism(Mechanism):
 
     def quilt_signature(self) -> tuple:
         """Hashable fingerprint of the active quilts; two MQM releases
-        compose linearly when their signatures match (Theorem 4.4)."""
-        return tuple(
-            (node, tuple(sorted(self.sigma_for_node(node)[1].quilt)))
-            for node in self.reference.nodes
-        )
+        compose linearly when their signatures match (Theorem 4.4).
+
+        Built once and returned as the same object until a per-node result
+        may change (a search, a ``warm_start``, an edit), so an
+        accountant's same-quilt check matches it by identity.
+        """
+        self._node_results()
+        signature = self._signature
+        if signature is None:
+            results = self._all_results()
+            signature = tuple(
+                (node, tuple(sorted(results[node][1].quilt)))
+                for node in self.reference.nodes
+            )
+            self._signature = signature
+        return signature

@@ -169,11 +169,8 @@ class ParallelCalibrator:
             # generator-stripping rules.  Subclasses match here too:
             # GaussianMarkovQuiltMechanism shards through the same plan,
             # and the copy.copy clone keeps its delta and Gaussian score.
-            missing = [
-                node
-                for node in mechanism.reference.nodes
-                if node not in mechanism._sigma_cache
-            ]
+            results = mechanism._node_results()
+            missing = [node for node in mechanism.reference.nodes if node not in results]
             template = _pristine(mechanism)
             return [
                 per_node_general_shard(template, node, mechanism.quilt_sets[node])
@@ -325,9 +322,10 @@ class ParallelCalibrator:
             for result in results:
                 mechanism._sigma_cache[int(result.key)] = float(result.value)
         elif isinstance(mechanism, MarkovQuiltMechanism):
+            node_results = mechanism._node_results()
             for result in results:
                 sigma, quilt = result.value
-                mechanism._sigma_cache[str(result.key)] = (float(sigma), quilt)
+                node_results[str(result.key)] = (float(sigma), quilt)
         elif isinstance(mechanism, WassersteinMechanism):
             supremum = 0.0
             for result in results:

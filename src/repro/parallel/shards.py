@@ -169,10 +169,11 @@ def per_node_general_shard(template: Any, node: str, candidates: Any) -> Shard:
     volume linear in node count (shipping the full map in every shard would
     be quadratic), and the clone drops the generator strategy object itself:
     a user-supplied generator may be an unpicklable closure, which would
-    otherwise force the entire plan inline for no reason.
+    otherwise force the entire plan inline for no reason.  Reassigning
+    ``quilt_sets`` is also what leaves the clone with no per-node results:
+    the mechanism drops them on first use and pickles without them.
     """
     clone = copy.copy(template)
-    clone._sigma_cache = {}
     clone.quilt_sets = {node: list(candidates)}
     clone.quilt_generator = None
     return Shard(KIND_MQM_GENERAL, node, (clone, node))

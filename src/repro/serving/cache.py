@@ -21,13 +21,18 @@ hit/miss statistics.  It never invents keys: a calibration is only ever
 returned for exactly the (mechanism fingerprint, query signature, data
 signature, epsilon) combination it was computed under — see
 ``docs/architecture.md`` for why anything looser would be a privacy bug.
+A mechanism already holding an entry's state is not handed it again: the
+front-end remembers, per mechanism object, the last key it handed over or
+computed, and answers that key from a copy of the calibration alone.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sqlite3
 import threading
+import weakref
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from pathlib import Path
@@ -191,7 +196,7 @@ class CalibrationCache:
         counters are mutated under a dedicated lock — unlocked ``+= 1``
         read-modify-writes drift under load and make ``hit_rate`` lie.
 
-    :guarded: hits, misses
+    :guarded: hits, misses, _handed
     """
 
     def __init__(self, backend: CacheBackend | None = None) -> None:
@@ -199,6 +204,12 @@ class CalibrationCache:
         self._stats_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        #: mechanism -> ``(key, calibration JSON without state)`` of the
+        #: entry whose state it last received or computed; a slot dies with
+        #: its mechanism.
+        self._handed: weakref.WeakKeyDictionary[Mechanism, tuple[str, str]] = (
+            weakref.WeakKeyDictionary()
+        )
 
     def key_for(self, mechanism: Mechanism, query: Query, data: Any) -> str:
         """The cache key this triple resolves to (exposed for testing)."""
@@ -209,7 +220,7 @@ class CalibrationCache:
         payload = self.backend.get(self.key_for(mechanism, query, data))
         if payload is None:
             return None
-        return Calibration.from_payload(payload)
+        return _checked_calibration(payload)
 
     def get_or_compute(
         self,
@@ -222,9 +233,24 @@ class CalibrationCache:
 
         On a hit, a mechanism exposing ``warm_start`` is handed the stored
         internal state (the per-length sigma tables of the chain mechanisms,
-        the ``W`` bounds of the Wasserstein Mechanism), so even its *direct*
+        the per-node quilt-search results of the general MQM, the ``W``
+        bounds of the Wasserstein Mechanism), so even its *direct*
         ``noise_scale`` calls become lookups afterwards.  On a miss, the
         mechanism's exported state rides along with the payload.
+
+        The state is handed to a mechanism once per key: when the key is
+        the one this cache last handed that mechanism (or computed on it),
+        the hit reads neither the backend nor calls ``warm_start``, and
+        returns a fresh :class:`Calibration` decoded from the remembered
+        ~150 bytes of JSON.  That is exact because entries are
+        content-keyed and deterministic and ``warm_start`` only merges, so
+        the mechanism already holds everything the entry would restore.
+
+        A row whose ``scale`` is a bool, not a number, negative or not
+        finite raises :class:`~repro.exceptions.ValidationError`, as does
+        state the mechanism's ``warm_start`` refuses; neither counts as a
+        hit.  A scale of 0.0 is legal (the no-noise baselines calibrate to
+        it), so a row corrupted to 0.0 cannot be told from one.
 
         ``compute`` overrides how the miss is filled (the engine passes the
         sharded :class:`~repro.parallel.ParallelCalibrator` path here); it
@@ -233,22 +259,34 @@ class CalibrationCache:
         parallel calibrator guarantees bit-for-bit.
         """
         key = self.key_for(mechanism, query, data)
+        with self._stats_lock:
+            slot = self._handed.get(mechanism)
+            handed = slot is not None and slot[0] == key
+            if handed:
+                self.hits += 1
+        if handed:
+            return Calibration.from_payload(json.loads(slot[1])), True
         payload = self.backend.get(key)
         if payload is not None:
-            with self._stats_lock:
-                self.hits += 1
-            calibration = Calibration.from_payload(payload)
-            state = payload.get("state")
+            calibration = _checked_calibration(payload)
+            state = payload.pop("state", None)
             if state and hasattr(mechanism, "warm_start"):
                 mechanism.warm_start(state)
+            text = json.dumps(payload)
+            with self._stats_lock:
+                self.hits += 1
+                self._handed[mechanism] = (key, text)
             return calibration, True
         with self._stats_lock:
             self.misses += 1
         calibration = compute() if compute is not None else mechanism.calibrate(query, data)
         stored = calibration.to_payload()
+        text = json.dumps(stored)
         if hasattr(mechanism, "export_calibration_state"):
             stored["state"] = mechanism.export_calibration_state()
         self.backend.put(key, stored)
+        with self._stats_lock:
+            self._handed[mechanism] = (key, text)
         return calibration, False
 
     @property
@@ -266,3 +304,20 @@ class CalibrationCache:
 
     def __len__(self) -> int:
         return len(self.backend)
+
+
+def _checked_calibration(payload: dict[str, Any]) -> Calibration:
+    """The calibration a stored payload holds, refusing a ``scale`` that no
+    calibration produces: a bool, a non-number, a negative or a non-finite
+    value would otherwise become the noise scale of every release served
+    from the row."""
+    scale = payload.get("scale")
+    if (
+        isinstance(scale, bool)
+        or not isinstance(scale, (int, float))
+        or not 0.0 <= scale < math.inf
+    ):
+        raise ValidationError(
+            f"cached calibration scale {scale!r} is not a finite non-negative number"
+        )
+    return Calibration.from_payload(payload)

@@ -244,3 +244,58 @@ def test_hit_miss_counters_are_exact_under_thread_hammering():
     assert cache.hit_rate == cache.hits / (cache.hits + cache.misses)
     cache.reset_stats()
     assert (cache.hits, cache.misses, cache.hit_rate) == (0, 0, 0.0)
+
+
+def test_one_mechanism_alternating_keys_under_thread_hammering():
+    """Threads sharing one mechanism alternate two keys, so every lookup
+    replaces the mechanism's slot under a racing reader: each must still
+    return its own key's calibration, with exact counters."""
+    from repro.core.markov_quilt import MarkovQuiltMechanism
+    from repro.core.queries import CountQuery, SumQuery
+    from repro.distributions.structured import hub_and_spoke_network
+
+    network = hub_and_spoke_network(2, 1)
+    data = np.ones(len(network.nodes))
+    # SumQuery(0, 2) has L = 2, so the two keys' scales differ.
+    queries = (CountQuery(), SumQuery(0, 2))
+    mechanism = MarkovQuiltMechanism([network], 0.5)
+    cache = CalibrationCache()
+    expected = [cache.get_or_compute(mechanism, query, data)[0] for query in queries]
+    assert expected[1].scale == 2 * expected[0].scale
+    signature = mechanism.quilt_signature()
+
+    per_thread = 200
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    errors: list = []
+    try:
+
+        def hammer(offset):
+            try:
+                for i in range(per_thread):
+                    which = (i + offset) % 2
+                    calibration, was_hit = cache.get_or_compute(
+                        mechanism, queries[which], data
+                    )
+                    assert was_hit
+                    assert calibration == expected[which]
+                    assert mechanism.quilt_signature() == signature
+            except BaseException as error:  # pragma: no cover - regression
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=hammer, args=(t,)) for t in range(N_THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert not errors
+    assert cache.misses == 2
+    assert cache.hits == N_THREADS * per_thread
+    fresh = MarkovQuiltMechanism([network], 0.5)
+    fresh.sigma_max()
+    assert mechanism.export_calibration_state() == fresh.export_calibration_state()
