@@ -31,6 +31,8 @@ Rényi ledger adds its running divergence curve.  No per-release log is
 kept, so memory and :meth:`BaseAccountant.state_dict` stay O(1) however
 many releases a ledger has served, and ``state_dict`` /
 :func:`accountant_from_state` is the one way to persist and restore one.
+A signature is kept as its :func:`signature_digest`, so that state does
+not grow with the network either.
 
 Soundness of the Rényi ledger
 -----------------------------
@@ -57,6 +59,7 @@ on randomized schedules).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import operator
 import threading
@@ -100,30 +103,36 @@ def pure_rdp_curve(epsilon: float, orders: np.ndarray) -> np.ndarray:
     return np.minimum(float(epsilon), quadratic)
 
 
-def encode_signature(signature: Hashable) -> Any:
-    """A quilt signature as a JSON-safe value (tuples tagged, scalars raw).
+def signature_digest(value: Hashable) -> str:
+    """A quilt signature as one 64-character SHA-256 hex digest.
 
-    Signatures in this library are nested tuples of strings/numbers (node
-    names and quilt members); anything else is refused loudly — a durable
-    ledger must never silently store a signature it cannot faithfully
-    rehydrate, because the Theorem 4.4 same-quilt check compares them for
-    equality across restarts.
+    The Theorem 4.4 same-quilt check only compares signatures for
+    equality, so accountants keep and persist this digest in place of the
+    signature itself: a ledger row stays the same size whatever the
+    network, and holds no node names.  The digest is taken over ``repr``,
+    as the calibration cache key is, so it tells ``1`` from ``1.0`` or
+    ``True`` where tuple equality does not; every signature producer
+    builds its value from node names and fixed-type fingerprints, so no
+    live signature changes class.
     """
-    if isinstance(signature, tuple):
-        return {"tuple": [encode_signature(item) for item in signature]}
-    if signature is None or isinstance(signature, (bool, int, float, str)):
-        return signature
-    raise PrivacyParameterError(
-        f"quilt signature component {signature!r} is not JSON-serializable; "
-        f"durable ledgers require signatures built from tuples and scalars"
-    )
+    return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-def decode_signature(encoded: Any) -> Hashable:
-    """Inverse of :func:`encode_signature`."""
-    if isinstance(encoded, dict):
-        return tuple(decode_signature(item) for item in encoded["tuple"])
-    return encoded
+def _kept_signature(value: Hashable) -> "str | None":
+    """What an accountant keeps for a quilt signature: a ``str`` or
+    ``None`` as given, any other value as its :func:`signature_digest`, so
+    ``t`` and ``signature_digest(t)`` name the same release class."""
+    if value is None or isinstance(value, str):
+        return value
+    return signature_digest(value)
+
+
+def _legacy_signature(entry: Any) -> Any:
+    """A ``signatures`` entry as rows written before digests stored it:
+    tuples tagged as ``{"tuple": [...]}`` (read only, never written)."""
+    if isinstance(entry, dict):
+        return tuple(_legacy_signature(item) for item in entry["tuple"])
+    return entry
 
 
 def check_count(value: Any, name: str, *, minimum: int = 1) -> int:
@@ -259,12 +268,17 @@ class BaseAccountant:
         quilt signature) or none is recorded.  ``n_releases`` must be an
         integer (:func:`check_charge`).
 
+        A ``str`` or ``None`` ``quilt_signature`` is kept as given and any
+        other value as its :func:`signature_digest`, so ``t`` and
+        ``signature_digest(t)`` count as the same release class.
+
         ``rdp_curve`` optionally supplies the releases' own Rényi cost curve
         (mechanisms exposing ``rdp_curve``, e.g. the Gaussian MQM); the
         linear accountant ignores it, the Rényi accountant uses it in place
         of the conservative pure-release curve.
         """
         n_releases, epsilon = check_charge(n_releases, epsilon)
+        quilt_signature = _kept_signature(quilt_signature)
         with self._mutex:
             if self._signatures and quilt_signature not in self._signatures:
                 raise PrivacyParameterError(
@@ -354,9 +368,10 @@ class BaseAccountant:
         """The complete ledger as a JSON-safe dict.
 
         The ledger is its aggregates, and all of them ride along: count,
-        the quilt signatures, and the linear worst-epsilon, the full Rényi
-        running curve or the sliding window buckets.  Its size does not
-        depend on how many releases were recorded.
+        the quilt signatures (as kept: digests, plain strings or ``None``),
+        and the linear worst-epsilon, the full Rényi running curve or the
+        sliding window buckets.  Its size does not depend on how many
+        releases were recorded, nor on the network.
         :func:`accountant_from_state` inverts it **bit-identically**: the
         aggregates are restored verbatim rather than replayed, so
         float-summation order cannot drift and ``eps(delta)`` round-trips
@@ -367,10 +382,7 @@ class BaseAccountant:
                 "kind": self._STATE_KIND,
                 "budget": None if self.budget is None else float(self.budget),
                 "count": int(self._count),
-                "signatures": sorted(
-                    (encode_signature(s) for s in self._signatures),
-                    key=repr,
-                ),
+                "signatures": sorted(self._signatures, key=repr),
             }
             state.update(self._state_extra_locked())
             return state
@@ -379,7 +391,7 @@ class BaseAccountant:
         with self._mutex:
             self._count = int(state["count"])
             self._signatures = {
-                decode_signature(s) for s in state["signatures"]
+                _kept_signature(_legacy_signature(s)) for s in state["signatures"]
             }
             self._restore_extra(state)
 
@@ -394,6 +406,10 @@ def accountant_from_state(state: Mapping) -> BaseAccountant:
     accountants could keep an audit trail also carry ``audit_trail`` and
     ``trail`` keys; neither is read, so such a state restores to the same
     spend and its next :meth:`~BaseAccountant.state_dict` drops both.
+    States written before signatures were digests hold each tuple tagged
+    as ``{"tuple": [...]}``; such an entry restores as the digest of the
+    tuple it encodes, so the ledger admits that quilt's next release and
+    its next ``state_dict`` is in digest form.
     """
     kind = state.get("kind")
     if kind == "linear":

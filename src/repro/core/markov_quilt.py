@@ -26,6 +26,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.distributions.structured import QuiltGenerator
 
+from repro.core.accounting import signature_digest
 from repro.core.laplace import Mechanism
 from repro.core.queries import Query
 from repro.distributions.bayesnet import DiscreteBayesianNetwork, MarkovQuilt
@@ -197,7 +198,7 @@ class MarkovQuiltMechanism(Mechanism):
         self._quilt_digest: tuple[Mapping, str] | None = None
         #: Memo of :meth:`quilt_signature`, dropped whenever a per-node
         #: result may change.
-        self._signature: tuple | None = None
+        self._signature: str | None = None
 
     def __getstate__(self) -> dict:
         """Copy and pickle without the quilt-set digest or signature memos.
@@ -396,21 +397,25 @@ class MarkovQuiltMechanism(Mechanism):
             "active_quilt": sorted(quilt.quilt),
         }
 
-    def quilt_signature(self) -> tuple:
-        """Hashable fingerprint of the active quilts; two MQM releases
-        compose linearly when their signatures match (Theorem 4.4).
+    def quilt_signature(self) -> str:
+        """The active quilts as one 64-character hex digest; two MQM
+        releases compose linearly when their signatures match (Theorem
+        4.4).
 
-        Built once and returned as the same object until a per-node result
-        may change (a search, a ``warm_start``, an edit), so an
-        accountant's same-quilt check matches it by identity.
+        The :func:`~repro.core.accounting.signature_digest` of the tuple of
+        ``(node, sorted active-quilt members)`` pairs, in node order.
+        Built once and kept until a per-node result may change (a search,
+        a ``warm_start``, an edit).
         """
         self._node_results()
         signature = self._signature
         if signature is None:
             results = self._all_results()
-            signature = tuple(
-                (node, tuple(sorted(results[node][1].quilt)))
-                for node in self.reference.nodes
+            signature = signature_digest(
+                tuple(
+                    (node, tuple(sorted(results[node][1].quilt)))
+                    for node in self.reference.nodes
+                )
             )
             self._signature = signature
         return signature

@@ -485,12 +485,23 @@ class PrivacyService:
         Invoked at service construction and via ``POST /admin/recover``;
         safe to run any time (sweeping is idempotent and only ever
         *returns* unspent budget).
+
+        A tenant whose row cannot be swept (unparseable JSON, a missing
+        key) is reported under ``unreadable_tenants`` as ``"<Type>:
+        <message>"`` and the sweep goes on, so one bad row never stops the
+        service from starting for every other tenant; that tenant's own
+        requests keep failing.  A simulated crash still escapes.
         """
         tenants: dict[str, dict] = {}
+        unreadable: dict[str, str] = {}
         for tenant in self.store.tenants():
-            tenants[tenant] = self.ledger(tenant).sweep()
+            try:
+                tenants[tenant] = self.ledger(tenant).sweep()
+            except Exception as error:
+                unreadable[tenant] = f"{type(error).__name__}: {error}"
         return {
             "tenants": tenants,
+            "unreadable_tenants": unreadable,
             "expired_reservations": sum(
                 t["expired_reservations"] for t in tenants.values()
             ),

@@ -43,7 +43,7 @@ from typing import Any, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.accounting import BaseAccountant, RenyiAccountant
+from repro.core.accounting import BaseAccountant, RenyiAccountant, signature_digest
 from repro.core.composition import CompositionAccountant
 from repro.core.laplace import Calibration, Mechanism, PrivateRelease
 from repro.core.queries import Query
@@ -373,17 +373,18 @@ class PrivacyEngine:
         """Budget left, or ``None`` when unlimited."""
         return self.accountant.remaining()
 
-    def _quilt_signature(self) -> tuple:
-        """Signature recorded with each release.
+    def _quilt_signature(self) -> str:
+        """Signature recorded with each release: one 64-character digest.
 
         For the Markov Quilt Mechanism this is its active-quilt signature, so
         the accountant enforces exactly the Theorem 4.4 same-quilt condition;
-        for every other mechanism the engine's (constant) mechanism
-        fingerprint keeps the accountant's consistency check vacuous.
+        for every other mechanism the digest of the engine's (constant)
+        mechanism fingerprint keeps the accountant's consistency check
+        vacuous.  A stream holds this one string for its whole session.
         """
         if hasattr(self.mechanism, "quilt_signature"):
             return self.mechanism.quilt_signature()
-        return mechanism_fingerprint(self.mechanism)
+        return signature_digest(mechanism_fingerprint(self.mechanism))
 
     # -- introspection ---------------------------------------------------
     @property

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import re
 import sys
 import threading
 
@@ -31,6 +32,7 @@ from repro.core.accounting import (
     BUDGET_ATOL,
     RenyiAccountant,
     accountant_from_state,
+    signature_digest,
 )
 from repro.core.composition import CompositionAccountant
 from repro.core.windowed import SlidingWindowAccountant
@@ -289,6 +291,43 @@ class TestThreadSafety:
 
         _run_threads([(lambda s=slot: worker(s)) for slot in range(4)])
         assert sum(counts) == reference == len(accountant)
+
+
+class TestSignatureDigest:
+    """Accountants keep and persist a signature as its 64-character digest,
+    and count a signature and its digest as one release class."""
+
+    SIGNATURE = (("b0_0", ("b0_3",)), ("b0_1", ()))
+
+    def test_state_holds_the_digest(self, make):
+        accountant = make()
+        accountant.record_many(3, EPSILON, quilt_signature=self.SIGNATURE)
+        signatures = accountant.state_dict()["signatures"]
+        assert signatures == [signature_digest(self.SIGNATURE)]
+        assert re.fullmatch(r"[0-9a-f]{64}", signatures[0])
+
+    @pytest.mark.parametrize("digest_first", [False, True])
+    def test_a_signature_and_its_digest_admit_each_other(self, make, digest_first):
+        forms = [self.SIGNATURE, signature_digest(self.SIGNATURE)]
+        if digest_first:
+            forms.reverse()
+        accountant = make()
+        for form in forms:
+            accountant.record(EPSILON, quilt_signature=form)
+        assert len(accountant) == 2
+        assert accountant.is_composable
+
+    def test_json_round_trip_admits_the_quilt_and_refuses_another(self, make):
+        source = make()
+        source.record(EPSILON, quilt_signature=self.SIGNATURE)
+        restored = accountant_from_state(
+            json.loads(json.dumps(source.state_dict()))
+        )
+        restored.record(EPSILON, quilt_signature=self.SIGNATURE)
+        with pytest.raises(PrivacyParameterError, match="Markov quilts"):
+            restored.record(EPSILON, quilt_signature=(("b0_0", ()), ("b0_1", ())))
+        assert len(restored) == 2
+        assert restored.is_composable
 
 
 class TestPickling:

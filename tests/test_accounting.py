@@ -45,6 +45,7 @@ from repro.core.accounting import (
     RenyiAccountant,
     accountant_from_state,
     pure_rdp_curve,
+    signature_digest,
 )
 from repro.core.composition import CompositionAccountant
 from repro.core.queries import CountQuery
@@ -549,6 +550,21 @@ LEGACY_STATES = {
 
 
 @pytest.mark.parametrize("kind", sorted(LEGACY_STATES))
+def test_a_legacy_tagged_signature_admits_its_quilt_and_refuses_another(kind):
+    """A ``{"tuple": [...]}`` entry restores as the digest of its tuple.
+    The budget is lifted so the linear ledger, already spent to its budget,
+    can take the next release."""
+    restored = accountant_from_state(
+        {**json.loads(LEGACY_STATES[kind][0]), "budget": None}
+    )
+    assert restored.is_composable
+    with pytest.raises(PrivacyParameterError, match="Markov quilts"):
+        restored.record(0.125, quilt_signature=("r",))
+    restored.record(0.125, quilt_signature=("q",))
+    assert restored.state_dict()["signatures"] == [signature_digest(("q",))]
+
+
+@pytest.mark.parametrize("kind", sorted(LEGACY_STATES))
 def test_state_with_a_legacy_trail_restores_the_same_spend(kind):
     """The ``audit_trail`` and ``trail`` keys are ignored: the aggregates
     restore verbatim, and the next ``state_dict`` carries neither key."""
@@ -560,7 +576,10 @@ def test_state_with_a_legacy_trail_restores_the_same_spend(kind):
     state = restored.state_dict()
     assert "trail" not in state and "audit_trail" not in state
     assert state == {
-        key: value
-        for key, value in legacy.items()
-        if key not in ("trail", "audit_trail")
+        **{
+            key: value
+            for key, value in legacy.items()
+            if key not in ("trail", "audit_trail")
+        },
+        "signatures": [signature_digest(("q",))],
     }

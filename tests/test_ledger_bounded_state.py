@@ -7,8 +7,9 @@ reservation they debit, and that slot dies with the reservation; only
 client idempotency keys outlive a release, until the sweep's TTL.  These
 tests pin that at ledger level over 10,000 releases and for every
 accountant kind, for an in-process engine's accountant over 10,000
-streamed releases, at service level over the HTTP surface, and for states
-written before replay moved onto the reservation (their ``retry.``
+streamed releases, at service level over the HTTP surface (whatever the
+network's size: a row keeps the quilt signature as a digest), and for
+states written before replay moved onto the reservation (their ``retry.``
 records are swept whatever their age) or while accountants kept an audit
 trail (the startup sweep strips it)."""
 
@@ -23,8 +24,13 @@ import pytest
 from repro.core import GaussianMarkovQuiltMechanism, MarkovQuiltMechanism
 from repro.core.accounting import RenyiAccountant
 from repro.core.queries import CountQuery
-from repro.distributions.structured import hub_and_spoke_network
-from repro.service import create_app
+from repro.distributions.structured import (
+    BlockQuiltGenerator,
+    block_node,
+    household_blocks_network,
+    hub_and_spoke_network,
+)
+from repro.service import Workload, create_app, default_workloads
 from repro.service.ledger import TenantLedger
 from repro.service.stores import SQLiteLedgerStore
 from repro.service.testing import TestClient
@@ -147,6 +153,39 @@ def test_service_default_tenant_row_stays_flat():
             if n in (2, 200):
                 sizes[n] = len(json.dumps(app.service.store.peek("acme")))
         assert abs(sizes[200] - sizes[2]) <= SLACK_BYTES, sizes
+    finally:
+        app.service.close()
+
+
+def test_tenant_row_size_does_not_depend_on_the_network():
+    """A 30-node blocks tenant's row is the size of a 7-node hub tenant's:
+    the row keeps the quilt signature as a fixed-size digest."""
+    blocks = tuple(tuple(block_node(i, j) for j in range(5)) for i in range(6))
+    mechanism = MarkovQuiltMechanism(
+        [household_blocks_network(6, 5)],
+        2.0,
+        quilt_generator=BlockQuiltGenerator(blocks),
+    )
+    workloads = {
+        **default_workloads(),
+        "blocks": Workload("blocks", mechanism, np.ones(30), CountQuery()),
+    }
+    app = create_app(workloads=workloads)
+    client = TestClient(app)
+    try:
+        sizes = {}
+        for tenant, workload in (("hub", "hub-laplace"), ("blocks", "blocks")):
+            assert client.post(f"/tenants/{tenant}", {"budget": 1e6}).status == 200
+            for n in range(1, 201):
+                release = client.post(
+                    f"/tenants/{tenant}/release", {"workload": workload}
+                )
+                assert release.status == 200
+                if n in (1, 200):
+                    row = app.service.store.peek(tenant)
+                    sizes[tenant, n] = len(json.dumps(row))
+        assert abs(sizes["blocks", 200] - sizes["hub", 200]) <= SLACK_BYTES, sizes
+        assert abs(sizes["blocks", 200] - sizes["blocks", 1]) <= SLACK_BYTES, sizes
     finally:
         app.service.close()
 

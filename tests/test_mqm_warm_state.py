@@ -17,11 +17,13 @@ import gc
 import json
 import math
 import pickle
+import re
 import sqlite3
 
 import numpy as np
 import pytest
 
+from repro.core.accounting import signature_digest
 from repro.core.gaussian import GaussianMarkovQuiltMechanism
 from repro.core.markov_quilt import MarkovQuiltMechanism
 from repro.core.queries import CountQuery
@@ -524,14 +526,24 @@ def test_quilt_signature_is_built_once(kind, family):
     mechanism = _mechanism(kind, family)
     signature = mechanism.quilt_signature()
     assert mechanism.quilt_signature() is signature
-    assert signature == tuple(
-        (node, tuple(sorted(mechanism.sigma_for_node(node)[1].quilt)))
-        for node in mechanism.reference.nodes
+    assert signature == signature_digest(
+        tuple(
+            (node, tuple(sorted(mechanism.sigma_for_node(node)[1].quilt)))
+            for node in mechanism.reference.nodes
+        )
     )
     mechanism.sigma_max()
     mechanism.active_quilts()
     assert mechanism.quilt_signature() is signature
     assert _mechanism(kind, family).quilt_signature() == signature
+
+
+@pytest.mark.parametrize("family", sorted(SCENARIOS))
+@pytest.mark.parametrize("kind", sorted(MECHANISMS))
+def test_quilt_signature_is_a_hex_digest(kind, family):
+    signature = _mechanism(kind, family).quilt_signature()
+    assert isinstance(signature, str)
+    assert re.fullmatch(r"[0-9a-f]{64}", signature)
 
 
 def test_warm_start_that_moves_an_active_quilt_changes_the_signature():
@@ -550,7 +562,7 @@ def test_warm_start_that_moves_an_active_quilt_changes_the_signature():
     mechanism.warm_start({"sigma_by_node": [[node, sigma, trivial]]})
     after = mechanism.quilt_signature()
     assert after != before
-    assert dict(after)[node] == ()
+    assert mechanism.active_quilts()[node].is_trivial
     assert mechanism.quilt_signature() is after
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sqlite3
 import threading
 
 import pytest
@@ -592,6 +593,77 @@ def test_startup_recovery_sweep_runs(tmp_path):
     snapshot = TestClient(reborn).get("/tenants/acme").json()
     assert snapshot["reserved_releases"] == 0  # stranded budget reclaimed
     reborn.service.close()
+
+
+def _with_one_unreadable_tenant(path, corrupt) -> float:
+    """Tenants ``ok`` (one release) and ``bad``; then ``corrupt`` damages
+    ``bad``'s stored row through a ``sqlite3`` connection.  Returns
+    ``ok``'s spend."""
+    app = create_app(path)
+    client = TestClient(app)
+    _tenant(client, "ok", accountant="linear")
+    _tenant(client, "bad", accountant="linear")
+    spent = client.post(
+        "/tenants/ok/release", {"workload": "hub-laplace", "seed": 0}
+    ).json()["ledger"]["spent_epsilon"]
+    app.service.close()
+    with sqlite3.connect(path) as conn:
+        corrupt(conn)
+    conn.close()
+    return spent
+
+
+def _unparseable(conn):
+    conn.execute("UPDATE tenant_ledgers SET state = '{oops' WHERE tenant = 'bad'")
+
+
+def _no_reservations_key(conn):
+    (text,) = conn.execute(
+        "SELECT state FROM tenant_ledgers WHERE tenant = 'bad'"
+    ).fetchone()
+    state = json.loads(text)
+    del state["reservations"]
+    conn.execute(
+        "UPDATE tenant_ledgers SET state = ? WHERE tenant = 'bad'",
+        (json.dumps(state),),
+    )
+
+
+@pytest.mark.parametrize(
+    "corrupt, error",
+    [(_unparseable, "JSONDecodeError: "), (_no_reservations_key, "KeyError: ")],
+    ids=["unparseable", "no-reservations-key"],
+)
+def test_one_unreadable_tenant_does_not_stop_the_service(tmp_path, corrupt, error):
+    path = str(tmp_path / "ledgers.sqlite")
+    spent = _with_one_unreadable_tenant(path, corrupt)
+
+    app = create_app(path)  # the startup sweep skips the bad row
+    client = TestClient(app)
+    try:
+        assert client.get("/tenants/ok").json()["spent_epsilon"] == spent
+        release = client.post("/tenants/ok/release", {"workload": "hub-laplace"})
+        assert release.status == 200
+        report = client.post("/admin/recover").json()
+        assert list(report["unreadable_tenants"]) == ["bad"]
+        assert report["unreadable_tenants"]["bad"].startswith(error)
+        assert "bad" not in report["tenants"]
+        assert report["tenants"]["ok"]["outstanding_reservations"] == 0
+        # Nothing is ever served from the bad row.
+        refused = client.post("/tenants/bad/release", {"workload": "hub-laplace"})
+        assert refused.status == 500
+    finally:
+        app.service.close()
+
+
+def test_a_simulated_crash_still_escapes_the_recovery_sweep(client):
+    from repro.faults import SimulatedCrashError
+
+    _tenant(client)
+    with injected([FaultRule("tenant.sweep", action="crash")]):
+        with pytest.raises(SimulatedCrashError):
+            client.app.service.recover()
+    assert client.post("/admin/recover").json()["unreadable_tenants"] == {}
 
 
 # -- fault observability and the 500 catch-all -------------------------------

@@ -8,13 +8,21 @@ taxonomy, TTL reclamation of abandoned reservations, restart rehydration
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from repro.core import GaussianMarkovQuiltMechanism, MarkovQuiltMechanism
 from repro.core.accounting import RenyiAccountant
 from repro.core.queries import CountQuery
-from repro.distributions.structured import hub_and_spoke_network
+from repro.distributions.structured import (
+    BlockQuiltGenerator,
+    block_node,
+    household_blocks_network,
+    hub_and_spoke_network,
+)
 from repro.exceptions import (
     BudgetExhaustedError,
     PrivacyParameterError,
@@ -23,6 +31,7 @@ from repro.exceptions import (
     UnknownTenantError,
     ValidationError,
 )
+from repro.service import PrivacyService, Workload
 from repro.service.ledger import ReservationAccountant, TenantLedger
 from repro.service.stores import SQLiteLedgerStore
 
@@ -306,3 +315,77 @@ def test_reservation_accountant_rejects_foreign_epsilon(workload):
     accountant = ReservationAccountant(ledger, res)
     with pytest.raises(ReservationError, match="reserved epsilon"):
         accountant.record(0.5, quilt_signature=("n", ()))
+
+
+# -- rows written before signatures were digests ---------------------------
+#: A tenant row as the service wrote it while quilt signatures were stored
+#: as tagged tuples: one keyless release at epsilon 2.0 of the
+#: ``household_blocks_network(6, 5)`` mechanism with its
+#: ``BlockQuiltGenerator`` (12 of its 30 active quilts are non-empty), on a
+#: linear tenant with budget 8.0.
+LEGACY_BLOCKS_ROW = (
+    '{"version": 1, "accountant": {"kind": "linear", "budget": 8.0, '
+    '"count": 1, "signatures": [{"tuple": [{"tuple": ["b0_0", {"tuple": '
+    '["b0_3"]}]}, {"tuple": ["b0_1", {"tuple": []}]}, {"tuple": ["b0_2", '
+    '{"tuple": []}]}, {"tuple": ["b0_3", {"tuple": []}]}, {"tuple": '
+    '["b0_4", {"tuple": ["b0_1"]}]}, {"tuple": ["b1_0", {"tuple": '
+    '["b1_3"]}]}, {"tuple": ["b1_1", {"tuple": []}]}, {"tuple": ["b1_2", '
+    '{"tuple": []}]}, {"tuple": ["b1_3", {"tuple": []}]}, {"tuple": '
+    '["b1_4", {"tuple": ["b1_1"]}]}, {"tuple": ["b2_0", {"tuple": '
+    '["b2_3"]}]}, {"tuple": ["b2_1", {"tuple": []}]}, {"tuple": ["b2_2", '
+    '{"tuple": []}]}, {"tuple": ["b2_3", {"tuple": []}]}, {"tuple": '
+    '["b2_4", {"tuple": ["b2_1"]}]}, {"tuple": ["b3_0", {"tuple": '
+    '["b3_3"]}]}, {"tuple": ["b3_1", {"tuple": []}]}, {"tuple": ["b3_2", '
+    '{"tuple": []}]}, {"tuple": ["b3_3", {"tuple": []}]}, {"tuple": '
+    '["b3_4", {"tuple": ["b3_1"]}]}, {"tuple": ["b4_0", {"tuple": '
+    '["b4_3"]}]}, {"tuple": ["b4_1", {"tuple": []}]}, {"tuple": ["b4_2", '
+    '{"tuple": []}]}, {"tuple": ["b4_3", {"tuple": []}]}, {"tuple": '
+    '["b4_4", {"tuple": ["b4_1"]}]}, {"tuple": ["b5_0", {"tuple": '
+    '["b5_3"]}]}, {"tuple": ["b5_1", {"tuple": []}]}, {"tuple": ["b5_2", '
+    '{"tuple": []}]}, {"tuple": ["b5_3", {"tuple": []}]}, {"tuple": '
+    '["b5_4", {"tuple": ["b5_1"]}]}]}], "worst": 2.0}, "reservations": '
+    '{}, "idempotency": {}}'
+)
+
+
+def _blocks_workload(epsilon: float) -> Workload:
+    blocks = tuple(tuple(block_node(i, j) for j in range(5)) for i in range(6))
+    mechanism = MarkovQuiltMechanism(
+        [household_blocks_network(6, 5)],
+        epsilon,
+        quilt_generator=BlockQuiltGenerator(blocks),
+    )
+    return Workload(f"blocks-{epsilon:g}", mechanism, np.ones(30), CountQuery())
+
+
+def test_a_row_with_tagged_tuple_signatures_keeps_serving(tmp_path):
+    """The row restores to the same spend, the same quilt's next release is
+    admitted and leaves the row in digest form, and another quilt is
+    refused (at epsilon 1.0 every active quilt is the empty separator)."""
+    path = tmp_path / "ledgers.sqlite"
+    store = SQLiteLedgerStore(path)
+    with store.transact("acme") as txn:
+        txn.state = json.loads(LEGACY_BLOCKS_ROW)
+    restored = TenantLedger(store, "acme").accountant()
+    assert restored.total_epsilon() == 2.0
+    assert len(restored) == 1
+    assert restored.is_composable
+    store.close()
+
+    same, other = _blocks_workload(2.0), _blocks_workload(1.0)
+    service = PrivacyService(
+        str(path), workloads={same.name: same, other.name: other}
+    )
+    try:
+        service.release("acme", {"workload": same.name})
+        signatures = service.store.peek("acme")["accountant"]["signatures"]
+        assert len(signatures) == 1
+        assert re.fullmatch(r"[0-9a-f]{64}", signatures[0])
+        with pytest.raises(PrivacyParameterError, match="Markov quilts"):
+            service.release("acme", {"workload": other.name})
+        snapshot = service.ledger("acme").snapshot()
+        assert snapshot["spent_epsilon"] == 4.0
+        assert snapshot["n_releases"] == 2
+        assert snapshot["n_reservations"] == 0
+    finally:
+        service.close()
