@@ -1,7 +1,7 @@
 """Trial runner: repeat releases and aggregate L1 errors.
 
 The noise scale of every mechanism in this library is deterministic given
-the data and family, so a "trial" only redraws the Laplace noise (and, for
+the data and family, so a "trial" only redraws the noise (and, for
 the synthetic experiments, optionally the dataset itself).  The runner goes
 through the serving layer: a :class:`~repro.serving.PrivacyEngine` computes
 (and caches) the calibration once, keeping the scale computation out of the
@@ -55,9 +55,9 @@ def run_release_trials(
     Accepts a bare mechanism (wrapped into a throwaway
     :class:`~repro.serving.PrivacyEngine`) or an existing engine, whose
     calibration cache is then shared across calls.  The scale is calibrated
-    once; each trial adds fresh noise to the exact answer, which is
-    equivalent to (and much faster than) calling :meth:`Mechanism.release`
-    repeatedly.
+    once; each trial adds fresh noise of the mechanism's own family to the
+    exact answer, which is equivalent to (and much faster than) calling
+    :meth:`Mechanism.release` repeatedly.
 
     ``workers`` shards the (single, up-front) calibration across that many
     worker processes — bit-identical scale, faster on multi-core hosts; it
@@ -75,8 +75,9 @@ def run_release_trials(
     values = getattr(data, "concatenated", data)
     exact = np.atleast_1d(np.asarray(query(values), dtype=float))
     scale = engine.calibrate(query, data).scale
-    noise = gen.laplace(0.0, scale, size=(n_trials, exact.size)) if scale > 0 else np.zeros(
-        (n_trials, exact.size)
+    shape = (n_trials, exact.size)
+    noise = (
+        scale * engine.mechanism.standard_noise(gen, shape) if scale > 0 else np.zeros(shape)
     )
     errors = np.abs(noise).sum(axis=1)
     return TrialResult(

@@ -388,8 +388,9 @@ class InferenceEngine:
         return result
 
 
-#: Per-process engine registry, LRU by network content fingerprint.
+#: Per-process engine registry, LRU by network fingerprint, under ``_ENGINES_LOCK``.
 _ENGINES: "OrderedDict[str, InferenceEngine]" = OrderedDict()
+_ENGINES_LOCK = threading.Lock()
 
 
 def engine_for(network) -> InferenceEngine:
@@ -402,15 +403,16 @@ def engine_for(network) -> InferenceEngine:
     network mutated after use re-fingerprints and resolves to a new engine.
     """
     fingerprint = network.fingerprint()
-    engine = _ENGINES.get(fingerprint)
-    if engine is None:
-        engine = InferenceEngine(network)
-        _ENGINES[fingerprint] = engine
-        while len(_ENGINES) > MAX_CACHED_ENGINES:
-            _ENGINES.popitem(last=False)
-    else:
-        _ENGINES.move_to_end(fingerprint)
-    return engine
+    with _ENGINES_LOCK:
+        engine = _ENGINES.get(fingerprint)
+        if engine is None:
+            engine = InferenceEngine(network)
+            _ENGINES[fingerprint] = engine
+            while len(_ENGINES) > MAX_CACHED_ENGINES:
+                _ENGINES.popitem(last=False)
+        else:
+            _ENGINES.move_to_end(fingerprint)
+        return engine
 
 
 def invalidate_engine(fingerprint: str) -> bool:
@@ -423,14 +425,17 @@ def invalidate_engine(fingerprint: str) -> bool:
     later networks happen to push it out.  Eviction is always safe: an
     equal-content network simply rebuilds its engine on next use.
     """
-    return _ENGINES.pop(fingerprint, None) is not None
+    with _ENGINES_LOCK:
+        return _ENGINES.pop(fingerprint, None) is not None
 
 
 def engine_registry_size() -> int:
     """Number of engines currently pinned by the registry."""
-    return len(_ENGINES)
+    with _ENGINES_LOCK:
+        return len(_ENGINES)
 
 
 def clear_engine_registry() -> None:
     """Drop every cached engine (test isolation helper)."""
-    _ENGINES.clear()
+    with _ENGINES_LOCK:
+        _ENGINES.clear()

@@ -23,8 +23,8 @@ Fallback rules
 --------------
 The pool is skipped (shards run inline, same results) when any of:
 
-* ``max_workers <= 1`` (the degenerate single-worker configuration);
-* fewer than ``min_shards`` shards exist;
+* fewer than two workers would run, i.e. ``max_workers <= 1`` or the plan
+  has a single shard;
 * the plan's estimated cost is below ``min_parallel_cost`` (small payloads
   lose more to process startup and pickling than they gain);
 * a shard payload is unpicklable (e.g. a ``ScalarQuery`` wrapping a lambda).
@@ -91,9 +91,6 @@ class ParallelCalibrator:
     max_workers:
         Pool size; defaults to ``os.cpu_count()``.  ``<= 1`` disables the
         pool entirely (every plan runs inline).
-    min_shards:
-        Minimum shard count before a pool is considered (default 2 — a
-        single shard gains nothing from a worker process).
     min_parallel_cost:
         Minimum estimated plan cost (sum of per-shard cost hints, roughly
         "segment positions searched") before a pool is considered.  Small
@@ -107,7 +104,6 @@ class ParallelCalibrator:
         self,
         max_workers: int | None = None,
         *,
-        min_shards: int = 2,
         min_parallel_cost: float = 512.0,
         executor_factory: Callable[[int], Executor] | None = None,
     ) -> None:
@@ -115,10 +111,7 @@ class ParallelCalibrator:
             max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise ValidationError(f"max_workers must be >= 1, got {max_workers}")
-        if min_shards < 1:
-            raise ValidationError(f"min_shards must be >= 1, got {min_shards}")
         self.max_workers = int(max_workers)
-        self.min_shards = int(min_shards)
         self.min_parallel_cost = float(min_parallel_cost)
         self._executor_factory = executor_factory
         #: Execution counters (introspection for tests and benchmarks).
@@ -230,7 +223,6 @@ class ParallelCalibrator:
         workers = min(self.max_workers, len(shards))
         if (
             workers <= 1
-            or len(shards) < self.min_shards
             or self._plan_cost(shards) < self.min_parallel_cost
             or not _picklable(shards)
         ):

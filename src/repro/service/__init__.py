@@ -10,7 +10,8 @@ Layering (each level usable on its own):
 * :mod:`repro.service.ledger` — :class:`TenantLedger` (durable accountant
   state + reserve/consume/release-unused admission) and
   :class:`ReservationAccountant` (plugs a reservation into a stock
-  :class:`~repro.serving.engine.PrivacyEngine`).
+  :class:`~repro.serving.engine.PrivacyEngine`; the service's one keyless
+  debit path, one synced debit per release request or stream chunk).
 * :mod:`repro.service.retry` — :class:`RetryingLedgerStore`: transparent
   bounded-backoff retry of transient store errors under a
   :class:`RetryPolicy` (the service always wraps its store in one).

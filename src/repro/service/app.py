@@ -29,10 +29,11 @@ the store is the source of truth, rehydrated per transaction.
 
 **Engines are shared, budgets are not.**  One warm
 :class:`~repro.serving.engine.PrivacyEngine` per workload owns the
-calibration cache; each request gets a
+calibration cache; each keyless release and each stream gets a
 :meth:`~repro.serving.engine.PrivacyEngine.with_accountant` clone bound to
-a :class:`~repro.service.ledger.ReservationAccountant`, so tenants share
-the expensive (tenant-agnostic) calibrations while every debit lands in
+a :class:`~repro.service.ledger.ReservationAccountant` (one synced debit
+per request or chunk, before any noise is drawn), so tenants share the
+expensive (tenant-agnostic) calibrations while every debit lands in
 their own ledger.
 
 **Errors are structured.**  Every refusal maps an exception's
@@ -138,12 +139,13 @@ def default_workloads() -> "dict[str, Workload]":
 
 @dataclass
 class _StreamState:
-    """Server-side state of one open streaming session."""
+    """One open streaming session: an engine clone bound to its reservation,
+    whose seeded generator carries on from chunk to chunk."""
 
-    session: Any  # ReleaseSession
+    engine: PrivacyEngine
     ledger: TenantLedger
     accountant: ReservationAccountant
-    workload: str
+    workload: Workload
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -209,7 +211,6 @@ class PrivacyService:
             self._streams.clear()
         errors: list[Exception] = []
         for state in states:
-            state.session.close()
             try:
                 state.ledger.release_unused(state.accountant.reservation_id)
             except Exception as error:
@@ -323,16 +324,16 @@ class PrivacyService:
         debited.
 
         The crash-safe lifecycle: **reserve** the sub-budget (one store
-        transaction), **draw** every noisy value locally against the
-        reservation envelope (nothing durable, nothing visible to the
-        client yet), then **commit** values and debit in one final store
-        transaction, and return the unused remainder.  A crash anywhere
-        before the commit debits nothing and releases nothing; a crash
-        after the commit lost only the response — which is what the
-        optional ``idempotency_key`` recovers: the key and the response
-        payload are persisted *with* the debit, so a retried request
-        replays the original values instead of spending again (the reply
-        carries ``"replayed": true``).
+        transaction), **debit**, **draw** every value locally, and return
+        the unused remainder.  A keyless release debits first, as the
+        engine clone's one ``record_many`` on a
+        :class:`~repro.service.ledger.ReservationAccountant` (one synced
+        store transaction): a crash before it spends nothing, a crash after
+        it loses only the response.  The optional ``idempotency_key``
+        recovers that response: a keyed release draws first, then persists
+        the key and the response payload *with* the debit, so a retried
+        request replays the original values instead of spending again (the
+        reply carries ``"replayed": true``).
         """
         body = require_object(body)
         workload, engine = self._workload(get_str(body, "workload"))
@@ -350,10 +351,14 @@ class PrivacyService:
         reservation = ledger.reserve(n, workload.mechanism.epsilon)
         replayed = False
         try:
-            # Draw against a local accountant bounded by the reservation
-            # envelope — no durable writes between reserve and commit.
-            local = CompositionAccountant(budget=reservation.epsilon_total)
-            clone = engine.with_accountant(local, tenant=tenant, rng=seed)
+            accountant = (
+                ReservationAccountant(ledger, reservation)
+                if idempotency_key is None
+                # Keyed: draw against the envelope; the response commits
+                # with its debit.
+                else CompositionAccountant(budget=reservation.epsilon_total)
+            )
+            clone = engine.with_accountant(accountant, tenant=tenant, rng=seed)
             releases = clone.release_repeated(workload.data, workload.query, n)
             response = {
                 "tenant": tenant,
@@ -375,14 +380,6 @@ class PrivacyService:
                     quilt_signature=clone._quilt_signature(),
                     rdp_curve=clone._rdp_curve(),
                 )
-            else:
-                ledger.consume(
-                    reservation.reservation_id,
-                    len(releases),
-                    epsilon=workload.mechanism.epsilon,
-                    quilt_signature=clone._quilt_signature(),
-                    rdp_curve=clone._rdp_curve(),
-                )
         finally:
             ledger.release_unused(reservation.reservation_id)
         return {**response, "ledger": ledger.snapshot(), "replayed": replayed}
@@ -390,7 +387,8 @@ class PrivacyService:
     def open_stream(self, tenant: str, body: Mapping) -> dict:
         """Open a streaming session holding a reservation of ``n_reserved``
         releases; draw with ``POST /sessions/{id}/next``, close with
-        ``DELETE /sessions/{id}`` to return the remainder."""
+        ``DELETE /sessions/{id}`` to return the remainder.  Calibrates
+        before it returns (a cache hit once warm)."""
         body = require_object(body)
         workload, engine = self._workload(get_str(body, "workload"))
         n_reserved = get_int(
@@ -401,25 +399,19 @@ class PrivacyService:
             maximum=MAX_RELEASES_PER_CALL,
         )
         seed = get_int(body, "seed", minimum=0)
-        block_size = get_int(body, "block_size", default=64, minimum=1)
         ledger = self.ledger(tenant)
         reservation = ledger.reserve(n_reserved, workload.mechanism.epsilon)
         try:
             accountant = ReservationAccountant(ledger, reservation)
             clone = engine.with_accountant(accountant, tenant=tenant, rng=seed)
-            session = clone.stream(
-                workload.data,
-                workload.query,
-                block_size=block_size,
-                max_releases=n_reserved,
-            )
+            clone.calibrate(workload.query, workload.data)
         except BaseException:
             ledger.release_unused(reservation.reservation_id)
             raise
         session_id = uuid.uuid4().hex
         with self._streams_lock:
             self._streams[session_id] = _StreamState(
-                session, ledger, accountant, workload.name
+                clone, ledger, accountant, workload
             )
         return {
             "session_id": session_id,
@@ -441,18 +433,29 @@ class PrivacyService:
         return state
 
     def stream_next(self, session_id: str, body: Mapping) -> dict:
+        """Up to ``n`` values, clamped to the reservation's remainder, as
+        one atomic batch: a refused or failed chunk debits and draws
+        nothing, so the next chunk returns exactly its values.  A drained
+        session answers an empty chunk with ``exhausted: true``."""
         body = require_object(body)
         n = get_int(body, "n", default=1, minimum=1, maximum=MAX_RELEASES_PER_CALL)
         state = self._stream_state(session_id)
+        workload = state.workload
         with state.lock:
-            chunk = state.session.take(n)
+            n = min(n, state.accountant.n_remaining)
+            chunk = (
+                state.engine.release_repeated(workload.data, workload.query, n)
+                if n
+                else []
+            )
+            remaining = state.accountant.n_remaining
             return {
                 "session_id": session_id,
                 "values": [self._encode_release(r) for r in chunk],
                 "n": len(chunk),
-                "n_yielded": state.session.n_yielded,
-                "n_remaining": state.accountant.n_remaining,
-                "exhausted": state.session.exhausted,
+                "n_yielded": len(state.accountant),
+                "n_remaining": remaining,
+                "exhausted": remaining == 0,
             }
 
     def close_stream(self, session_id: str) -> dict:
@@ -464,13 +467,12 @@ class PrivacyService:
                 f"opened by another service process)"
             )
         with state.lock:
-            stats = state.session.close()
             returned = state.ledger.release_unused(
                 state.accountant.reservation_id
             )
         return {
             "session_id": session_id,
-            "n_yielded": stats["n_yielded"],
+            "n_yielded": len(state.accountant),
             "n_returned": returned,
             "ledger": state.ledger.snapshot(),
         }

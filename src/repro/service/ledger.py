@@ -38,11 +38,11 @@ tenant's epsilon).  :class:`TenantLedger` provides both on top of a
 
 :class:`ReservationAccountant` adapts one reservation to the
 :class:`~repro.core.accounting.BaseAccountant` contract so a stock
-:class:`~repro.serving.engine.PrivacyEngine` (and its streaming sessions)
-debits the durable ledger per release with no engine changes — budget
-refusals surface as the same structured
-:class:`~repro.exceptions.BudgetExhaustedError` the in-memory accountants
-raise.
+:class:`~repro.serving.engine.PrivacyEngine` debits the durable ledger,
+one :meth:`TenantLedger.consume` per ``record_many``, with no engine
+changes (the service's one keyless debit path) — budget refusals surface
+as the same structured :class:`~repro.exceptions.BudgetExhaustedError`
+the in-memory accountants raise.
 
 Two crash-safety layers ride on top (see ``docs/architecture.md``):
 
@@ -81,6 +81,7 @@ from repro.core.accounting import (
     BaseAccountant,
     RdpCurve,
     RenyiAccountant,
+    _kept_signature,
     accountant_from_state,
     check_charge,
     check_count,
@@ -89,7 +90,6 @@ from repro.core.composition import CompositionAccountant
 from repro.core.windowed import SlidingWindowAccountant
 from repro.exceptions import (
     BudgetExhaustedError,
-    PrivacyParameterError,
     ReservationError,
     UnknownReservationError,
     UnknownTenantError,
@@ -323,9 +323,9 @@ class TenantLedger:
         committed result instead of double-debiting — or refusing a debit
         the tenant already paid for.  This needs one holder per
         reservation, so no other consume lands between the commit and the
-        re-run; every caller is one (:class:`ReservationAccountant` holds
-        its mutex across the debit, a stream its session lock, a one-shot
-        release runs reserve/consume/release in sequence).  A re-run that
+        re-run; the one caller is :class:`ReservationAccountant`, which
+        holds its mutex across the debit (a service stream's chunks also
+        run under the session lock).  A re-run that
         finds the reservation gone (released or expired in between) raises
         :class:`~repro.exceptions.UnknownReservationError`; the committed
         debit stands, so spend is never under-counted.
@@ -622,7 +622,7 @@ class TenantLedger:
 
     def _snapshot_from_state(self, state: Mapping) -> dict:
         accountant = accountant_from_state(state["accountant"])
-        reservations = state.get("reservations", {})
+        reservations = state["reservations"]
         outstanding = sum(
             r["n_reserved"] - r["n_consumed"] for r in reservations.values()
         )
@@ -687,15 +687,16 @@ class ReservationAccountant(BaseAccountant):
     """A :class:`~repro.core.accounting.BaseAccountant` over one reservation.
 
     Plug one into a stock :class:`~repro.serving.engine.PrivacyEngine`
-    (``engine.with_accountant(...)``) and every release — single, batched,
-    or streamed — debits the durable tenant ledger exactly once through
-    :meth:`TenantLedger.consume`, inside the store's cross-process
-    transaction.  The local ``budget`` is the reservation's envelope
-    (``n_reserved * epsilon``), so a session that outruns its sub-budget
-    gets the standard structured
+    (``engine.with_accountant(...)``) and every ``record_many`` — a single
+    release, a batch, or a stream chunk — debits the durable tenant ledger
+    exactly once through :meth:`TenantLedger.consume`, inside the store's
+    cross-process transaction.  The local ``budget`` is the reservation's
+    envelope (``n_reserved * epsilon``), so a session that outruns its
+    sub-budget gets the standard structured
     :class:`~repro.exceptions.BudgetExhaustedError` (with the session's
     ledger in the payload) without ever touching the store; the tenant-wide
-    budget was already accounted at admission time.
+    budget was already accounted at admission time, and the ledger checks
+    the reserved epsilon and the same-quilt condition in the debit.
 
     The base class's check-then-record plumbing is overridden rather than
     hooked: the *commit* here is a store transaction (which can itself
@@ -744,17 +745,7 @@ class ReservationAccountant(BaseAccountant):
         rdp_curve: "RdpCurve | None" = None,
     ) -> None:
         n_releases, epsilon = check_charge(n_releases, epsilon)
-        if epsilon != self._reservation.epsilon:
-            raise ReservationError(
-                f"this session reserved epsilon={self._reservation.epsilon:g} "
-                f"per release, cannot record epsilon={epsilon:g}"
-            )
         with self._mutex:
-            if self._signatures and quilt_signature not in self._signatures:
-                raise PrivacyParameterError(
-                    "releases use different active Markov quilts; Theorem 4.4 "
-                    "does not apply and Pufferfish privacy may not compose"
-                )
             remaining = self._reservation.n_reserved - self._consumed
             if n_releases > remaining:
                 spent = self._spent_locked()
@@ -770,9 +761,9 @@ class ReservationAccountant(BaseAccountant):
                     n_completed=0,
                     accountant=type(self).__name__,
                 )
-            # The durable debit: one store transaction, exactly-once.  A
-            # refusal (e.g. the tenant accountant vetoing a curve) raises
-            # here and nothing — local or durable — has changed.
+            # The durable debit: one exactly-once store transaction, which
+            # checks the reserved epsilon and the same quilt.  A refusal
+            # raises here and nothing — local or durable — has changed.
             self._ledger.consume(
                 self._reservation.reservation_id,
                 n_releases,
@@ -782,4 +773,4 @@ class ReservationAccountant(BaseAccountant):
             )
             self._consumed += n_releases
             self._count += n_releases
-            self._signatures.add(quilt_signature)
+            self._signatures.add(_kept_signature(quilt_signature))

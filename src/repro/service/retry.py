@@ -119,9 +119,6 @@ class RetryingLedgerStore(LedgerStore):
     policy:
         The :class:`RetryPolicy`; defaults are serving-sane (5 attempts,
         10 ms base, 0.5 s cap, 10 s deadline).
-    classify:
-        Predicate deciding which errors are transient; defaults to
-        :func:`is_transient_store_error`.
     sleep:
         Injectable sleep (tests pass a recorder).
     """
@@ -131,12 +128,10 @@ class RetryingLedgerStore(LedgerStore):
         inner: LedgerStore,
         policy: "RetryPolicy | None" = None,
         *,
-        classify: "Callable[[BaseException], bool]" = is_transient_store_error,
         sleep: "Callable[[float], None]" = time.sleep,
     ) -> None:
         self.inner = inner
         self.policy = policy if policy is not None else RetryPolicy()
-        self.classify = classify
         self._sleep = sleep
         self._rng = random.Random(self.policy.seed)
         self.retries = 0  # total sleeps taken, for diagnostics
@@ -150,7 +145,7 @@ class RetryingLedgerStore(LedgerStore):
                 return op()
             except BaseException as error:
                 attempt += 1
-                if not self.classify(error):
+                if not is_transient_store_error(error):
                     raise
                 if attempt >= self.policy.max_attempts:
                     raise

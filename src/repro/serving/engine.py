@@ -314,11 +314,11 @@ class PrivacyEngine:
         but debiting a different accountant.
 
         This is the multi-tenant handle: the service keeps one warm base
-        engine per mechanism and hands each session a clone bound to its
-        tenant's :class:`~repro.service.ledger.ReservationAccountant`, so
-        every tenant shares the (expensive, tenant-agnostic) calibrations
+        engine per mechanism and hands each keyless release and stream a
+        clone bound to a :class:`~repro.service.ledger.ReservationAccountant`,
+        so every tenant shares the (expensive, tenant-agnostic) calibrations
         while budgets stay strictly isolated.  The clone gets its own noise
-        stream and release counter.
+        stream (a seeded one carries on across calls) and release counter.
         """
         clone = PrivacyEngine.__new__(PrivacyEngine)
         clone.mechanism = self.mechanism

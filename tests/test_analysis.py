@@ -44,6 +44,23 @@ class TestRunner:
         assert result.noise_scale == pytest.approx(1.0)
         assert result.n_trials == 30_000
 
+    def test_gaussian_trials_draw_gaussian_noise(self):
+        """A trial draws from the mechanism's own noise family: a Gaussian
+        MQM's errors are those of ``scale * standard_normal`` under the
+        same seed, not of Laplace noise at that scale."""
+        from repro.core import GaussianMarkovQuiltMechanism
+        from repro.core.queries import CountQuery
+        from repro.distributions.structured import hub_and_spoke_network
+
+        network = hub_and_spoke_network(3, 2)
+        mechanism = GaussianMarkovQuiltMechanism([network], 0.5, delta=1e-5)
+        data = np.ones(len(network.nodes))
+        result = run_release_trials(mechanism, data, CountQuery(), n_trials=2000, rng=4)
+        noise = result.noise_scale * np.random.default_rng(4).standard_normal((2000, 1))
+        errors = np.abs(noise).sum(axis=1)
+        assert result.mean_l1 == float(errors.mean())
+        assert result.std_l1 == float(errors.std())
+
     def test_rejects_zero_trials(self):
         data = TimeSeriesDataset.from_sequence(np.zeros(10, dtype=int), 2)
         with pytest.raises(ValidationError):

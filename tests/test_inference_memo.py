@@ -11,13 +11,19 @@ within ``MAX_MESSAGE_CELLS`` and stay exact when threads share one engine.
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 import repro.inference.engine as engine_module
-from repro.distributions import structured
-from repro.inference import InferenceEngine, clear_engine_registry, engine_for
+from repro.distributions import DiscreteBayesianNetwork, structured
+from repro.inference import (
+    InferenceEngine,
+    clear_engine_registry,
+    engine_for,
+    engine_registry_size,
+)
 
 
 def _theta(scenario, size=None):
@@ -193,3 +199,39 @@ class TestThreadSafe:
             assert got is not None and len(got) == len(queries)
             for i, want in enumerate(expected):
                 _assert_same_bytes(got[i], want)
+
+    def test_registry_lookups_race_evictions_safely(self):
+        """More networks than the registry holds, looked up from several
+        threads: no lookup may lose its entry to another thread's eviction
+        between finding it and refreshing it."""
+        transition = np.array([[0.9, 0.1], [0.2, 0.8]])
+        networks = [
+            DiscreteBayesianNetwork.chain(np.array([p, 1.0 - p]), transition, 2)
+            for p in np.linspace(0.1, 0.9, 80)
+        ]
+        assert len(networks) > engine_module.MAX_CACHED_ENGINES
+        errors = []
+        deadline = time.monotonic() + 2.0
+
+        def hammer(offset):
+            try:
+                order = networks[offset:] + networks[:offset]
+                while time.monotonic() < deadline:
+                    for network in order:
+                        engine_for(network)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(13 * i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        assert engine_registry_size() <= engine_module.MAX_CACHED_ENGINES

@@ -182,28 +182,28 @@ def test_stream_matches_release_prefix(client):
     assert streamed == batched
 
 
-def test_failed_stream_chunk_returns_the_values_already_paid_for(client):
-    """A debit that errors mid-chunk answers with the values already
-    debited, not a 500 that loses them; the next chunk resumes after them."""
+def test_failed_stream_chunk_debits_nothing_and_the_next_chunk_resumes(client):
+    """A chunk is atomic: a debit that errors answers the error, debits and
+    draws nothing, and the next chunk returns exactly the values the failed
+    one would have."""
     _tenant(client, name="s1", budget=10.0, accountant="linear")
     _tenant(client, name="s2", budget=10.0, accountant="linear")
     sid = client.post(
         "/tenants/s1/stream",
         {"workload": "hub-laplace", "n_reserved": 10, "seed": 5},
     ).json()["session_id"]
-    with injected([FaultRule("tenant.consume", error="io", after=2, times=1)]):
-        partial = client.post(f"/sessions/{sid}/next", {"n": 4})
-    assert partial.status == 200
-    assert partial.json()["n"] == 2
+    with injected([FaultRule("tenant.consume", error="io", times=1)]):
+        failed = client.post(f"/sessions/{sid}/next", {"n": 4})
+    assert failed.status == 500
     ledger = client.get("/tenants/s1").json()
-    assert (ledger["n_releases"], ledger["spent_epsilon"]) == (2, 1.0)
+    assert (ledger["n_releases"], ledger["spent_epsilon"]) == (0, 0.0)
     following = client.post(f"/sessions/{sid}/next", {"n": 4}).json()
     client.delete(f"/sessions/{sid}")
     batched = client.post(
-        "/tenants/s2/release", {"workload": "hub-laplace", "n": 6, "seed": 5}
+        "/tenants/s2/release", {"workload": "hub-laplace", "n": 4, "seed": 5}
     ).json()["values"]
-    assert partial.json()["values"] == batched[:2]
-    assert following["values"] == batched[2:6]
+    assert following["values"] == batched
+    assert following["n_remaining"] == 6
 
 
 def test_close_returns_every_stream_before_reraising(tmp_path):
@@ -649,6 +649,7 @@ def test_one_unreadable_tenant_does_not_stop_the_service(tmp_path, corrupt, erro
         assert report["unreadable_tenants"]["bad"].startswith(error)
         assert "bad" not in report["tenants"]
         assert report["tenants"]["ok"]["outstanding_reservations"] == 0
+        assert client.get("/tenants/bad").status == 500
         # Nothing is ever served from the bad row.
         refused = client.post("/tenants/bad/release", {"workload": "hub-laplace"})
         assert refused.status == 500

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import GaussianMarkovQuiltMechanism, MarkovQuiltMechanism
-from repro.core.accounting import RenyiAccountant
+from repro.core.accounting import RenyiAccountant, signature_digest
 from repro.core.queries import CountQuery
 from repro.distributions.structured import (
     BlockQuiltGenerator,
@@ -145,6 +145,27 @@ def test_only_debits_need_a_flush():
     ledger.release_unused(res.reservation_id)
     ledger.sweep()
     assert store.log == [True, False, True, True, False, True]
+
+
+def test_a_stream_chunk_is_one_synced_transaction():
+    """The service debits an 8-value chunk in one synced transaction, not
+    one per value; a keyless release stays at one synced debit between an
+    unsynced hold and an unsynced return."""
+    service = PrivacyService(_SyncLog())
+    log = service.store.inner.log
+    try:
+        service.create_tenant("acme", {"budget": 20.0})
+        session = service.open_stream(
+            "acme", {"workload": "hub-laplace", "n_reserved": 8}
+        )["session_id"]
+        log.clear()
+        assert service.stream_next(session, {"n": 8})["n"] == 8
+        assert log == [True]
+        log.clear()
+        assert service.release("acme", {"workload": "hub-laplace", "n": 5})["n"] == 5
+        assert log == [False, True, False]
+    finally:
+        service.close()
 
 
 def test_refused_consume_changes_nothing(ledger):
@@ -313,8 +334,26 @@ def test_reservation_accountant_rejects_foreign_epsilon(workload):
     ledger.create(budget=5.0)
     res = ledger.reserve(2, 0.25)  # reserved at a different epsilon
     accountant = ReservationAccountant(ledger, res)
-    with pytest.raises(ReservationError, match="reserved epsilon"):
+    before = ledger.snapshot()
+    with pytest.raises(ReservationError, match="epsilon"):
         accountant.record(0.5, quilt_signature=("n", ()))
+    assert ledger.snapshot() == before
+
+
+def test_reservation_accountant_admits_a_signature_and_its_digest():
+    """The ledger's tenant accountant is the one same-quilt check, so a
+    quilt and its digest are one release class here too."""
+    ledger = TenantLedger(SQLiteLedgerStore(":memory:"), "acme")
+    ledger.create(budget=5.0)
+    accountant = ReservationAccountant(ledger, ledger.reserve(3, 0.5))
+    accountant.record(0.5, quilt_signature=("q",))
+    accountant.record(0.5, quilt_signature=signature_digest(("q",)))
+    assert accountant.is_composable and len(accountant) == 2
+    before = ledger.snapshot()
+    with pytest.raises(PrivacyParameterError, match="different active Markov quilts"):
+        accountant.record(0.5, quilt_signature=("r",))
+    assert ledger.snapshot() == before
+    assert accountant.n_remaining == 1 and accountant.is_composable
 
 
 # -- rows written before signatures were digests ---------------------------
