@@ -38,7 +38,6 @@ EPSILON = 0.2
 DELTA = 1e-5
 BUDGET = 12.0
 GATE = 1.5
-BLOCK_SIZE = 64
 THROUGHPUT_RELEASES = 200 if QUICK else 2000
 
 
@@ -53,7 +52,7 @@ def _drain(network, data, query, mechanism, accountant):
     """Serve one stream until the accountant refuses; count and time it."""
     engine = PrivacyEngine(mechanism, accountant=accountant, rng=0)
     start = time.perf_counter()
-    with engine.stream(data, query, block_size=BLOCK_SIZE) as session:
+    with engine.stream(data, query) as session:
         try:
             while True:
                 next(session)
@@ -170,7 +169,7 @@ def test_renyi_ledger_append_rate(benchmark, workload):
         accountant=RenyiAccountant(delta=DELTA),
         rng=1,
     )
-    session = engine.stream(data, query, rng=2, block_size=BLOCK_SIZE)
+    session = engine.stream(data, query, rng=2)
     chunk = benchmark.pedantic(
         lambda: session.take(THROUGHPUT_RELEASES), rounds=3, iterations=1
     )

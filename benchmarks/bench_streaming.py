@@ -4,16 +4,16 @@ The serving question this answers: once the cache is warm, what does *one
 more release* cost?  Repeated single ``PrivacyEngine.release()`` calls pay a
 cache-key computation, a query evaluation, and a scalar-sized noise draw per
 release; a :class:`~repro.serving.ReleaseSession` pays those once per
-session and amortizes noise over vectorized blocks, leaving a slice plus a
-ledger append per release.  The acceptance gate is streamed steady-state
+session and draws each take's noise in one vectorized call, leaving a ledger
+append per release.  The acceptance gate is streamed steady-state
 throughput at least 5x repeated single releases; in practice it is far
 higher.
 
-Correctness rides along in every mode (quick included): the streamed values
-are asserted bit-identical to the ``release_batch`` prefix under a shared
-seed, and a budget-capped session is asserted to stop at exactly the
-budgeted count with an exact ledger.  The machine-readable trajectory is
-recorded to ``results/BENCH_streaming.json``.
+Correctness rides along in every mode (quick included): the streamed values,
+drained in uneven takes, are asserted bit-identical to the
+``release_batch`` prefix under a shared seed, and a budget-capped session is
+asserted to stop at exactly the budgeted count with an exact ledger.  The
+machine-readable trajectory is recorded to ``results/BENCH_streaming.json``.
 """
 
 import time
@@ -34,9 +34,10 @@ LENGTH = 400 if QUICK else 2000
 WINDOW = 32 if QUICK else 64
 STREAM_RELEASES = 500 if QUICK else 20000
 SINGLE_RELEASES = 50 if QUICK else 500
-BLOCK_SIZE = 256
 CHUNK = 100
 PREFIX_CHECK = 64
+#: Uneven takes that drain the prefix check: each take draws its own noise.
+PREFIX_CHUNKS = (1, 7, 13, 43)
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +69,7 @@ def _single_release_seconds(engine, data, query, n: int) -> float:
 
 
 def _streamed_seconds(engine, data, query, n: int) -> float:
-    session = engine.stream(
-        data, query, rng=2, block_size=BLOCK_SIZE, max_releases=n
-    )
+    session = engine.stream(data, query, rng=2, max_releases=n)
     start = time.perf_counter()
     while session.take(CHUNK):
         pass
@@ -92,11 +91,9 @@ def streaming_report(workload):
     stream_seconds = _streamed_seconds(stream_engine, data, query, STREAM_RELEASES)
 
     # Correctness (every mode): seeded stream == release_batch prefix.
+    prefix_session = _engine(family).stream(data, query, rng=3)
     prefix = [
-        r.value
-        for r in _engine(family).stream(data, query, rng=3, block_size=7).take(
-            PREFIX_CHECK
-        )
+        r.value for chunk in PREFIX_CHUNKS for r in prefix_session.take(chunk)
     ]
     batch = [
         r.value
@@ -108,7 +105,7 @@ def streaming_report(workload):
     # budgeted count with an exact ledger and never over-spends.
     budget_n = 25
     budgeted = _engine(family, epsilon_budget=budget_n * EPSILON)
-    session = budgeted.stream(data, query, rng=4, block_size=BLOCK_SIZE)
+    session = budgeted.stream(data, query, rng=4)
     yielded = 0
     ledger = None
     try:
@@ -130,7 +127,6 @@ def streaming_report(workload):
             "stream_seconds": stream_seconds,
             "stream_rps": stream_rps,
             "stream_per_release_us": 1e6 * stream_seconds / STREAM_RELEASES,
-            "block_size": BLOCK_SIZE,
             "chunk": CHUNK,
             "speedup": stream_rps / single_rps,
         },
@@ -138,6 +134,7 @@ def streaming_report(workload):
             "op": "prefix_bit_identity",
             "length": LENGTH,
             "n": PREFIX_CHECK,
+            "chunks": list(PREFIX_CHUNKS),
             "identical": identical,
             "speedup": None,
         },
@@ -204,7 +201,7 @@ def test_streamed_release_rate(benchmark, workload):
     family, data, query = workload
     engine = _engine(family)
     engine.calibrate(query, data)
-    session = engine.stream(data, query, rng=2, block_size=BLOCK_SIZE)
+    session = engine.stream(data, query, rng=2)
     chunk = benchmark.pedantic(lambda: session.take(256), rounds=3, iterations=1)
     assert len(chunk) == 256
 

@@ -105,7 +105,7 @@ def run_streaming_trials(
     simulating the noise distribution, it drives the real incremental path —
     a :class:`~repro.serving.stream.ReleaseSession` drained in
     ``chunk_size`` chunks — so every yielded release went through the
-    per-yield budget debit and the amortized block noise draws.  Under the
+    per-value budget debit and its chunk's one noise draw.  Under the
     same seed the aggregated errors equal the batched path's exactly (the
     session is bit-identical to the ``release_batch`` prefix).  ``workers``
     shards a cache-missing calibration as in :func:`run_release_trials`.
@@ -121,10 +121,7 @@ def run_streaming_trials(
     )
     scale = engine.calibrate(query, data).scale
     errors: list[float] = []
-    with engine.stream(
-        data, query, rng=rng, max_releases=n_trials,
-        block_size=min(chunk_size, n_trials),
-    ) as session:
+    with engine.stream(data, query, rng=rng, max_releases=n_trials) as session:
         while True:
             chunk = session.take(chunk_size)
             if not chunk:

@@ -29,7 +29,6 @@ the right-only quilt ``{X_{t+b}}`` has ``t + b``; the trivial quilt has
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Iterable
 
@@ -416,24 +415,6 @@ class MQMExact(Mechanism):
             self.restrict_support,
         )
 
-    def with_epsilon(self, epsilon: float) -> "MQMExact":
-        """A copy of this mechanism at a different privacy level.
-
-        The Eq. (5) influence tables do not depend on epsilon, so the copy
-        shares this instance's table cache — sweeping epsilon (as the
-        Figure 4 and Table 3 experiments do) costs one table build instead
-        of one per level.  Only the stationary path caches tables; the
-        per-node tensor path recomputes per call either way.
-        """
-        clone = MQMExact(
-            self.family,
-            epsilon,
-            max_window=self.max_window,
-            restrict_support=self.restrict_support,
-        )
-        clone._table_cache = self._table_cache
-        return clone
-
     def export_calibration_state(self) -> dict:
         """JSON-safe snapshot of the per-length-set sigma results.
 
@@ -454,12 +435,6 @@ class MQMExact(Mechanism):
         """Restore a snapshot produced by :meth:`export_calibration_state`."""
         for key, value in state.get("sigma_by_lengths", []):
             self._sigma_cache[tuple(int(n) for n in key)] = float(value)
-
-    def sigma_sweep(
-        self, lengths: Iterable[int] | int, epsilons: Iterable[float]
-    ) -> dict[float, float]:
-        """``sigma_max`` for several privacy levels, sharing influence tables."""
-        return {eps: self.with_epsilon(eps).sigma_max(lengths) for eps in epsilons}
 
     def sigma_max(self, lengths: Iterable[int] | int) -> float:
         """``sigma_max`` over chains in Theta and segment lengths."""
@@ -702,25 +677,6 @@ class MQMApprox(Mechanism):
         calibration identity — two different families with the same mixing
         parameters genuinely share every MQMApprox noise scale."""
         return ("MQMApprox", self.epsilon, self.pi_min, self.gap)
-
-    def with_epsilon(self, epsilon: float) -> "MQMApprox":
-        """A copy of this mechanism at a different privacy level.
-
-        ``pi_min`` and the eigengap do not depend on epsilon, so they are
-        transferred rather than recomputed — bit-identical mixing parameters
-        across a sweep, and no per-level eigendecomposition.
-        """
-        clone = copy.copy(self)
-        Mechanism.__init__(clone, epsilon)
-        clone._sigma_cache = {}
-        return clone
-
-    def sigma_sweep(
-        self, lengths: Iterable[int] | int, epsilons: Iterable[float]
-    ) -> dict[float, float]:
-        """``sigma_max`` for several privacy levels (cf.
-        :meth:`MQMExact.sigma_sweep`)."""
-        return {eps: self.with_epsilon(eps).sigma_max(lengths) for eps in epsilons}
 
     def export_calibration_state(self) -> dict:
         """JSON-safe snapshot of the per-length sigma table (see

@@ -40,7 +40,7 @@ import copy
 import os
 import pickle
 from concurrent.futures import Executor, ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.laplace import Calibration, Mechanism
 from repro.core.markov_quilt import MarkovQuiltMechanism
@@ -50,7 +50,6 @@ from repro.core.wasserstein import WassersteinMechanism
 from repro.exceptions import ValidationError
 from repro.parallel.shards import (
     KIND_CALIBRATION,
-    KIND_EPSILON,
     KIND_MQM_APPROX,
     KIND_MQM_EXACT,
     KIND_MQM_GENERAL,
@@ -193,7 +192,8 @@ class ParallelCalibrator:
         cost = 0.0
         for shard in shards:
             if shard.kind == KIND_MQM_EXACT:
-                cost += float(shard.payload[2])
+                # The segment length: the positions this chain's search walks.
+                cost += float(shard.payload[3])
             elif shard.kind == KIND_MQM_APPROX:
                 cost += float(shard.key)
             elif shard.kind == KIND_MQM_GENERAL:
@@ -203,8 +203,6 @@ class ParallelCalibrator:
                 cost += 32.0 * len(mechanism.quilt_sets.get(shard.key, ())) * len(
                     mechanism.networks
                 )
-            elif shard.kind == KIND_EPSILON:
-                cost += float(sum(shard.payload[1]))
             else:
                 cost += 128.0
         return cost
@@ -250,25 +248,6 @@ class ParallelCalibrator:
         if shards:
             self._merge(mechanism, query, data, self.execute(shards))
         return mechanism.calibrate(query, data)
-
-    def sigma_sweep(
-        self,
-        mechanism: "MQMExact | MQMApprox",
-        lengths: Iterable[int] | int,
-        epsilons: Iterable[float],
-    ) -> dict[float, float]:
-        """Sharded equivalent of ``mechanism.sigma_sweep`` — one shard per
-        privacy level, each evaluating ``with_epsilon(eps).sigma_max``."""
-        if isinstance(lengths, int):
-            lengths = (lengths,)
-        lengths = tuple(int(n) for n in lengths)
-        epsilons = [float(eps) for eps in epsilons]
-        template = _pristine(mechanism)
-        shards = [
-            Shard(KIND_EPSILON, eps, (template, lengths)) for eps in epsilons
-        ]
-        results = {result.key: float(result.value) for result in self.execute(shards)}
-        return {eps: results[eps] for eps in epsilons}
 
     def calibrate_many(
         self,

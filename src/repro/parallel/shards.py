@@ -23,7 +23,6 @@ of *independent* sub-computations:
   :class:`~repro.core.gaussian.GaussianMarkovQuiltMechanism` shard carries
   the subclass (with its ``delta`` and Gaussian ``_quilt_score``) and the
   worker's per-node search is the Gaussian one, bit-identically;
-* an epsilon sweep evaluates ``sigma_max`` per privacy level;
 * a multi-mechanism trial run calibrates each mechanism separately.
 
 This module turns each of those sub-computations into a :class:`Shard` — a
@@ -52,7 +51,6 @@ KIND_MQM_EXACT = "mqm-exact-chain-length"
 KIND_MQM_APPROX = "mqm-approx-length"
 KIND_MQM_GENERAL = "mqm-general-node"
 KIND_WASSERSTEIN = "wasserstein-model"
-KIND_EPSILON = "epsilon-sweep"
 KIND_CALIBRATION = "mechanism-calibration"
 
 _KNOWN_KINDS = frozenset(
@@ -61,7 +59,6 @@ _KNOWN_KINDS = frozenset(
         KIND_MQM_APPROX,
         KIND_MQM_GENERAL,
         KIND_WASSERSTEIN,
-        KIND_EPSILON,
         KIND_CALIBRATION,
     }
 )
@@ -77,7 +74,7 @@ class Shard:
         Dispatch tag (one of the ``KIND_*`` constants).
     key:
         Merge key the parent uses to place the result — e.g. the segment
-        length for a per-length shard, the epsilon for a sweep shard.
+        length for a per-length shard, the node for a per-node shard.
     payload:
         Everything the worker needs, picklable.  Mechanism objects are
         shipped as *pristine clones* (no warm tables) so the pickled payload
@@ -137,10 +134,6 @@ def run_shard(shard: Shard) -> ShardResult:
 
         instantiation, query, theta_index = shard.payload
         value = float(model_supremum(instantiation, query, theta_index))
-        return ShardResult(shard.kind, shard.key, value)
-    if shard.kind == KIND_EPSILON:
-        mechanism, lengths = shard.payload
-        value = float(mechanism.with_epsilon(float(shard.key)).sigma_max(lengths))
         return ShardResult(shard.kind, shard.key, value)
     if shard.kind == KIND_CALIBRATION:
         mechanism, query, data = shard.payload

@@ -6,8 +6,9 @@ the composition literature on Pufferfish privacy treats as central.
 
 * :class:`PrivacyEngine` — wraps any mechanism; cached calibration, batched
   vectorized releases, streaming sessions, enforced epsilon budget.
-* :class:`ReleaseSession` — incremental (streamed) releases with per-yield
-  atomic budget accounting (see :mod:`repro.serving.stream`).
+* :class:`ReleaseSession` — incremental (streamed) releases with per-value
+  atomic budget accounting and one noise draw per chunk (see
+  :mod:`repro.serving.stream`).
 * :class:`CalibrationCache` — memoizes noise-scale computations, keyed on
   content fingerprints (see :mod:`repro.serving.fingerprint`).
 * Backends: :class:`InMemoryLRUCache` (default) and :class:`SQLiteCache`

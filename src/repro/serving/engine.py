@@ -26,8 +26,9 @@ the latter:
 * **stream indefinitely** — :meth:`stream` opens a
   :class:`~repro.serving.stream.ReleaseSession` that yields releases
   incrementally (bit-identical to the batched path under the same seed)
-  while debiting the budget atomically per yield, for long-lived clients
-  that do not know their batch size up front.
+  while debiting the budget atomically per value and drawing each chunk's
+  noise in one call, for long-lived clients that do not know their batch
+  size up front.
 
 Composition caveat: Pufferfish privacy does not compose in general.  The
 ``K * max_k eps_k`` accounting implemented by the accountant is *proved* for
@@ -280,28 +281,20 @@ class PrivacyEngine:
         query: Query,
         *,
         rng: "int | np.random.Generator | None" = None,
-        block_size: int = 64,
         max_releases: int | None = None,
     ) -> ReleaseSession:
         """Open a :class:`~repro.serving.stream.ReleaseSession` on this engine.
 
         The session yields releases incrementally (one at a time or in
-        caller-sized chunks via :meth:`ReleaseSession.take`), drawing noise
-        in amortized vectorized blocks while debiting the budget atomically
-        per yield.  Under the same ``rng`` seed the yielded values are
-        bit-identical to the :meth:`release_batch` prefix of the same
+        caller-sized chunks via :meth:`ReleaseSession.take`), debiting the
+        budget atomically per value and then drawing each take's noise in
+        one vectorized call.  Under the same ``rng`` seed the yielded values
+        are bit-identical to the :meth:`release_batch` prefix of the same
         length.  Sessions share this engine's calibration cache, budget,
         and release counter; see ``docs/architecture.md`` for the streaming
         ADR.
         """
-        return ReleaseSession(
-            self,
-            data,
-            query,
-            rng=rng,
-            block_size=block_size,
-            max_releases=max_releases,
-        )
+        return ReleaseSession(self, data, query, rng=rng, max_releases=max_releases)
 
     def with_accountant(
         self,

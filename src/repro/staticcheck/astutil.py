@@ -179,7 +179,7 @@ def class_docstring_guarded_attrs(node: ast.ClassDef) -> "set[str]":
 
     Convention: one or more docstring lines of the form ::
 
-        :guarded: _noise, _pos, _blocks_drawn
+        :guarded: hits, misses, _handed
 
     declare that those instance attributes may only be touched under the
     class's lock (R1 enforces it).

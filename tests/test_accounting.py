@@ -477,7 +477,7 @@ class TestStateRoundTrip:
         mechanism, data, query = gaussian_workload
         live = RenyiAccountant(budget=GAUSSIAN_BUDGET, delta=GAUSSIAN_DELTA)
         engine = PrivacyEngine(mechanism, accountant=live, rng=0)
-        with engine.stream(data, query, block_size=32) as session:
+        with engine.stream(data, query) as session:
             with pytest.raises(BudgetExhaustedError):
                 while True:
                     next(session)

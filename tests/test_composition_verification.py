@@ -101,7 +101,9 @@ def test_mixed_epsilons_compose_to_k_times_max(setting):
     eps_small, eps_large = 0.4, 1.0
     base = MQMExact(FiniteChainFamily([CHAIN]), eps_large, max_window=LENGTH)
     sigma_large = base.sigma_max(LENGTH)
-    sigma_small = base.with_epsilon(eps_small).sigma_max(LENGTH)
+    sigma_small = MQMExact(
+        FiniteChainFamily([CHAIN]), eps_small, max_window=LENGTH
+    ).sigma_max(LENGTH)
     scales = (
         queries[0].lipschitz * sigma_small,
         queries[1].lipschitz * sigma_large,

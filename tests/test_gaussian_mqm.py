@@ -229,7 +229,7 @@ class TestServing:
             make_mechanism(DiscreteBayesianNetwork.chain(INITIAL, TRANSITION, 5)),
             rng=42,
         )
-        with stream_engine.stream(data, query, block_size=5) as session:
+        with stream_engine.stream(data, query) as session:
             streamed = session.take(12)
         assert [r.value for r in batch] == [r.value for r in streamed]
 
@@ -376,7 +376,7 @@ def test_streamed_matches_batched_distribution_ks(audit_workload):
         ]
     )
     stream_engine = PrivacyEngine(audit_mechanism(net))
-    with stream_engine.stream(data, query, rng=17, block_size=128) as session:
+    with stream_engine.stream(data, query, rng=17) as session:
         streamed = np.array(
             [r.value - r.true_value for r in session.take(N_SAMPLES)]
         )

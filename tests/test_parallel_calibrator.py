@@ -80,6 +80,23 @@ def test_mqm_exact_bit_identical_over_grid(length, n_states, epsilon):
     assert parallel_mech._sigma_cache == serial_mech._sigma_cache
 
 
+def test_mqm_exact_one_chain_family_reaches_the_pool():
+    """An MQMExact shard is priced by its segment length, not by its
+    chain's index, so a one-chain family's plan can pay for a pool."""
+    family = FiniteChainFamily([next(_two_chains(2).chains())])
+    data = TimeSeriesDataset([np.zeros(n, dtype=int) for n in (400, 600, 800)], 2)
+    query = StateFrequencyQuery(1, data.n_observations)
+    serial_mech = MQMExact(family, 1.0, max_window=16)
+    serial = serial_mech.calibrate(query, data)
+    factory = CountingFactory()
+    calibrator = ParallelCalibrator(max_workers=2, executor_factory=factory)
+    parallel_mech = MQMExact(family, 1.0, max_window=16)
+    parallel = calibrator.calibrate(parallel_mech, query, data)
+    assert factory.calls == 1 and calibrator.pool_runs == 1
+    assert parallel.scale == serial.scale
+    assert parallel.details == serial.details
+
+
 def test_mqm_exact_non_stationary_start_bit_identical():
     chain = MarkovChain([0.9, 0.1], [[0.8, 0.2], [0.3, 0.7]])  # not stationary
     family = FiniteChainFamily([chain])
@@ -180,20 +197,6 @@ def test_unpicklable_query_falls_back_to_inline():
     parallel = calibrator.calibrate(WassersteinMechanism(inst, 1.0), query, data)
     assert parallel.scale == serial.scale
     assert calibrator.serial_runs == 1
-
-
-def test_sigma_sweep_matches_serial():
-    family = _two_chains(2)
-    epsilons = [0.5, 1.0, 2.0, 4.0]
-    serial = MQMExact(family, 1.0, max_window=48).sigma_sweep([48], epsilons)
-    parallel = _pooled().sigma_sweep(
-        MQMExact(family, 1.0, max_window=48), [48], epsilons
-    )
-    assert parallel == serial
-
-    approx_serial = MQMApprox(family, 1.0).sigma_sweep([48], epsilons)
-    approx_parallel = _pooled().sigma_sweep(MQMApprox(family, 1.0), [48], epsilons)
-    assert approx_parallel == approx_serial
 
 
 def test_calibrate_many_matches_serial_and_warm_starts():

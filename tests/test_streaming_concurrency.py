@@ -5,8 +5,8 @@ accountant's aggregates, each pass the budget check, and each append —
 jointly exceeding the budget although neither alone would.
 :class:`~repro.core.composition.CompositionAccountant` closes it by holding
 an internal lock across the whole check-then-record cycle, and
-:class:`~repro.serving.ReleaseSession` serializes its draw pipeline (debit,
-block refill, buffer slice) under a session lock, so:
+:class:`~repro.serving.ReleaseSession` serializes its draw pipeline (the
+per-value debits, then the chunk's one noise draw) under a session lock, so:
 
 * two threads draining *one* session each receive distinct releases — the
   union is exactly the seeded batch prefix, nothing duplicated or dropped;
@@ -93,7 +93,7 @@ class TestSharedSession:
         total = 400
         engine = make_engine(family)
         session = engine.stream(
-            data, query, rng=7, block_size=13, max_releases=total
+            data, query, rng=7, max_releases=total
         )
         collected: dict[int, list[float]] = {0: [], 1: []}
 
@@ -123,7 +123,7 @@ class TestSharedSession:
         family, data, query = workload
         budget_n = 150
         engine = make_engine(family, epsilon_budget=budget_n * EPSILON)
-        session = engine.stream(data, query, rng=1, block_size=7)
+        session = engine.stream(data, query, rng=1)
         counts = {0: 0, 1: 0}
         refusals: list[BudgetExhaustedError] = []
 
@@ -152,7 +152,7 @@ class TestSharedBudget:
         budget_n = 120
         engine = make_engine(family, epsilon_budget=budget_n * EPSILON)
         sessions = [
-            engine.stream(data, query, rng=seed, block_size=11)
+            engine.stream(data, query, rng=seed)
             for seed in (1, 2)
         ]
         counts = {0: 0, 1: 0}
@@ -177,7 +177,7 @@ class TestSharedBudget:
         budget_n = 100
         engine = make_engine(family, epsilon_budget=budget_n * EPSILON)
         engine.calibrate(query, data)
-        session = engine.stream(data, query, rng=1, block_size=5)
+        session = engine.stream(data, query, rng=1)
         streamed = [0]
         batched = [0]
 

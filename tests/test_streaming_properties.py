@@ -3,14 +3,14 @@
 Stdlib-``random``-driven (no extra dependencies), mirroring
 ``tests/test_property_calibration.py``: each property is checked across a
 deterministic sweep of seeded random instances — random chunk-size
-schedules, random block sizes, random interleavings of multiple sessions.
+schedules, random interleavings of multiple sessions.
 
 Properties (each a contract of the streaming design, not a regression
 value):
 
 * **Prefix bit-identity** — a seeded session yields exactly the
-  ``release_batch`` prefix of the same length, for every block size and
-  every chunking schedule, for scalar and vector queries.
+  ``release_batch`` prefix of the same length, for every chunking
+  schedule, for scalar and vector queries.
 * **Ledger exactness** — the total spent epsilon equals the sum of the
   yields' epsilons, however the draws were chunked or interleaved across
   sessions (chunking is order- and size-invariant for the ledger).
@@ -87,30 +87,34 @@ ACCOUNTANTS = ["linear", "renyi"]
 
 class TestPrefixBitIdentity:
     @pytest.mark.parametrize("accountant", ACCOUNTANTS)
-    @pytest.mark.parametrize("block_size", [1, 3, 64, 1000])
-    def test_stream_equals_batch_prefix_scalar(self, workload, block_size, accountant):
+    @pytest.mark.parametrize("chunk", [1, 3, 64, 1000])
+    def test_stream_equals_batch_prefix_scalar(self, workload, chunk, accountant):
+        """Each take draws its own noise, so the take size is the draw
+        size: takes shorter and longer than the compared prefix alike."""
         family, data = workload
         query = StateFrequencyQuery(1, LENGTH)
         expected = batch_values(family, data, query, 40, seed=7)
         session = make_engine(family, accountant=accountant).stream(
-            data, query, rng=7, block_size=block_size
+            data, query, rng=7
         )
-        streamed = [next(session).value for _ in range(40)]
-        assert streamed == expected  # bit-for-bit, never approx
+        streamed = []
+        while len(streamed) < 40:
+            streamed.extend(r.value for r in session.take(chunk))
+        assert streamed[:40] == expected  # bit-for-bit, never approx
 
-    @pytest.mark.parametrize("block_size", [1, 5, 64])
-    def test_stream_equals_batch_prefix_vector(self, workload, block_size):
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_stream_equals_batch_prefix_vector(self, workload, chunk):
         family, data = workload
         query = RelativeFrequencyHistogram(2, LENGTH)
         engine = make_engine(family)
         expected = [
             r.value for r in engine.release_batch([(data, query)] * 25, rng=11)
         ]
-        session = make_engine(family).stream(
-            data, query, rng=11, block_size=block_size
-        )
-        for want in expected:
-            got = next(session).value
+        session = make_engine(family).stream(data, query, rng=11)
+        streamed = []
+        while len(streamed) < 25:
+            streamed.extend(r.value for r in session.take(chunk))
+        for got, want in zip(streamed, expected):
             assert np.array_equal(got, want)
 
     def test_every_prefix_length_matches(self, workload):
@@ -119,7 +123,7 @@ class TestPrefixBitIdentity:
         family, data = workload
         query = StateFrequencyQuery(1, LENGTH)
         expected = batch_values(family, data, query, 30, seed=13)
-        session = make_engine(family).stream(data, query, rng=13, block_size=4)
+        session = make_engine(family).stream(data, query, rng=13)
         for i in range(30):
             assert next(session).value == expected[i]
 
@@ -132,7 +136,7 @@ class TestPrefixBitIdentity:
         for seed in SEEDS:
             rnd = random.Random(seed)
             session = make_engine(family, accountant=accountant).stream(
-                data, query, rng=17, block_size=rnd.randint(1, 96)
+                data, query, rng=17
             )
             streamed = []
             for chunk_size in random_schedule(rnd, total):
@@ -149,15 +153,48 @@ class TestPrefixBitIdentity:
         expected = batch_values(family, data, query, 10, seed=19)
         gen = np.random.default_rng(19)
         engine = make_engine(family)
-        with engine.stream(
-            data, query, rng=gen, block_size=64, max_releases=10
-        ) as session:
+        with engine.stream(data, query, rng=gen, max_releases=10) as session:
             assert [r.value for r in session] == expected
         # The generator sits exactly where the batch left it: the next draws
         # from a batch continuation agree with a fresh run of 10 + 5.
         continuation = make_engine(family).release_batch([(data, query)] * 5, rng=gen)
         full = batch_values(family, data, query, 15, seed=19)
         assert [r.value for r in continuation] == full[10:]
+
+    def test_session_on_the_engine_generator_draws_no_lookahead(self, workload):
+        """A session on the engine's own generator leaves it where its
+        served values do: a take of 3, then a batch of 5, is a batch of 8."""
+        family, data = workload
+        query = StateFrequencyQuery(1, LENGTH)
+        engine = make_engine(family, rng=29)
+        streamed = [r.value for r in engine.stream(data, query).take(3)]
+        batched = [r.value for r in engine.release_batch([(data, query)] * 5)]
+        expected = make_engine(family, rng=29).release_batch([(data, query)] * 8)
+        assert streamed + batched == [r.value for r in expected]
+
+    def test_each_take_makes_one_draw_of_its_debited_values(
+        self, workload, monkeypatch
+    ):
+        """A take draws the noise of exactly the values it debited, in one
+        call; a take that debits nothing draws nothing."""
+        family, data = workload
+        query = RelativeFrequencyHistogram(2, LENGTH)
+        engine = make_engine(family, epsilon_budget=25.0)
+        draw = engine.mechanism.standard_noise
+        sizes = []
+
+        def counting_draw(gen, size):
+            sizes.append(size)
+            return draw(gen, size)
+
+        monkeypatch.setattr(engine.mechanism, "standard_noise", counting_draw)
+        session = engine.stream(data, query, rng=31)
+        for chunk in (1, 7, 13):
+            assert len(session.take(chunk)) == chunk
+        assert len(session.take(8)) == 4  # the budget covers 4 more
+        with pytest.raises(BudgetExhaustedError):
+            session.take(3)
+        assert sizes == [2 * 1, 2 * 7, 2 * 13, 2 * 4]
 
 
 class TestLedgerInvariants:
@@ -168,7 +205,7 @@ class TestLedgerInvariants:
             rnd = random.Random(100 + seed)
             total = rnd.randint(1, 60)
             engine = make_engine(family)
-            session = engine.stream(data, query, rng=seed, block_size=rnd.randint(1, 32))
+            session = engine.stream(data, query, rng=seed)
             yielded = 0
             for chunk_size in random_schedule(rnd, total):
                 yielded += len(session.take(chunk_size))
@@ -186,7 +223,7 @@ class TestLedgerInvariants:
         for seed in SEEDS:
             rnd = random.Random(200 + seed)
             engine = make_engine(family)
-            session = engine.stream(data, query, rng=1, block_size=rnd.randint(1, 64))
+            session = engine.stream(data, query, rng=1)
             for chunk_size in random_schedule(rnd, 36):
                 session.take(chunk_size)
             totals.append(
@@ -194,6 +231,34 @@ class TestLedgerInvariants:
             )
         assert len(set(totals)) == 1
         assert totals[0] == (36.0, 36, 36)
+
+    def test_renyi_ledger_is_chunking_invariant_bit_for_bit(self, workload):
+        """Every value is its own debit, so a Rényi ledger holds the same
+        floats to the last bit however the stream was chunked.  At epsilon
+        0.3 the order terms are inexact binary fractions, so one debit of k
+        values would round differently from k debits of one."""
+        family, data = workload
+        query = StateFrequencyQuery(1, LENGTH)
+
+        def renyi_session():
+            engine = PrivacyEngine(
+                MQMExact(family, 0.3, max_window=WINDOW), accountant="renyi"
+            )
+            return engine, engine.stream(data, query, rng=1)
+
+        states = []
+        for seed in SEEDS:
+            rnd = random.Random(500 + seed)
+            engine, session = renyi_session()
+            for chunk_size in random_schedule(rnd, 36):
+                session.take(chunk_size)
+            states.append(engine.accountant.state_dict())
+        engine, session = renyi_session()
+        for _ in range(36):
+            next(session)
+        states.append(engine.accountant.state_dict())
+        assert all(state == states[-1] for state in states)
+        assert states[-1]["count"] == 36
 
     def test_stream_and_batch_share_one_ledger(self, workload):
         """Streamed and batched releases debit the same accountant: the
@@ -218,7 +283,7 @@ class TestLedgerInvariants:
             budget_n = rnd.randint(5, 40)
             engine = make_engine(family, epsilon_budget=budget_n * EPSILON)
             sessions = [
-                engine.stream(data, query, rng=s, block_size=rnd.randint(1, 16))
+                engine.stream(data, query, rng=s)
                 for s in range(rnd.randint(2, 4))
             ]
             yielded = 0
@@ -252,7 +317,7 @@ class TestRenyiNeverStopsEarlier:
     Regression for the accountant swap: the inf entry in the order grid
     makes the converted Rényi total <= the linear sum of epsilons, so for
     any schedule the Rényi stream serves at least as many releases from
-    the same budget.  Randomized budgets, block sizes, and chunkings.
+    the same budget.  Randomized budgets and chunkings.
     """
 
     def test_rdp_stop_index_never_earlier_on_random_schedules(self, workload):
@@ -264,9 +329,7 @@ class TestRenyiNeverStopsEarlier:
             engine = make_engine(
                 family, epsilon_budget=budget, accountant=accountant
             )
-            session = engine.stream(
-                data, query, rng=1, block_size=rnd.randint(1, 32)
-            )
+            session = engine.stream(data, query, rng=1)
             served = 0
             while True:
                 try:
@@ -425,26 +488,28 @@ class TestSessionLifecycle:
         assert engine.cache.hits >= 1
         assert engine.n_releases == 6
 
-    def test_stats_track_blocks_and_buffer(self, workload):
-        family, data = workload
-        query = StateFrequencyQuery(1, LENGTH)
-        session = make_engine(family).stream(data, query, rng=1, block_size=10)
-        session.take(25)
-        stats = session.stats()
-        assert stats["blocks_drawn"] == 3
-        assert stats["noise_buffered"] == 5
-        assert stats["block_size"] == 10
-
     def test_invalid_parameters_raise(self, workload):
         family, data = workload
         query = StateFrequencyQuery(1, LENGTH)
         engine = make_engine(family)
         with pytest.raises(ValidationError):
-            engine.stream(data, query, block_size=0)
-        with pytest.raises(ValidationError):
             engine.stream(data, query, max_releases=0)
         with pytest.raises(ValidationError):
             engine.stream(data, query, rng=1).take(0)
+
+    def test_non_integral_counts_raise_before_any_debit(self, workload):
+        family, data = workload
+        query = StateFrequencyQuery(1, LENGTH)
+        engine = make_engine(family)
+        session = engine.stream(data, query, rng=1)
+        for count in (2.5, 2.0, "2", None):
+            with pytest.raises(ValidationError):
+                session.take(count)
+        with pytest.raises(ValidationError):
+            engine.stream(data, query, max_releases=2.5)
+        assert session.n_yielded == 0
+        assert engine.n_releases == 0
+        assert engine.spent_epsilon() == 0.0
 
 
 class TestRunnerIntegration:

@@ -35,7 +35,6 @@ from repro.serving import PrivacyEngine
 EPSILON = 1.0
 LENGTH = 30
 N_SAMPLES = 4000
-BLOCK_SIZE = 512
 
 pytestmark = pytest.mark.statistical
 
@@ -84,14 +83,14 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
 
 def _streamed_values(engine, data, query, n: int, seed: int) -> np.ndarray:
     with engine.stream(
-        data, query, rng=seed, block_size=BLOCK_SIZE, max_releases=n
+        data, query, rng=seed, max_releases=n
     ) as session:
         return np.array([release.value for release in session])
 
 
 def _streamed_noise(engine, data, query, n: int, seed: int) -> np.ndarray:
     with engine.stream(
-        data, query, rng=seed, block_size=BLOCK_SIZE, max_releases=n
+        data, query, rng=seed, max_releases=n
     ) as session:
         return np.array([r.value - r.true_value for r in session])
 
@@ -134,7 +133,7 @@ def test_streamed_chunking_does_not_change_the_noise_law(workload):
     engine = make_engine(family)
     chunked: list[float] = []
     with engine.stream(
-        data, query, rng=23, block_size=97, max_releases=N_SAMPLES
+        data, query, rng=23, max_releases=N_SAMPLES
     ) as session:
         while True:
             chunk = session.take(113)

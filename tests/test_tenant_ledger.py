@@ -318,7 +318,7 @@ def test_reservation_accountant_streams(workload):
     res = ledger.reserve(5, 0.5)
     engine = PrivacyEngineFactory(mechanism, ReservationAccountant(ledger, res))
 
-    with engine.stream(data, query, block_size=2) as session:
+    with engine.stream(data, query) as session:
         with pytest.raises(BudgetExhaustedError) as excinfo:
             while True:
                 next(session)
