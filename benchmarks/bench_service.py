@@ -3,16 +3,15 @@
 The serving question: what does the durable-ledger HTTP front-end cost per
 release, cold versus warm?  *Cold* is a fresh service process against a
 fresh store — the first release pays calibration plus tenant-ledger
-creation.  *Warm* comes in two shapes: single releases (every request pays
-the full reservation cycle — reserve + consume + release-unused, three
-exclusive store transactions — plus HTTP dispatch: the service's worst
-case and its per-request durability price) and batched releases (one
-reservation cycle amortized over ``n`` releases: the steady state a
-throughput deployment actually runs).  A streamed session sits between —
-admission amortized over the whole reservation, one durable consume per
-yield.
+creation.  *Warm* comes in two shapes: single releases (every keyless
+request pays one synced store transaction that admits and debits it,
+plus HTTP dispatch: the service's worst case and its per-request
+durability price) and batched releases (that one transaction amortized
+over ``n`` releases: the steady state a throughput deployment actually
+runs).  A streamed session sits between — admission amortized over the
+whole reservation, one durable consume per chunk.
 
-Two deterministic correctness gates run in every mode, quick included:
+Four deterministic correctness gates run in every mode, quick included:
 
 * **Restart rehydration is bit-identical**: Gaussian releases (mechanism-
   supplied RDP curves) through the service, then a simulated restart over
@@ -22,6 +21,10 @@ Two deterministic correctness gates run in every mode, quick included:
 * **Admission exactness**: a linear tenant must serve exactly
   ``floor(budget / epsilon)`` releases before 429, however the requests
   are sliced.
+* **One transaction per keyless single and per stream chunk**: a counting
+  store must see exactly one store transaction for each warm single
+  release (``txn_per_keyless_single``) and each stream chunk
+  (``txn_per_stream_chunk``).
 
 Wall-clock entries (requests/second for cold, warm, and streamed paths)
 are recorded to ``results/BENCH_service.json`` for trajectory tracking;
@@ -35,7 +38,7 @@ import time
 import pytest
 
 from benchmarks.recording import QUICK, QUICK_SKIP_REASON, record_trajectory
-from repro.service import create_app
+from repro.service import SQLiteLedgerStore, create_app
 from repro.service.testing import TestClient
 
 EPSILON = 0.5  # the demo workloads' per-release epsilon
@@ -45,6 +48,18 @@ N_BATCHES = 2 if QUICK else 8
 STREAM_RELEASES = 40 if QUICK else 200
 COLD_TRIALS = 2 if QUICK else 5
 WARM_VS_COLD_GATE = 2.0
+
+
+class _CountingStore(SQLiteLedgerStore):
+    """A SQLite ledger store that counts its transactions."""
+
+    def __init__(self, path) -> None:
+        super().__init__(path)
+        self.transactions = 0
+
+    def transact(self, tenant, *, sync=True):
+        self.transactions += 1
+        return super().transact(tenant, sync=sync)
 
 
 def _new_client(store_path) -> TestClient:
@@ -71,12 +86,13 @@ def service_report(tmp_path_factory):
     cold_rps = 1.0 / (sum(cold_seconds) / len(cold_seconds))
 
     # -- warm: steady state on one long-lived service + store --------------
-    store_path = base / "warm.sqlite"
-    client = _new_client(store_path)
+    store = _CountingStore(base / "warm.sqlite")
+    client = TestClient(create_app(store))
     client.post("/tenants/t", {"budget": 1e6})
     client.post("/tenants/t/release", {"workload": "hub-laplace", "n": 1})
 
-    # Single releases: the per-request durability price (3 transactions).
+    # Single releases: the per-request durability price (1 transaction).
+    transactions = store.transactions
     start = time.perf_counter()
     for _ in range(SINGLE_RELEASES):
         assert (
@@ -87,8 +103,9 @@ def service_report(tmp_path_factory):
         )
     single_seconds = time.perf_counter() - start
     single_rps = SINGLE_RELEASES / single_seconds
+    txn_per_keyless_single = (store.transactions - transactions) / SINGLE_RELEASES
 
-    # Batched releases: one reservation cycle per BATCH_SIZE releases.
+    # Batched releases: one transaction per BATCH_SIZE releases.
     start = time.perf_counter()
     for _ in range(N_BATCHES):
         response = client.post(
@@ -104,13 +121,16 @@ def service_report(tmp_path_factory):
         "/tenants/t/stream",
         {"workload": "hub-laplace", "n_reserved": STREAM_RELEASES},
     ).json()["session_id"]
+    transactions = store.transactions
     start = time.perf_counter()
-    drained = 0
+    drained = chunks = 0
     while drained < STREAM_RELEASES:
         chunk = client.post(f"/sessions/{sid}/next", {"n": 50}).json()
         assert chunk["n"] > 0
         drained += chunk["n"]
+        chunks += 1
     stream_seconds = time.perf_counter() - start
+    txn_per_stream_chunk = (store.transactions - transactions) / chunks
     client.delete(f"/sessions/{sid}")
     stream_rps = drained / stream_seconds
     client.app.service.close()
@@ -190,6 +210,8 @@ def service_report(tmp_path_factory):
             "gate": WARM_VS_COLD_GATE,
             "rehydration_exact": rehydration_exact,
             "admission_exact": admission_exact,
+            "txn_per_keyless_single": txn_per_keyless_single,
+            "txn_per_stream_chunk": txn_per_stream_chunk,
         },
     )
     return {
@@ -200,6 +222,8 @@ def service_report(tmp_path_factory):
         "stream_rps": stream_rps,
         "rehydration_exact": rehydration_exact,
         "admission_exact": admission_exact,
+        "txn_per_keyless_single": txn_per_keyless_single,
+        "txn_per_stream_chunk": txn_per_stream_chunk,
     }
 
 
@@ -221,12 +245,19 @@ def test_admission_exactness(service_report):
     assert service_report["admission_exact"]
 
 
+def test_keyless_single_and_stream_chunk_are_one_transaction(service_report):
+    """Deterministic gate, every mode: one store transaction per keyless
+    single release and per stream chunk."""
+    assert service_report["txn_per_keyless_single"] == 1
+    assert service_report["txn_per_stream_chunk"] == 1
+
+
 @pytest.mark.perf
 def test_warm_batched_beats_cold(service_report):
     """Steady-state batched releases must beat the cold path by the gate
     factor (single warm releases are *expected* to lose to cold — they pay
-    three durable transactions per release; the trajectory records them
-    for regression tracking, not as a speedup claim)."""
+    one durable transaction per release; the trajectory records them for
+    regression tracking, not as a speedup claim)."""
     if QUICK:
         pytest.skip(QUICK_SKIP_REASON)
     assert (

@@ -54,6 +54,10 @@ FAULT_POINTS: "dict[str, str]" = {
         "TenantLedger.advance_window entry, before the windowed "
         "reclamation transaction opens"
     ),
+    "tenant.charge": (
+        "TenantLedger.charge entry, before the one admit-and-debit "
+        "transaction of a keyless release opens"
+    ),
     "tenant.consume": (
         "TenantLedger.consume / consume_idempotent entry, before the "
         "debit transaction opens"

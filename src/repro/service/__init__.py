@@ -8,10 +8,12 @@ Layering (each level usable on its own):
   per-tenant read-modify-write transactions, atomic across threads and
   processes.
 * :mod:`repro.service.ledger` — :class:`TenantLedger` (durable accountant
-  state + reserve/consume/release-unused admission) and
-  :class:`ReservationAccountant` (plugs a reservation into a stock
-  :class:`~repro.serving.engine.PrivacyEngine`; the service's one keyless
-  debit path, one synced debit per release request or stream chunk).
+  state; a keyless ``charge`` admits and debits in one synced
+  transaction, and sessions run reserve/consume/release-unused),
+  :class:`ChargeAccountant` (plugs ``charge`` into a stock
+  :class:`~repro.serving.engine.PrivacyEngine`: one synced transaction
+  per keyless release request) and :class:`ReservationAccountant` (plugs
+  a reservation in: one synced debit per stream chunk).
 * :mod:`repro.service.retry` — :class:`RetryingLedgerStore`: transparent
   bounded-backoff retry of transient store errors under a
   :class:`RetryPolicy` (the service always wraps its store in one).
@@ -34,7 +36,12 @@ from repro.service.app import (
     create_app,
     default_workloads,
 )
-from repro.service.ledger import Reservation, ReservationAccountant, TenantLedger
+from repro.service.ledger import (
+    ChargeAccountant,
+    Reservation,
+    ReservationAccountant,
+    TenantLedger,
+)
 from repro.service.retry import (
     RetryingLedgerStore,
     RetryPolicy,
@@ -50,6 +57,7 @@ from repro.service.stores import (
 
 __all__ = [
     "AsgiApp",
+    "ChargeAccountant",
     "LedgerStore",
     "LedgerTransaction",
     "PrivacyService",

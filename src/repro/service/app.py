@@ -20,21 +20,25 @@ POST      ``/sessions/{session_id}/next``      draw a chunk from a session
 DELETE    ``/sessions/{session_id}``           close; return unused budget
 ========  ===================================  =================================
 
-**Admission is reservation-style** (see :mod:`repro.service.ledger`): a
-``release`` call reserves its whole sub-budget in one store transaction,
-serves, then returns any unused remainder; a ``stream`` session holds its
-reservation until closed.  Tenant budgets therefore hold across concurrent
-requests, concurrent *service processes* sharing one store, and restarts —
-the store is the source of truth, rehydrated per transaction.
+**Admission prices every outstanding reservation** (see
+:mod:`repro.service.ledger`): a keyless ``release`` admits and debits its
+releases in one synced store transaction, with no reservation; a keyed
+``release`` reserves its sub-budget, serves, then returns any unused
+remainder; a ``stream`` session holds its reservation until closed.
+Tenant budgets therefore hold across concurrent requests, concurrent
+*service processes* sharing one store, and restarts — the store is the
+source of truth, rehydrated per transaction.
 
 **Engines are shared, budgets are not.**  One warm
 :class:`~repro.serving.engine.PrivacyEngine` per workload owns the
-calibration cache; each keyless release and each stream gets a
+calibration cache; each keyless release gets a
 :meth:`~repro.serving.engine.PrivacyEngine.with_accountant` clone bound to
-a :class:`~repro.service.ledger.ReservationAccountant` (one synced debit
-per request or chunk, before any noise is drawn), so tenants share the
-expensive (tenant-agnostic) calibrations while every debit lands in
-their own ledger.
+a :class:`~repro.service.ledger.ChargeAccountant` (one synced charge per
+request) and each stream one bound to a
+:class:`~repro.service.ledger.ReservationAccountant` (one synced debit per
+chunk), both before any noise is drawn, so tenants share the expensive
+(tenant-agnostic) calibrations while every debit lands in their own
+ledger.
 
 **Errors are structured.**  Every refusal maps an exception's
 ``http_status`` — 400 validation, 404 unknown tenant/session, 409
@@ -72,7 +76,11 @@ from repro.exceptions import (
 from repro.faults import current as current_injector
 from repro.faults import fire
 from repro.serving.engine import PrivacyEngine
-from repro.service.ledger import ReservationAccountant, TenantLedger
+from repro.service.ledger import (
+    ChargeAccountant,
+    ReservationAccountant,
+    TenantLedger,
+)
 from repro.service.retry import with_retries
 from repro.service.schemas import (
     get_float,
@@ -323,17 +331,20 @@ class PrivacyService:
         """``n`` budgeted releases, atomically admitted and exactly-once
         debited.
 
-        The crash-safe lifecycle: **reserve** the sub-budget (one store
-        transaction), **debit**, **draw** every value locally, and return
-        the unused remainder.  A keyless release debits first, as the
+        A keyless release is calibrate → charge → draw → answer: the
         engine clone's one ``record_many`` on a
-        :class:`~repro.service.ledger.ReservationAccountant` (one synced
-        store transaction): a crash before it spends nothing, a crash after
-        it loses only the response.  The optional ``idempotency_key``
-        recovers that response: a keyed release draws first, then persists
-        the key and the response payload *with* the debit, so a retried
-        request replays the original values instead of spending again (the
-        reply carries ``"replayed": true``).
+        :class:`~repro.service.ledger.ChargeAccountant` admits and debits
+        the whole request in one synced store transaction, with no
+        reservation, and the reply's ``ledger`` is that transaction's
+        snapshot.  A refusal (404 unknown tenant, 429 over budget) debits
+        and draws nothing; a crash before the commit spends nothing, a
+        crash after it loses only the response.
+
+        The optional ``idempotency_key`` recovers that response: a keyed
+        release **reserves** its sub-budget, draws first, then persists the
+        key and the response payload *with* the debit and returns the
+        unused remainder, so a retried request replays the original values
+        instead of spending again (the reply carries ``"replayed": true``).
         """
         body = require_object(body)
         workload, engine = self._workload(get_str(body, "workload"))
@@ -341,48 +352,54 @@ class PrivacyService:
         seed = get_int(body, "seed", minimum=0)
         idempotency_key = get_str(body, "idempotency_key")
         ledger = self.ledger(tenant)
-        if idempotency_key is not None:
-            # Fast path: an obvious replay skips reserve/draw entirely.
-            # Not authoritative (consume_idempotent re-checks in its own
-            # transaction); just saves work on the common retry.
-            stored = ledger.idempotent_response(idempotency_key)
-            if stored is not None:
-                return {**stored, "ledger": ledger.snapshot(), "replayed": True}
-        reservation = ledger.reserve(n, workload.mechanism.epsilon)
-        replayed = False
-        try:
-            accountant = (
-                ReservationAccountant(ledger, reservation)
-                if idempotency_key is None
-                # Keyed: draw against the envelope; the response commits
-                # with its debit.
-                else CompositionAccountant(budget=reservation.epsilon_total)
-            )
-            clone = engine.with_accountant(accountant, tenant=tenant, rng=seed)
+        if idempotency_key is None:
+            charged = ChargeAccountant(ledger)
+            clone = engine.with_accountant(charged, tenant=tenant, rng=seed)
             releases = clone.release_repeated(workload.data, workload.query, n)
-            response = {
-                "tenant": tenant,
-                "workload": workload.name,
-                "mechanism": workload.mechanism.name,
-                "epsilon_each": workload.mechanism.epsilon,
-                "n": len(releases),
-                "values": [self._encode_release(r) for r in releases],
-                "noise_scale": releases[0].noise_scale,
-            }
-            if idempotency_key is not None:
-                response["idempotency_key"] = idempotency_key
-                response, replayed = ledger.consume_idempotent(
-                    reservation.reservation_id,
-                    len(releases),
-                    epsilon=workload.mechanism.epsilon,
-                    idempotency_key=idempotency_key,
-                    response=response,
-                    quilt_signature=clone._quilt_signature(),
-                    rdp_curve=clone._rdp_curve(),
-                )
+            response = self._release_response(tenant, workload, releases)
+            return {**response, "ledger": charged.snapshot, "replayed": False}
+        # Fast path: an obvious replay skips reserve/draw entirely.  Not
+        # authoritative (consume_idempotent re-checks in its own
+        # transaction); just saves work on the common retry.
+        stored = ledger.idempotent_response(idempotency_key)
+        if stored is not None:
+            return {**stored, "ledger": ledger.snapshot(), "replayed": True}
+        reservation = ledger.reserve(n, workload.mechanism.epsilon)
+        try:
+            # Draw against the envelope; the response commits with its debit.
+            clone = engine.with_accountant(
+                CompositionAccountant(budget=reservation.epsilon_total),
+                tenant=tenant,
+                rng=seed,
+            )
+            releases = clone.release_repeated(workload.data, workload.query, n)
+            response = self._release_response(tenant, workload, releases)
+            response["idempotency_key"] = idempotency_key
+            response, replayed = ledger.consume_idempotent(
+                reservation.reservation_id,
+                len(releases),
+                epsilon=workload.mechanism.epsilon,
+                idempotency_key=idempotency_key,
+                response=response,
+                quilt_signature=clone._quilt_signature(),
+                rdp_curve=clone._rdp_curve(),
+            )
         finally:
             ledger.release_unused(reservation.reservation_id)
         return {**response, "ledger": ledger.snapshot(), "replayed": replayed}
+
+    def _release_response(
+        self, tenant: str, workload: Workload, releases: "list[PrivateRelease]"
+    ) -> dict:
+        return {
+            "tenant": tenant,
+            "workload": workload.name,
+            "mechanism": workload.mechanism.name,
+            "epsilon_each": workload.mechanism.epsilon,
+            "n": len(releases),
+            "values": [self._encode_release(r) for r in releases],
+            "noise_scale": releases[0].noise_scale,
+        }
 
     def open_stream(self, tenant: str, body: Mapping) -> dict:
         """Open a streaming session holding a reservation of ``n_reserved``

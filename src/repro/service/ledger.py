@@ -20,29 +20,35 @@ tenant's epsilon).  :class:`TenantLedger` provides both on top of a
   a power loss that undoes a hold or a return only over-holds budget
   until the recovery sweep, and a debit against a reservation flushes the
   reservation with it.
-* **Reservation admission** (reserve → consume → release-unused).  A
-  session carves its epsilon sub-budget out of the tenant ledger *up
-  front*: :meth:`TenantLedger.reserve` admits ``n`` prospective releases
-  only if the accountant's :meth:`~repro.core.accounting.BaseAccountant.
-  preview` of *all outstanding reservations plus this one* fits the
-  budget.  Concurrent sessions therefore contend at admission time — one
-  store transaction each — and whichever reservations are granted can
-  consume their releases without ever re-racing the budget.  Unused
-  remainder is returned by :meth:`TenantLedger.release_unused` (or
-  reclaimed by the stale-reservation TTL when a session dies without
-  closing).
+* **Admission.**  A grant is admitted only if the accountant's
+  :meth:`~repro.core.accounting.BaseAccountant.preview` of *all
+  outstanding reservations plus this request* fits the budget, so
+  concurrent requests contend at admission time — one store transaction
+  each — and never jointly over-commit.  It comes in two shapes:
+
+  - :meth:`TenantLedger.charge` — a keyless release: admit and debit
+    ``n`` releases in one synced transaction, with no reservation, and
+    answer with the snapshot of the state that transaction committed.
+  - reserve → consume → release-unused — a session (a stream, or a keyed
+    release) carves its sub-budget out up front with
+    :meth:`TenantLedger.reserve`, debits against it without re-racing the
+    budget, and returns the remainder with
+    :meth:`TenantLedger.release_unused` (or the stale-reservation TTL
+    reclaims it when the session dies without closing).
 * **Exactly-once debit.**  :meth:`TenantLedger.consume` decrements one
   identified reservation and records the release(s) in the accountant in
   the same transaction; a refused consume (reservation drained, epsilon
   mismatch, budget refusal on a mechanism-supplied curve) changes nothing.
 
-:class:`ReservationAccountant` adapts one reservation to the
-:class:`~repro.core.accounting.BaseAccountant` contract so a stock
-:class:`~repro.serving.engine.PrivacyEngine` debits the durable ledger,
-one :meth:`TenantLedger.consume` per ``record_many``, with no engine
-changes (the service's one keyless debit path) — budget refusals surface
-as the same structured :class:`~repro.exceptions.BudgetExhaustedError`
-the in-memory accountants raise.
+:class:`ChargeAccountant` (one :meth:`TenantLedger.charge` per
+``record_many``, the service's keyless release path) and
+:class:`ReservationAccountant` (one :meth:`TenantLedger.consume` per
+``record_many``, the service's stream path) adapt the two shapes to the
+:class:`~repro.core.accounting.BaseAccountant` contract, so a stock
+:class:`~repro.serving.engine.PrivacyEngine` debits the durable ledger
+with no engine changes — budget refusals surface as the same structured
+:class:`~repro.exceptions.BudgetExhaustedError` the in-memory accountants
+raise.
 
 Two crash-safety layers ride on top (see ``docs/architecture.md``):
 
@@ -51,7 +57,9 @@ Two crash-safety layers ride on top (see ``docs/architecture.md``):
   transaction, so a client that lost the response and retries observes
   exactly one debit and the original payload — even if the retry races the
   original, or the store throws *after* the commit and a retrying wrapper
-  re-runs the cycle.
+  re-runs the cycle.  A tenant keeps at most
+  :data:`MAX_IDEMPOTENCY_RECORDS` keys, each for :data:`IDEMPOTENCY_TTL`
+  seconds.
 * **Recovery sweep** (:meth:`TenantLedger.sweep`): reconciles expired
   reservations (a SIGKILL'd session's stranded sub-budget) and stale
   idempotency records in one transaction, so reclamation does not have to
@@ -61,13 +69,15 @@ Every ledger mutation goes through :meth:`~repro.service.stores.
 LedgerStore.run` (the closure form of ``transact``) and is safe to re-run
 from a fresh read, which is what lets
 :class:`~repro.service.retry.RetryingLedgerStore` retry transient store
-errors end to end: reservation ids are fixed before the cycle starts (a
-re-run overwrites the same entry), consumes replay — a client-supplied
-idempotency key persists with the debit, and a keyless
-:meth:`TenantLedger.consume` stamps its private call id on the reservation
-it debits — and ``release_unused`` is idempotent-by-absence.  Tenant state
-is therefore the accountant's aggregates plus the live reservations and
-client keys, never a per-release log.
+errors end to end: a keyless debit (:meth:`TenantLedger.charge`,
+:meth:`TenantLedger.consume`) and a window advance return the landed
+attempt's result once the store has marked it committed
+(:func:`_exactly_once`), a keyed debit replays from its idempotency
+record, reservation ids are fixed before the cycle starts (a re-run
+overwrites the same entry), and ``release_unused`` is
+idempotent-by-absence.  Tenant state is therefore the accountant's
+aggregates plus the live reservations and client keys, never a
+per-release log.
 """
 
 from __future__ import annotations
@@ -75,7 +85,7 @@ from __future__ import annotations
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Any, Hashable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from repro.core.accounting import (
     BaseAccountant,
@@ -100,21 +110,54 @@ from repro.service.stores import LedgerStore, LedgerTransaction
 from repro.utils.validation import check_positive
 
 #: Stored-state schema version; bumped on incompatible layout changes.
-#: (Idempotency records under the ``"idempotency"`` key and a reservation's
-#: ``"last_consume"`` slot were added additively — absent in old states,
-#: defaulted on read — so the version holds.)
+#: (Idempotency records under the ``"idempotency"`` key were added
+#: additively — absent in old states, defaulted on read — so the version
+#: holds.  A ``"last_consume"`` slot an older service left on a live
+#: reservation is never read and dies with the reservation.)
 STATE_VERSION = 1
 
 #: Key prefix of the per-call replay records older states hold under
 #: ``"idempotency"`` (keyless consumes once wrote one per release).
-#: Nothing replays them any more, so :meth:`TenantLedger.sweep` drops
-#: them whatever their age.
+#: Nothing replays them any more, so :meth:`TenantLedger.sweep` and every
+#: keyed debit drop them whatever their age.
 _LEGACY_RETRY_PREFIX = "retry."
 
 #: Seconds a client idempotency record (key + replayable response) is kept
-#: before :meth:`TenantLedger.sweep` prunes it.  Must comfortably exceed
-#: the longest client retry horizon.
+#: before :meth:`TenantLedger.sweep` or the next keyed debit prunes it.
+#: Must comfortably exceed the longest client retry horizon.
 IDEMPOTENCY_TTL = 3600.0
+
+#: Most client idempotency records one tenant keeps: a new key is refused
+#: while this many unexpired records remain, so the tenant row stays
+#: bounded however fast keyed releases arrive (a known key still replays).
+MAX_IDEMPOTENCY_RECORDS = 1000
+
+
+def _exactly_once(
+    handler: "Callable[[LedgerTransaction], Any]",
+) -> "Callable[[LedgerTransaction], Any]":
+    """``handler`` as a store cycle that applies at most once per call.
+
+    :class:`~repro.service.retry.RetryingLedgerStore` re-runs a whole
+    :meth:`~repro.service.stores.LedgerStore.run` cycle when the store
+    raised, and the error may come after COMMIT returned (an ``EIO`` on the
+    way out).  The store marks a :class:`~repro.service.stores.
+    LedgerTransaction` ``committed`` as soon as COMMIT returns, so a re-run
+    that finds the previous attempt committed returns that attempt's result
+    and applies nothing.  The rule reads no row state: it holds when
+    another writer's debit lands between the commit and the re-run, and it
+    adds nothing to the tenant row.
+    """
+    attempt: "tuple[LedgerTransaction, Any] | None" = None
+
+    def cycle(txn: LedgerTransaction) -> Any:
+        nonlocal attempt
+        if attempt is not None and attempt[0].committed:
+            return attempt[1]
+        attempt = (txn, handler(txn))
+        return attempt[1]
+
+    return cycle
 
 
 @dataclass(frozen=True)
@@ -229,7 +272,61 @@ class TenantLedger:
     def exists(self) -> bool:
         return self.store.peek(self.tenant) is not None
 
-    # -- admission: reserve -> consume -> release-unused -------------------
+    # -- admission: charge, or reserve -> consume -> release-unused --------
+    def charge(
+        self,
+        n_releases: int,
+        epsilon: float,
+        *,
+        quilt_signature: Hashable = None,
+        rdp_curve: "RdpCurve | None" = None,
+    ) -> dict:
+        """Admit and debit ``n_releases`` releases in one synced store
+        transaction, with no reservation; return the tenant's snapshot.
+
+        The keyless release path.  In one cycle it drops expired
+        reservations, admits this charge on top of every outstanding
+        reservation exactly as :meth:`reserve` would (the same ``preview``
+        arithmetic, :class:`~repro.exceptions.BudgetExhaustedError`
+        payload and ``retry_after`` rule), records the releases in the
+        accountant (which still enforces the same-quilt condition and
+        prices a mechanism-supplied Rényi curve), and builds
+        :meth:`snapshot`'s view from the state it commits.  A refusal
+        persists nothing.
+
+        The caller draws after this returns: a crash before the commit
+        spends nothing, a crash after it loses only the values.  Safe to
+        re-run by a retrying store wrapper: a re-run after the commit
+        landed returns the landed snapshot and debits nothing
+        (:func:`_exactly_once`).
+        """
+        n_releases, epsilon = check_charge(n_releases, epsilon)
+        fire("tenant.charge", tenant=self.tenant, n_releases=n_releases)
+
+        @_exactly_once
+        def handler(txn: LedgerTransaction) -> dict:
+            state = self._require(txn.state)
+            self._pop_expired_locked(state)
+            accountant = accountant_from_state(state["accountant"])
+            self._admit(
+                accountant,
+                state["reservations"].values(),
+                n_releases,
+                epsilon,
+                action="charging",
+            )
+            self._debit_in_state(
+                state,
+                accountant,
+                n_releases,
+                epsilon,
+                quilt_signature=quilt_signature,
+                rdp_curve=rdp_curve,
+            )
+            return self._snapshot_from_state(state, accountant)
+
+        return self.store.run(self.tenant, handler)
+
     def reserve(self, n_releases: int, epsilon: float) -> Reservation:
         """Carve ``n_releases * epsilon`` out of the tenant budget up front.
 
@@ -260,34 +357,17 @@ class TenantLedger:
         def handler(txn: LedgerTransaction) -> Reservation:
             state = self._require(txn.state)
             self._pop_expired_locked(state)
-            accountant = accountant_from_state(state["accountant"])
-            outstanding = [
-                (r["n_reserved"] - r["n_consumed"], r["epsilon"])
-                for rid, r in state["reservations"].items()
-                if rid != reservation_id  # a re-run must not double-count itself
-            ]
-            charges = outstanding + [(n_releases, epsilon)]
-            prospective = accountant.preview(charges)
-            budget = accountant.budget
-            if budget is not None and prospective > budget + _ATOL:
-                spent = accountant.total_epsilon()
-                reserved = sum(n * eps for n, eps in outstanding)
-                error = BudgetExhaustedError(
-                    f"reserving {n_releases} release(s) at epsilon={epsilon:g} "
-                    f"would bring tenant {self.tenant!r} to a prospective "
-                    f"guarantee of {prospective:.4g} (spent {spent:.4g}, "
-                    f"outstanding reservations {reserved:.4g}), exceeding the "
-                    f"budget of {budget:.4g}",
-                    budget=budget,
-                    spent=spent,
-                    remaining=max(0.0, budget - spent),
-                    requested=n_releases,
-                    n_completed=0,
-                    accountant=type(accountant).__name__,
-                )
-                if outstanding:
-                    error.retry_after = self.reservation_ttl
-                raise error
+            self._admit(
+                accountant_from_state(state["accountant"]),
+                (
+                    r
+                    for rid, r in state["reservations"].items()
+                    if rid != reservation_id  # a re-run must not count itself
+                ),
+                n_releases,
+                epsilon,
+                action="reserving",
+            )
             state["reservations"][reservation_id] = {
                 "epsilon": epsilon,
                 "n_reserved": n_releases,
@@ -297,6 +377,44 @@ class TenantLedger:
             return Reservation(self.tenant, reservation_id, epsilon, n_releases, 0)
 
         return self.store.run(self.tenant, handler, sync=False)
+
+    def _admit(
+        self,
+        accountant: BaseAccountant,
+        reservations: "Iterable[Mapping]",
+        n_releases: int,
+        epsilon: float,
+        *,
+        action: str,
+    ) -> None:
+        """Refuse unless ``n_releases`` at ``epsilon`` fit the budget on top
+        of the given reservations' unconsumed remainders (inside a
+        transaction; changes nothing)."""
+        outstanding = [
+            (r["n_reserved"] - r["n_consumed"], r["epsilon"]) for r in reservations
+        ]
+        prospective = accountant.preview(outstanding + [(n_releases, epsilon)])
+        budget = accountant.budget
+        if budget is None or prospective <= budget + _ATOL:
+            return
+        spent = accountant.total_epsilon()
+        reserved = sum(n * eps for n, eps in outstanding)
+        error = BudgetExhaustedError(
+            f"{action} {n_releases} release(s) at epsilon={epsilon:g} "
+            f"would bring tenant {self.tenant!r} to a prospective "
+            f"guarantee of {prospective:.4g} (spent {spent:.4g}, "
+            f"outstanding reservations {reserved:.4g}), exceeding the "
+            f"budget of {budget:.4g}",
+            budget=budget,
+            spent=spent,
+            remaining=max(0.0, budget - spent),
+            requested=n_releases,
+            n_completed=0,
+            accountant=type(accountant).__name__,
+        )
+        if outstanding:
+            error.retry_after = self.reservation_ttl
+        raise error
 
     def consume(
         self,
@@ -315,20 +433,12 @@ class TenantLedger:
         mechanism-supplied curve that outgrew the reserved envelope)
         persists nothing.  Returns the reservation's post-consume state.
 
-        Safe to re-run by a retrying store wrapper even without a client
-        idempotency key: each call fixes a private id before the cycle
-        starts and writes it into the reservation as ``last_consume`` with
-        the debit, so a re-run after a commit that actually landed (the
-        store errored *after* committing) finds its own id and replays the
-        committed result instead of double-debiting — or refusing a debit
-        the tenant already paid for.  This needs one holder per
-        reservation, so no other consume lands between the commit and the
-        re-run; the one caller is :class:`ReservationAccountant`, which
-        holds its mutex across the debit (a service stream's chunks also
-        run under the session lock).  A re-run that
-        finds the reservation gone (released or expired in between) raises
-        :class:`~repro.exceptions.UnknownReservationError`; the committed
-        debit stands, so spend is never under-counted.
+        Safe to re-run by a retrying store wrapper without a client
+        idempotency key, like :meth:`charge`: a re-run after a commit that
+        actually landed (the store errored *after* committing) returns the
+        landed result (:func:`_exactly_once`) instead of double-debiting —
+        or refusing a debit the tenant already paid for, even when the
+        reservation was drained, released or expired in between.
         """
         n_releases = check_count(n_releases, "n_releases")
         fire(
@@ -337,23 +447,17 @@ class TenantLedger:
             reservation_id=reservation_id,
             n_releases=n_releases,
         )
-        call_id = uuid.uuid4().hex
 
+        @_exactly_once
         def handler(txn: LedgerTransaction) -> Reservation:
-            state = self._require(txn.state)
-            entry = state["reservations"].get(reservation_id)
-            if entry is not None and entry.get("last_consume") == call_id:
-                return self._reservation(reservation_id, entry)
-            result = self._consume_in_state(
-                state,
+            return self._consume_in_state(
+                self._require(txn.state),
                 reservation_id,
                 n_releases,
                 epsilon=float(epsilon),
                 quilt_signature=quilt_signature,
                 rdp_curve=rdp_curve,
             )
-            state["reservations"][reservation_id]["last_consume"] = call_id
-            return result
 
         return self.store.run(self.tenant, handler)
 
@@ -382,6 +486,13 @@ class TenantLedger:
         would re-debit, and none where a replayed response was never paid
         for.
 
+        The same transaction drops the records older than
+        :data:`IDEMPOTENCY_TTL`; a new key is then refused with a
+        :class:`~repro.exceptions.ReservationError` while
+        :data:`MAX_IDEMPOTENCY_RECORDS` records remain, with
+        ``retry_after`` set to the seconds until the oldest one expires.
+        The refusal debits nothing.
+
         ``response`` must be JSON-serializable (it lives in ledger state).
         """
         if not idempotency_key or not isinstance(idempotency_key, str):
@@ -401,9 +512,20 @@ class TenantLedger:
         def handler(txn: LedgerTransaction) -> "tuple[Any, bool]":
             state = self._require(txn.state)
             records = state.setdefault("idempotency", {})
+            now = time.time()
+            self._prune_idempotency(records, now)
             record = records.get(idempotency_key)
             if record is not None:
                 return record["response"], True
+            if len(records) >= MAX_IDEMPOTENCY_RECORDS:
+                oldest = min(r["created_at"] for r in records.values())
+                error = ReservationError(
+                    f"tenant {self.tenant!r} already holds {len(records)} "
+                    f"idempotency records, the most it keeps; retry once "
+                    f"the oldest expires, or release without a key"
+                )
+                error.retry_after = max(0.0, oldest + IDEMPOTENCY_TTL - now)
+                raise error
             self._consume_in_state(
                 state,
                 reservation_id,
@@ -417,7 +539,7 @@ class TenantLedger:
                 "reservation_id": reservation_id,
                 "n_releases": n_releases,
                 "epsilon": float(epsilon),
-                "created_at": time.time(),
+                "created_at": now,
             }
             return response, False
 
@@ -468,16 +590,37 @@ class TenantLedger:
                 f"release(s) left, cannot consume {n_releases}; reserve "
                 f"a larger sub-budget or open a new session"
             )
-        accountant = accountant_from_state(state["accountant"])
-        accountant.record_many(
+        self._debit_in_state(
+            state,
+            accountant_from_state(state["accountant"]),
             n_releases,
             epsilon,
             quilt_signature=quilt_signature,
             rdp_curve=rdp_curve,
         )
         entry["n_consumed"] += n_releases
-        state["accountant"] = accountant.state_dict()
         return self._reservation(reservation_id, entry)
+
+    @staticmethod
+    def _debit_in_state(
+        state: Mapping,
+        accountant: BaseAccountant,
+        n_releases: int,
+        epsilon: float,
+        *,
+        quilt_signature: Hashable,
+        rdp_curve: "RdpCurve | None",
+    ) -> None:
+        """Record releases in the rehydrated ``accountant`` and write it
+        back into the in-transaction state; a refusal raises first and
+        changes nothing."""
+        accountant.record_many(
+            n_releases,
+            epsilon,
+            quilt_signature=quilt_signature,
+            rdp_curve=rdp_curve,
+        )
+        state["accountant"] = accountant.state_dict()
 
     def _reservation(self, reservation_id: str, entry: Mapping) -> Reservation:
         return Reservation(
@@ -535,22 +678,16 @@ class TenantLedger:
             # Accountants keep aggregates only; nothing reads these keys.
             state["accountant"].pop("trail", None)
             state["accountant"].pop("audit_trail", None)
-            records = state.setdefault("idempotency", {})
-            cutoff = (time.time() if now is None else now) - IDEMPOTENCY_TTL
-            stale = [
-                key
-                for key, record in records.items()
-                if key.startswith(_LEGACY_RETRY_PREFIX)
-                or record["created_at"] < cutoff
-            ]
-            for key in stale:
-                del records[key]
+            pruned = self._prune_idempotency(
+                state.setdefault("idempotency", {}),
+                time.time() if now is None else now,
+            )
             return {
                 "tenant": self.tenant,
                 "expired_reservations": len(expired),
                 "reclaimed_releases": sum(n for n, _ in reclaimed),
                 "reclaimed_epsilon": sum((n * eps for n, eps in reclaimed), 0.0),
-                "pruned_idempotency_records": len(stale),
+                "pruned_idempotency_records": pruned,
                 "outstanding_reservations": len(state["reservations"]),
             }
 
@@ -575,6 +712,7 @@ class TenantLedger:
             raise ValidationError("pass steps or window, not both")
         fire("tenant.advance_window", tenant=self.tenant)
 
+        @_exactly_once  # a relative advance must not apply twice
         def handler(txn: LedgerTransaction) -> dict:
             state = self._require(txn.state)
             accountant = accountant_from_state(state["accountant"])
@@ -620,8 +758,13 @@ class TenantLedger:
             self._require(self.store.peek(self.tenant))
         )
 
-    def _snapshot_from_state(self, state: Mapping) -> dict:
-        accountant = accountant_from_state(state["accountant"])
+    def _snapshot_from_state(
+        self, state: Mapping, accountant: "BaseAccountant | None" = None
+    ) -> dict:
+        """:meth:`snapshot`'s view of ``state``; ``accountant``, when given,
+        is the state's accountant already rehydrated."""
+        if accountant is None:
+            accountant = accountant_from_state(state["accountant"])
         reservations = state["reservations"]
         outstanding = sum(
             r["n_reserved"] - r["n_consumed"] for r in reservations.values()
@@ -680,17 +823,77 @@ class TenantLedger:
         return [reservations.pop(rid) for rid in expired]
 
 
+    @staticmethod
+    def _prune_idempotency(records: "dict[str, Any]", now: float) -> int:
+        """Drop the client records older than :data:`IDEMPOTENCY_TTL` and
+        every legacy ``retry.`` record (inside a transaction); return how
+        many went."""
+        cutoff = now - IDEMPOTENCY_TTL
+        stale = [
+            key
+            for key, record in records.items()
+            if key.startswith(_LEGACY_RETRY_PREFIX) or record["created_at"] < cutoff
+        ]
+        for key in stale:
+            del records[key]
+        return len(stale)
+
+
 _ATOL = 1e-12  # same float-sum slack as the in-memory accountants
+
+
+class ChargeAccountant(BaseAccountant):
+    """A :class:`~repro.core.accounting.BaseAccountant` that charges the
+    tenant ledger directly, with no reservation.
+
+    Plug one into a stock :class:`~repro.serving.engine.PrivacyEngine`
+    (``engine.with_accountant(...)``) and every ``record_many`` — a keyless
+    single release or batch — is one :meth:`TenantLedger.charge`: admission
+    and debit in one synced store transaction, before any noise is drawn.
+    The ledger refuses with the structured
+    :class:`~repro.exceptions.BudgetExhaustedError`, and a refusal changes
+    nothing.  :attr:`snapshot` is the tenant's snapshot as the last charge
+    committed it, and ``budget`` and the spend mirror that snapshot, so the
+    caller answers without reading the row again.
+    """
+
+    def __init__(self, ledger: TenantLedger) -> None:
+        self._ledger = ledger
+        self.budget = None
+        self.snapshot: "dict | None" = None
+        self._init_runtime()
+
+    def _spent_locked(self) -> float:
+        return 0.0 if self.snapshot is None else self.snapshot["spent_epsilon"]
+
+    def record_many(
+        self,
+        n_releases: int,
+        epsilon: float,
+        *,
+        quilt_signature: Hashable = None,
+        rdp_curve: "RdpCurve | None" = None,
+    ) -> None:
+        n_releases, epsilon = check_charge(n_releases, epsilon)
+        with self._mutex:
+            self.snapshot = self._ledger.charge(
+                n_releases,
+                epsilon,
+                quilt_signature=quilt_signature,
+                rdp_curve=rdp_curve,
+            )
+            self.budget = self.snapshot["budget"]
+            self._count += n_releases
 
 
 class ReservationAccountant(BaseAccountant):
     """A :class:`~repro.core.accounting.BaseAccountant` over one reservation.
 
     Plug one into a stock :class:`~repro.serving.engine.PrivacyEngine`
-    (``engine.with_accountant(...)``) and every ``record_many`` — a single
-    release, a batch, or a stream chunk — debits the durable tenant ledger
-    exactly once through :meth:`TenantLedger.consume`, inside the store's
-    cross-process transaction.  The local ``budget`` is the reservation's
+    (``engine.with_accountant(...)``) and every ``record_many`` — a stream
+    chunk, or any release drawn against a held sub-budget — debits the
+    durable tenant ledger exactly once through :meth:`TenantLedger.consume`,
+    inside the store's cross-process transaction.  The local ``budget`` is the reservation's
     envelope (``n_reserved * epsilon``), so a session that outruns its
     sub-budget gets the standard structured
     :class:`~repro.exceptions.BudgetExhaustedError` (with the session's

@@ -30,8 +30,10 @@ What is deliberately **not** retried:
 
 Re-running a cycle whose commit may or may not have landed is only
 exactly-once when the handler is idempotent — which is precisely what the
-ledger provides: client idempotency keys, and for keyless consumes the
-call id stamped on the debited reservation (see ``docs/architecture.md``).
+ledger provides: client idempotency keys for keyed debits, and for keyless
+ones (a charge, a reservation's consume) the transaction's ``committed``
+flag, which the store sets as soon as COMMIT returns, so a re-run after a
+landed commit returns that attempt's result (see ``docs/architecture.md``).
 """
 
 from __future__ import annotations

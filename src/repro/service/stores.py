@@ -59,11 +59,16 @@ class LedgerTransaction:
     abandons every change — refusals (budget exhausted, reservation
     conflicts) are exceptions, so a refused transaction leaves the ledger
     bit-for-bit where it was.
+
+    ``committed`` turns true as soon as the store's commit has returned,
+    before anything after it can fail, so whoever re-runs a cycle whose
+    call raised can tell a commit that landed from one that did not.
     """
 
     def __init__(self, tenant: str, state: "dict[str, Any] | None") -> None:
         self.tenant = tenant
         self.state = state
+        self.committed = False
 
 
 class LedgerStore(ABC):
@@ -80,7 +85,10 @@ class LedgerStore(ABC):
         thread, or another process — can interleave between the read and
         the commit.  On exception nothing is written.  With ``sync=False``
         the commit need not be on stable storage when the block exits
-        (see the module docstring).
+        (see the module docstring).  An implementation sets the
+        transaction's ``committed`` flag as soon as its commit returns:
+        the ledger's keyless debits replay from it when a retrying
+        wrapper re-runs their cycle.
         """
 
     @abstractmethod
@@ -112,8 +120,9 @@ class LedgerStore(ABC):
         after a transient failure, which a ``with`` block's inline body
         cannot be.  ``fn`` must therefore tolerate re-execution from a
         fresh read; ledger handlers do (their effects are pure functions
-        of the state they are handed, and the exactly-once protections —
-        idempotency keys, reservation ids — live *in* that state).
+        of the state they are handed, and the exactly-once protections
+        either live *in* that state — idempotency keys, reservation ids —
+        or read the previous attempt's :attr:`LedgerTransaction.committed`).
         """
         with self.transact(tenant, sync=sync) as txn:
             return fn(txn)
@@ -209,15 +218,14 @@ class SQLiteLedgerStore(LedgerStore):
                     self._conn.execute(f"PRAGMA synchronous={level}")
                     self._synced = sync
                 self._conn.execute("BEGIN IMMEDIATE")
-                committed = False
+                txn = LedgerTransaction(tenant, None)
                 try:
                     row = self._conn.execute(
                         "SELECT state FROM tenant_ledgers WHERE tenant = ?",
                         (tenant,),
                     ).fetchone()
-                    txn = LedgerTransaction(
-                        tenant, None if row is None else json.loads(row[0])
-                    )
+                    if row is not None:
+                        txn.state = json.loads(row[0])
                     yield txn
                     if txn.state is not None:
                         fire(
@@ -231,7 +239,7 @@ class SQLiteLedgerStore(LedgerStore):
                             (tenant, json.dumps(txn.state)),
                         )
                     self._conn.execute("COMMIT")
-                    committed = True
+                    txn.committed = True
                     fire(
                         "ledger.sqlite.commit.after",
                         tenant=tenant,
@@ -241,7 +249,7 @@ class SQLiteLedgerStore(LedgerStore):
                     # Roll back only an open transaction: a post-COMMIT
                     # fault (or a close()d connection) must not shadow the
                     # real error with "no transaction is active".
-                    if not committed:
+                    if not txn.committed:
                         with contextlib.suppress(sqlite3.Error):
                             self._conn.execute("ROLLBACK")
                     raise

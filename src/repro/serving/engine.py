@@ -51,7 +51,7 @@ from repro.core.queries import Query
 from repro.exceptions import ValidationError
 from repro.serving.cache import CalibrationCache
 from repro.serving.fingerprint import mechanism_fingerprint
-from repro.serving.stream import ReleaseSession
+from repro.serving.stream import ReleaseSession, _positive_count
 from repro.utils.rngtools import resolve_rng
 
 
@@ -95,6 +95,7 @@ class PrivacyEngine:
         Optional tenant name this engine serves (multi-tenant deployments;
         surfaced in :meth:`stats` and diagnostics).  The engine itself is
         tenant-agnostic — budget isolation comes from the accountant, e.g. a
+        :class:`~repro.service.ledger.ChargeAccountant` or
         :class:`~repro.service.ledger.ReservationAccountant` bound to one
         tenant's durable ledger.
     """
@@ -269,9 +270,12 @@ class PrivacyEngine:
         rng: "int | np.random.Generator | None" = None,
     ) -> list[PrivateRelease]:
         """``n_releases`` independent releases of one query on one dataset —
-        the serving hot path: one calibration lookup, one vectorized draw."""
-        if n_releases < 1:
-            raise ValidationError(f"n_releases must be >= 1, got {n_releases}")
+        the serving hot path: one calibration lookup, one vectorized draw.
+
+        ``n_releases`` must be an integer of at least 1 (``2.5``, ``2.0``,
+        ``"2"`` and ``None`` raise :class:`~repro.exceptions.
+        ValidationError`), checked before any cache lookup or debit."""
+        n_releases = _positive_count(n_releases, "n_releases")
         return self.release_batch([(data, query)] * n_releases, rng=rng)
 
     # -- streaming releases ----------------------------------------------
@@ -307,9 +311,10 @@ class PrivacyEngine:
         but debiting a different accountant.
 
         This is the multi-tenant handle: the service keeps one warm base
-        engine per mechanism and hands each keyless release and stream a
-        clone bound to a :class:`~repro.service.ledger.ReservationAccountant`,
-        so every tenant shares the (expensive, tenant-agnostic) calibrations
+        engine per mechanism and hands each keyless release a clone bound to
+        a :class:`~repro.service.ledger.ChargeAccountant` and each stream one
+        bound to a :class:`~repro.service.ledger.ReservationAccountant`, so
+        every tenant shares the (expensive, tenant-agnostic) calibrations
         while budgets stay strictly isolated.  The clone gets its own noise
         stream (a seeded one carries on across calls) and release counter.
         """

@@ -1,21 +1,20 @@
 """R6 transaction discipline in the tenant ledger.
 
-The ledger's exactly-once story is: a debit
-(``_consume_in_state(...)``) and the replay record that makes its retry
-replayable (a client idempotency record, or the call id a keyless consume
-stamps on its reservation's ``"last_consume"`` slot) are written by the
-**same** transaction closure — the ``handler`` passed to
-``store.run(tenant, handler)``.  Split them across closures (or write
-either after the transaction returns) and a crash between the two yields
-a double-debit or a paid-for refusal on retry.
+The ledger's exactly-once story is: a debit (``_consume_in_state(...)``
+or ``_debit_in_state(...)``) and the client idempotency record that makes
+its retry replayable are written by the **same** transaction closure —
+the ``handler`` passed to ``store.run(tenant, handler)``.  Split them
+across closures (or write either after the transaction returns) and a
+crash between the two yields a double-debit or a paid-for refusal on
+retry.  (A keyless debit keeps no record: a retried cycle replays from
+the transaction's ``committed`` flag, which the store sets.)
 
 The rule checks, per method that opens transactions (calls ``*.run(...)``
 or uses ``with *.transact(...)``):
 
-* every debit call and every replay-record write (``records[k] = ...``,
-  ``...["idempotency"][k] = ...`` or ``...["last_consume"] = ...``) sits
-  inside a transactional region — a closure passed to ``*.run(...)`` or
-  a ``with *.transact(...)`` body;
+* every debit call and every replay-record write (``records[k] = ...`` or
+  ``...["idempotency"][k] = ...``) sits inside a transactional region — a
+  closure passed to ``*.run(...)`` or a ``with *.transact(...)`` body;
 * that region is synced: a ``sync=False`` commit may be undone by a power
   loss after the value it paid for was released;
 * when a method has both kinds, they share one region.
@@ -40,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Calls that debit the in-transaction ledger state.
-_DEBIT_CALLS = frozenset({"_consume_in_state"})
+_DEBIT_CALLS = frozenset({"_consume_in_state", "_debit_in_state"})
 
 
 def _is_transact_with(node: ast.AST) -> bool:
@@ -73,15 +72,12 @@ def _is_key(node: ast.AST, key: str) -> bool:
 
 def _replay_write_target(node: ast.AST) -> bool:
     """Whether an assignment target writes a replay record:
-    ``records[k] = ...``, ``<x>["idempotency"][k] = ...`` or
-    ``<x>["last_consume"] = ...``."""
+    ``records[k] = ...`` or ``<x>["idempotency"][k] = ...``."""
     if not isinstance(node, ast.Subscript):
         return False
     base = node.value
-    return (
-        (isinstance(base, ast.Name) and base.id == "records")
-        or _is_key(base, "idempotency")
-        or _is_key(node, "last_consume")
+    return (isinstance(base, ast.Name) and base.id == "records") or _is_key(
+        base, "idempotency"
     )
 
 

@@ -19,12 +19,16 @@ The acceptance bar for the crash-safe lifecycle, in two escalations:
 Both escalations use idempotency keys for every consume, so a cycle
 re-run after an ambiguous fault (did the commit land?) stays exactly-once
 — which is precisely the mechanism the service's HTTP retries rely on.
+The in-process schedule also runs with keyless charges racing the keyed
+cycles: a charge keeps no record, and its re-run after a landed commit
+replays from the transaction's ``committed`` flag.
 """
 
 from __future__ import annotations
 
 import json
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -178,6 +182,94 @@ def test_chaos_schedule_preserves_budget_exactness(kind, tmp_path):
         # stranded, nothing minted — regardless of the fault schedule.
         assert snapshot["n_releases"] == CAP
         assert snapshot["spent_epsilon"] == pytest.approx(BUDGET)
+        assert snapshot["n_reservations"] == 0
+        assert snapshot["reserved_releases"] == 0
+    finally:
+        store.close()
+
+
+def _charging_worker(store, index: int, errors: list) -> None:
+    """Keyless charges under chaos: each is one admit-and-debit cycle.
+
+    A crash before its commit spends nothing, and a re-run after a commit
+    that landed replays it, so the worker only stops on a refusal; a
+    transient error that outlasted the retries leaves the ledger, not the
+    worker, to say whether the charge landed.
+    """
+    ledger = TenantLedger(store, "acme", reservation_ttl=TTL)
+    while True:
+        try:
+            ledger.charge(CHUNK, EPSILON)
+        except BudgetExhaustedError:
+            return
+        except (ReproError, OSError, sqlite3.Error):
+            continue
+        except BaseException as error:
+            if getattr(error, "simulates_crash", False):
+                continue
+            errors.append(error)
+            return
+
+
+def _swept(ledger: TenantLedger) -> dict:
+    """Sweep, then read the ledger, as a restarted process would: the sweep
+    runs under the schedule too, and a simulated crash there is retried."""
+    while True:
+        try:
+            ledger.sweep()
+            return ledger.snapshot()
+        except BaseException as error:
+            if not getattr(error, "simulates_crash", False):
+                raise
+
+
+def test_chaos_schedule_mixing_keyless_charges_preserves_budget_exactness(
+    tmp_path,
+):
+    """Keyless charges race the keyed reserve/consume cycles under the same
+    schedule plus crashes at ``tenant.charge``: still exactly
+    ``floor(budget / epsilon)`` releases and no reservation left.  The
+    budget is larger than the other schedules' so that store faults land
+    inside charges too."""
+    budget = 10 * BUDGET
+    store = RetryingLedgerStore(
+        _make_store(tmp_path),
+        RetryPolicy(max_attempts=6, base_delay=0.001, max_delay=0.01),
+    )
+    rules = _chaos_rules() + [
+        FaultRule("tenant.charge", action="crash", probability=0.1, times=None)
+    ]
+    try:
+        TenantLedger(store, "acme").create(budget=budget)
+        errors: list = []
+        with injected(rules, seed=4321) as injector:
+            for _round in range(30):
+                threads = [
+                    threading.Thread(
+                        target=_charging_worker if i % 2 else _chaos_worker,
+                        args=(store, i, errors),
+                    )
+                    for i in range(4)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                    assert not t.is_alive()
+                assert not errors, errors
+                time.sleep(TTL + 0.05)
+                snapshot = _swept(TenantLedger(store, "acme", reservation_ttl=TTL))
+                if (
+                    snapshot["reserved_releases"] == 0
+                    and snapshot["remaining_budget"] < EPSILON
+                ):
+                    break
+            else:
+                pytest.fail(f"never converged: {snapshot}")
+            assert injector.fired("tenant.charge") > 0
+
+        assert snapshot["n_releases"] == int(budget / EPSILON)
+        assert snapshot["spent_epsilon"] == pytest.approx(budget)
         assert snapshot["n_reservations"] == 0
         assert snapshot["reserved_releases"] == 0
     finally:

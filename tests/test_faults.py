@@ -18,7 +18,6 @@ from repro.exceptions import (
     BudgetExhaustedError,
     LockTimeoutError,
     ReproError,
-    UnknownReservationError,
     ValidationError,
 )
 from repro.faults import (
@@ -305,8 +304,8 @@ def test_retry_run_replays_whole_cycle_after_commit_fault():
 
 def test_retry_run_replays_keyless_consume_after_commit_fault():
     # A transient error *after* the commit landed must not double-debit a
-    # keyless consume: the private call id stamped on the reservation turns
-    # the wrapper's whole-cycle re-run into a replay of the committed result.
+    # keyless consume: the transaction's committed flag turns the wrapper's
+    # whole-cycle re-run into a replay of the committed result.
     store = RetryingLedgerStore(
         SQLiteLedgerStore(":memory:"), RetryPolicy(max_attempts=4), sleep=lambda _s: None
     )
@@ -319,7 +318,7 @@ def test_retry_run_replays_keyless_consume_after_commit_fault():
     assert (after.n_consumed, after.n_remaining) == (2, 2)
     assert ledger.snapshot()["spent_epsilon"] == pytest.approx(2.0)
 
-    # Draining flavor: without the call id, the re-run would find 0 releases
+    # Draining flavor: without the replay, the re-run would find 0 releases
     # left and raise ReservationError while the budget was already spent.
     with injected(
         [FaultRule("ledger.sqlite.commit.after", error="io", times=1)]
@@ -330,9 +329,9 @@ def test_retry_run_replays_keyless_consume_after_commit_fault():
 
 
 def test_keyless_rerun_after_reservation_vanished_keeps_the_debit():
-    # The re-run finds its reservation gone (released between the commit
-    # and the retry): it cannot replay, so it refuses — and the committed
-    # debit stands, so spend is never under-counted.
+    # The reservation is released between the commit and the retry: the
+    # re-run returns the landed consume instead of refusing, and the
+    # committed debit stands, counted once.
     inner = SQLiteLedgerStore(":memory:")
     reservation = None
 
@@ -347,12 +346,61 @@ def test_keyless_rerun_after_reservation_vanished_keeps_the_debit():
     with injected(
         [FaultRule("ledger.sqlite.commit.after", error="io", times=1)]
     ):
-        with pytest.raises(UnknownReservationError):
-            ledger.consume(reservation.reservation_id, 2, epsilon=1.0)
+        landed = ledger.consume(reservation.reservation_id, 2, epsilon=1.0)
+    assert (landed.n_consumed, landed.n_remaining) == (2, 2)
     snapshot = ledger.snapshot()
     assert snapshot["spent_epsilon"] == pytest.approx(2.0)
     assert snapshot["n_releases"] == 2
     assert snapshot["n_reservations"] == 0
+
+
+def test_charge_rerun_returns_the_landed_result_while_another_writer_charges():
+    # The commit lands, the store errors on the way out, and another
+    # ledger's charge lands during the backoff sleep: the re-run returns
+    # the first attempt's snapshot, and each charge counts exactly once.
+    inner = SQLiteLedgerStore(":memory:")
+    other = TenantLedger(inner, "acme")
+    store = RetryingLedgerStore(
+        inner,
+        RetryPolicy(max_attempts=4),
+        sleep=lambda _seconds: other.charge(1, 1.0),
+    )
+    ledger = _ledger(store)
+    with injected(
+        [FaultRule("ledger.sqlite.commit.after", error="io", times=1)]
+    ):
+        first = ledger.charge(2, 1.0)
+    assert store.retries == 1
+    assert (first["n_releases"], first["spent_epsilon"]) == (2, 2.0)
+    snapshot = ledger.snapshot()
+    assert snapshot["n_releases"] == 3
+    assert snapshot["spent_epsilon"] == pytest.approx(3.0)
+
+
+def test_charge_rerun_after_a_failed_commit_debits_once():
+    store = RetryingLedgerStore(
+        SQLiteLedgerStore(":memory:"), RetryPolicy(max_attempts=4), sleep=lambda _s: None
+    )
+    ledger = _ledger(store)
+    with injected([FaultRule("ledger.sqlite.commit", error="io", times=1)]) as inj:
+        charged = ledger.charge(2, 1.0)
+    assert inj.fired("ledger.sqlite.commit") == 1 and store.retries == 1
+    assert charged == ledger.snapshot()
+    assert (charged["n_releases"], charged["spent_epsilon"]) == (2, 2.0)
+
+
+def test_window_advance_rerun_after_landed_commit_advances_once():
+    store = RetryingLedgerStore(
+        SQLiteLedgerStore(":memory:"), RetryPolicy(max_attempts=4), sleep=lambda _s: None
+    )
+    ledger = TenantLedger(store, "acme")
+    ledger.create(budget=10.0, accountant="sliding", window_span=3)
+    with injected(
+        [FaultRule("ledger.sqlite.commit.after", error="io", times=1)]
+    ):
+        ledger.advance_window(steps=1)
+    assert store.retries == 1
+    assert ledger.snapshot()["window"] == 1
 
 
 def test_with_retries_is_idempotent():

@@ -2,20 +2,22 @@
 
 Budget enforcement only needs the accountant's aggregates, so a tenant's
 stored state must not grow with the releases it serves: accountants keep
-aggregates only, keyless consumes keep their replay slot on the
-reservation they debit, and that slot dies with the reservation; only
-client idempotency keys outlive a release, until the sweep's TTL.  These
-tests pin that at ledger level over 10,000 releases and for every
-accountant kind, for an in-process engine's accountant over 10,000
-streamed releases, at service level over the HTTP surface (whatever the
-network's size: a row keeps the quilt signature as a digest), and for
-states written before replay moved onto the reservation (their ``retry.``
-records are swept whatever their age) or while accountants kept an audit
+aggregates only, and keyless charges and consumes keep no replay record
+(a retried cycle replays from the store's ``committed`` flag); only
+client idempotency keys outlive a release, until their TTL.  These tests
+pin that at ledger level over 10,000 releases (charges from one thread
+and from eight) and for every accountant kind, for an in-process engine's
+accountant over 10,000 streamed releases, at service level over the HTTP
+surface (whatever the network's size: a row keeps the quilt signature as
+a digest), and for states written while keyless consumes kept ``retry.``
+records (swept whatever their age) or while accountants kept an audit
 trail (the startup sweep strips it)."""
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import time
 
 import numpy as np
@@ -78,6 +80,44 @@ def test_keyless_cycles_keep_state_flat():
         ledger.release_unused(reservation.reservation_id)
         if n in CHECKPOINTS:
             sizes[n] = _state_size(ledger)
+    _assert_flat(sizes)
+    snapshot = ledger.snapshot()
+    assert snapshot["n_releases"] == CHECKPOINTS[-1]
+    assert snapshot["n_reservations"] == 0
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+def test_keyless_charges_keep_state_flat(threads):
+    """10,000 charges, from one thread or split over eight: a charge keeps
+    no reservation and no replay record, so the row only gains digits."""
+    ledger = _ledger()
+
+    def charge(count: int) -> None:
+        handle = TenantLedger(ledger.store, ledger.tenant)
+        for _ in range(count):
+            handle.charge(1, EPSILON)
+
+    sizes, done = {}, 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # dense interleavings between charges
+    try:
+        for checkpoint in CHECKPOINTS:
+            todo = checkpoint - done
+            workers = [
+                threading.Thread(
+                    target=charge, args=(todo // threads + (i < todo % threads),)
+                )
+                for i in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+                assert not worker.is_alive()
+            done = checkpoint
+            sizes[checkpoint] = _state_size(ledger)
+    finally:
+        sys.setswitchinterval(interval)
     _assert_flat(sizes)
     snapshot = ledger.snapshot()
     assert snapshot["n_releases"] == CHECKPOINTS[-1]

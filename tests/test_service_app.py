@@ -123,6 +123,66 @@ def test_release_refuses_over_budget_atomically(client):
     )
 
 
+class _CountingStore(SQLiteLedgerStore):
+    """Records every transaction (with its ``sync`` flag) and every peek."""
+
+    def __init__(self) -> None:
+        super().__init__(":memory:")
+        self.calls: list = []
+
+    def transact(self, tenant, *, sync=True):
+        self.calls.append(("transact", sync))
+        return super().transact(tenant, sync=sync)
+
+    def peek(self, tenant):
+        self.calls.append(("peek",))
+        return super().peek(tenant)
+
+
+def test_keyless_release_is_one_synced_transaction_and_no_peek():
+    """Single or batch, a keyless release admits and debits in one synced
+    transaction and answers with that transaction's snapshot."""
+    store = _CountingStore()
+    app = create_app(store)
+    client = TestClient(app)
+    try:
+        _tenant(client, budget=1e6)
+        for workload, n in (("hub-laplace", 1), ("hub-gaussian", 50)):
+            store.calls.clear()
+            body = client.post(
+                "/tenants/acme/release", {"workload": workload, "n": n}
+            ).json()
+            assert store.calls == [("transact", True)]
+            assert body["n"] == n and body["replayed"] is False
+            assert body["ledger"] == client.get("/tenants/acme").json()
+    finally:
+        app.service.close()
+
+
+def test_keyless_refusals_neither_debit_nor_draw(client, monkeypatch):
+    mechanism = client.app.service.workloads["hub-laplace"].mechanism
+    draws = []
+    draw = mechanism.standard_noise
+
+    def counted(gen, size):
+        draws.append(size)
+        return draw(gen, size)
+
+    monkeypatch.setattr(mechanism, "standard_noise", counted)
+    ghost = client.post("/tenants/ghost/release", {"workload": "hub-laplace"})
+    assert ghost.status == 404
+    assert client.get("/tenants").json() == {"tenants": []}
+    _tenant(client, budget=1.0, accountant="linear")
+    over = client.post("/tenants/acme/release", {"workload": "hub-laplace", "n": 3})
+    assert over.status == 429
+    assert draws == []
+    snapshot = client.get("/tenants/acme").json()
+    assert (snapshot["n_releases"], snapshot["spent_epsilon"]) == (0, 0.0)
+    fits = client.post("/tenants/acme/release", {"workload": "hub-laplace", "n": 2})
+    assert fits.status == 200
+    assert draws == [2]
+
+
 # -- stream ----------------------------------------------------------------
 def test_stream_session_lifecycle(client):
     _tenant(client)
@@ -420,13 +480,13 @@ def test_429_with_nothing_outstanding_is_final(client):
 
 
 def test_lock_timeout_is_503_with_retry_after():
-    # tenant.reserve fires before the admission cycle opens, outside the
+    # tenant.charge fires before the admission cycle opens, outside the
     # store's retries, so the lock timeout reaches the client.
     app = create_app()
     client = TestClient(app)
     _tenant(client)
     with injected(
-        [FaultRule("tenant.reserve", action="error", error="lock_timeout")]
+        [FaultRule("tenant.charge", action="error", error="lock_timeout")]
     ):
         response = client.post(
             "/tenants/acme/release", {"workload": "hub-laplace"}
@@ -483,6 +543,49 @@ def test_idempotent_replay_survives_restart(tmp_path):
     reborn.app.service.close()
 
 
+def test_client_keys_are_capped_per_tenant(client, monkeypatch):
+    """A new key is a 409 with Retry-After while the tenant holds
+    MAX_IDEMPOTENCY_RECORDS unexpired records; it debits nothing and its
+    reservation returns.  Expired records make room in the next keyed
+    release's own transaction."""
+    import repro.service.ledger as ledger_module
+
+    monkeypatch.setattr(ledger_module, "MAX_IDEMPOTENCY_RECORDS", 4)
+    _tenant(client, budget=10.0, accountant="linear")
+
+    def keyed(key):
+        return client.post(
+            "/tenants/acme/release",
+            {"workload": "hub-laplace", "idempotency_key": key},
+        )
+
+    for i in range(4):
+        assert keyed(f"k{i}").status == 200
+    refused = keyed("k4")
+    assert refused.status == 409
+    payload = refused.json()
+    assert payload["error"] == "ReservationError"
+    assert ledger_module.IDEMPOTENCY_TTL - 60 < payload["retry_after"]
+    assert payload["retry_after"] <= ledger_module.IDEMPOTENCY_TTL
+    assert refused.headers["retry-after"] == str(math.ceil(payload["retry_after"]))
+    snapshot = client.get("/tenants/acme").json()
+    assert (snapshot["n_releases"], snapshot["n_reservations"]) == (4, 0)
+    assert snapshot["idempotency_records"] == 4
+    assert keyed("k0").json()["replayed"] is True
+
+    def age(txn):
+        for key in ("k0", "k1"):
+            txn.state["idempotency"][key]["created_at"] -= (
+                ledger_module.IDEMPOTENCY_TTL + 1
+            )
+
+    client.app.service.store.run("acme", age)
+    admitted = keyed("k4")
+    assert admitted.status == 200 and admitted.json()["replayed"] is False
+    snapshot = client.get("/tenants/acme").json()
+    assert (snapshot["n_releases"], snapshot["idempotency_records"]) == (5, 3)
+
+
 # -- deadlines and backpressure ---------------------------------------------
 @pytest.mark.parametrize(
     "option", ["max_concurrency", "request_timeout", "reservation_ttl"]
@@ -519,7 +622,7 @@ def test_request_deadline_returns_503_timeout():
     client = TestClient(app)
     _tenant(client)
     with injected(
-        [FaultRule("tenant.reserve", action="latency", delay=0.5)]
+        [FaultRule("tenant.charge", action="latency", delay=0.5)]
     ):
         response = client.post(
             "/tenants/acme/release", {"workload": "hub-laplace"}

@@ -395,6 +395,19 @@ class TestPrivacyEngine:
         with pytest.raises(ValidationError):
             engine.release_repeated(data, query, 0)
 
+    @pytest.mark.parametrize("n_releases", [2.5, 2.0, "2", None, 0, -1])
+    def test_release_repeated_refuses_non_counts_before_any_work(
+        self, family, data, query, n_releases
+    ):
+        """A count that is not an integer >= 1 is a ValidationError, like
+        ``take(2.5)``, raised before any cache lookup or debit."""
+        engine = PrivacyEngine(MQMExact(family, 1.0, max_window=20))
+        with pytest.raises(ValidationError, match="n_releases"):
+            engine.release_repeated(data, query, n_releases)
+        assert len(engine.accountant) == 0
+        assert engine.n_releases == 0
+        assert (engine.cache.hits, engine.cache.misses) == (0, 0)
+
     def test_stats(self, family, data, query):
         engine = PrivacyEngine(
             MQMExact(family, 1.0, max_window=20), epsilon_budget=100.0

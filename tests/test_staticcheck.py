@@ -391,52 +391,6 @@ def test_r6_quiet_on_shared_closure(tmp_path):
     assert result.findings == []
 
 
-# A keyless consume's replay record is the call id it stamps on the
-# reservation's "last_consume" slot: the same rule holds for that write.
-R6_SLOT_VIOLATING = """\
-    class Ledger:
-        def bad(self, rid, call_id, n):
-            def handler(txn):
-                self._consume_in_state(txn.state, rid, n)
-                return txn.state
-
-            state = self.store.run(self.tenant, handler)
-            state["reservations"][rid]["last_consume"] = call_id  # after commit!
-"""
-
-R6_SLOT_COMPLIANT = """\
-    class Ledger:
-        def good(self, rid, call_id, n):
-            def handler(txn):
-                result = self._consume_in_state(txn.state, rid, n)
-                txn.state["reservations"][rid]["last_consume"] = call_id
-                return result
-
-            return self.store.run(self.tenant, handler)
-"""
-
-
-def test_r6_flags_post_commit_replay_slot_write(tmp_path):
-    result = run_lint(
-        tmp_path,
-        {"mod.py": R6_SLOT_VIOLATING},
-        [TransactionDisciplineRule(EVERYWHERE)],
-    )
-    assert rules_hit(result) == ["R6"]
-    (finding,) = result.findings
-    assert finding.line == 8  # the slot write, not the debit
-    assert "transaction closure" in finding.message
-
-
-def test_r6_quiet_on_replay_slot_in_shared_closure(tmp_path):
-    result = run_lint(
-        tmp_path,
-        {"mod.py": R6_SLOT_COMPLIANT},
-        [TransactionDisciplineRule(EVERYWHERE)],
-    )
-    assert result.findings == []
-
-
 # A sync=False commit may be undone by a power loss, so it must not debit.
 R6_UNSYNCED_VIOLATING = """\
     class Ledger:
@@ -466,6 +420,30 @@ def test_r6_flags_debit_in_unsynced_transaction(tmp_path):
     assert rules_hit(result) == ["R6"]
     (finding,) = result.findings
     assert "sync=False" in finding.message
+
+
+# A keyless charge debits through _debit_in_state: the same rule holds.
+R6_UNSYNCED_CHARGE = """\
+    class Ledger:
+        def bad(self, n, eps):
+            def handler(txn):
+                accountant = self._rehydrate(txn.state)
+                self._debit_in_state(txn.state, accountant, n, eps)
+                return txn.state
+
+            return self.store.run(self.tenant, handler, sync=False)
+"""
+
+
+def test_r6_flags_charge_debit_in_unsynced_transaction(tmp_path):
+    result = run_lint(
+        tmp_path,
+        {"mod.py": R6_UNSYNCED_CHARGE},
+        [TransactionDisciplineRule(EVERYWHERE)],
+    )
+    assert rules_hit(result) == ["R6"]
+    (finding,) = result.findings
+    assert finding.line == 5 and "sync=False" in finding.message
 
 
 def test_r6_quiet_on_unsynced_return(tmp_path):

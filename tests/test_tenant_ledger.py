@@ -2,8 +2,10 @@
 
 Covers the reserve -> consume -> release-unused cycle, its refusal
 taxonomy, TTL reclamation of abandoned reservations, restart rehydration
-(bit-identical Rényi state through the store), and the
-:class:`~repro.service.ledger.ReservationAccountant` driving a real
+(bit-identical Rényi state through the store), the cap on client keys,
+the keyless one-transaction ``charge``, and the
+:class:`~repro.service.ledger.ReservationAccountant` and
+:class:`~repro.service.ledger.ChargeAccountant` driving a real
 :class:`~repro.serving.engine.PrivacyEngine`."""
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.service import PrivacyService, Workload
-from repro.service.ledger import ReservationAccountant, TenantLedger
+from repro.service.ledger import ChargeAccountant, ReservationAccountant, TenantLedger
 from repro.service.stores import SQLiteLedgerStore
 
 
@@ -149,8 +151,8 @@ def test_only_debits_need_a_flush():
 
 def test_a_stream_chunk_is_one_synced_transaction():
     """The service debits an 8-value chunk in one synced transaction, not
-    one per value; a keyless release stays at one synced debit between an
-    unsynced hold and an unsynced return."""
+    one per value; a keyless release is one synced charge, with no hold
+    and no return."""
     service = PrivacyService(_SyncLog())
     log = service.store.inner.log
     try:
@@ -163,7 +165,7 @@ def test_a_stream_chunk_is_one_synced_transaction():
         assert log == [True]
         log.clear()
         assert service.release("acme", {"workload": "hub-laplace", "n": 5})["n"] == 5
-        assert log == [False, True, False]
+        assert log == [True]
     finally:
         service.close()
 
@@ -354,6 +356,111 @@ def test_reservation_accountant_admits_a_signature_and_its_digest():
         accountant.record(0.5, quilt_signature=("r",))
     assert ledger.snapshot() == before
     assert accountant.n_remaining == 1 and accountant.is_composable
+
+
+def test_a_known_key_replays_at_the_record_cap(monkeypatch):
+    import repro.service.ledger as ledger_module
+
+    monkeypatch.setattr(ledger_module, "MAX_IDEMPOTENCY_RECORDS", 4)
+    ledger = _created(
+        TenantLedger(SQLiteLedgerStore(":memory:"), "acme"), budget=10.0
+    )
+    res = ledger.reserve(6, 0.5)
+
+    def consume(key, response):
+        return ledger.consume_idempotent(
+            res.reservation_id,
+            1,
+            epsilon=0.5,
+            idempotency_key=key,
+            response=response,
+        )
+
+    for i in range(4):
+        assert consume(f"k{i}", {"i": i}) == ({"i": i}, False)
+    before = ledger.store.peek("acme")
+    with pytest.raises(ReservationError, match="idempotency records") as refused:
+        consume("k4", {"i": 4})
+    assert 0 < refused.value.retry_after <= ledger_module.IDEMPOTENCY_TTL
+    assert ledger.store.peek("acme") == before
+    assert consume("k2", {"i": "ignored"}) == ({"i": 2}, True)
+    assert ledger.snapshot()["n_releases"] == 4
+
+
+# -- charge: admit and debit in one transaction ------------------------------
+def test_charge_is_one_synced_transaction_answered_from_its_state():
+    store = _SyncLog()
+    ledger = _created(TenantLedger(store, "acme"), budget=2.0)
+    store.log.clear()
+    snapshot = ledger.charge(3, 0.5, quilt_signature=("q",))
+    assert store.log == [True]
+    assert snapshot == ledger.snapshot()
+    assert (snapshot["n_releases"], snapshot["spent_epsilon"]) == (3, 1.5)
+    assert snapshot["n_reservations"] == 0
+    with pytest.raises(PrivacyParameterError, match="different active Markov quilts"):
+        ledger.charge(1, 0.5, quilt_signature=("r",))
+    assert ledger.snapshot() == snapshot
+
+
+def test_charge_refuses_exactly_like_reserve():
+    """The same admission arithmetic over outstanding reservations, the
+    same payload, Retry-After only while a reservation is outstanding; a
+    refused charge persists nothing."""
+    ledger = _created(TenantLedger(SQLiteLedgerStore(":memory:"), "acme"))
+    ledger.charge(1, 0.5)
+    held = ledger.reserve(2, 0.5)
+    before = ledger.store.peek("acme")
+    with pytest.raises(BudgetExhaustedError) as charged:
+        ledger.charge(2, 0.5)
+    with pytest.raises(BudgetExhaustedError) as reserved:
+        ledger.reserve(2, 0.5)
+    assert ledger.store.peek("acme") == before
+
+    def fields(error):
+        return {k: v for k, v in error.payload().items() if k != "message"}
+
+    assert fields(charged.value) == fields(reserved.value)
+    assert charged.value.retry_after == ledger.reservation_ttl
+    assert ledger.charge(1, 0.5)["n_releases"] == 2  # fits beside the hold
+    ledger.release_unused(held.reservation_id)
+    with pytest.raises(BudgetExhaustedError) as final:
+        ledger.charge(3, 0.5)
+    assert final.value.retry_after is None
+    assert final.value.ledger()["spent"] == 1.0
+
+
+def test_charge_drops_expired_reservations():
+    ledger = _created(
+        TenantLedger(SQLiteLedgerStore(":memory:"), "acme", reservation_ttl=0.05)
+    )
+    ledger.reserve(4, 0.5)  # holds the whole budget
+    with pytest.raises(BudgetExhaustedError):
+        ledger.charge(1, 0.5)
+    import time
+
+    time.sleep(0.1)
+    snapshot = ledger.charge(4, 0.5)
+    assert (snapshot["n_releases"], snapshot["n_reservations"]) == (4, 0)
+
+
+def test_charge_accountant_drives_engine(workload):
+    mechanism, data, query = workload
+    ledger = _created(TenantLedger(SQLiteLedgerStore(":memory:"), "acme"))
+    accountant = ChargeAccountant(ledger)
+    engine = PrivacyEngineFactory(mechanism, accountant)
+    engine.release_repeated(data, query, 3)
+    assert accountant.snapshot == ledger.snapshot()
+    assert len(accountant) == 3
+    assert engine.spent_epsilon() == pytest.approx(1.5)
+    assert engine.remaining_budget() == pytest.approx(0.5)
+
+    # Overrunning the tenant budget refuses before any noise: the ledger,
+    # the adapter and the engine's counter stay where they were.
+    with pytest.raises(BudgetExhaustedError) as excinfo:
+        engine.release_repeated(data, query, 2)
+    assert excinfo.value.ledger()["spent"] == pytest.approx(1.5)
+    assert accountant.snapshot == ledger.snapshot()
+    assert (len(accountant), engine.n_releases) == (3, 3)
 
 
 # -- rows written before signatures were digests ---------------------------
