@@ -17,6 +17,9 @@ Checks, in order:
    (:mod:`repro.staticcheck`).
 4. **benchmarks-import** — every ``benchmarks/*.py`` imports (needs
    numpy; skipped under ``--bare``).
+5. **calibration-golden** — every Algorithm 2 calibration pinned in
+   ``tests/data/calibration_golden.json`` reproduces bit for bit
+   (:mod:`calibration_golden`; needs numpy; skipped under ``--bare``).
 
 ``--bare`` runs only what a dependency-less container can: doc-links,
 import-safety, and the lint (all pure stdlib).  Exit status is non-zero
@@ -88,6 +91,12 @@ def check_benchmarks() -> int:
     return 0
 
 
+def check_calibration_golden() -> int:
+    import calibration_golden
+
+    return calibration_golden.check()
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -105,6 +114,7 @@ def main(argv: "list[str] | None" = None) -> int:
     ]
     if not args.bare:
         checks.append(("benchmarks-import", check_benchmarks))
+        checks.append(("calibration-golden", check_calibration_golden))
 
     failed = []
     for name, runner in checks:

@@ -62,6 +62,39 @@ def _pairwise_sup_ratio(tables: np.ndarray) -> float:
     return float(pair_sup.max())
 
 
+def _influence_tables(
+    networks: Sequence[DiscreteBayesianNetwork],
+    quilt: MarkovQuilt,
+) -> tuple[float, list[np.ndarray]]:
+    """``e_Theta(X_Q | X_i)`` and the per-theta tables it was reduced from.
+
+    Each table is one theta's ``(m, M)`` matrix of ``P(X_Q | X_i = v)`` rows
+    over its ``m >= 2`` supported secret values ``v``; a theta with fewer
+    supported values has nothing to compare and contributes no table.  The
+    reduction stops at the first unbounded theta, as its result is final.
+    :func:`max_influence` returns the influence; the quilt search also reads
+    an inadmissible quilt's tables (:func:`_screen_capacity`).
+    """
+    if quilt.is_trivial or not quilt.quilt:
+        return 0.0, []
+    targets = sorted(quilt.quilt)
+    supremum = 0.0
+    reduced: list[np.ndarray] = []
+    for network in networks:
+        engine = engine_for(network)
+        marginal = engine.marginal_of(quilt.node)
+        values = np.flatnonzero(marginal > MARGINAL_ATOL)
+        if values.size < 2:
+            continue  # fewer than two admissible secret values: nothing to compare
+        tensor = engine.conditional_tables(targets, quilt.node)
+        tables = tensor.reshape(tensor.shape[0], -1)[values]
+        reduced.append(tables)
+        supremum = max(supremum, _pairwise_sup_ratio(tables))
+        if np.isinf(supremum):
+            return float("inf"), reduced
+    return float(max(supremum, 0.0)), reduced
+
+
 def max_influence(
     networks: Sequence[DiscreteBayesianNetwork],
     quilt: MarkovQuilt,
@@ -80,22 +113,39 @@ def max_influence(
     quilt search over many candidates never recomputes shared state (the
     seed re-enumerated the full joint on every call).
     """
-    if quilt.is_trivial or not quilt.quilt:
-        return 0.0
-    targets = sorted(quilt.quilt)
-    supremum = 0.0
-    for network in networks:
-        engine = engine_for(network)
-        marginal = engine.marginal_of(quilt.node)
-        values = np.flatnonzero(marginal > MARGINAL_ATOL)
-        if values.size < 2:
-            continue  # fewer than two admissible secret values: nothing to compare
-        tensor = engine.conditional_tables(targets, quilt.node)
-        tables = tensor.reshape(tensor.shape[0], -1)[values]
-        supremum = max(supremum, _pairwise_sup_ratio(tables))
-        if np.isinf(supremum):
-            return float("inf")
-    return float(max(supremum, 0.0))
+    return _influence_tables(networks, quilt)[0]
+
+
+def _screen_capacity(tables: Sequence[np.ndarray], epsilon: float) -> float:
+    """The capacity ``K`` of an inadmissible ``X_A`` (``e(X_A|X_i) >= epsilon``)
+    in the quilt search's inclusion screen.
+
+    ``tables`` are the matrices :func:`_influence_tables` reduced for
+    ``X_A``.  ``K`` is the largest value with ``P(x|a) * (1 - 1e-9) - K *
+    MARGINAL_ATOL >= exp(epsilon * (1 + 1e-9)) * P(x|b)`` for some theta,
+    supported secret pair ``a != b`` and cell ``x`` (``-inf`` when no cell
+    qualifies).  A quilt ``X_B ⊇ X_A`` with ``prod card(X_B - X_A) <= K``
+    is inadmissible too: its cells over ``x`` sum to ``P(x|.)``, those at
+    most ``MARGINAL_ATOL`` (off support, see :func:`_pairwise_sup_ratio`)
+    hold at most ``K * MARGINAL_ATOL`` of ``P(x|a)``, so the on-support rest
+    is positive and at least ``exp(epsilon)`` times its ``b`` mass, and by
+    the mediant inequality one of those cells has ratio ``>= exp(epsilon)``.
+    The ``1e-9`` margins absorb the last-bit rounding between the two
+    eliminations that produce ``X_A``'s and ``X_B``'s tables.  The
+    ``MARGINAL_ATOL`` term is what a screen on the influence alone misses:
+    a supported ``P(x|a) = 1.5e-12`` over ``P(x|b) = 1e-14`` makes ``X_A``'s
+    influence infinite, yet split over a fair coin both halves are off
+    support and ``X_B`` can be admissible (``K = 1`` there, below the coin's
+    2 cells).
+    """
+    ratio = math.exp(epsilon * (1.0 + 1e-9))
+    capacity = -math.inf
+    for table in tables:
+        slack = (1.0 - 1e-9) * table[:, None, :] - ratio * table[None, :, :]
+        pairs = np.arange(table.shape[0])
+        slack[pairs, pairs] = -np.inf
+        capacity = max(capacity, float(slack.max()) / MARGINAL_ATOL)
+    return capacity
 
 
 class MarkovQuiltMechanism(Mechanism):
@@ -341,21 +391,23 @@ class MarkovQuiltMechanism(Mechanism):
         ``card(X_N) / (epsilon - e_Theta(X_Q|X_i))`` for the Laplace MQM.
         The Gaussian variant overrides only this hook, so the search loop,
         memo structure, warm-start snapshots, and per-node parallel shards
-        are shared verbatim."""
+        are shared verbatim.
+
+        Contract the search relies on: a quilt is admitted iff its influence
+        is below ``epsilon``, and the score never falls as influence grows,
+        so ``_quilt_score(quilt, 0.0)`` bounds every admissible score of the
+        quilt from below (:meth:`_candidate_scores`)."""
         return quilt.card_nearby() / (self.epsilon - influence)
 
     def sigma_for_node(self, node: str) -> tuple[float, MarkovQuilt]:
-        """``(sigma_i, active quilt)`` for one node (Definition 4.5)."""
+        """``(sigma_i, active quilt)`` for one node (Definition 4.5): the
+        first candidate, in candidate order, with the smallest score."""
         results = self._node_results()
         if node not in results:
+            candidates = self.quilt_sets[node]
             best_score = float("inf")
             best_quilt: MarkovQuilt | None = None
-            for quilt in self.quilt_sets[node]:
-                influence = max_influence(self.networks, quilt)
-                if influence < self.epsilon:
-                    score = self._quilt_score(quilt, influence)
-                else:
-                    score = float("inf")
+            for quilt, score in zip(candidates, self._candidate_scores(candidates)):
                 if score < best_score:
                     best_score = score
                     best_quilt = quilt
@@ -364,6 +416,51 @@ class MarkovQuiltMechanism(Mechanism):
             results[node] = (best_score, best_quilt)
             self._signature = None
         return results[node]
+
+    def _candidate_scores(self, candidates: Sequence[MarkovQuilt]) -> list[float]:
+        """Every candidate's score, in candidate order, ``inf`` where the
+        candidate is inadmissible or ruled out unevaluated.
+
+        Candidates are evaluated in ascending ``|X_Q|`` (candidate index
+        breaks ties), and one is skipped without building its joint when
+
+        * its zero-influence score is strictly above the best score found so
+          far: by the :meth:`_quilt_score` contract its score is at least
+          that, so it can neither win nor tie; or
+        * it contains an evaluated inadmissible ``X_A`` whose capacity covers
+          the split, ``prod card(X_Q - X_A) <= K`` (:func:`_screen_capacity`),
+          which makes it inadmissible too.
+
+        A skipped candidate never holds the minimum score, so the first
+        strict minimum in candidate order — the winner — is the one a full
+        evaluation picks.
+        """
+        order = sorted(range(len(candidates)), key=lambda k: len(candidates[k].quilt))
+        scores = [math.inf] * len(candidates)
+        best = math.inf
+        inadmissible: list[tuple[frozenset[str], float]] = []
+        for k in order:
+            quilt = candidates[k]
+            if self._quilt_score(quilt, 0.0) > best or any(
+                inner <= quilt.quilt and self._cells(quilt.quilt - inner) <= capacity
+                for inner, capacity in inadmissible
+            ):
+                continue
+            influence, tables = _influence_tables(self.networks, quilt)
+            if influence < self.epsilon:
+                scores[k] = self._quilt_score(quilt, influence)
+                best = min(best, scores[k])
+            else:
+                inadmissible.append(
+                    (quilt.quilt, _screen_capacity(tables, self.epsilon))
+                )
+        return scores
+
+    def _cells(self, names: frozenset[str]) -> int:
+        """``prod card(names)``, each card the largest over Theta."""
+        return math.prod(
+            max(network.n_states(name) for network in self.networks) for name in names
+        )
 
     def _all_results(self) -> dict[str, tuple[float, MarkovQuilt]]:
         """Every node's ``(sigma, active quilt)``, searching the missing

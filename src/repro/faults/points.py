@@ -82,11 +82,6 @@ def declared_points() -> "tuple[str, ...]":
     return tuple(sorted(FAULT_POINTS))
 
 
-def is_declared(point: str) -> bool:
-    """Whether ``point`` (an exact name, not a pattern) is declared."""
-    return point in FAULT_POINTS
-
-
 def matching_points(pattern: str) -> "tuple[str, ...]":
     """Declared points an ``fnmatch`` pattern matches (sorted)."""
     return tuple(

@@ -348,44 +348,74 @@ class InferenceEngine:
         topological position, making the order — and therefore the exact
         float reassociation of every contraction — deterministic across
         runs and processes.
+
+        The graph is held as integer bitsets, one adjacency mask per
+        variable.  Eliminating ``v`` changes the neighbourhood of ``v``'s
+        neighbours and can join two neighbours of their neighbours, so only
+        those are re-keyed; every other key stands.  The key is a total
+        order (positions are distinct), so the order is the one re-keying
+        every variable at every step would pick.
         """
         cache_key = (keep, removed)
         cached = self._order_cache.get(cache_key)
         if cached is not None:
             return cached
-        neighbors: dict[str, set[str]] = {}
+        index: dict[str, int] = {}
+        scopes: list[int] = []
         for factor in factors:
-            scope = [v for v in factor.variables if v not in removed]
-            for var in scope:
-                neighbors.setdefault(var, set()).update(scope)
-        for var, adjacent in neighbors.items():
-            adjacent.discard(var)
-        to_eliminate = set(neighbors) - keep
+            scope = 0
+            for var in factor.variables:
+                if var not in removed:
+                    scope |= 1 << index.setdefault(var, len(index))
+            scopes.append(scope)
+        names = list(index)
+        adjacency = [0] * len(names)
+        for scope in scopes:
+            for i in _bits(scope):
+                adjacency[i] |= scope
+        for i in range(len(names)):
+            adjacency[i] &= ~(1 << i)
+        position = [self._position[name] for name in names]
 
-        def fill_in(var: str) -> int:
-            adjacent = tuple(neighbors[var])
-            return sum(
-                1
-                for i, a in enumerate(adjacent)
-                for b in adjacent[i + 1 :]
-                if b not in neighbors[a]
-            )
+        def key(i: int) -> tuple[int, int, int]:
+            adjacent = adjacency[i]
+            degree = adjacent.bit_count()
+            # Per neighbour j, the neighbours j is not adjacent to (j itself
+            # included, hence ``- degree``): each missing pair counts twice.
+            missing = -degree
+            rest = adjacent
+            while rest:
+                low = rest & -rest
+                missing += (adjacent & ~adjacency[low.bit_length() - 1]).bit_count()
+                rest ^= low
+            return (missing // 2, degree, position[i])
 
+        keys = {i: key(i) for i, name in enumerate(names) if name not in keep}
         order: list[str] = []
-        while to_eliminate:
-            best = min(
-                to_eliminate,
-                key=lambda v: (fill_in(v), len(neighbors[v]), self._position[v]),
-            )
-            adjacent = neighbors.pop(best)
-            for a in adjacent:
-                neighbors[a].discard(best)
-                neighbors[a].update(adjacent - {a})
-            to_eliminate.remove(best)
-            order.append(best)
+        while keys:
+            best = min(keys, key=keys.__getitem__)
+            del keys[best]
+            adjacent = adjacency[best]
+            touched = adjacent
+            for j in _bits(adjacent):
+                adjacency[j] = (adjacency[j] | adjacent) & ~(1 << j) & ~(1 << best)
+            for j in _bits(adjacent):
+                touched |= adjacency[j]
+            for j in _bits(touched):
+                if j in keys:
+                    keys[j] = key(j)
+            order.append(names[best])
         result = tuple(order)
         self._order_cache[cache_key] = result
         return result
+
+
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 #: Per-process engine registry, LRU by network fingerprint, under ``_ENGINES_LOCK``.

@@ -72,12 +72,12 @@ from a fresh read, which is what lets
 errors end to end: a keyless debit (:meth:`TenantLedger.charge`,
 :meth:`TenantLedger.consume`) and a window advance return the landed
 attempt's result once the store has marked it committed
-(:func:`_exactly_once`), a keyed debit replays from its idempotency
-record, reservation ids are fixed before the cycle starts (a re-run
-overwrites the same entry), and ``release_unused`` is
-idempotent-by-absence.  Tenant state is therefore the accountant's
-aggregates plus the live reservations and client keys, never a
-per-release log.
+(:func:`_exactly_once`), as do ``release_unused`` and the recovery
+sweep (so a re-run reports what landed), a keyed debit replays from its
+idempotency record, and reservation ids are fixed before the cycle starts
+(a re-run overwrites the same entry).  Tenant state is therefore the
+accountant's aggregates plus the live reservations and client keys, never
+a per-release log.
 """
 
 from __future__ import annotations
@@ -636,8 +636,9 @@ class TenantLedger:
 
         Idempotent-by-absence: an unknown (already released or expired) id
         returns 0 instead of raising, so session close paths can always
-        call it unconditionally — and a retrying store wrapper can re-run
-        the cycle without minting budget.
+        call it unconditionally.  A retrying store wrapper's re-run after a
+        landed commit returns the landed count (:func:`_exactly_once`), not
+        the 0 the emptied slot would report.
         """
         fire(
             "tenant.release_unused",
@@ -645,6 +646,7 @@ class TenantLedger:
             reservation_id=reservation_id,
         )
 
+        @_exactly_once
         def handler(txn: LedgerTransaction) -> int:
             state = self._require(txn.state)
             entry = state["reservations"].pop(reservation_id, None)
@@ -666,9 +668,12 @@ class TenantLedger:
         holds.  This is the *recovery sweep*: run it at service startup and
         after killing workers, and no orphaned reservation outlives its TTL
         plus one sweep.  Returns reclaim stats; a no-op sweep returns zeros.
+        A re-run after a landed commit returns the landed stats
+        (:func:`_exactly_once`).
         """
         fire("tenant.sweep", tenant=self.tenant)
 
+        @_exactly_once
         def handler(txn: LedgerTransaction) -> dict:
             state = self._require(txn.state)
             expired = self._pop_expired_locked(state, now=now)

@@ -11,6 +11,7 @@ put lands nothing, and the next put lands.
 from __future__ import annotations
 
 import sqlite3
+import time
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.faults import (
     install,
     uninstall,
 )
+from repro.service import create_app
 from repro.service.ledger import TenantLedger
 from repro.service.retry import (
     RetryingLedgerStore,
@@ -41,6 +43,7 @@ from repro.service.retry import (
     with_retries,
 )
 from repro.service.stores import SQLiteLedgerStore
+from repro.service.testing import TestClient
 
 
 @pytest.fixture(autouse=True)
@@ -401,6 +404,66 @@ def test_window_advance_rerun_after_landed_commit_advances_once():
         ledger.advance_window(steps=1)
     assert store.retries == 1
     assert ledger.snapshot()["window"] == 1
+
+
+def _retrying_store():
+    return RetryingLedgerStore(
+        SQLiteLedgerStore(":memory:"), RetryPolicy(max_attempts=4), sleep=lambda _s: None
+    )
+
+
+def test_release_unused_rerun_after_landed_commit_returns_the_landed_count():
+    store = _retrying_store()
+    ledger = _ledger(store)
+    reservation = ledger.reserve(2, 1.0)
+    with injected(
+        [FaultRule("ledger.sqlite.commit.after", error="io", times=1)]
+    ):
+        returned = ledger.release_unused(reservation.reservation_id)
+    assert store.retries == 1
+    assert returned == 2
+    snapshot = ledger.snapshot()
+    assert (snapshot["n_reservations"], snapshot["spent_epsilon"]) == (0, 0.0)
+
+
+def test_sweep_rerun_after_landed_commit_returns_the_landed_reclaim():
+    store = _retrying_store()
+    ledger = _ledger(store, reservation_ttl=60.0)
+    ledger.reserve(3, 1.0)
+    with injected(
+        [FaultRule("ledger.sqlite.commit.after", error="io", times=1)]
+    ):
+        swept = ledger.sweep(now=time.time() + 3600.0)
+    assert store.retries == 1
+    assert (swept["expired_reservations"], swept["reclaimed_releases"]) == (1, 3)
+    assert swept["reclaimed_epsilon"] == 3.0
+    assert ledger.snapshot()["n_reservations"] == 0
+
+
+def test_session_close_and_recover_report_what_landed_after_commit_faults():
+    app = create_app(_retrying_store(), reservation_ttl=0.05)
+    client = TestClient(app)
+    assert client.post("/tenants/acme", {"budget": 10.0}).status == 200
+    opened = client.post(
+        "/tenants/acme/stream", {"workload": "hub-laplace", "n_reserved": 2}
+    ).json()
+    with injected(
+        [FaultRule("ledger.sqlite.commit.after", error="io", times=1)]
+    ) as inj:
+        closed = client.delete(f"/sessions/{opened['session_id']}").json()
+    assert inj.fired("ledger.sqlite.commit.after") == 1
+    assert closed["n_returned"] == 2
+
+    client.post("/tenants/acme/stream", {"workload": "hub-laplace", "n_reserved": 4})
+    time.sleep(0.1)  # past the TTL: the session is presumed dead
+    with injected(
+        [FaultRule("ledger.sqlite.commit.after", error="io", times=1)]
+    ) as inj:
+        report = client.post("/admin/recover").json()
+    assert inj.fired("ledger.sqlite.commit.after") == 1
+    assert (report["expired_reservations"], report["reclaimed_releases"]) == (1, 4)
+    assert client.get("/tenants/acme").json()["reserved_releases"] == 0
+    app.service.close()
 
 
 def test_with_retries_is_idempotent():
