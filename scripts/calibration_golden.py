@@ -79,7 +79,7 @@ def _edited_blocks():
 
 
 def configurations() -> "dict[str, Callable[[], object]]":
-    """Name -> zero-argument builder of one mechanism, in pin order."""
+    """Name -> zero-argument factory of one mechanism, in pin order."""
     _ensure_src()
     from repro.core import GaussianMarkovQuiltMechanism, MarkovQuiltMechanism
     from repro.distributions import structured as s
@@ -91,12 +91,12 @@ def configurations() -> "dict[str, Callable[[], object]]":
 
         return build
 
-    def shells(network_builder, *args):
-        return lambda: MarkovQuiltMechanism([network_builder(*args)], EPSILON)
+    def shells(make_network, *args):
+        return lambda: MarkovQuiltMechanism([make_network(*args)], EPSILON)
 
-    def scenario(builder, epsilon: float, mechanism_class):
+    def scenario(make_bundle, epsilon: float, mechanism_class):
         def build():
-            bundle = builder()
+            bundle = make_bundle()
             return mechanism_class(
                 bundle.networks, epsilon, quilt_generator=bundle.quilt_generator
             )
@@ -118,13 +118,13 @@ def configurations() -> "dict[str, Callable[[], object]]":
         "scenario-hub-4x4": lambda: s.hub_and_spoke_scenario(4, 4),
         "scenario-blocks-3x5": lambda: s.household_blocks_scenario(3, 5),
     }
-    for name, builder in scenarios.items():
+    for name, make_bundle in scenarios.items():
         for epsilon in (0.5, 2.0):
             configs[f"{name}-eps{epsilon}-laplace"] = scenario(
-                builder, epsilon, MarkovQuiltMechanism
+                make_bundle, epsilon, MarkovQuiltMechanism
             )
             configs[f"{name}-eps{epsilon}-gaussian"] = scenario(
-                builder, epsilon, GaussianMarkovQuiltMechanism
+                make_bundle, epsilon, GaussianMarkovQuiltMechanism
             )
     configs[f"temporal-blocks-20x10-{N_EDITS}-edits"] = _edited_blocks
     return configs

@@ -124,19 +124,17 @@ def _screen_capacity(tables: Sequence[np.ndarray], epsilon: float) -> float:
     ``X_A``.  ``K`` is the largest value with ``P(x|a) * (1 - 1e-9) - K *
     MARGINAL_ATOL >= exp(epsilon * (1 + 1e-9)) * P(x|b)`` for some theta,
     supported secret pair ``a != b`` and cell ``x`` (``-inf`` when no cell
-    qualifies).  A quilt ``X_B ⊇ X_A`` with ``prod card(X_B - X_A) <= K``
-    is inadmissible too: its cells over ``x`` sum to ``P(x|.)``, those at
-    most ``MARGINAL_ATOL`` (off support, see :func:`_pairwise_sup_ratio`)
-    hold at most ``K * MARGINAL_ATOL`` of ``P(x|a)``, so the on-support rest
-    is positive and at least ``exp(epsilon)`` times its ``b`` mass, and by
-    the mediant inequality one of those cells has ratio ``>= exp(epsilon)``.
-    The ``1e-9`` margins absorb the last-bit rounding between the two
-    eliminations that produce ``X_A``'s and ``X_B``'s tables.  The
-    ``MARGINAL_ATOL`` term is what a screen on the influence alone misses:
-    a supported ``P(x|a) = 1.5e-12`` over ``P(x|b) = 1e-14`` makes ``X_A``'s
-    influence infinite, yet split over a fair coin both halves are off
-    support and ``X_B`` can be admissible (``K = 1`` there, below the coin's
-    2 cells).
+    qualifies).  A quilt ``X_B ⊇ X_A`` with ``M = prod card(X_B - X_A) <=
+    K`` is inadmissible too: the ``M`` cells of ``X_B`` over ``x`` sum to
+    ``P(x|.)``, those off support (at most ``MARGINAL_ATOL``, see
+    :func:`_pairwise_sup_ratio`) hold at most ``M * MARGINAL_ATOL`` of it,
+    so the on-support rest is positive with ratio at least
+    ``exp(epsilon)``, and by the mediant inequality so is one of its cells.
+    The ``1e-9`` margins absorb the last-bit rounding between the
+    eliminations of ``X_A`` and ``X_B``.  Without the ``MARGINAL_ATOL``
+    term the screen is wrong: ``P(x|a) = 1.5e-12`` over ``P(x|b) = 1e-14``
+    makes ``X_A``'s influence infinite, yet split over a fair coin both
+    halves are off support and ``X_B`` can be admissible (``K`` is 1 there).
     """
     ratio = math.exp(epsilon * (1.0 + 1e-9))
     capacity = -math.inf

@@ -399,7 +399,6 @@ class InferenceEngine:
             touched = adjacent
             for j in _bits(adjacent):
                 adjacency[j] = (adjacency[j] | adjacent) & ~(1 << j) & ~(1 << best)
-            for j in _bits(adjacent):
                 touched |= adjacency[j]
             for j in _bits(touched):
                 if j in keys:
