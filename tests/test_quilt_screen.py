@@ -51,6 +51,18 @@ def assert_matches_full_search(mechanism):
         candidates = mechanism.quilt_sets[node]
         assert sigma.hex() == want_sigma.hex(), node
         assert candidates.index(quilt) == candidates.index(want_quilt), node
+        # Each skipped candidate is inadmissible, or its zero-influence score
+        # is above the minimum; each evaluated one has its full-loop score.
+        scores = mechanism._candidate_scores(candidates)
+        for candidate, score in zip(candidates, scores):
+            influence = max_influence(mechanism.networks, candidate)
+            if score == math.inf:
+                assert (
+                    influence >= mechanism.epsilon
+                    or mechanism._quilt_score(candidate, 0.0) > want_sigma
+                ), candidate
+            else:
+                assert score == mechanism._quilt_score(candidate, influence)
 
 
 def test_capacity_keeps_a_quilt_whose_split_cells_fall_off_support():
@@ -121,12 +133,23 @@ def test_grid_search_builds_at_most_70_percent_of_its_joints(monkeypatch):
 
 # -- property: the screened search equals the full loop ---------------------
 
-#: CPD cells: exact zeros, cells around MARGINAL_ATOL, and ordinary mass.
-_CELL = st.one_of(
-    st.just(0.0),
-    st.sampled_from([5e-13, 1e-12, 1.5e-12, 3e-12, 1e-10]),
-    st.floats(0.01, 1.0),
-)
+#: Tiny CPD cells: exact zeros and cells around MARGINAL_ATOL.
+_TINY = [0.0, 1e-14, 5e-13, 1e-12, 1.5e-12, 3e-12, 1e-10]
+
+
+@st.composite
+def cpd_row(draw, size):
+    """One CPD row; its tiny cells keep their exact values and its other
+    cells share the remaining mass, so near-1e-12 cells survive."""
+    tiny = draw(st.lists(st.sampled_from(_TINY + [None] * 4), min_size=size, max_size=size))
+    if all(cell is not None for cell in tiny):
+        tiny[0] = None
+    weights = [draw(st.floats(0.01, 1.0)) if cell is None else 0.0 for cell in tiny]
+    rest = 1.0 - sum(cell for cell in tiny if cell is not None)
+    return [
+        cell if cell is not None else rest * weight / sum(weights)
+        for cell, weight in zip(tiny, weights)
+    ]
 
 
 @st.composite
@@ -144,15 +167,12 @@ def theta(draw):
         net = DiscreteBayesianNetwork()
         for i in range(n):
             shape = tuple(cards[p] for p in parents[i]) + (cards[i],)
-            cells = np.array(
-                draw(st.lists(_CELL, min_size=math.prod(shape), max_size=math.prod(shape)))
-            ).reshape(shape)
-            cells[..., 0] += 1e-3  # every row keeps some mass
+            rows = [draw(cpd_row(cards[i])) for _ in range(math.prod(shape[:-1]))]
             net.add_node(
                 f"v{i}",
                 cards[i],
                 parents=[f"v{p}" for p in parents[i]],
-                cpd=cells / cells.sum(axis=-1, keepdims=True),
+                cpd=np.array(rows).reshape(shape),
             )
         networks.append(net)
     return networks
