@@ -9,11 +9,14 @@ Two questions the robustness work must answer with numbers:
   same ledger with no injector, then with an installed injector whose
   rules never match, and record the throughput ratio.
 * **What does a chaos schedule cost, and does exactness survive it?**
-  The same drain runs under a seeded schedule of transient store errors
-  absorbed by :class:`~repro.service.retry.RetryingLedgerStore`.  The
-  wall-time ratio quantifies the retry tax; the deterministic gates
-  assert the ledger still lands on exactly ``floor(budget / epsilon)``
-  consumed releases and that an idempotency-key replay never re-debits.
+  The same drain — keyed charges of one release each, the service's
+  keyed ``/release`` debit — runs under a seeded schedule of transient
+  store errors absorbed by
+  :class:`~repro.service.retry.RetryingLedgerStore`.  The wall-time
+  ratio quantifies the retry tax; the deterministic gates assert the
+  ledger still lands on exactly ``floor(budget / epsilon)`` releases and
+  that an idempotency-key replay never re-debits, even once the budget
+  is spent.
 
 Gates (run in every mode, quick included): clean-drain exactness,
 chaos-drain exactness, and idempotent replay.  Rates land in
@@ -47,27 +50,19 @@ CHAOS_RULES = [
 
 
 def _drain(store, tag: str) -> "tuple[int, float]":
-    """Reserve/consume/release one release at a time until refusal."""
+    """Keyed charges of one release each until refusal."""
     ledger = TenantLedger(store, tag)
     ledger.create(budget=BUDGET)
     served = 0
     start = time.perf_counter()
     while True:
         try:
-            reservation = ledger.reserve(1, EPSILON)
+            ledger.charge(
+                1, EPSILON, idempotency_key=f"{tag}-{served}", response={"i": served}
+            )
         except BudgetExhaustedError:
             break
-        try:
-            ledger.consume_idempotent(
-                reservation.reservation_id,
-                1,
-                epsilon=EPSILON,
-                idempotency_key=f"{tag}-{served}",
-                response={"i": served},
-            )
-            served += 1
-        finally:
-            ledger.release_unused(reservation.reservation_id)
+        served += 1
     seconds = time.perf_counter() - start
     return served, seconds
 
@@ -100,27 +95,20 @@ def chaos_report(tmp_path_factory):
 
         # -- gate: idempotent replay never re-debits -----------------------
         replay_ledger = TenantLedger(store, "replay")
-        replay_ledger.create(budget=1.0)
-        reservation = replay_ledger.reserve(1, EPSILON)
-        first, replayed_first = replay_ledger.consume_idempotent(
-            reservation.reservation_id,
-            1,
-            epsilon=EPSILON,
-            idempotency_key="replay-key",
-            response={"answer": 41},
+        replay_ledger.create(budget=EPSILON)
+        first = replay_ledger.charge(
+            1, EPSILON, idempotency_key="replay-key", response={"answer": 41}
         )
-        again, replayed_again = replay_ledger.consume_idempotent(
-            reservation.reservation_id,
+        # The first charge spent the budget; the replay still answers.
+        again = replay_ledger.charge(
             1,
-            epsilon=EPSILON,
+            EPSILON,
             idempotency_key="replay-key",
             response={"answer": 42},  # must NOT replace the original
         )
-        replay_ledger.release_unused(reservation.reservation_id)
         replay_exact = (
-            not replayed_first
-            and replayed_again
-            and again == first
+            first[:2] == ({"answer": 41}, False)
+            and again[:2] == ({"answer": 41}, True)
             and replay_ledger.snapshot()["n_releases"] == 1
         )
     finally:

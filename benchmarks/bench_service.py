@@ -21,10 +21,11 @@ Four deterministic correctness gates run in every mode, quick included:
 * **Admission exactness**: a linear tenant must serve exactly
   ``floor(budget / epsilon)`` releases before 429, however the requests
   are sliced.
-* **One transaction per keyless single and per stream chunk**: a counting
-  store must see exactly one store transaction for each warm single
-  release (``txn_per_keyless_single``) and each stream chunk
-  (``txn_per_stream_chunk``).
+* **One transaction per single and per stream chunk**: a counting store
+  must see exactly one store transaction for each warm keyless single
+  release (``txn_per_keyless_single``), each keyed one, whose response
+  commits with its debit (``txn_per_keyed_single``), and each stream
+  chunk (``txn_per_stream_chunk``).
 
 Wall-clock entries (requests/second for cold, warm, and streamed paths)
 are recorded to ``results/BENCH_service.json`` for trajectory tracking;
@@ -104,6 +105,16 @@ def service_report(tmp_path_factory):
     single_seconds = time.perf_counter() - start
     single_rps = SINGLE_RELEASES / single_seconds
     txn_per_keyless_single = (store.transactions - transactions) / SINGLE_RELEASES
+
+    # Keyed single releases: still one transaction, the response included.
+    transactions = store.transactions
+    for i in range(SINGLE_RELEASES):
+        response = client.post(
+            "/tenants/t/release",
+            {"workload": "hub-laplace", "n": 1, "idempotency_key": f"keyed-{i}"},
+        )
+        assert response.status == 200
+    txn_per_keyed_single = (store.transactions - transactions) / SINGLE_RELEASES
 
     # Batched releases: one transaction per BATCH_SIZE releases.
     start = time.perf_counter()
@@ -211,6 +222,7 @@ def service_report(tmp_path_factory):
             "rehydration_exact": rehydration_exact,
             "admission_exact": admission_exact,
             "txn_per_keyless_single": txn_per_keyless_single,
+            "txn_per_keyed_single": txn_per_keyed_single,
             "txn_per_stream_chunk": txn_per_stream_chunk,
         },
     )
@@ -223,6 +235,7 @@ def service_report(tmp_path_factory):
         "rehydration_exact": rehydration_exact,
         "admission_exact": admission_exact,
         "txn_per_keyless_single": txn_per_keyless_single,
+        "txn_per_keyed_single": txn_per_keyed_single,
         "txn_per_stream_chunk": txn_per_stream_chunk,
     }
 
@@ -250,6 +263,13 @@ def test_keyless_single_and_stream_chunk_are_one_transaction(service_report):
     single release and per stream chunk."""
     assert service_report["txn_per_keyless_single"] == 1
     assert service_report["txn_per_stream_chunk"] == 1
+
+
+def test_keyed_single_is_one_transaction(service_report):
+    """Deterministic gate, every mode: a keyed single release is one store
+    transaction too (the pre-``charge`` keyed path read three and two
+    peeks)."""
+    assert service_report["txn_per_keyed_single"] == 1
 
 
 @pytest.mark.perf

@@ -56,11 +56,11 @@ FAULT_POINTS: "dict[str, str]" = {
     ),
     "tenant.charge": (
         "TenantLedger.charge entry, before the one admit-and-debit "
-        "transaction of a keyless release opens"
+        "transaction of a release, keyless or keyed, opens"
     ),
     "tenant.consume": (
-        "TenantLedger.consume / consume_idempotent entry, before the "
-        "debit transaction opens"
+        "TenantLedger.consume entry, before a stream chunk's debit "
+        "transaction opens"
     ),
     "tenant.release_unused": (
         "TenantLedger.release_unused entry, before the refund "

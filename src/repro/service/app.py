@@ -21,13 +21,13 @@ DELETE    ``/sessions/{session_id}``           close; return unused budget
 ========  ===================================  =================================
 
 **Admission prices every outstanding reservation** (see
-:mod:`repro.service.ledger`): a keyless ``release`` admits and debits its
-releases in one synced store transaction, with no reservation; a keyed
-``release`` reserves its sub-budget, serves, then returns any unused
-remainder; a ``stream`` session holds its reservation until closed.
-Tenant budgets therefore hold across concurrent requests, concurrent
-*service processes* sharing one store, and restarts — the store is the
-source of truth, rehydrated per transaction.
+:mod:`repro.service.ledger`): a ``release``, keyless or keyed, admits and
+debits its releases in one synced store transaction
+(:meth:`~repro.service.ledger.TenantLedger.charge`), with no reservation;
+a ``stream`` session holds its reservation until closed.  Tenant budgets
+therefore hold across concurrent requests, concurrent *service
+processes* sharing one store, and restarts — the store is the source of
+truth, rehydrated per transaction.
 
 **Engines are shared, budgets are not.**  One warm
 :class:`~repro.serving.engine.PrivacyEngine` per workload owns the
@@ -38,7 +38,8 @@ request) and each stream one bound to a
 :class:`~repro.service.ledger.ReservationAccountant` (one synced debit per
 chunk), both before any noise is drawn, so tenants share the expensive
 (tenant-agnostic) calibrations while every debit lands in their own
-ledger.
+ledger.  A keyed release draws against a local envelope first and then
+makes its one charge, which stores the response with the debit.
 
 **Errors are structured.**  Every refusal maps an exception's
 ``http_status`` — 400 validation, 404 unknown tenant/session, 409
@@ -341,10 +342,13 @@ class PrivacyService:
         crash after it loses only the response.
 
         The optional ``idempotency_key`` recovers that response: a keyed
-        release **reserves** its sub-budget, draws first, then persists the
-        key and the response payload *with* the debit and returns the
-        unused remainder, so a retried request replays the original values
-        instead of spending again (the reply carries ``"replayed": true``).
+        release draws first, against a local envelope of ``n * epsilon``,
+        then makes the same one charge with the key and the response
+        payload, which replays a known key (the reply carries
+        ``"replayed": true`` and the original values, debiting nothing,
+        even on a spent budget) or admits, debits and stores the payload in
+        that transaction.  A keyed request refused for budget has drawn its
+        values and discards them; nothing is released.
         """
         body = require_object(body)
         workload, engine = self._workload(get_str(body, "workload"))
@@ -358,35 +362,22 @@ class PrivacyService:
             releases = clone.release_repeated(workload.data, workload.query, n)
             response = self._release_response(tenant, workload, releases)
             return {**response, "ledger": charged.snapshot, "replayed": False}
-        # Fast path: an obvious replay skips reserve/draw entirely.  Not
-        # authoritative (consume_idempotent re-checks in its own
-        # transaction); just saves work on the common retry.
-        stored = ledger.idempotent_response(idempotency_key)
-        if stored is not None:
-            return {**stored, "ledger": ledger.snapshot(), "replayed": True}
-        reservation = ledger.reserve(n, workload.mechanism.epsilon)
-        try:
-            # Draw against the envelope; the response commits with its debit.
-            clone = engine.with_accountant(
-                CompositionAccountant(budget=reservation.epsilon_total),
-                tenant=tenant,
-                rng=seed,
-            )
-            releases = clone.release_repeated(workload.data, workload.query, n)
-            response = self._release_response(tenant, workload, releases)
-            response["idempotency_key"] = idempotency_key
-            response, replayed = ledger.consume_idempotent(
-                reservation.reservation_id,
-                len(releases),
-                epsilon=workload.mechanism.epsilon,
-                idempotency_key=idempotency_key,
-                response=response,
-                quilt_signature=clone._quilt_signature(),
-                rdp_curve=clone._rdp_curve(),
-            )
-        finally:
-            ledger.release_unused(reservation.reservation_id)
-        return {**response, "ledger": ledger.snapshot(), "replayed": replayed}
+        epsilon = workload.mechanism.epsilon
+        clone = engine.with_accountant(
+            CompositionAccountant(budget=n * epsilon), tenant=tenant, rng=seed
+        )
+        releases = clone.release_repeated(workload.data, workload.query, n)
+        response = self._release_response(tenant, workload, releases)
+        response["idempotency_key"] = idempotency_key
+        response, replayed, snapshot = ledger.charge(
+            len(releases),
+            epsilon,
+            quilt_signature=clone._quilt_signature(),
+            rdp_curve=clone._rdp_curve(),
+            idempotency_key=idempotency_key,
+            response=response,
+        )
+        return {**response, "ledger": snapshot, "replayed": replayed}
 
     def _release_response(
         self, tenant: str, workload: Workload, releases: "list[PrivateRelease]"

@@ -26,12 +26,12 @@ tenant's epsilon).  :class:`TenantLedger` provides both on top of a
   concurrent requests contend at admission time — one store transaction
   each — and never jointly over-commit.  It comes in two shapes:
 
-  - :meth:`TenantLedger.charge` — a keyless release: admit and debit
-    ``n`` releases in one synced transaction, with no reservation, and
-    answer with the snapshot of the state that transaction committed.
-  - reserve → consume → release-unused — a session (a stream, or a keyed
-    release) carves its sub-budget out up front with
-    :meth:`TenantLedger.reserve`, debits against it without re-racing the
+  - :meth:`TenantLedger.charge` — a release, keyless or keyed: admit and
+    debit ``n`` releases in one synced transaction, with no reservation,
+    and answer with the snapshot of the state that transaction committed.
+  - reserve → consume → release-unused — a stream carves its sub-budget
+    out up front with :meth:`TenantLedger.reserve`, debits each chunk
+    against it with :meth:`TenantLedger.consume` without re-racing the
     budget, and returns the remainder with
     :meth:`TenantLedger.release_unused` (or the stale-reservation TTL
     reclaims it when the session dies without closing).
@@ -52,14 +52,13 @@ raise.
 
 Two crash-safety layers ride on top (see ``docs/architecture.md``):
 
-* **Idempotency keys** (:meth:`TenantLedger.consume_idempotent`): the
-  debit, the key, and the response payload to replay land in **one** store
-  transaction, so a client that lost the response and retries observes
-  exactly one debit and the original payload — even if the retry races the
-  original, or the store throws *after* the commit and a retrying wrapper
-  re-runs the cycle.  A tenant keeps at most
-  :data:`MAX_IDEMPOTENCY_RECORDS` keys, each for :data:`IDEMPOTENCY_TTL`
-  seconds.
+* **Idempotency keys** (:meth:`TenantLedger.charge` with
+  ``idempotency_key=``): the debit, the key, and the response payload to
+  replay land in **one** store transaction, so a client that lost the
+  response and retries observes exactly one debit and the original
+  payload — even if the retry races the original, or the budget is spent
+  by then.  A tenant keeps at most :data:`MAX_IDEMPOTENCY_RECORDS` keys,
+  each for :data:`IDEMPOTENCY_TTL` seconds.
 * **Recovery sweep** (:meth:`TenantLedger.sweep`): reconciles expired
   reservations (a SIGKILL'd session's stranded sub-budget) and stale
   idempotency records in one transaction, so reclamation does not have to
@@ -69,15 +68,13 @@ Every ledger mutation goes through :meth:`~repro.service.stores.
 LedgerStore.run` (the closure form of ``transact``) and is safe to re-run
 from a fresh read, which is what lets
 :class:`~repro.service.retry.RetryingLedgerStore` retry transient store
-errors end to end: a keyless debit (:meth:`TenantLedger.charge`,
-:meth:`TenantLedger.consume`) and a window advance return the landed
-attempt's result once the store has marked it committed
-(:func:`_exactly_once`), as do ``release_unused`` and the recovery
-sweep (so a re-run reports what landed), a keyed debit replays from its
-idempotency record, and reservation ids are fixed before the cycle starts
-(a re-run overwrites the same entry).  Tenant state is therefore the
-accountant's aggregates plus the live reservations and client keys, never
-a per-release log.
+errors end to end: a debit (:meth:`TenantLedger.charge`, keyed or not,
+and :meth:`TenantLedger.consume`), a window advance, ``release_unused``
+and the recovery sweep return the landed attempt's result once the store
+has marked it committed (:func:`_exactly_once`), and reservation ids are
+fixed before the cycle starts (a re-run overwrites the same entry).
+Tenant state is therefore the accountant's aggregates plus the live
+reservations and client keys, never a per-release log.
 """
 
 from __future__ import annotations
@@ -112,18 +109,20 @@ from repro.utils.validation import check_positive
 #: Stored-state schema version; bumped on incompatible layout changes.
 #: (Idempotency records under the ``"idempotency"`` key were added
 #: additively — absent in old states, defaulted on read — so the version
-#: holds.  A ``"last_consume"`` slot an older service left on a live
-#: reservation is never read and dies with the reservation.)
+#: holds.  A record holds ``response`` and ``created_at``; older ones
+#: also carry ``reservation_id``, ``n_releases`` and ``epsilon``, which
+#: nothing reads.  A ``"last_consume"`` slot an older service left on a
+#: live reservation is never read and dies with the reservation.)
 STATE_VERSION = 1
 
 #: Key prefix of the per-call replay records older states hold under
 #: ``"idempotency"`` (keyless consumes once wrote one per release).
 #: Nothing replays them any more, so :meth:`TenantLedger.sweep` and every
-#: keyed debit drop them whatever their age.
+#: keyed charge drop them whatever their age.
 _LEGACY_RETRY_PREFIX = "retry."
 
 #: Seconds a client idempotency record (key + replayable response) is kept
-#: before :meth:`TenantLedger.sweep` or the next keyed debit prunes it.
+#: before :meth:`TenantLedger.sweep` or the next keyed charge prunes it.
 #: Must comfortably exceed the longest client retry horizon.
 IDEMPOTENCY_TTL = 3600.0
 
@@ -280,32 +279,70 @@ class TenantLedger:
         *,
         quilt_signature: Hashable = None,
         rdp_curve: "RdpCurve | None" = None,
-    ) -> dict:
+        idempotency_key: "str | None" = None,
+        response: Any = None,
+    ) -> Any:
         """Admit and debit ``n_releases`` releases in one synced store
-        transaction, with no reservation; return the tenant's snapshot.
+        transaction, with no reservation: the one debit of a release.
 
-        The keyless release path.  In one cycle it drops expired
-        reservations, admits this charge on top of every outstanding
-        reservation exactly as :meth:`reserve` would (the same ``preview``
-        arithmetic, :class:`~repro.exceptions.BudgetExhaustedError`
-        payload and ``retry_after`` rule), records the releases in the
-        accountant (which still enforces the same-quilt condition and
-        prices a mechanism-supplied Rényi curve), and builds
-        :meth:`snapshot`'s view from the state it commits.  A refusal
-        persists nothing.
+        In one cycle it drops expired reservations, admits this charge on
+        top of every outstanding reservation exactly as :meth:`reserve`
+        would (the same ``preview`` arithmetic,
+        :class:`~repro.exceptions.BudgetExhaustedError` payload and
+        ``retry_after`` rule), records the releases in the accountant
+        (which still enforces the same-quilt condition and prices a
+        mechanism-supplied Rényi curve), and returns :meth:`snapshot`'s
+        view of the state it commits.  A refusal persists nothing.
 
-        The caller draws after this returns: a crash before the commit
-        spends nothing, a crash after it loses only the values.  Safe to
-        re-run by a retrying store wrapper: a re-run after the commit
-        landed returns the landed snapshot and debits nothing
+        With an ``idempotency_key`` the same cycle first drops the client
+        records older than :data:`IDEMPOTENCY_TTL` and replays a known key
+        before admission, debiting nothing (so a replay answers on a spent
+        budget too).  A new key is refused with a
+        :class:`~repro.exceptions.ReservationError` while
+        :data:`MAX_IDEMPOTENCY_RECORDS` records remain, ``retry_after``
+        being the seconds until the oldest expires; otherwise ``response``
+        (JSON-serializable) is stored under the key in the transaction
+        that debits, so key, debit and payload commit together.  A keyed
+        charge returns ``(response, replayed, snapshot)``: the stored
+        payload and ``True`` on a replay, ``response`` and ``False``
+        otherwise.
+
+        A keyless caller draws after this returns: a crash before the
+        commit spends nothing, a crash after it loses only the values.  A
+        keyed caller draws first, since its response commits with the
+        debit.  Safe to re-run by a retrying store wrapper: a re-run after
+        the commit landed returns the landed result and debits nothing
         (:func:`_exactly_once`).
         """
         n_releases, epsilon = check_charge(n_releases, epsilon)
+        if idempotency_key is not None and (
+            not idempotency_key or not isinstance(idempotency_key, str)
+        ):
+            raise ValidationError(
+                f"idempotency_key must be a non-empty string, "
+                f"got {idempotency_key!r}"
+            )
         fire("tenant.charge", tenant=self.tenant, n_releases=n_releases)
 
         @_exactly_once
-        def handler(txn: LedgerTransaction) -> dict:
+        def handler(txn: LedgerTransaction) -> Any:
             state = self._require(txn.state)
+            if idempotency_key is not None:
+                records = state.setdefault("idempotency", {})
+                now = time.time()
+                self._prune_idempotency(records, now)
+                record = records.get(idempotency_key)
+                if record is not None:
+                    return record["response"], True, self._snapshot_from_state(state)
+                if len(records) >= MAX_IDEMPOTENCY_RECORDS:
+                    oldest = min(r["created_at"] for r in records.values())
+                    error = ReservationError(
+                        f"tenant {self.tenant!r} already holds {len(records)} "
+                        f"idempotency records, the most it keeps; retry once "
+                        f"the oldest expires, or release without a key"
+                    )
+                    error.retry_after = max(0.0, oldest + IDEMPOTENCY_TTL - now)
+                    raise error
             self._pop_expired_locked(state)
             accountant = accountant_from_state(state["accountant"])
             self._admit(
@@ -323,7 +360,10 @@ class TenantLedger:
                 quilt_signature=quilt_signature,
                 rdp_curve=rdp_curve,
             )
-            return self._snapshot_from_state(state, accountant)
+            if idempotency_key is None:
+                return self._snapshot_from_state(state, accountant)
+            records[idempotency_key] = {"response": response, "created_at": now}
+            return response, False, self._snapshot_from_state(state, accountant)
 
         return self.store.run(self.tenant, handler)
 
@@ -460,104 +500,6 @@ class TenantLedger:
             )
 
         return self.store.run(self.tenant, handler)
-
-    def consume_idempotent(
-        self,
-        reservation_id: str,
-        n_releases: int,
-        *,
-        epsilon: float,
-        idempotency_key: str,
-        response: Any,
-        quilt_signature: Hashable = None,
-        rdp_curve: "RdpCurve | None" = None,
-    ) -> "tuple[Any, bool]":
-        """Debit exactly once per ``idempotency_key``; replay on repeats.
-
-        Returns ``(response, replayed)``.  First time a key is seen, the
-        debit (:meth:`consume` semantics) **and** the caller-supplied
-        ``response`` payload are persisted in the *same* store transaction;
-        the response comes back with ``replayed=False``.  Any later call
-        with the same key — a client retry after a lost HTTP response, or
-        a retrying store wrapper re-running a cycle whose commit already
-        landed — debits nothing and returns the stored payload with
-        ``replayed=True``.  Because key, debit, and payload commit
-        atomically, there is no window where the debit landed but a retry
-        would re-debit, and none where a replayed response was never paid
-        for.
-
-        The same transaction drops the records older than
-        :data:`IDEMPOTENCY_TTL`; a new key is then refused with a
-        :class:`~repro.exceptions.ReservationError` while
-        :data:`MAX_IDEMPOTENCY_RECORDS` records remain, with
-        ``retry_after`` set to the seconds until the oldest one expires.
-        The refusal debits nothing.
-
-        ``response`` must be JSON-serializable (it lives in ledger state).
-        """
-        if not idempotency_key or not isinstance(idempotency_key, str):
-            raise ValidationError(
-                f"idempotency_key must be a non-empty string, "
-                f"got {idempotency_key!r}"
-            )
-        n_releases = check_count(n_releases, "n_releases")
-        fire(
-            "tenant.consume",
-            tenant=self.tenant,
-            reservation_id=reservation_id,
-            n_releases=n_releases,
-            idempotency_key=idempotency_key,
-        )
-
-        def handler(txn: LedgerTransaction) -> "tuple[Any, bool]":
-            state = self._require(txn.state)
-            records = state.setdefault("idempotency", {})
-            now = time.time()
-            self._prune_idempotency(records, now)
-            record = records.get(idempotency_key)
-            if record is not None:
-                return record["response"], True
-            if len(records) >= MAX_IDEMPOTENCY_RECORDS:
-                oldest = min(r["created_at"] for r in records.values())
-                error = ReservationError(
-                    f"tenant {self.tenant!r} already holds {len(records)} "
-                    f"idempotency records, the most it keeps; retry once "
-                    f"the oldest expires, or release without a key"
-                )
-                error.retry_after = max(0.0, oldest + IDEMPOTENCY_TTL - now)
-                raise error
-            self._consume_in_state(
-                state,
-                reservation_id,
-                n_releases,
-                epsilon=float(epsilon),
-                quilt_signature=quilt_signature,
-                rdp_curve=rdp_curve,
-            )
-            records[idempotency_key] = {
-                "response": response,
-                "reservation_id": reservation_id,
-                "n_releases": n_releases,
-                "epsilon": float(epsilon),
-                "created_at": now,
-            }
-            return response, False
-
-        return self.store.run(self.tenant, handler)
-
-    def idempotent_response(self, idempotency_key: str) -> Any:
-        """The stored response for a key, or ``None`` if unseen.
-
-        A lock-free **fast path** for retry handling — it can save the
-        reserve/draw work on an obvious replay, but only
-        :meth:`consume_idempotent` is authoritative (a concurrent original
-        may commit right after this returns ``None``).
-        """
-        state = self.store.peek(self.tenant)
-        if state is None:
-            return None
-        record = state.get("idempotency", {}).get(idempotency_key)
-        return None if record is None else record["response"]
 
     def _consume_in_state(
         self,

@@ -30,10 +30,11 @@ What is deliberately **not** retried:
 
 Re-running a cycle whose commit may or may not have landed is only
 exactly-once when the handler is idempotent — which is precisely what the
-ledger provides: client idempotency keys for keyed debits, and for keyless
-ones (a charge, a reservation's consume) the transaction's ``committed``
-flag, which the store sets as soon as COMMIT returns, so a re-run after a
-landed commit returns that attempt's result (see ``docs/architecture.md``).
+ledger provides: every debit (a charge, keyed or not, and a reservation's
+consume) reads the transaction's ``committed`` flag, which the store sets
+as soon as COMMIT returns, so a re-run after a landed commit returns that
+attempt's result; client idempotency keys cover the client's own retry
+(see ``docs/architecture.md``).
 """
 
 from __future__ import annotations

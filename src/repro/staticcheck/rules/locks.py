@@ -107,9 +107,7 @@ class LockDisciplineRule(Rule):
 #: Method names that *observe* remaining budget.
 CHECK_METHODS = frozenset({"preview", "remaining"})
 #: Method names that *spend* budget.
-ACT_METHODS = frozenset(
-    {"record", "record_many", "consume", "consume_idempotent"}
-)
+ACT_METHODS = frozenset({"record", "record_many", "consume", "charge"})
 #: Calls that debit budget ahead of a streamed release.
 DEBIT_METHODS = ACT_METHODS | {"_debit_one"}
 
@@ -128,9 +126,9 @@ class CheckThenActRule(Rule):
     (or in a different transaction) is the classic lost-update: two
     sessions both observe "1 release left" and both debit.  Within one
     method, a ``preview``/``remaining`` call and a ``record``/
-    ``consume`` call *on the same receiver* must resolve to the same
-    guard region (the same ``with <lock>:`` block or the same deferred
-    closure).
+    ``consume``/``charge`` call *on the same receiver* must resolve to
+    the same guard region (the same ``with <lock>:`` block or the same
+    deferred closure).
 
     Separately: in session/stream generators, a ``yield`` must be
     preceded by a debit call — budget is spent before a noisy value can

@@ -3,25 +3,27 @@
 The acceptance bar for the crash-safe lifecycle, in two escalations:
 
 1. **In-process chaos** — worker threads drain one durable tenant through
-   the full reserve → draw → consume-idempotent → release cycle while a
-   *seeded randomized fault schedule* throws transient errors and
-   simulated crashes at every store and ledger fault point.  However the
-   schedule lands, the tenant must converge to **exactly**
-   ``floor(budget / epsilon)`` consumed releases, with no reservation
-   stranded once the recovery sweep has run.  One release too many is a
-   privacy violation; one too few means a fault leaked budget.
+   the stream-shaped reserve → consume → release cycle while a *seeded
+   randomized fault schedule* throws transient errors and simulated
+   crashes at every store and ledger fault point.  However the schedule
+   lands, the tenant must converge to **exactly** ``floor(budget /
+   epsilon)`` consumed releases, with no reservation stranded once the
+   recovery sweep has run.  One release too many is a privacy violation;
+   one too few means a fault leaked budget.
 2. **Process kill-recovery** — real OS worker processes sharing one store,
    armed through ``REPRO_FAULTS`` to ``os._exit`` mid-transaction, plus a
    SIGKILL from the parent mid-flight.  After the survivors finish, the
    sweep reclaims what the dead left behind and a clean second wave drains
    the remainder to the exact same cap.
 
-Both escalations use idempotency keys for every consume, so a cycle
-re-run after an ambiguous fault (did the commit land?) stays exactly-once
-— which is precisely the mechanism the service's HTTP retries rely on.
-The in-process schedule also runs with keyless charges racing the keyed
-cycles: a charge keeps no record, and its re-run after a landed commit
-replays from the transaction's ``committed`` flag.
+A crash abandons its cycle, so its reservation strands until the TTL
+sweep; a consume re-run by the retrying store after a landed commit
+returns that commit (the transaction's ``committed`` flag), so no
+reservation is debited twice.  The in-process schedule also runs with
+keyless and keyed charges racing the stream cycles: a keyed charge that
+crashed or ran out of store retries is retried under its own key, which
+replays the charge if it landed — precisely what the service's HTTP
+clients rely on.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import subprocess
 import sys
 import threading
 import time
+import uuid
 from pathlib import Path
 
 import pytest
@@ -90,18 +93,15 @@ def _chaos_rules() -> list[FaultRule]:
 
 
 def _chaos_worker(store, index: int, errors: list) -> None:
-    """One session loop under chaos: reserve, consume idempotently, release.
+    """One stream-shaped session loop under chaos: reserve, consume, release.
 
-    Simulated crashes abandon the current cycle (the reservation strands
-    until the TTL sweep); every consume carries a unique idempotency key
-    and is retried through ambiguous faults, so it lands exactly once no
-    matter how many times the cycle re-runs.
+    A simulated crash abandons the current cycle, as a killed session
+    would: its reservation strands until the TTL sweep reclaims it.  An
+    error that outlasted the store's retries also gives the cycle up; the
+    ledger, not the worker, says whether its consume landed.
     """
     ledger = TenantLedger(store, "acme", reservation_ttl=TTL)
-    iteration = 0
     while True:
-        iteration += 1
-        key = f"worker{index}-cycle{iteration}"
         try:
             reservation = ledger.reserve(CHUNK, EPSILON)
         except BudgetExhaustedError:
@@ -111,34 +111,28 @@ def _chaos_worker(store, index: int, errors: list) -> None:
                 continue  # this "request" died before the reserve committed
             errors.append(error)
             return
-        consumed = False
-        for _attempt in range(8):
-            try:
-                ledger.consume_idempotent(
-                    reservation.reservation_id,
-                    CHUNK,
-                    epsilon=EPSILON,
-                    idempotency_key=key,
-                    response={"worker": index, "cycle": iteration},
-                )
-                consumed = True
-                break
-            except (ReproError, OSError):
-                break  # reservation expired mid-crash-recovery: give up cycle
-            except BaseException as error:
-                if getattr(error, "simulates_crash", False):
-                    continue  # ambiguous: retry the SAME key — exactly-once
+        try:
+            ledger.consume(reservation.reservation_id, CHUNK, epsilon=EPSILON)
+            ledger.release_unused(reservation.reservation_id)
+        except (ReproError, OSError, sqlite3.Error):
+            continue  # reservation expired mid-recovery, or retries ran out
+        except BaseException as error:
+            if not getattr(error, "simulates_crash", False):
                 errors.append(error)
                 return
-        if consumed:
-            try:
-                ledger.release_unused(reservation.reservation_id)
-            except BaseException as error:
-                if not getattr(error, "simulates_crash", False):
-                    errors.append(error)
-                    return
-                # Crashed before the release committed: the fully-consumed
-                # husk strands until the sweep reclaims it.
+            # Crashed mid-cycle: the reservation strands until the sweep.
+
+
+def _swept(ledger: TenantLedger) -> dict:
+    """Sweep, then read the ledger, as a restarted process would: the sweep
+    runs under the schedule too, and a simulated crash there is retried."""
+    while True:
+        try:
+            ledger.sweep()
+            return ledger.snapshot()
+        except BaseException as error:
+            if not getattr(error, "simulates_crash", False):
+                raise
 
 
 @pytest.mark.parametrize("kind", ["sqlite"])
@@ -167,9 +161,7 @@ def test_chaos_schedule_preserves_budget_exactness(kind, tmp_path):
                     t.join()
                 assert not errors, errors
                 time.sleep(TTL + 0.05)
-                ledger = TenantLedger(store, "acme", reservation_ttl=TTL)
-                ledger.sweep()
-                snapshot = ledger.snapshot()
+                snapshot = _swept(TenantLedger(store, "acme", reservation_ttl=TTL))
                 if (
                     snapshot["reserved_releases"] == 0
                     and snapshot["remaining_budget"] < EPSILON
@@ -211,26 +203,43 @@ def _charging_worker(store, index: int, errors: list) -> None:
             return
 
 
-def _swept(ledger: TenantLedger) -> dict:
-    """Sweep, then read the ledger, as a restarted process would: the sweep
-    runs under the schedule too, and a simulated crash there is retried."""
+def _keyed_charging_worker(store, index: int, errors: list) -> None:
+    """Keyed charges under chaos, each retried under its own key.
+
+    A crash or an error that outlasted the store's retries leaves it
+    unknown whether the charge landed, so the worker retries the same key:
+    the retry replays the record if the charge landed and charges once if
+    it did not.  Only a refusal stops the worker.
+    """
+    ledger = TenantLedger(store, "acme", reservation_ttl=TTL)
     while True:
-        try:
-            ledger.sweep()
-            return ledger.snapshot()
-        except BaseException as error:
-            if not getattr(error, "simulates_crash", False):
-                raise
+        key = uuid.uuid4().hex  # unique across rounds, which reuse indices
+        while True:
+            try:
+                ledger.charge(
+                    CHUNK, EPSILON, idempotency_key=key, response={"key": key}
+                )
+                break
+            except BudgetExhaustedError:
+                return
+            except (ReproError, OSError, sqlite3.Error):
+                continue
+            except BaseException as error:
+                if getattr(error, "simulates_crash", False):
+                    continue
+                errors.append(error)
+                return
 
 
 def test_chaos_schedule_mixing_keyless_charges_preserves_budget_exactness(
     tmp_path,
 ):
-    """Keyless charges race the keyed reserve/consume cycles under the same
+    """Keyless and keyed charges race the stream cycles under the same
     schedule plus crashes at ``tenant.charge``: still exactly
-    ``floor(budget / epsilon)`` releases and no reservation left.  The
-    budget is larger than the other schedules' so that store faults land
-    inside charges too."""
+    ``floor(budget / epsilon)`` releases and no reservation left, and every
+    key the keyed workers landed replays its response on the spent budget
+    without a second debit.  The budget is larger than the other
+    schedules' so that store faults land inside charges too."""
     budget = 10 * BUDGET
     store = RetryingLedgerStore(
         _make_store(tmp_path),
@@ -239,6 +248,7 @@ def test_chaos_schedule_mixing_keyless_charges_preserves_budget_exactness(
     rules = _chaos_rules() + [
         FaultRule("tenant.charge", action="crash", probability=0.1, times=None)
     ]
+    workers = (_chaos_worker, _charging_worker, _keyed_charging_worker)
     try:
         TenantLedger(store, "acme").create(budget=budget)
         errors: list = []
@@ -246,10 +256,9 @@ def test_chaos_schedule_mixing_keyless_charges_preserves_budget_exactness(
             for _round in range(30):
                 threads = [
                     threading.Thread(
-                        target=_charging_worker if i % 2 else _chaos_worker,
-                        args=(store, i, errors),
+                        target=workers[i % len(workers)], args=(store, i, errors)
                     )
-                    for i in range(4)
+                    for i in range(2 * len(workers))
                 ]
                 for t in threads:
                     t.start()
@@ -272,6 +281,15 @@ def test_chaos_schedule_mixing_keyless_charges_preserves_budget_exactness(
         assert snapshot["spent_epsilon"] == pytest.approx(budget)
         assert snapshot["n_reservations"] == 0
         assert snapshot["reserved_releases"] == 0
+        records = store.peek("acme")["idempotency"]
+        assert records, "no keyed charge landed"
+        ledger = TenantLedger(store, "acme")
+        for key, record in records.items():
+            response, replayed, _ = ledger.charge(
+                CHUNK, EPSILON, idempotency_key=key, response=None
+            )
+            assert replayed and response == record["response"] == {"key": key}
+        assert ledger.snapshot()["n_releases"] == snapshot["n_releases"]
     finally:
         store.close()
 
@@ -305,7 +323,7 @@ def test_chaos_schedule_is_reproducible(tmp_path):
     assert points_a != points_c
 
 
-#: One worker process: drain the shared ledger with idempotent consumes.
+#: One worker process: drain the shared ledger in stream-shaped cycles.
 #: REPRO_FAULTS (if set) arms the injector at import — including ``exit``
 #: rules that kill the process dead mid-transaction.
 _KILLABLE_DRAINER = """
@@ -314,25 +332,19 @@ from repro.exceptions import BudgetExhaustedError
 from repro.service.ledger import TenantLedger
 from repro.service.stores import ledger_store_from_path
 
-path, epsilon, chunk, ttl, tag = (
+path, epsilon, chunk, ttl = (
     sys.argv[1], float(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4]),
-    sys.argv[5],
 )
 store = ledger_store_from_path(path)
 ledger = TenantLedger(store, "acme", reservation_ttl=ttl)
 served = 0
-cycle = 0
 while True:
-    cycle += 1
     try:
         reservation = ledger.reserve(chunk, epsilon)
     except BudgetExhaustedError:
         break
     try:
-        ledger.consume_idempotent(
-            reservation.reservation_id, chunk, epsilon=epsilon,
-            idempotency_key=f"{tag}-{cycle}", response={"tag": tag},
-        )
+        ledger.consume(reservation.reservation_id, chunk, epsilon=epsilon)
         served += chunk
     finally:
         ledger.release_unused(reservation.reservation_id)
@@ -369,11 +381,11 @@ def test_killed_workers_recover_to_exact_budget(kind, tmp_path):
     )
     base_env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
 
-    def spawn(tag: str, env: dict) -> subprocess.Popen:
+    def spawn(env: dict) -> subprocess.Popen:
         return subprocess.Popen(
             [
                 sys.executable, "-c", _KILLABLE_DRAINER,
-                path, str(EPSILON), str(CHUNK), str(TTL), tag,
+                path, str(EPSILON), str(CHUNK), str(TTL),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -381,10 +393,7 @@ def test_killed_workers_recover_to_exact_budget(kind, tmp_path):
             text=True,
         )
 
-    wave1 = [
-        spawn(f"w1p{i}", {**base_env, "REPRO_FAULTS": fault_env})
-        for i in range(3)
-    ]
+    wave1 = [spawn({**base_env, "REPRO_FAULTS": fault_env}) for _ in range(3)]
     time.sleep(0.25)
     wave1[0].send_signal(signal.SIGKILL)  # and one genuinely external kill
     statuses = []
@@ -402,7 +411,7 @@ def test_killed_workers_recover_to_exact_budget(kind, tmp_path):
         ledger = TenantLedger(reopened, "acme", reservation_ttl=TTL)
         ledger.sweep()
 
-        wave2 = [spawn(f"w2p{i}", dict(base_env)) for i in range(2)]
+        wave2 = [spawn(dict(base_env)) for _ in range(2)]
         for proc in wave2:
             _out, err = proc.communicate(timeout=120)
             assert proc.returncode == 0, err

@@ -282,26 +282,27 @@ def test_retry_respects_deadline():
 
 
 def test_retry_run_replays_whole_cycle_after_commit_fault():
-    # An error *after* the commit landed: run() re-runs the closure, which
-    # must observe the committed state and stay exactly-once by idempotency.
+    # An error *after* the commit landed: run() re-runs the keyed charge's
+    # closure, which returns the landed attempt: one debit, the original
+    # response.  A client retry with the key then replays that record.
     store = RetryingLedgerStore(
         SQLiteLedgerStore(":memory:"), RetryPolicy(max_attempts=4), sleep=lambda _s: None
     )
     ledger = _ledger(store)
-    reservation = ledger.reserve(3, 1.0)
     with injected(
         [FaultRule("ledger.sqlite.commit.after", error="io", times=1)]
     ):
-        response, replayed = ledger.consume_idempotent(
-            reservation.reservation_id,
-            3,
-            epsilon=1.0,
-            idempotency_key="req-1",
-            response={"values": [1, 2, 3]},
+        response, replayed, snapshot = ledger.charge(
+            3, 1.0, idempotency_key="req-1", response={"values": [1, 2, 3]}
         )
-    # The first cycle committed, errored after, and the re-run replayed it.
-    assert response == {"values": [1, 2, 3]}
-    assert replayed is True
+    assert store.retries == 1
+    assert (response, replayed) == ({"values": [1, 2, 3]}, False)
+    assert snapshot == ledger.snapshot()
+    assert snapshot["spent_epsilon"] == pytest.approx(3.0)
+    again = ledger.charge(
+        3, 1.0, idempotency_key="req-1", response={"values": [4, 5, 6]}
+    )
+    assert again[:2] == ({"values": [1, 2, 3]}, True)
     assert ledger.snapshot()["spent_epsilon"] == pytest.approx(3.0)
 
 

@@ -10,8 +10,9 @@ and from eight) and for every accountant kind, for an in-process engine's
 accountant over 10,000 streamed releases, at service level over the HTTP
 surface (whatever the network's size: a row keeps the quilt signature as
 a digest), and for states written while keyless consumes kept ``retry.``
-records (swept whatever their age) or while accountants kept an audit
-trail (the startup sweep strips it)."""
+records (swept whatever their age, while the client key beside them still
+replays through a keyed charge) or while accountants kept an audit trail
+(the startup sweep strips it)."""
 
 from __future__ import annotations
 
@@ -296,7 +297,11 @@ def test_sweep_drops_legacy_retry_records_whatever_their_age():
     report = ledger.sweep()
     assert report["pruned_idempotency_records"] == 2
     assert ledger.snapshot()["idempotency_records"] == 1
-    assert ledger.idempotent_response("client-key") == {"values": [1.5]}
+    response, replayed, snapshot = ledger.charge(
+        1, EPSILON, idempotency_key="client-key", response={"values": [9.5]}
+    )
+    assert (response, replayed) == ({"values": [1.5]}, True)
+    assert snapshot["n_releases"] == 0
     assert ledger.sweep()["pruned_idempotency_records"] == 0
 
 
@@ -318,8 +323,12 @@ def test_service_sweeps_legacy_retry_records(tmp_path, route):
             report = client.post("/admin/recover").json()
             assert report["tenants"]["acme"]["pruned_idempotency_records"] == 2
         assert client.get("/tenants/acme").json()["idempotency_records"] == 1
-        replay = app.service.ledger("acme").idempotent_response("client-key")
-        assert replay == {"values": [1.5]}
+        replay = client.post(
+            "/tenants/acme/release",
+            {"workload": "hub-laplace", "idempotency_key": "client-key"},
+        ).json()
+        assert (replay["values"], replay["replayed"]) == ([1.5], True)
+        assert replay["ledger"]["n_releases"] == 0
     finally:
         app.service.close()
 

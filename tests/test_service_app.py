@@ -139,22 +139,31 @@ class _CountingStore(SQLiteLedgerStore):
         return super().peek(tenant)
 
 
-def test_keyless_release_is_one_synced_transaction_and_no_peek():
-    """Single or batch, a keyless release admits and debits in one synced
-    transaction and answers with that transaction's snapshot."""
+def test_a_release_is_one_synced_transaction_and_no_peek():
+    """Single or batch, keyless or keyed, first request or replay: a release
+    admits and debits (or replays) in one synced transaction and answers
+    with that transaction's snapshot."""
     store = _CountingStore()
     app = create_app(store)
     client = TestClient(app)
     try:
         _tenant(client, budget=1e6)
-        for workload, n in (("hub-laplace", 1), ("hub-gaussian", 50)):
+        for workload, n, key, replayed in (
+            ("hub-laplace", 1, None, False),
+            ("hub-gaussian", 50, None, False),
+            ("hub-laplace", 1, "single", False),
+            ("hub-laplace", 1, "single", True),
+            ("hub-gaussian", 50, "batch", False),
+            ("hub-gaussian", 50, "batch", True),
+        ):
+            body = {"workload": workload, "n": n}
+            if key is not None:
+                body["idempotency_key"] = key
             store.calls.clear()
-            body = client.post(
-                "/tenants/acme/release", {"workload": workload, "n": n}
-            ).json()
-            assert store.calls == [("transact", True)]
-            assert body["n"] == n and body["replayed"] is False
-            assert body["ledger"] == client.get("/tenants/acme").json()
+            reply = client.post("/tenants/acme/release", body).json()
+            assert store.calls == [("transact", True)], (n, key, replayed)
+            assert reply["n"] == n and reply["replayed"] is replayed
+            assert reply["ledger"] == client.get("/tenants/acme").json()
     finally:
         app.service.close()
 
@@ -584,6 +593,57 @@ def test_client_keys_are_capped_per_tenant(client, monkeypatch):
     assert admitted.status == 200 and admitted.json()["replayed"] is False
     snapshot = client.get("/tenants/acme").json()
     assert (snapshot["n_releases"], snapshot["idempotency_records"]) == (5, 3)
+
+
+def test_a_known_key_replays_after_the_budget_is_spent(client):
+    """The replay comes before admission in the charge's one cycle: a spent
+    budget still answers a known key with its original values."""
+    _tenant(client, budget=1.0, accountant="linear")
+    body = {"workload": "hub-laplace", "n": 2, "idempotency_key": "all-of-it"}
+    original = client.post("/tenants/acme/release", body).json()
+    assert original["ledger"]["remaining_budget"] == 0.0
+    spent = client.post("/tenants/acme/release", {"workload": "hub-laplace"})
+    assert spent.status == 429
+    replay = client.post("/tenants/acme/release", body)
+    assert replay.status == 200
+    assert replay.json()["replayed"] is True
+    assert replay.json()["values"] == original["values"]
+    assert replay.json()["ledger"]["n_releases"] == 2
+
+
+def test_a_new_key_over_budget_leaves_no_record_and_no_reservation(client):
+    _tenant(client, budget=1.0, accountant="linear")
+    body = {"workload": "hub-laplace", "n": 3, "idempotency_key": "too-big"}
+    refused = client.post("/tenants/acme/release", body)
+    assert refused.status == 429
+    assert refused.json()["error"] == "BudgetExhaustedError"
+    snapshot = client.get("/tenants/acme").json()
+    assert snapshot["idempotency_records"] == 0
+    assert (snapshot["n_reservations"], snapshot["n_releases"]) == (0, 0)
+    # The key was not spent by the refusal: it still admits what fits.
+    fits = client.post("/tenants/acme/release", {**body, "n": 2}).json()
+    assert (fits["n"], fits["replayed"]) == (2, False)
+
+
+def test_a_keyed_release_answers_what_it_committed(client):
+    """A keyed release is one charge, so no reservation round trip can fail
+    after its debit committed: errors armed at reserve and release-unused
+    never fire, and the reply is the committed release."""
+    _tenant(client)
+    rules = [
+        FaultRule("tenant.reserve", error="io", times=1),
+        FaultRule("tenant.release_unused", error="io", times=1),
+    ]
+    with injected(rules) as injector:
+        response = client.post(
+            "/tenants/acme/release",
+            {"workload": "hub-laplace", "n": 2, "idempotency_key": "once"},
+        )
+    assert response.status == 200
+    assert injector.fired() == 0
+    snapshot = client.get("/tenants/acme").json()
+    assert response.json()["ledger"] == snapshot
+    assert (snapshot["n_releases"], snapshot["n_reservations"]) == (2, 0)
 
 
 # -- deadlines and backpressure ---------------------------------------------

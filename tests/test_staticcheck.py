@@ -166,6 +166,26 @@ def test_r2_quiet_on_atomic_pair(tmp_path):
     assert result.findings == []
 
 
+# A ledger charge is a debit too: a stale remaining() read must not gate it.
+R2_VIOLATING_CHARGE = """\
+    class Service:
+        def bad(self, n, eps):
+            with self._mutex:
+                remaining = self.ledger.remaining()
+            if remaining >= n * eps:
+                self.ledger.charge(n, eps)  # lock dropped: check is stale
+"""
+
+
+def test_r2_flags_charge_after_its_check_lock_drops(tmp_path):
+    result = run_lint(
+        tmp_path, {"mod.py": R2_VIOLATING_CHARGE}, [CheckThenActRule(EVERYWHERE)]
+    )
+    assert rules_hit(result) == ["R2"]
+    (finding,) = result.findings
+    assert finding.line == 6 and "'charge'" in finding.message
+
+
 def test_r2_yield_must_be_dominated_by_debit(tmp_path):
     source = """\
         class FooSession:

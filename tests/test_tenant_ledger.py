@@ -3,7 +3,7 @@
 Covers the reserve -> consume -> release-unused cycle, its refusal
 taxonomy, TTL reclamation of abandoned reservations, restart rehydration
 (bit-identical Rényi state through the store), the cap on client keys,
-the keyless one-transaction ``charge``, and the
+the one-transaction ``charge``, keyless and keyed, and the
 :class:`~repro.service.ledger.ReservationAccountant` and
 :class:`~repro.service.ledger.ChargeAccountant` driving a real
 :class:`~repro.serving.engine.PrivacyEngine`."""
@@ -141,9 +141,7 @@ def test_only_debits_need_a_flush():
     ledger = _created(TenantLedger(store, "acme"), budget=2.0)
     res = ledger.reserve(3, 0.5)
     ledger.consume(res.reservation_id, epsilon=0.5)
-    ledger.consume_idempotent(
-        res.reservation_id, 1, epsilon=0.5, idempotency_key="k", response={}
-    )
+    ledger.charge(1, 0.5, idempotency_key="k", response={})
     ledger.release_unused(res.reservation_id)
     ledger.sweep()
     assert store.log == [True, False, True, True, False, True]
@@ -365,26 +363,29 @@ def test_a_known_key_replays_at_the_record_cap(monkeypatch):
     ledger = _created(
         TenantLedger(SQLiteLedgerStore(":memory:"), "acme"), budget=10.0
     )
-    res = ledger.reserve(6, 0.5)
 
-    def consume(key, response):
-        return ledger.consume_idempotent(
-            res.reservation_id,
-            1,
-            epsilon=0.5,
-            idempotency_key=key,
-            response=response,
-        )
+    def charge(key, response):
+        return ledger.charge(1, 0.5, idempotency_key=key, response=response)[:2]
 
     for i in range(4):
-        assert consume(f"k{i}", {"i": i}) == ({"i": i}, False)
+        assert charge(f"k{i}", {"i": i}) == ({"i": i}, False)
     before = ledger.store.peek("acme")
     with pytest.raises(ReservationError, match="idempotency records") as refused:
-        consume("k4", {"i": 4})
+        charge("k4", {"i": 4})
     assert 0 < refused.value.retry_after <= ledger_module.IDEMPOTENCY_TTL
     assert ledger.store.peek("acme") == before
-    assert consume("k2", {"i": "ignored"}) == ({"i": 2}, True)
+    assert charge("k2", {"i": "ignored"}) == ({"i": 2}, True)
     assert ledger.snapshot()["n_releases"] == 4
+
+
+def test_a_keyed_charge_refuses_a_bad_key_before_the_store():
+    store = _SyncLog()
+    ledger = _created(TenantLedger(store, "acme"))
+    store.log.clear()
+    for key in ("", 7):
+        with pytest.raises(ValidationError, match="idempotency_key"):
+            ledger.charge(1, 0.5, idempotency_key=key, response={})
+    assert store.log == []
 
 
 # -- charge: admit and debit in one transaction ------------------------------
