@@ -1,25 +1,16 @@
-"""Experiment support: error metrics, trial runners, text reporting, and
+"""Experiment support: error metrics, the trial runner, text reporting, and
 numeric Pufferfish verification."""
 
-from repro.analysis.metrics import expected_l1_laplace, l1_error
-from repro.analysis.reporting import Table, format_series
-from repro.analysis.runner import (
-    TrialResult,
-    run_mechanism_suite,
-    run_release_trials,
-    run_streaming_trials,
-)
+from repro.analysis.metrics import l1_error
+from repro.analysis.reporting import Table
+from repro.analysis.runner import TrialResult, run_release_trials
 from repro.analysis.verification import VerificationReport, verify_pufferfish
 
 __all__ = [
     "Table",
     "TrialResult",
     "VerificationReport",
-    "expected_l1_laplace",
-    "format_series",
     "l1_error",
-    "run_mechanism_suite",
     "run_release_trials",
-    "run_streaming_trials",
     "verify_pufferfish",
 ]

@@ -18,17 +18,3 @@ def l1_error(released: float | np.ndarray, exact: float | np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.abs(a - b).sum())
-
-
-def expected_l1_laplace(scale: float, dims: int = 1) -> float:
-    """Expected L1 error of adding ``Lap(scale)`` to each of ``dims``
-    coordinates (``E|Lap(b)| = b``).
-
-    Useful as a deterministic cross-check of sampled errors: a mechanism's
-    mean L1 error over many trials should converge to ``dims * scale``.
-    """
-    if scale < 0:
-        raise ValidationError(f"scale must be >= 0, got {scale}")
-    if dims < 1:
-        raise ValidationError(f"dims must be >= 1, got {dims}")
-    return float(dims * scale)

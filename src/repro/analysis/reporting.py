@@ -1,7 +1,7 @@
-"""Plain-text tables and series for reproducing the paper's artifacts.
+"""Plain-text tables for reproducing the paper's artifacts.
 
-Figures are rendered as aligned numeric series (one row per mechanism, one
-column per sweep point) and tables as aligned grids, with optional
+Tables and figures alike are rendered as aligned grids (one row per
+mechanism, one column per cell or sweep point), with optional
 paper-reported reference values interleaved so EXPERIMENTS.md can be
 assembled directly from experiment output.
 """
@@ -9,7 +9,7 @@ assembled directly from experiment output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,24 +69,3 @@ class Table:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.render()
-
-
-def format_series(
-    title: str,
-    x_label: str,
-    x_values: Sequence,
-    series: Mapping[str, Sequence],
-) -> str:
-    """Render a figure as text: one column per x value, one row per series.
-
-    ``None`` entries render as ``N/A`` (e.g. GK16 outside its applicability
-    region).
-    """
-    table = Table(title, [x_label, *[_format_cell(x) for x in x_values]])
-    for name, values in series.items():
-        if len(values) != len(x_values):
-            raise ValidationError(
-                f"series {name!r} has {len(values)} values for {len(x_values)} x points"
-            )
-        table.add_row(name, list(values))
-    return table.render()

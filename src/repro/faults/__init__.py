@@ -21,7 +21,6 @@ See :mod:`repro.faults.injector` for the model and
 
 from repro.faults.points import (
     FAULT_POINTS,
-    declared_points,
     matching_points,
     never_fired,
     unmatched_patterns,
@@ -51,7 +50,6 @@ __all__ = [
     "FaultRule",
     "SimulatedCrashError",
     "current",
-    "declared_points",
     "fire",
     "matching_points",
     "never_fired",

@@ -77,11 +77,6 @@ FAULT_POINTS: "dict[str, str]" = {
 }
 
 
-def declared_points() -> "tuple[str, ...]":
-    """Every declared fault-point name, sorted."""
-    return tuple(sorted(FAULT_POINTS))
-
-
 def matching_points(pattern: str) -> "tuple[str, ...]":
     """Declared points an ``fnmatch`` pattern matches (sorted)."""
     return tuple(

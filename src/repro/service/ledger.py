@@ -65,16 +65,13 @@ Two crash-safety layers ride on top (see ``docs/architecture.md``):
   wait for the next admission to prune lazily.
 
 Every ledger mutation goes through :meth:`~repro.service.stores.
-LedgerStore.run` (the closure form of ``transact``) and is safe to re-run
-from a fresh read, which is what lets
+LedgerStore.run` (the closure form of ``transact``), which is what lets
 :class:`~repro.service.retry.RetryingLedgerStore` retry transient store
-errors end to end: a debit (:meth:`TenantLedger.charge`, keyed or not,
-and :meth:`TenantLedger.consume`), a window advance, ``release_unused``
-and the recovery sweep return the landed attempt's result once the store
-has marked it committed (:func:`_exactly_once`), and reservation ids are
-fixed before the cycle starts (a re-run overwrites the same entry).
-Tenant state is therefore the accountant's aggregates plus the live
-reservations and client keys, never a per-release log.
+errors end to end.  The retrying store re-runs a cycle only when its
+last attempt did not commit, and otherwise returns that attempt's
+result, so no mutation applies twice and none needs replay data of its
+own.  Tenant state is therefore the accountant's aggregates plus the
+live reservations and client keys, never a per-release log.
 """
 
 from __future__ import annotations
@@ -82,7 +79,7 @@ from __future__ import annotations
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Hashable, Iterable, Mapping
 
 from repro.core.accounting import (
     BaseAccountant,
@@ -130,33 +127,6 @@ IDEMPOTENCY_TTL = 3600.0
 #: while this many unexpired records remain, so the tenant row stays
 #: bounded however fast keyed releases arrive (a known key still replays).
 MAX_IDEMPOTENCY_RECORDS = 1000
-
-
-def _exactly_once(
-    handler: "Callable[[LedgerTransaction], Any]",
-) -> "Callable[[LedgerTransaction], Any]":
-    """``handler`` as a store cycle that applies at most once per call.
-
-    :class:`~repro.service.retry.RetryingLedgerStore` re-runs a whole
-    :meth:`~repro.service.stores.LedgerStore.run` cycle when the store
-    raised, and the error may come after COMMIT returned (an ``EIO`` on the
-    way out).  The store marks a :class:`~repro.service.stores.
-    LedgerTransaction` ``committed`` as soon as COMMIT returns, so a re-run
-    that finds the previous attempt committed returns that attempt's result
-    and applies nothing.  The rule reads no row state: it holds when
-    another writer's debit lands between the commit and the re-run, and it
-    adds nothing to the tenant row.
-    """
-    attempt: "tuple[LedgerTransaction, Any] | None" = None
-
-    def cycle(txn: LedgerTransaction) -> Any:
-        nonlocal attempt
-        if attempt is not None and attempt[0].committed:
-            return attempt[1]
-        attempt = (txn, handler(txn))
-        return attempt[1]
-
-    return cycle
 
 
 @dataclass(frozen=True)
@@ -310,9 +280,7 @@ class TenantLedger:
         A keyless caller draws after this returns: a crash before the
         commit spends nothing, a crash after it loses only the values.  A
         keyed caller draws first, since its response commits with the
-        debit.  Safe to re-run by a retrying store wrapper: a re-run after
-        the commit landed returns the landed result and debits nothing
-        (:func:`_exactly_once`).
+        debit.
         """
         n_releases, epsilon = check_charge(n_releases, epsilon)
         if idempotency_key is not None and (
@@ -324,7 +292,6 @@ class TenantLedger:
             )
         fire("tenant.charge", tenant=self.tenant, n_releases=n_releases)
 
-        @_exactly_once
         def handler(txn: LedgerTransaction) -> Any:
             state = self._require(txn.state)
             if idempotency_key is not None:
@@ -384,11 +351,6 @@ class TenantLedger:
         ``Retry-After`` by the service): the budget those reservations
         hold returns by the TTL at the latest, so retrying then can
         succeed; a refusal with nothing outstanding is final.
-
-        Safe to re-run by a retrying store wrapper: the reservation id is
-        fixed before the transaction starts, so a re-run after a commit
-        that actually landed overwrites the same entry with the same
-        content instead of granting a second sub-budget.
         """
         n_releases, epsilon = check_charge(n_releases, epsilon)
         fire("tenant.reserve", tenant=self.tenant, n_releases=n_releases)
@@ -399,11 +361,7 @@ class TenantLedger:
             self._pop_expired_locked(state)
             self._admit(
                 accountant_from_state(state["accountant"]),
-                (
-                    r
-                    for rid, r in state["reservations"].items()
-                    if rid != reservation_id  # a re-run must not count itself
-                ),
+                state["reservations"].values(),
                 n_releases,
                 epsilon,
                 action="reserving",
@@ -472,13 +430,6 @@ class TenantLedger:
         (drained reservation, epsilon mismatch, or the accountant vetoing a
         mechanism-supplied curve that outgrew the reserved envelope)
         persists nothing.  Returns the reservation's post-consume state.
-
-        Safe to re-run by a retrying store wrapper without a client
-        idempotency key, like :meth:`charge`: a re-run after a commit that
-        actually landed (the store errored *after* committing) returns the
-        landed result (:func:`_exactly_once`) instead of double-debiting —
-        or refusing a debit the tenant already paid for, even when the
-        reservation was drained, released or expired in between.
         """
         n_releases = check_count(n_releases, "n_releases")
         fire(
@@ -488,7 +439,6 @@ class TenantLedger:
             n_releases=n_releases,
         )
 
-        @_exactly_once
         def handler(txn: LedgerTransaction) -> Reservation:
             return self._consume_in_state(
                 self._require(txn.state),
@@ -578,9 +528,7 @@ class TenantLedger:
 
         Idempotent-by-absence: an unknown (already released or expired) id
         returns 0 instead of raising, so session close paths can always
-        call it unconditionally.  A retrying store wrapper's re-run after a
-        landed commit returns the landed count (:func:`_exactly_once`), not
-        the 0 the emptied slot would report.
+        call it unconditionally.
         """
         fire(
             "tenant.release_unused",
@@ -588,7 +536,6 @@ class TenantLedger:
             reservation_id=reservation_id,
         )
 
-        @_exactly_once
         def handler(txn: LedgerTransaction) -> int:
             state = self._require(txn.state)
             entry = state["reservations"].pop(reservation_id, None)
@@ -610,12 +557,9 @@ class TenantLedger:
         holds.  This is the *recovery sweep*: run it at service startup and
         after killing workers, and no orphaned reservation outlives its TTL
         plus one sweep.  Returns reclaim stats; a no-op sweep returns zeros.
-        A re-run after a landed commit returns the landed stats
-        (:func:`_exactly_once`).
         """
         fire("tenant.sweep", tenant=self.tenant)
 
-        @_exactly_once
         def handler(txn: LedgerTransaction) -> dict:
             state = self._require(txn.state)
             expired = self._pop_expired_locked(state, now=now)
@@ -659,7 +603,6 @@ class TenantLedger:
             raise ValidationError("pass steps or window, not both")
         fire("tenant.advance_window", tenant=self.tenant)
 
-        @_exactly_once  # a relative advance must not apply twice
         def handler(txn: LedgerTransaction) -> dict:
             state = self._require(txn.state)
             accountant = accountant_from_state(state["accountant"])

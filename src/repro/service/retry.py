@@ -28,13 +28,15 @@ What is deliberately **not** retried:
   be re-run by a wrapper, so :meth:`RetryingLedgerStore.transact` passes
   straight through to the inner store.
 
-Re-running a cycle whose commit may or may not have landed is only
-exactly-once when the handler is idempotent — which is precisely what the
-ledger provides: every debit (a charge, keyed or not, and a reservation's
-consume) reads the transaction's ``committed`` flag, which the store sets
-as soon as COMMIT returns, so a re-run after a landed commit returns that
-attempt's result; client idempotency keys cover the client's own retry
-(see ``docs/architecture.md``).
+An error may also come after COMMIT returned (an ``EIO`` on the way
+out), and re-running that cycle would apply its handler twice.  So
+:meth:`RetryingLedgerStore.run` keeps the last attempt's
+:class:`~repro.service.stores.LedgerTransaction` and result, and when the
+store has marked that transaction ``committed`` it returns the result
+instead of running the cycle again.  The rule reads no row state, so it
+holds when another writer commits between the attempts, and it covers
+every ledger mutation alike.  Client idempotency keys cover the client's
+own retry, which is a new call (see ``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -173,8 +175,22 @@ class RetryingLedgerStore(LedgerStore):
         *,
         sync: bool = True,
     ) -> Any:
-        # The closure form retries the WHOLE cycle — enter, fn, commit.
-        return self._attempt(lambda: self.inner.run(tenant, fn, sync=sync))
+        # The closure form retries the WHOLE cycle — enter, fn, commit —
+        # unless the last attempt committed: then the error came after
+        # COMMIT returned, and its result stands.
+        last: "tuple[LedgerTransaction, Any] | None" = None
+
+        def cycle(txn: LedgerTransaction) -> Any:
+            nonlocal last
+            last = (txn, fn(txn))
+            return last[1]
+
+        def attempt() -> Any:
+            if last is not None and last[0].committed:
+                return last[1]
+            return self.inner.run(tenant, cycle, sync=sync)
+
+        return self._attempt(attempt)
 
     def peek(self, tenant: str) -> "dict[str, Any] | None":
         return self._attempt(lambda: self.inner.peek(tenant))

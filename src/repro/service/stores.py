@@ -87,8 +87,8 @@ class LedgerStore(ABC):
         the commit need not be on stable storage when the block exits
         (see the module docstring).  An implementation sets the
         transaction's ``committed`` flag as soon as its commit returns:
-        the ledger's keyless debits replay from it when a retrying
-        wrapper re-runs their cycle.
+        a retrying wrapper reads it to tell a commit that landed from one
+        that did not (:meth:`run`).
         """
 
     @abstractmethod
@@ -118,11 +118,10 @@ class LedgerStore(ABC):
         because the whole read-decide-write cycle is a closure, a wrapper
         (:class:`~repro.service.retry.RetryingLedgerStore`) can re-run it
         after a transient failure, which a ``with`` block's inline body
-        cannot be.  ``fn`` must therefore tolerate re-execution from a
-        fresh read; ledger handlers do (their effects are pure functions
-        of the state they are handed, and the exactly-once protections
-        either live *in* that state — idempotency keys, reservation ids —
-        or read the previous attempt's :attr:`LedgerTransaction.committed`).
+        cannot be.  ``fn`` is re-run only after an attempt whose
+        transaction did not commit (:attr:`LedgerTransaction.committed`),
+        so it must tolerate re-execution from a fresh read, and nothing
+        more: its effects are a pure function of the state it is handed.
         """
         with self.transact(tenant, sync=sync) as txn:
             return fn(txn)

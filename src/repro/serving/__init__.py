@@ -21,7 +21,7 @@ from repro.serving.cache import (
     InMemoryLRUCache,
     SQLiteCache,
 )
-from repro.serving.engine import PrivacyEngine, warm_engines
+from repro.serving.engine import PrivacyEngine
 from repro.serving.fingerprint import (
     cache_key,
     data_signature,
@@ -41,5 +41,4 @@ __all__ = [
     "data_signature",
     "mechanism_fingerprint",
     "query_signature",
-    "warm_engines",
 ]

@@ -32,6 +32,7 @@ import json
 import math
 import sqlite3
 import threading
+import time
 import weakref
 from abc import ABC, abstractmethod
 from collections import OrderedDict
@@ -130,6 +131,10 @@ class SQLiteCache(CacheBackend):
         )
     """
 
+    #: Seconds a writer (or an opener switching the file to WAL) waits for
+    #: another connection's lock before raising ``database is locked``.
+    _BUSY_TIMEOUT = 60.0
+
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -139,10 +144,8 @@ class SQLiteCache(CacheBackend):
             str(self.path), isolation_level=None, check_same_thread=False
         )
         try:
-            # The busy timeout (ms) comes first: switching a fresh file to
-            # WAL takes a lock that concurrent openers must wait for.
-            self._conn.execute("PRAGMA busy_timeout=60000")
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute(f"PRAGMA busy_timeout={int(self._BUSY_TIMEOUT * 1000)}")
+            self._switch_to_wal()
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(self._SCHEMA)
         except sqlite3.OperationalError:
@@ -153,6 +156,29 @@ class SQLiteCache(CacheBackend):
             raise ValidationError(
                 f"calibration cache {self.path} is not a SQLite database: {error}"
             ) from error
+
+    def _switch_to_wal(self) -> None:
+        """Put the file in WAL mode, waiting out concurrent openers.
+
+        On a file not yet in WAL mode the switch reads the header under a
+        shared lock and then asks for the write lock, and SQLite refuses
+        that upgrade at once, busy timeout or not, while another
+        connection holds the write lock (two upgraders would deadlock).
+        Several instances opening one fresh file meet exactly that, so the
+        switch is retried until the lock frees: by then the file is in WAL
+        mode, or this connection's switch can take the lock itself.
+        """
+        deadline = time.monotonic() + self._BUSY_TIMEOUT
+        delay = 0.001
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() > deadline:
+                    raise
+            time.sleep(delay)
+            delay = min(2 * delay, 0.05)
 
     def get(self, key: str) -> dict[str, Any] | None:
         with self._lock:

@@ -40,7 +40,7 @@ the engine enforces it as a conservative operational limit either way.
 from __future__ import annotations
 
 import threading
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Any, Hashable, Sequence
 
 import numpy as np
 
@@ -78,7 +78,10 @@ class PrivacyEngine:
         Theorem 4.4 rule), ``"renyi"``
         (:class:`~repro.core.accounting.RenyiAccountant`, Rényi-Pufferfish
         strong composition — long streams stop strictly later under the
-        same budget), or a preconstructed
+        same budget), ``"sliding"``
+        (:class:`~repro.core.windowed.SlidingWindowAccountant` with a
+        one-window span: the linear rule over the current logical window,
+        whose charges expire as the window advances), or a preconstructed
         :class:`~repro.core.accounting.BaseAccountant` instance (mutually
         exclusive with ``epsilon_budget``; configure the instance's own
         ``budget`` / ``delta`` / ``orders`` instead).
@@ -408,16 +411,3 @@ class PrivacyEngine:
             "epsilon_budget": self.epsilon_budget,
             "remaining_budget": self.remaining_budget(),
         }
-
-
-def warm_engines(
-    engines: Iterable[PrivacyEngine], workload: Sequence[tuple[Any, Query]]
-) -> None:
-    """Pre-calibrate a fleet of engines against a known workload.
-
-    A deployment that knows its query mix ahead of time calls this at
-    startup so the first real request never pays the calibration cost.
-    """
-    for engine in engines:
-        for data, query in workload:
-            engine.calibrate(query, data)

@@ -6,8 +6,8 @@ its retry replayable are written by the **same** transaction closure —
 the ``handler`` passed to ``store.run(tenant, handler)``.  Split them
 across closures (or write either after the transaction returns) and a
 crash between the two yields a double-debit or a paid-for refusal on
-retry.  (A keyless debit keeps no record: a retried cycle replays from
-the transaction's ``committed`` flag, which the store sets.)
+retry.  (A keyless debit keeps no record: the retrying store returns a
+committed attempt's result instead of re-running its cycle.)
 
 The rule checks, per method that opens transactions (calls ``*.run(...)``
 or uses ``with *.transact(...)``):

@@ -14,7 +14,6 @@ _LAZY_EXPORTS: "dict[str, str]" = {
     "as_state_sequence": "repro.utils.validation",
     "as_transition_matrix": "repro.utils.validation",
     "check_positive": "repro.utils.validation",
-    "check_probability": "repro.utils.validation",
     "check_unit_interval": "repro.utils.validation",
     "resolve_rng": "repro.utils.rngtools",
 }

@@ -42,11 +42,6 @@ def check_unit_interval(value: float, name: str, *, open_ends: bool = False) -> 
     return value
 
 
-def check_probability(value: float, name: str) -> float:
-    """Alias of :func:`check_unit_interval` for readability at call sites."""
-    return check_unit_interval(value, name)
-
-
 def as_probability_vector(
     values: Sequence[float] | np.ndarray,
     name: str = "probability vector",

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import expected_l1_laplace, l1_error
-from repro.analysis.reporting import Table, format_series
-from repro.analysis.runner import run_release_trials, run_sampled_trials
+from repro.analysis.metrics import l1_error
+from repro.analysis.reporting import Table
+from repro.analysis.runner import run_release_trials
 from repro.baselines.group_dp import GroupDPMechanism
 from repro.core.queries import StateFrequencyQuery
 from repro.data.datasets import TimeSeriesDataset
@@ -22,15 +22,6 @@ class TestMetrics:
     def test_l1_shape_mismatch(self):
         with pytest.raises(ValidationError):
             l1_error(np.zeros(2), np.zeros(3))
-
-    def test_expected_l1(self):
-        assert expected_l1_laplace(0.5, 4) == pytest.approx(2.0)
-
-    def test_expected_l1_validation(self):
-        with pytest.raises(ValidationError):
-            expected_l1_laplace(-1.0)
-        with pytest.raises(ValidationError):
-            expected_l1_laplace(1.0, 0)
 
 
 class TestRunner:
@@ -66,21 +57,6 @@ class TestRunner:
         with pytest.raises(ValidationError):
             run_release_trials(GroupDPMechanism(1.0), data, StateFrequencyQuery(0, 10), 0)
 
-    def test_sampled_trials(self):
-        from repro.data.synthetic import sample_binary_dataset
-        from repro.distributions.chain_family import IntervalChainFamily
-
-        family = IntervalChainFamily(0.3)
-        result = run_sampled_trials(
-            make_data=lambda gen: sample_binary_dataset(family, 50, gen),
-            make_mechanism=lambda: GroupDPMechanism(1.0),
-            make_query=lambda data: StateFrequencyQuery(1, data.n_observations),
-            n_trials=50,
-            rng=0,
-        )
-        assert result.n_trials == 50
-        assert result.mean_l1 > 0
-
 
 class TestReporting:
     def test_table_rendering(self):
@@ -100,17 +76,6 @@ class TestReporting:
         table = Table("Demo", ["mech", "x"])
         table.add_row("GroupDP", [2.0])
         assert table.to_dict() == {"GroupDP": [2.0]}
-
-    def test_format_series(self):
-        text = format_series(
-            "Fig", "alpha", [0.1, 0.2], {"MQM": [1.0, 0.5], "GK16": [None, 0.1]}
-        )
-        assert "alpha" in text
-        assert "N/A" in text
-
-    def test_format_series_length_checked(self):
-        with pytest.raises(ValidationError):
-            format_series("Fig", "x", [1], {"m": [1, 2]})
 
     def test_infinity_rendering(self):
         table = Table("Demo", ["mech", "x"])

@@ -84,6 +84,27 @@ def test_threaded_writers_lose_no_entries(tmp_path):
             assert store[f"t{t}-{i}"] == _payload(f"t{t}", i)
 
 
+def test_open_waits_out_another_openers_write_lock(tmp_path):
+    """Opening a file not yet in WAL mode while another connection holds
+    its write lock waits for the lock instead of raising ``database is
+    locked``.  That is the state the threaded writers above meet when two
+    of them switch one fresh file to WAL at once, which failed 2 of 120
+    runs of that test."""
+    path = tmp_path / "calibrations.sqlite"
+    holder = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+    holder.execute("CREATE TABLE other (x)")  # a rollback-journal database
+    holder.execute("BEGIN IMMEDIATE")
+    release = threading.Timer(0.2, holder.execute, args=("COMMIT",))
+    release.start()
+    try:
+        backend = SQLiteCache(path)
+    finally:
+        release.join()
+        holder.close()
+    backend.put("k", _payload("k", 0))
+    assert _read_store(path) == {"k": _payload("k", 0)}
+
+
 def test_second_process_and_threads_lose_no_entries(tmp_path):
     path = tmp_path / "calibrations.sqlite"
     process = subprocess.Popen(

@@ -1,9 +1,14 @@
 """Coverage for small branches not exercised elsewhere: the exception
-hierarchy, reporting formats, runner aggregates, and paperdata consistency."""
+hierarchy, reporting formats, runner aggregates, paperdata consistency, and
+the packages' exported names."""
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import repro
 from repro import paperdata
 from repro.analysis.reporting import Table, _format_cell
 from repro.analysis.runner import TrialResult
@@ -119,3 +124,22 @@ class TestTableRendering:
         text = table.render()
         assert "Empty" in text
         assert "a" in text
+
+
+class TestPublicExports:
+    def test_every_exported_name_resolves(self):
+        """Every name in ``repro.__all__`` and in each subpackage's
+        ``__all__`` resolves.  Lazy packages map names to modules and fail
+        only when a name is first read, so a stale entry shows here."""
+        packages = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.ispkg
+        ]
+        unresolved = [
+            f"{package.__name__}.{name}"
+            for package in packages
+            for name in getattr(package, "__all__", ())
+            if not hasattr(package, name)
+        ]
+        assert unresolved == []

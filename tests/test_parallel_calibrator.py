@@ -222,27 +222,6 @@ def test_calibrate_many_matches_serial_and_warm_starts():
         assert mechanism._sigma_cache  # warm, not recomputed from scratch
 
 
-def test_run_mechanism_suite_shards_only_warm_startable():
-    from repro.analysis import run_mechanism_suite
-
-    family = _two_chains(2)
-    query = StateFrequencyQuery(1, 36)
-    data = np.zeros(36, dtype=int)
-    exact = MQMExact(family, 1.0, max_window=36)
-    approx = MQMApprox(family, 1.0)
-    baseline = EntryDPMechanism(1.0)  # no warm_start: must not be sharded
-    results = run_mechanism_suite(
-        [exact, approx, baseline], data, query, n_trials=5, rng=0, workers=2
-    )
-    assert [r.mechanism for r in results] == ["MQMExact", "MQMApprox", "EntryDP"]
-    assert results[0].noise_scale == (
-        MQMExact(family, 1.0, max_window=36).calibrate(query, data).scale
-    )
-    assert results[2].noise_scale == EntryDPMechanism(1.0).calibrate(query, data).scale
-    # The shardable mechanisms came back warm from the pool.
-    assert exact._sigma_cache and approx._sigma_cache
-
-
 def test_engine_parallel_lands_in_shared_cache(tmp_path):
     family = _two_chains(2)
     query = StateFrequencyQuery(1, 40)

@@ -18,7 +18,6 @@ from repro.serving import (
     SQLiteCache,
     cache_key,
     data_signature,
-    warm_engines,
 )
 
 
@@ -429,13 +428,6 @@ class TestPrivacyEngine:
         second.release(data, query)
         assert cache.misses == 1
         assert cache.hits == 1
-
-    def test_warm_engines_precalibrates(self, family, data, query):
-        engine = PrivacyEngine(MQMExact(family, 1.0, max_window=20))
-        warm_engines([engine], [(data, query)])
-        assert engine.cache.misses == 1
-        engine.release(data, query)
-        assert engine.cache.misses == 1  # the release was a hit
 
     def test_works_with_mqm_approx(self, family, data, query):
         engine = PrivacyEngine(MQMApprox(family, 1.0), epsilon_budget=10.0)

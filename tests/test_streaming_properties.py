@@ -511,32 +511,3 @@ class TestSessionLifecycle:
         assert engine.n_releases == 0
         assert engine.spent_epsilon() == 0.0
 
-
-class TestRunnerIntegration:
-    def test_run_streaming_trials_matches_streamed_errors(self, workload):
-        from repro.analysis import run_streaming_trials
-
-        family, data = workload
-        query = StateFrequencyQuery(1, LENGTH)
-        result = run_streaming_trials(
-            MQMExact(family, EPSILON, max_window=WINDOW), data, query, 50, rng=5
-        )
-        assert result.n_trials == 50
-        # The streamed path is the release_batch prefix, so the aggregated
-        # errors are exactly the batch's.
-        batch = make_engine(family).release_batch([(data, query)] * 50, rng=5)
-        errors = np.asarray([r.l1_error() for r in batch])
-        assert result.mean_l1 == pytest.approx(float(errors.mean()))
-        assert result.std_l1 == pytest.approx(float(errors.std()))
-        assert result.noise_scale > 0
-
-    def test_run_streaming_trials_validates(self, workload):
-        from repro.analysis import run_streaming_trials
-
-        family, data = workload
-        query = StateFrequencyQuery(1, LENGTH)
-        mech = MQMExact(family, EPSILON, max_window=WINDOW)
-        with pytest.raises(ValidationError):
-            run_streaming_trials(mech, data, query, 0)
-        with pytest.raises(ValidationError):
-            run_streaming_trials(mech, data, query, 5, chunk_size=0)
