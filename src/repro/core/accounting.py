@@ -174,7 +174,7 @@ class BaseAccountant:
 
     * :meth:`_stage_locked` — the prospective total if an ordered list of
       ``(n_releases, epsilon)`` charges were admitted, plus an opaque commit
-      token (:meth:`record_many` stages its one charge; :meth:`preview`
+      token (:meth:`_record_locked` stages its one charge; :meth:`preview`
       stages every charge it prices, and never commits);
     * :meth:`_apply_locked` — commit a staged token;
     * :meth:`_spent_locked` — the current total.
@@ -185,6 +185,13 @@ class BaseAccountant:
     same-quilt signature condition, the :meth:`state_dict` round trip, and
     the structured :class:`~repro.exceptions.BudgetExhaustedError` payload —
     lives here once, so the accountants cannot drift on any of it.
+
+    Both entry points admit through one hook, :meth:`_record_locked`:
+    :meth:`record_many` admits its whole charge in one call, and
+    :meth:`record_each` (a stream chunk) admits each value with its own
+    call.  An accountant whose commit is not an in-memory apply (the
+    service's ledger-backed ones) overrides that hook alone.
+
     ``audit_trail`` survives only as a constructor keyword that must be
     ``False``: no accountant keeps anything per release.
     """
@@ -280,29 +287,79 @@ class BaseAccountant:
         n_releases, epsilon = check_charge(n_releases, epsilon)
         quilt_signature = _kept_signature(quilt_signature)
         with self._mutex:
-            if self._signatures and quilt_signature not in self._signatures:
-                raise PrivacyParameterError(
-                    "releases use different active Markov quilts; Theorem 4.4 does "
-                    "not apply and Pufferfish privacy may not compose"
-                )
-            total, token = self._stage_locked([(n_releases, epsilon)], rdp_curve)
-            if self.budget is not None and total > self.budget + BUDGET_ATOL:
-                spent = self._spent_locked()
-                raise BudgetExhaustedError(
-                    f"{n_releases} release(s) would bring the composed guarantee "
-                    f"to {total:.4g}, exceeding the budget of {self.budget:.4g} "
-                    f"(spent {spent:.4g}, remaining "
-                    f"{max(0.0, self.budget - spent):.4g})",
-                    budget=self.budget,
-                    spent=spent,
-                    remaining=max(0.0, self.budget - spent),
-                    requested=n_releases,
-                    n_completed=0,
-                    accountant=type(self).__name__,
-                )
-            self._apply_locked(token)
-            self._count += n_releases
-            self._signatures.add(quilt_signature)
+            self._record_locked(n_releases, epsilon, quilt_signature, rdp_curve)
+
+    def record_each(
+        self,
+        n_releases: int,
+        epsilon: float,
+        *,
+        quilt_signature: Hashable = None,
+        rdp_curve: RdpCurve | None = None,
+    ) -> int:
+        """Register up to ``n_releases`` releases, each its own charge, in
+        one admission cycle; return how many were admitted.
+
+        The count, epsilon and signature are checked once, as in
+        :meth:`record_many`.  Then, under one hold of the mutex, each value
+        is staged, budget-checked and applied in turn: the same arithmetic
+        as ``n_releases`` :meth:`record` calls, so the ledger (the Rényi
+        running curve float for float) is the same however a stream
+        chunks, and ``floor(budget / eps)`` values fit exactly.
+
+        It raises only when no value was admitted.  A refusal, or any other
+        error, after the first admission ends the cycle and returns the
+        admitted prefix; a refusal then repeats on the next call.  A
+        ``BaseException`` (a simulated crash, an interrupt) escapes, and
+        the values admitted before it stay recorded.
+        """
+        n_releases, epsilon = check_charge(n_releases, epsilon)
+        quilt_signature = _kept_signature(quilt_signature)
+        admitted = 0
+        with self._mutex:
+            while admitted < n_releases:
+                try:
+                    self._record_locked(1, epsilon, quilt_signature, rdp_curve)
+                except Exception:
+                    if admitted:
+                        break
+                    raise
+                admitted += 1
+        return admitted
+
+    def _record_locked(
+        self,
+        n_releases: int,
+        epsilon: float,
+        quilt_signature: "str | None",
+        rdp_curve: RdpCurve | None,
+    ) -> None:
+        """Admit ``n_releases`` releases as one charge, or raise having
+        changed nothing (mutex held; inputs already checked, the signature
+        in its kept form)."""
+        if self._signatures and quilt_signature not in self._signatures:
+            raise PrivacyParameterError(
+                "releases use different active Markov quilts; Theorem 4.4 does "
+                "not apply and Pufferfish privacy may not compose"
+            )
+        total, token = self._stage_locked([(n_releases, epsilon)], rdp_curve)
+        if self.budget is not None and total > self.budget + BUDGET_ATOL:
+            spent = self._spent_locked()
+            raise BudgetExhaustedError(
+                f"{n_releases} release(s) would bring the composed guarantee "
+                f"to {total:.4g}, exceeding the budget of {self.budget:.4g} "
+                f"(spent {spent:.4g}, remaining "
+                f"{max(0.0, self.budget - spent):.4g})",
+                budget=self.budget,
+                spent=spent,
+                remaining=max(0.0, self.budget - spent),
+                requested=n_releases,
+                n_completed=0,
+                accountant=type(self).__name__,
+            )
+        self._apply_locked(token)
+        self._count += n_releases
+        self._signatures.add(quilt_signature)
 
     # -- shared reads ----------------------------------------------------
     @property

@@ -288,6 +288,18 @@ class MarkovQuiltMechanism(Mechanism):
             self._sigma_inputs = (fingerprints, self.quilt_sets)
         return self._sigma_cache
 
+    def calibration_state_holder(self) -> dict:
+        """The object holding this mechanism's per-node results: the same
+        object for as long as they are kept, a new one once an in-place
+        network edit or a ``quilt_sets`` reassignment drops them.
+
+        The calibration cache compares it by identity to tell a mechanism
+        that still holds the state an entry handed it from one that lost
+        that state to an edit since reverted, whose key is the entry's
+        again (:meth:`repro.serving.cache.CalibrationCache.get_or_compute`).
+        """
+        return self._node_results()
+
     def calibration_fingerprint(self) -> tuple:
         """Theta (every network content-hashed), epsilon, and the candidate
         quilt sets (which bound the search and therefore the chosen sigma).

@@ -41,9 +41,9 @@ tenant's epsilon).  :class:`TenantLedger` provides both on top of a
   mismatch, budget refusal on a mechanism-supplied curve) changes nothing.
 
 :class:`ChargeAccountant` (one :meth:`TenantLedger.charge` per
-``record_many``, the service's keyless release path) and
+admitted charge, the service's keyless release path) and
 :class:`ReservationAccountant` (one :meth:`TenantLedger.consume` per
-``record_many``, the service's stream path) adapt the two shapes to the
+admitted charge, the service's stream path) adapt the two shapes to the
 :class:`~repro.core.accounting.BaseAccountant` contract, so a stock
 :class:`~repro.serving.engine.PrivacyEngine` debits the durable ledger
 with no engine changes — budget refusals surface as the same structured
@@ -85,7 +85,6 @@ from repro.core.accounting import (
     BaseAccountant,
     RdpCurve,
     RenyiAccountant,
-    _kept_signature,
     accountant_from_state,
     check_charge,
     check_count,
@@ -740,7 +739,9 @@ class ChargeAccountant(BaseAccountant):
     (``engine.with_accountant(...)``) and every ``record_many`` — a keyless
     single release or batch — is one :meth:`TenantLedger.charge`: admission
     and debit in one synced store transaction, before any noise is drawn.
-    The ledger refuses with the structured
+    It overrides only the base class's admission hook, so a
+    ``record_each`` (a stream chunk) charges each value in its own
+    transaction.  The ledger refuses with the structured
     :class:`~repro.exceptions.BudgetExhaustedError`, and a refusal changes
     nothing.  :attr:`snapshot` is the tenant's snapshot as the last charge
     committed it, and ``budget`` and the spend mirror that snapshot, so the
@@ -756,24 +757,21 @@ class ChargeAccountant(BaseAccountant):
     def _spent_locked(self) -> float:
         return 0.0 if self.snapshot is None else self.snapshot["spent_epsilon"]
 
-    def record_many(
+    def _record_locked(
         self,
         n_releases: int,
         epsilon: float,
-        *,
-        quilt_signature: Hashable = None,
-        rdp_curve: "RdpCurve | None" = None,
+        quilt_signature: "str | None",
+        rdp_curve: "RdpCurve | None",
     ) -> None:
-        n_releases, epsilon = check_charge(n_releases, epsilon)
-        with self._mutex:
-            self.snapshot = self._ledger.charge(
-                n_releases,
-                epsilon,
-                quilt_signature=quilt_signature,
-                rdp_curve=rdp_curve,
-            )
-            self.budget = self.snapshot["budget"]
-            self._count += n_releases
+        self.snapshot = self._ledger.charge(
+            n_releases,
+            epsilon,
+            quilt_signature=quilt_signature,
+            rdp_curve=rdp_curve,
+        )
+        self.budget = self.snapshot["budget"]
+        self._count += n_releases
 
 
 class ReservationAccountant(BaseAccountant):
@@ -791,9 +789,11 @@ class ReservationAccountant(BaseAccountant):
     budget was already accounted at admission time, and the ledger checks
     the reserved epsilon and the same-quilt condition in the debit.
 
-    The base class's check-then-record plumbing is overridden rather than
-    hooked: the *commit* here is a store transaction (which can itself
-    refuse), not a pure in-memory apply.
+    Only the base class's admission hook is overridden, not its arithmetic
+    hooks: the *commit* here is a store transaction (which can itself
+    refuse), not a pure in-memory apply.  ``record_many`` debits its whole
+    count in one transaction; ``record_each`` (a stream chunk) debits each
+    value in its own, stopping at the first refusal.
     """
 
     def __init__(self, ledger: TenantLedger, reservation: Reservation) -> None:
@@ -829,41 +829,38 @@ class ReservationAccountant(BaseAccountant):
     def _spent_locked(self) -> float:
         return self._consumed * self._reservation.epsilon
 
-    def record_many(
+    def _record_locked(
         self,
         n_releases: int,
         epsilon: float,
-        *,
-        quilt_signature: Hashable = None,
-        rdp_curve: "RdpCurve | None" = None,
+        quilt_signature: "str | None",
+        rdp_curve: "RdpCurve | None",
     ) -> None:
-        n_releases, epsilon = check_charge(n_releases, epsilon)
-        with self._mutex:
-            remaining = self._reservation.n_reserved - self._consumed
-            if n_releases > remaining:
-                spent = self._spent_locked()
-                raise BudgetExhaustedError(
-                    f"{n_releases} release(s) would exceed this session's "
-                    f"reserved sub-budget of {self.budget:.4g} for tenant "
-                    f"{self.tenant!r} ({remaining} release(s) remaining); "
-                    f"reserve a larger sub-budget or open a new session",
-                    budget=self.budget,
-                    spent=spent,
-                    remaining=max(0.0, self.budget - spent),
-                    requested=n_releases,
-                    n_completed=0,
-                    accountant=type(self).__name__,
-                )
-            # The durable debit: one exactly-once store transaction, which
-            # checks the reserved epsilon and the same quilt.  A refusal
-            # raises here and nothing — local or durable — has changed.
-            self._ledger.consume(
-                self._reservation.reservation_id,
-                n_releases,
-                epsilon=epsilon,
-                quilt_signature=quilt_signature,
-                rdp_curve=rdp_curve,
+        remaining = self._reservation.n_reserved - self._consumed
+        if n_releases > remaining:
+            spent = self._spent_locked()
+            raise BudgetExhaustedError(
+                f"{n_releases} release(s) would exceed this session's "
+                f"reserved sub-budget of {self.budget:.4g} for tenant "
+                f"{self.tenant!r} ({remaining} release(s) remaining); "
+                f"reserve a larger sub-budget or open a new session",
+                budget=self.budget,
+                spent=spent,
+                remaining=max(0.0, self.budget - spent),
+                requested=n_releases,
+                n_completed=0,
+                accountant=type(self).__name__,
             )
-            self._consumed += n_releases
-            self._count += n_releases
-            self._signatures.add(_kept_signature(quilt_signature))
+        # The durable debit: one exactly-once store transaction, which
+        # checks the reserved epsilon and the same quilt.  A refusal
+        # raises here and nothing — local or durable — has changed.
+        self._ledger.consume(
+            self._reservation.reservation_id,
+            n_releases,
+            epsilon=epsilon,
+            quilt_signature=quilt_signature,
+            rdp_curve=rdp_curve,
+        )
+        self._consumed += n_releases
+        self._count += n_releases
+        self._signatures.add(quilt_signature)

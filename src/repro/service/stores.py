@@ -47,6 +47,7 @@ from typing import Any, Callable, Iterator
 
 from repro.exceptions import ValidationError
 from repro.faults import fire
+from repro.utils.sqlite import open_in_wal_mode
 
 
 class LedgerTransaction:
@@ -136,7 +137,9 @@ class SQLiteLedgerStore(LedgerStore):
     ``BEGIN IMMEDIATE`` takes SQLite's write lock at transaction *start*
     (not first write), so the whole read-decide-write cycle is exclusive
     across processes; concurrent writers queue for up to 60 s
-    (``busy_timeout``) instead of failing.  WAL mode keeps readers
+    (``busy_timeout``) instead of failing, and so does a store opening a
+    fresh file that another opener holds locked
+    (:func:`~repro.utils.sqlite.open_in_wal_mode`).  WAL mode keeps readers
     unblocked and makes single-row commits cheap.  One connection per store
     instance, serialized by a thread lock — open one store per thread or
     share one; both are safe.  At ``":memory:"`` the database is private to
@@ -156,6 +159,10 @@ class SQLiteLedgerStore(LedgerStore):
     #: WAL size, in pages, at which a commit checkpoints it into the
     #: database and the next commit starts the WAL over.
     WAL_CHECKPOINT_PAGES = 32
+
+    #: Seconds a writer (or an opener switching the file to WAL) waits for
+    #: another connection's lock before raising ``database is locked``.
+    _BUSY_TIMEOUT = 60.0
 
     _SCHEMA = """
         CREATE TABLE IF NOT EXISTS tenant_ledgers (
@@ -178,12 +185,11 @@ class SQLiteLedgerStore(LedgerStore):
             str(self.path), isolation_level=None, check_same_thread=False
         )
         try:
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            open_in_wal_mode(self._conn, self._BUSY_TIMEOUT)
             self._conn.execute("PRAGMA synchronous=FULL")
             self._conn.execute(
                 f"PRAGMA wal_autocheckpoint={self.WAL_CHECKPOINT_PAGES}"
             )
-            self._conn.execute("PRAGMA busy_timeout=60000")
             self._conn.execute(self._SCHEMA)
         except sqlite3.OperationalError:
             self._conn.close()

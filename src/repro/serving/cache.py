@@ -23,7 +23,8 @@ signature, epsilon) combination it was computed under — see
 ``docs/architecture.md`` for why anything looser would be a privacy bug.
 A mechanism already holding an entry's state is not handed it again: the
 front-end remembers, per mechanism object, the last key it handed over or
-computed, and answers that key from a copy of the calibration alone.
+computed, and answers that key from a copy of the calibration alone while
+the mechanism still holds that state.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import json
 import math
 import sqlite3
 import threading
-import time
 import weakref
 from abc import ABC, abstractmethod
 from collections import OrderedDict
@@ -44,6 +44,7 @@ from repro.core.queries import Query
 from repro.exceptions import ValidationError
 from repro.faults import fire
 from repro.serving.fingerprint import cache_key
+from repro.utils.sqlite import open_in_wal_mode
 
 
 class CacheBackend(ABC):
@@ -144,8 +145,7 @@ class SQLiteCache(CacheBackend):
             str(self.path), isolation_level=None, check_same_thread=False
         )
         try:
-            self._conn.execute(f"PRAGMA busy_timeout={int(self._BUSY_TIMEOUT * 1000)}")
-            self._switch_to_wal()
+            open_in_wal_mode(self._conn, self._BUSY_TIMEOUT)
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(self._SCHEMA)
         except sqlite3.OperationalError:
@@ -156,29 +156,6 @@ class SQLiteCache(CacheBackend):
             raise ValidationError(
                 f"calibration cache {self.path} is not a SQLite database: {error}"
             ) from error
-
-    def _switch_to_wal(self) -> None:
-        """Put the file in WAL mode, waiting out concurrent openers.
-
-        On a file not yet in WAL mode the switch reads the header under a
-        shared lock and then asks for the write lock, and SQLite refuses
-        that upgrade at once, busy timeout or not, while another
-        connection holds the write lock (two upgraders would deadlock).
-        Several instances opening one fresh file meet exactly that, so the
-        switch is retried until the lock frees: by then the file is in WAL
-        mode, or this connection's switch can take the lock itself.
-        """
-        deadline = time.monotonic() + self._BUSY_TIMEOUT
-        delay = 0.001
-        while True:
-            try:
-                self._conn.execute("PRAGMA journal_mode=WAL")
-                return
-            except sqlite3.OperationalError as error:
-                if "locked" not in str(error) or time.monotonic() > deadline:
-                    raise
-            time.sleep(delay)
-            delay = min(2 * delay, 0.05)
 
     def get(self, key: str) -> dict[str, Any] | None:
         with self._lock:
@@ -230,10 +207,10 @@ class CalibrationCache:
         self._stats_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        #: mechanism -> ``(key, calibration JSON without state)`` of the
-        #: entry whose state it last received or computed; a slot dies with
-        #: its mechanism.
-        self._handed: weakref.WeakKeyDictionary[Mechanism, tuple[str, str]] = (
+        #: mechanism -> ``(key, calibration JSON without state, state
+        #: holder)`` of the entry whose state it last received or computed
+        #: (see :func:`_state_holder`); a slot dies with its mechanism.
+        self._handed: weakref.WeakKeyDictionary[Mechanism, tuple[str, str, Any]] = (
             weakref.WeakKeyDictionary()
         )
 
@@ -266,11 +243,17 @@ class CalibrationCache:
 
         The state is handed to a mechanism once per key: when the key is
         the one this cache last handed that mechanism (or computed on it),
-        the hit reads neither the backend nor calls ``warm_start``, and
-        returns a fresh :class:`Calibration` decoded from the remembered
-        ~150 bytes of JSON.  That is exact because entries are
-        content-keyed and deterministic and ``warm_start`` only merges, so
-        the mechanism already holds everything the entry would restore.
+        and the mechanism still holds that state, the hit reads neither the
+        backend nor calls ``warm_start``, and returns a fresh
+        :class:`Calibration` decoded from the remembered ~150 bytes of
+        JSON.  That is exact because entries are content-keyed and
+        deterministic and ``warm_start`` only merges, so the mechanism
+        already holds everything the entry would restore.  A mechanism
+        exposing ``calibration_state_holder`` (the general MQM) can lose
+        its state to an in-place edit and get the key back when the edit
+        is reverted; its holder is then a new object, and the hit hands
+        the state over again instead of leaving the next release to re-run
+        the search.
 
         A row whose ``scale`` is a bool, not a number, negative or not
         finite raises :class:`~repro.exceptions.ValidationError`, as does
@@ -285,9 +268,10 @@ class CalibrationCache:
         parallel calibrator guarantees bit-for-bit.
         """
         key = self.key_for(mechanism, query, data)
+        holder = _state_holder(mechanism)
         with self._stats_lock:
             slot = self._handed.get(mechanism)
-            handed = slot is not None and slot[0] == key
+            handed = slot is not None and slot[0] == key and slot[2] is holder
             if handed:
                 self.hits += 1
         if handed:
@@ -299,9 +283,10 @@ class CalibrationCache:
             if state and hasattr(mechanism, "warm_start"):
                 mechanism.warm_start(state)
             text = json.dumps(payload)
+            holder = _state_holder(mechanism)
             with self._stats_lock:
                 self.hits += 1
-                self._handed[mechanism] = (key, text)
+                self._handed[mechanism] = (key, text, holder)
             return calibration, True
         with self._stats_lock:
             self.misses += 1
@@ -311,8 +296,9 @@ class CalibrationCache:
         if hasattr(mechanism, "export_calibration_state"):
             stored["state"] = mechanism.export_calibration_state()
         self.backend.put(key, stored)
+        holder = _state_holder(mechanism)
         with self._stats_lock:
-            self._handed[mechanism] = (key, text)
+            self._handed[mechanism] = (key, text, holder)
         return calibration, False
 
     @property
@@ -330,6 +316,14 @@ class CalibrationCache:
 
     def __len__(self) -> int:
         return len(self.backend)
+
+
+def _state_holder(mechanism: Mechanism) -> Any:
+    """The object holding ``mechanism``'s calibration state, compared by
+    identity: a new one means the state was dropped since it was handed
+    over.  ``None`` for a mechanism that never drops it."""
+    holder = getattr(mechanism, "calibration_state_holder", None)
+    return None if holder is None else holder()
 
 
 def _checked_calibration(payload: dict[str, Any]) -> Calibration:

@@ -10,10 +10,14 @@ the latter:
   :class:`~repro.serving.cache.CalibrationCache` keyed on the mechanism's
   content fingerprint, the query signature, the data's segment shape, and
   epsilon;
-* **release many** — :meth:`release_batch` draws all the noise for a batch
-  in one vectorized standard-draw call (Laplace or Gaussian, per the
-  mechanism's ``noise_kind``) instead of one scalar draw per release,
-  bit-identical to sequential releases under the same generator;
+* **release many** — :meth:`release`, :meth:`release_repeated`,
+  :meth:`release_batch` and :meth:`ReleaseSession.take
+  <repro.serving.stream.ReleaseSession.take>` share one release builder:
+  each distinct ``(data, query)`` pair is resolved once, all the noise is
+  drawn in one vectorized standard-draw call (Laplace or Gaussian, per the
+  mechanism's ``noise_kind``) instead of one scalar draw per release, and
+  the releases are built in one pass over it — bit-identical to
+  sequential releases under the same generator;
 * **never overspend** — every release is recorded against a budget
   accountant (linear Theorem 4.4
   :class:`~repro.core.composition.CompositionAccountant` by default, or the
@@ -26,9 +30,9 @@ the latter:
 * **stream indefinitely** — :meth:`stream` opens a
   :class:`~repro.serving.stream.ReleaseSession` that yields releases
   incrementally (bit-identical to the batched path under the same seed)
-  while debiting the budget atomically per value and drawing each chunk's
-  noise in one call, for long-lived clients that do not know their batch
-  size up front.
+  while debiting the budget atomically per value, in one admission cycle
+  per chunk, and drawing each chunk's noise in one call, for long-lived
+  clients that do not know their batch size up front.
 
 Composition caveat: Pufferfish privacy does not compose in general.  The
 ``K * max_k eps_k`` accounting implemented by the accountant is *proved* for
@@ -40,7 +44,7 @@ the engine enforces it as a conservative operational limit either way.
 from __future__ import annotations
 
 import threading
-from typing import Any, Hashable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -171,17 +175,17 @@ class PrivacyEngine:
         )
         return calibration
 
-    # -- single release -------------------------------------------------
+    # -- releases ---------------------------------------------------------
     def release(
         self,
         data: Any,
         query: Query,
         rng: "int | np.random.Generator | None" = None,
     ) -> PrivateRelease:
-        """One budgeted release through the cached calibration."""
-        return self.release_batch([(data, query)], rng=rng)[0]
+        """One budgeted release through the cached calibration: the first
+        value of ``release_repeated(data, query, 1)``."""
+        return self._release([(data, query, 1)], rng)[0]
 
-    # -- batched release ------------------------------------------------
     def release_batch(
         self,
         requests: Sequence[tuple[Any, Query]],
@@ -194,76 +198,19 @@ class PrivacyEngine:
         raised — carrying the exact ``spent`` / ``remaining`` ledger with
         ``n_completed == 0`` — and *nothing* is released or recorded.  Noise
         for the whole batch comes from a single vectorized standard-Laplace
-        draw scaled per coordinate, which is bit-identical to sequential
-        :meth:`Mechanism.release` calls against the same generator state.
+        draw scaled per coordinate, in request order, which is
+        bit-identical to sequential :meth:`Mechanism.release` calls against
+        the same generator state.
         """
-        requests = list(requests)
-        if not requests:
-            return []
-        epsilon = self.mechanism.epsilon
-        gen = resolve_rng(rng) if rng is not None else self._rng
-
-        # Repeated-release batches reuse the same (data, query) objects many
-        # times; resolve each distinct request once — one cache lookup (with
-        # its fingerprint/key computation) and one query evaluation, however
-        # large the batch.  The id-keyed memo is safe because the request
-        # objects are referenced by ``requests`` for the whole call.
-        calib_memo: dict[tuple[int, int], Calibration] = {}
-        answers: dict[tuple[int, int], Any] = {}
-        calibrations = []
-        true_values = []
+        # Consecutive requests on the same (data, query) objects form one
+        # run, so a repeated request costs one resolution and one draw.
+        runs: list[list] = []
         for data, query in requests:
-            memo_key = (id(data), id(query))
-            if memo_key not in calib_memo:
-                calib_memo[memo_key] = self.calibrate(query, data)
-                answers[memo_key] = query(getattr(data, "concatenated", data))
-            calibrations.append(calib_memo[memo_key])
-            true_values.append(answers[memo_key])
-
-        # Record the whole batch atomically BEFORE any noise exists: a batch
-        # that does not fit the budget raises here and releases nothing.
-        self.accountant.record_many(
-            len(requests),
-            epsilon,
-            quilt_signature=self._quilt_signature(),
-            rdp_curve=self._rdp_curve(),
-        )
-
-        dims = np.array([query.output_dim for _, query in requests], dtype=np.int64)
-        scales = np.repeat([c.scale for c in calibrations], dims)
-        # Zero-scale coordinates consume no randomness (matching the scalar
-        # path's "no noise" baseline behavior), so draw only for the rest.
-        noise = np.zeros(int(dims.sum()))
-        positive = scales > 0
-        if positive.any():
-            noise[positive] = scales[positive] * self.mechanism.standard_noise(
-                gen, int(positive.sum())
-            )
-
-        with self._count_lock:
-            self._n_releases += len(requests)
-        releases: list[PrivateRelease] = []
-        offset = 0
-        for (data, query), calibration, true_value in zip(
-            requests, calibrations, true_values
-        ):
-            coords = noise[offset : offset + query.output_dim]
-            offset += query.output_dim
-            if query.output_dim == 1:
-                noisy: float | np.ndarray = float(true_value) + float(coords[0])
+            if runs and runs[-1][0] is data and runs[-1][1] is query:
+                runs[-1][2] += 1
             else:
-                noisy = np.asarray(true_value, dtype=float) + coords
-            releases.append(
-                PrivateRelease(
-                    value=noisy,
-                    true_value=true_value,
-                    noise_scale=calibration.scale,
-                    epsilon=epsilon,
-                    mechanism=self.mechanism.name,
-                    details=dict(calibration.details),
-                )
-            )
-        return releases
+                runs.append([data, query, 1])
+        return self._release(runs, rng) if runs else []
 
     def release_repeated(
         self,
@@ -279,7 +226,108 @@ class PrivacyEngine:
         ``"2"`` and ``None`` raise :class:`~repro.exceptions.
         ValidationError`), checked before any cache lookup or debit."""
         n_releases = _positive_count(n_releases, "n_releases")
-        return self.release_batch([(data, query)] * n_releases, rng=rng)
+        return self._release([(data, query, n_releases)], rng)
+
+    def _release(
+        self,
+        runs: Sequence[Sequence[Any]],
+        rng: "int | np.random.Generator | None",
+    ) -> list[PrivateRelease]:
+        """Resolve, debit and draw ``(data, query, count)`` runs, in order.
+
+        Each distinct ``(data, query)`` object pair is resolved once — one
+        cache lookup (with its fingerprint/key computation) and one query
+        evaluation — however many runs repeat it; the id-keyed memo is safe
+        because ``runs`` references the objects for the whole call.  The
+        whole count is recorded in one ``record_many`` *before* any noise
+        exists, so a batch that does not fit the budget raises there and
+        releases nothing.
+        """
+        gen = resolve_rng(rng) if rng is not None else self._rng
+        resolved: dict[tuple[int, int], tuple[Calibration, Any]] = {}
+        workloads = []
+        n_releases = 0
+        for data, query, count in runs:
+            memo_key = (id(data), id(query))
+            if memo_key not in resolved:
+                resolved[memo_key] = self._resolve(data, query)
+            workloads.append((*resolved[memo_key], query.output_dim, count))
+            n_releases += count
+        self.accountant.record_many(
+            n_releases,
+            self.mechanism.epsilon,
+            quilt_signature=self._quilt_signature(),
+            rdp_curve=self._rdp_curve(),
+        )
+        return self._build_releases(workloads, gen)
+
+    def _resolve(self, data: Any, query: Query) -> tuple[Calibration, Any]:
+        """``(calibration, true value)`` of one workload."""
+        return self.calibrate(query, data), query(getattr(data, "concatenated", data))
+
+    def _build_releases(
+        self,
+        workloads: Sequence[tuple[Calibration, Any, int, int]],
+        gen: np.random.Generator,
+    ) -> list[PrivateRelease]:
+        """Draw and build the releases of already-debited workloads: the
+        one release builder of every path.
+
+        ``workloads`` holds ``(calibration, true value, output_dim, count)``
+        in request order.  One standard draw covers every coordinate whose
+        scale is positive, in that order; zero-scale coordinates consume no
+        randomness (the "no noise" baselines).  The releases are then built
+        in one pass over the noise, so values are ``true + scale * draw``
+        coordinate by coordinate, whatever the grouping.
+        """
+        n_releases = n_coordinates = 0
+        scale = workloads[0][0].scale
+        uniform = True
+        for calibration, _, dim, count in workloads:
+            n_releases += count
+            n_coordinates += dim * count
+            uniform = uniform and calibration.scale == scale
+        if uniform:
+            noise = (
+                scale * self.mechanism.standard_noise(gen, n_coordinates)
+                if scale > 0
+                else np.zeros(n_coordinates)
+            )
+        else:  # the scales differ, so at least one is positive
+            per_coordinate = np.repeat(
+                [calibration.scale for calibration, *_ in workloads],
+                [dim * count for _, _, dim, count in workloads],
+            )
+            positive = per_coordinate > 0
+            noise = np.zeros(n_coordinates)
+            noise[positive] = per_coordinate[positive] * self.mechanism.standard_noise(
+                gen, int(positive.sum())
+            )
+        with self._count_lock:
+            self._n_releases += n_releases
+
+        epsilon, name = self.mechanism.epsilon, self.mechanism.name
+        coordinates = noise.tolist()
+        releases: list[PrivateRelease] = []
+        offset = 0
+        for calibration, true_value, dim, count in workloads:
+            size = dim * count
+            if dim == 1:
+                base = float(true_value)
+                values: list = [base + c for c in coordinates[offset : offset + size]]
+            else:
+                base = np.asarray(true_value, dtype=float)
+                rows = noise[offset : offset + size].reshape(count, dim)
+                values = [base + row for row in rows]
+            offset += size
+            # Positional in field order (value, true_value, noise_scale,
+            # epsilon, mechanism, details): the cheaper call, per release.
+            scale, details = calibration.scale, calibration.details
+            releases += [
+                PrivateRelease(value, true_value, scale, epsilon, name, dict(details))
+                for value in values
+            ]
+        return releases
 
     # -- streaming releases ----------------------------------------------
     def stream(
@@ -331,21 +379,6 @@ class PrivacyEngine:
         clone._n_releases = 0
         clone._count_lock = threading.Lock()
         return clone
-
-    def _debit_one(self, quilt_signature: Hashable) -> None:
-        """Atomically record one streamed release against the budget.
-
-        Raises :class:`~repro.exceptions.BudgetExhaustedError` (payload
-        attached by the accountant; the session fills in ``n_completed``)
-        without counting the release when the budget refuses.
-        """
-        self.accountant.record(
-            self.mechanism.epsilon,
-            quilt_signature=quilt_signature,
-            rdp_curve=self._rdp_curve(),
-        )
-        with self._count_lock:
-            self._n_releases += 1
 
     def _rdp_curve(self):
         """The mechanism's own Rényi cost curve, if it exposes one.

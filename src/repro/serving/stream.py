@@ -16,20 +16,23 @@ buffering a whole batch or the client committing to a count.
   bit-identical) and the session performs the exact arithmetic of the
   batched path (``scale * draw`` per coordinate, zero-scale coordinates
   consuming no randomness).
-* **One draw per take, no lookahead.**  :meth:`ReleaseSession.take` draws
-  the noise for the values it debited in one vectorized call, so a chunk
-  costs one draw plus one ledger append per value — no per-release
-  cache-key computation or query evaluation.  Nothing is drawn ahead of
-  the values served: the generator stands exactly where a batch of the
-  served count would leave it.  Iterating value by value pays one draw per
-  value; chunk with ``take(n)`` for throughput.
+* **One admission cycle and one draw per take, no lookahead.**
+  :meth:`ReleaseSession.take` debits its values in one admission cycle on
+  the accountant and draws their noise in one vectorized call through the
+  engine's release builder, so a chunk costs one draw plus one ledger
+  apply per value — no per-release cache-key computation or query
+  evaluation.  Nothing is drawn ahead of the values served: the generator
+  stands exactly where a batch of the served count would leave it.
+  Iterating value by value pays one cycle and one draw per value; chunk
+  with ``take(n)`` for throughput.
 * **Per-value atomic debit, no over-spend ever.**  The epsilon budget is
-  debited through the engine's (thread-safe) accountant, one value at a
-  time and *before* that value's noise exists.  A refused debit raises
-  :class:`~repro.exceptions.BudgetExhaustedError` carrying the exact
-  ``spent`` / ``remaining`` / ``n_completed`` ledger.  Because each value is
-  its own debit, the ledger is the same however a client chunks, and
-  ``floor(budget / eps)`` values are served exactly.
+  debited through the engine's (thread-safe) accountant, each value its
+  own charge and *before* that value's noise exists
+  (:meth:`~repro.core.accounting.BaseAccountant.record_each`).  A refused
+  debit raises :class:`~repro.exceptions.BudgetExhaustedError` carrying
+  the exact ``spent`` / ``remaining`` / ``n_completed`` ledger.  Because
+  each value is its own debit, the ledger is the same however a client
+  chunks, and ``floor(budget / eps)`` values are served exactly.
 * **Thread safety.**  Multiple threads may drain one session (each release
   is yielded exactly once) and multiple sessions may share one engine
   budget (the accountant's lock makes the check-then-record cycle atomic).
@@ -123,13 +126,7 @@ class ReleaseSession:
         self._gen = resolve_rng(rng) if rng is not None else engine._rng
         # The one potentially expensive step; warm across sessions via the
         # engine's CalibrationCache.
-        self._calibration = engine.calibrate(query, data)
-        self._true_value = query(getattr(data, "concatenated", data))
-        self._true_array = (
-            None
-            if query.output_dim == 1
-            else np.asarray(self._true_value, dtype=float)
-        )
+        self._calibration, self._true_value = engine._resolve(data, query)
         # Fixed for the session: the calibration (hence the active quilt for
         # MQM) is set above and never changes underneath the ledger.
         self._signature = engine._quilt_signature()
@@ -150,16 +147,20 @@ class ReleaseSession:
     def take(self, n: int) -> list[PrivateRelease]:
         """Up to ``n`` releases as one chunk.
 
-        Debits the values one by one, then draws their noise in one call.
-        Shorter chunks signal the end of the stream: exhaustion
-        (``max_releases``) or a closed session return whatever was debited
-        (possibly ``[]``).  If a debit fails mid-chunk — the budget refuses,
+        One admission cycle debits the values, each its own charge
+        (:meth:`~repro.core.accounting.BaseAccountant.record_each`), then
+        their noise is drawn in one call.  Shorter chunks signal the end of
+        the stream: exhaustion (``max_releases``) or a closed session
+        return whatever was debited (possibly ``[]``, having debited and
+        drawn nothing).  If a debit fails mid-chunk — the budget refuses,
         or the debit itself errors — the releases already debited are
         returned rather than lost.  The failure is never silently
         swallowed: a budget refusal repeats on the very next call, and so
         does any error that persists; only a chunk whose *first* debit
         fails raises immediately.  A ``BaseException`` (a simulated crash,
-        an interrupt) escapes, losing the chunk's debited values with it.
+        an interrupt) escapes, losing the chunk's debited values with it:
+        the ledger keeps their debits, and the session does not count
+        them.
         """
         n = _positive_count(n, "take(n)")
         with self._lock:
@@ -167,50 +168,26 @@ class ReleaseSession:
                 return []
             if self.max_releases is not None:
                 n = min(n, self.max_releases - self._n_yielded)
+                if not n:
+                    return []
+            engine = self.engine
             # Debit before any noise exists: a refused value leaves the
             # ledger exactly where it was and draws nothing.
-            k = 0
-            while k < n:
-                try:
-                    self.engine._debit_one(self._signature)
-                except Exception as error:
-                    if k:
-                        break
-                    if isinstance(error, BudgetExhaustedError):
-                        error.n_completed = self._n_yielded
-                    raise
-                k += 1
-                self._n_yielded += 1
-            if not k:
-                return []
-            dim = self.query.output_dim
-            scale = self._calibration.scale
-            # Zero-scale calibrations consume no randomness, matching the
-            # batched path's "no noise" baseline behavior.
-            if scale > 0:
-                noise = scale * self.engine.mechanism.standard_noise(
-                    self._gen, k * dim
+            try:
+                k = engine.accountant.record_each(
+                    n,
+                    engine.mechanism.epsilon,
+                    quilt_signature=self._signature,
+                    rdp_curve=engine._rdp_curve(),
                 )
-            else:
-                noise = np.zeros(k * dim)
-        if dim == 1:
-            true_value = float(self._true_value)
-            values: list = [true_value + coord for coord in noise.tolist()]
-        else:
-            values = [self._true_array + row for row in noise.reshape(k, dim)]
-        mechanism = self.engine.mechanism
-        details = self._calibration.details
-        return [
-            PrivateRelease(
-                value=value,
-                true_value=self._true_value,
-                noise_scale=scale,
-                epsilon=mechanism.epsilon,
-                mechanism=mechanism.name,
-                details=dict(details),
+            except BudgetExhaustedError as error:
+                error.n_completed = self._n_yielded
+                raise
+            self._n_yielded += k
+            return engine._build_releases(
+                [(self._calibration, self._true_value, self.query.output_dim, k)],
+                self._gen,
             )
-            for value in values
-        ]
 
     # -- lifecycle ---------------------------------------------------------
     @property

@@ -106,10 +106,11 @@ class LockDisciplineRule(Rule):
 
 #: Method names that *observe* remaining budget.
 CHECK_METHODS = frozenset({"preview", "remaining"})
-#: Method names that *spend* budget.
-ACT_METHODS = frozenset({"record", "record_many", "consume", "charge"})
-#: Calls that debit budget ahead of a streamed release.
-DEBIT_METHODS = ACT_METHODS | {"_debit_one"}
+#: Method names that *spend* budget, and so the calls that debit ahead of
+#: a streamed release (``record_each`` is a stream chunk's admission cycle).
+ACT_METHODS = frozenset(
+    {"record", "record_many", "record_each", "consume", "charge"}
+)
 
 
 def _outermost_function(
@@ -126,9 +127,9 @@ class CheckThenActRule(Rule):
     (or in a different transaction) is the classic lost-update: two
     sessions both observe "1 release left" and both debit.  Within one
     method, a ``preview``/``remaining`` call and a ``record``/
-    ``consume``/``charge`` call *on the same receiver* must resolve to
-    the same guard region (the same ``with <lock>:`` block or the same
-    deferred closure).
+    ``record_many``/``record_each``/``consume``/``charge`` call *on the
+    same receiver* must resolve to the same guard region (the same
+    ``with <lock>:`` block or the same deferred closure).
 
     Separately: in session/stream generators, a ``yield`` must be
     preceded by a debit call — budget is spent before a noisy value can
@@ -220,7 +221,7 @@ class CheckThenActRule(Rule):
             debit_lines = [
                 n.lineno
                 for n in body
-                if isinstance(n, ast.Call) and call_name(n) in DEBIT_METHODS
+                if isinstance(n, ast.Call) and call_name(n) in ACT_METHODS
             ]
             for node in yields:
                 if not any(line <= node.lineno for line in debit_lines):

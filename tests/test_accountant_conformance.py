@@ -22,12 +22,15 @@ from __future__ import annotations
 
 import json
 import pickle
+import random
 import re
 import sys
 import threading
 
+import numpy as np
 import pytest
 
+from repro.baselines.group_dp import GroupDPMechanism
 from repro.core.accounting import (
     BUDGET_ATOL,
     RenyiAccountant,
@@ -35,8 +38,12 @@ from repro.core.accounting import (
     signature_digest,
 )
 from repro.core.composition import CompositionAccountant
+from repro.core.queries import CountQuery
 from repro.core.windowed import SlidingWindowAccountant
 from repro.exceptions import BudgetExhaustedError, PrivacyParameterError
+from repro.service.ledger import ReservationAccountant, TenantLedger
+from repro.service.stores import SQLiteLedgerStore
+from repro.serving import PrivacyEngine
 
 EPSILON = 0.5
 
@@ -396,3 +403,119 @@ class TestStateRoundTrip:
         assert len(restored) == 4
         assert restored.total_epsilon() == source.total_epsilon()
         assert drain(restored) == drain(source)
+
+
+def _per_value(accountant, n_releases: int, epsilon: float) -> int:
+    """Reference for one take: ``record`` value by value until the first
+    refusal, which re-raises only when no value was recorded."""
+    recorded = 0
+    while recorded < n_releases:
+        try:
+            accountant.record(epsilon, quilt_signature=("q",))
+        except BudgetExhaustedError:
+            if recorded:
+                break
+            raise
+        recorded += 1
+    return recorded
+
+
+def _state_bytes(accountant) -> str:
+    return json.dumps(accountant.state_dict(), sort_keys=True)
+
+
+class TestChunkedAdmission:
+    """``record_each`` — a stream chunk's one admission cycle — is the same
+    ledger as recording its values one ``record`` at a time."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_take_schedules_match_per_value_records(self, make, seed):
+        rng = random.Random(seed)
+        chunked, reference = make(budget=12.0), make(budget=12.0)
+        for _ in range(200):
+            n_releases = rng.randint(1, 9)
+            epsilon = rng.choice([0.25, 0.5])
+            try:
+                expected = _per_value(reference, n_releases, epsilon)
+            except BudgetExhaustedError as refusal:
+                with pytest.raises(BudgetExhaustedError) as excinfo:
+                    chunked.record_each(n_releases, epsilon, quilt_signature=("q",))
+                assert excinfo.value.ledger() == refusal.ledger()
+                break
+            assert (
+                chunked.record_each(n_releases, epsilon, quilt_signature=("q",))
+                == expected
+            )
+            assert _state_bytes(chunked) == _state_bytes(reference)
+        else:
+            pytest.fail("the schedule never reached the budget")
+        assert _state_bytes(chunked) == _state_bytes(reference)
+        assert len(chunked) == len(reference)
+
+    def test_mid_chunk_refusal_returns_the_prefix_then_the_next_take_raises(
+        self, make
+    ):
+        accountant = make(budget=4 * EPSILON)
+        engine = PrivacyEngine(GroupDPMechanism(EPSILON), accountant=accountant)
+        session = engine.stream(np.zeros(10), CountQuery(), rng=1)
+        assert len(session.take(3)) == 3
+        assert len(session.take(5)) == 1  # refused after one more value
+        state = _state_bytes(accountant)
+        with pytest.raises(BudgetExhaustedError) as excinfo:
+            session.take(2)
+        assert excinfo.value.n_completed == 4
+        assert excinfo.value.requested == 1
+        assert _state_bytes(accountant) == state
+        assert session.n_yielded == 4 and len(accountant) == 4
+
+    def test_a_session_at_max_releases_neither_debits_nor_draws(self, make):
+        accountant = make(budget=10 * EPSILON)
+        engine = PrivacyEngine(GroupDPMechanism(EPSILON), accountant=accountant)
+        gen = np.random.default_rng(5)
+        session = engine.stream(np.zeros(10), CountQuery(), rng=gen, max_releases=3)
+        assert len(session.take(2)) == 2
+        assert len(session.take(4)) == 1  # clamped to the cap
+        state, draws = _state_bytes(accountant), gen.bit_generator.state
+        assert session.take(4) == []
+        assert next(session, None) is None
+        assert session.exhausted
+        assert _state_bytes(accountant) == state
+        assert gen.bit_generator.state == draws
+        assert engine.n_releases == 3
+
+
+@pytest.mark.parametrize("kind", ["linear", "renyi", "sliding"])
+@pytest.mark.parametrize("seed", range(3))
+def test_reservation_takes_match_per_value_records(kind, seed):
+    """A :class:`~repro.service.ledger.ReservationAccountant` over an
+    in-memory ledger debits each value of a chunk in its own store
+    transaction, so the tenant ledger ends bit-identical to one debited
+    value by value."""
+    rng = random.Random(seed)
+    ledgers = []
+    for _ in range(2):
+        ledger = TenantLedger(SQLiteLedgerStore(":memory:"), "acme")
+        ledger.create(budget=10.0, accountant=kind)
+        ledgers.append(ledger)
+    chunked, reference = (
+        ReservationAccountant(ledger, ledger.reserve(15, EPSILON))
+        for ledger in ledgers
+    )
+    while True:
+        n_releases = rng.randint(1, 6)
+        try:
+            expected = _per_value(reference, n_releases, EPSILON)
+        except BudgetExhaustedError:
+            with pytest.raises(BudgetExhaustedError):
+                chunked.record_each(n_releases, EPSILON, quilt_signature=("q",))
+            break
+        assert (
+            chunked.record_each(n_releases, EPSILON, quilt_signature=("q",))
+            == expected
+        )
+    assert len(chunked) == len(reference) == 15
+    assert chunked.n_remaining == reference.n_remaining == 0
+    states = [_state_bytes(ledger.accountant()) for ledger in ledgers]
+    assert states[0] == states[1]
+    snapshots = [ledger.snapshot() for ledger in ledgers]
+    assert snapshots[0] == snapshots[1]

@@ -9,6 +9,8 @@ this file is the functional floor."""
 
 from __future__ import annotations
 
+import contextlib
+import sqlite3
 import threading
 
 import pytest
@@ -175,6 +177,46 @@ def test_sqlite_store_persists_across_instances(tmp_path):
         assert second.peek("acme") == {"n": 7}
     finally:
         second.close()
+
+
+def test_sqlite_store_open_waits_out_another_openers_write_lock(tmp_path):
+    """Opening a file not yet in WAL mode while another connection holds
+    its write lock waits for the lock instead of raising ``database is
+    locked``: the state two ``repro serve --store`` processes starting on
+    one new file meet."""
+    path = tmp_path / "ledgers.sqlite"
+    holder = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+    holder.execute("CREATE TABLE other (x)")  # a rollback-journal database
+    holder.execute("BEGIN IMMEDIATE")
+    opened: list = []
+    errors: list = []
+
+    def open_store():
+        try:
+            opened.append(SQLiteLedgerStore(path))
+        except Exception as error:
+            errors.append(error)
+
+    opener = threading.Thread(target=open_store)
+    opener.start()
+    try:
+        opener.join(0.2)
+        waited = opener.is_alive()
+    finally:
+        holder.execute("COMMIT")
+        holder.close()
+        opener.join()
+    assert errors == []
+    assert waited  # it could not finish while the write lock was held
+    (store,) = opened
+    try:
+        with store.transact("acme") as txn:
+            txn.state = {"n": 1}
+        assert store.peek("acme") == {"n": 1}
+    finally:
+        store.close()
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
 
 
 @pytest.mark.parametrize(

@@ -292,8 +292,8 @@ def test_per_node_results_follow_quilt_sets_reassignment():
 def test_edit_and_revert_across_caches_matches_a_cold_calibration():
     """One mechanism shared by two caches: the first remembers the
     original key, the second sees the edit; after the revert the first
-    answers from its slot without a hand-off, and the mechanism still
-    agrees with a cold calibration of the live network."""
+    answers the original key again, and the mechanism still agrees with a
+    cold calibration of the live network."""
     scenario = household_blocks_scenario(2, 3)
     temporal = TemporalNetwork(scenario.reference)
     generator = scenario.quilt_generator
@@ -319,8 +319,8 @@ def test_edit_and_revert_across_caches_matches_a_cold_calibration():
     assert hit
     reference = cold()
     assert reverted == reference.calibrate(query, data) == original_calibration
-    # The edited network's results were dropped; the ones rebuilt on
-    # demand are the live network's.
+    # The edited network's results were dropped; the ones the mechanism
+    # holds now are the live network's.
     assert mechanism.sigma_max() == reference.sigma_max()
     assert mechanism.quilt_signature() == reference.quilt_signature()
     assert mechanism.export_calibration_state() == reference.export_calibration_state()
@@ -328,6 +328,46 @@ def test_edit_and_revert_across_caches_matches_a_cold_calibration():
     again, hit = second.get_or_compute(mechanism, query, data)
     assert not hit
     assert again == original_calibration
+
+
+def test_a_reverted_edit_hands_the_slot_state_over_again(monkeypatch):
+    """Engine A holds the slot for the original network.  Engine B shares
+    the mechanism through another cache and releases after an in-place
+    edit, which drops the mechanism's per-node results.  Once the edit is
+    reverted, A's next release finds its slot's key again: it must hand
+    the entry's state back rather than re-run the quilt search."""
+    scenario = household_blocks_scenario(2, 3)
+    temporal = TemporalNetwork(scenario.reference)
+    generator = scenario.quilt_generator
+    mechanism = MarkovQuiltMechanism([temporal.network], EPSILON, quilt_generator=generator)
+    query, data = _workload(mechanism)
+    first = PrivacyEngine(mechanism, cache=CalibrationCache(), rng=1)
+    second = PrivacyEngine(mechanism, cache=CalibrationCache(), rng=2)
+    first.release(data, query)
+
+    original = {node: temporal.network.cpd(node).copy() for node in temporal.nodes}
+    for node in temporal.nodes:
+        temporal.update_cpd(node, _ignores_parents(original[node]))
+    second.release(data, query)
+    for node in temporal.nodes:
+        temporal.update_cpd(node, original[node])
+
+    searched = []
+    candidate_scores = MarkovQuiltMechanism._candidate_scores
+
+    def spy(self, candidates):
+        searched.append(candidates[0].node)
+        return candidate_scores(self, candidates)
+
+    monkeypatch.setattr(MarkovQuiltMechanism, "_candidate_scores", spy)
+    release = first.release(data, query)
+    assert searched == []
+    assert first.cache.hits == 1 and first.cache.misses == 1
+    cold = MarkovQuiltMechanism([temporal.network], EPSILON, quilt_generator=generator)
+    assert release.noise_scale == cold.calibrate(query, data).scale
+    assert len(searched) == len(temporal.nodes)  # the cold search, for scale
+    assert mechanism.quilt_signature() == cold.quilt_signature()
+    assert mechanism.export_calibration_state() == cold.export_calibration_state()
 
 
 # ---------------------------------------------------------------------------

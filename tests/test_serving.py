@@ -1,12 +1,19 @@
 """Tests for the serving layer: calibration cache, fingerprints, engine."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.baselines.group_dp import GroupDPMechanism
 from repro.core.laplace import Calibration
 from repro.core.mqm_chain import MQMApprox, MQMExact
-from repro.core.queries import RelativeFrequencyHistogram, ScalarQuery, StateFrequencyQuery
+from repro.core.queries import (
+    CountQuery,
+    RelativeFrequencyHistogram,
+    ScalarQuery,
+    StateFrequencyQuery,
+)
 from repro.data.datasets import TimeSeriesDataset
 from repro.distributions.chain_family import FiniteChainFamily, IntervalChainFamily
 from repro.distributions.markov import MarkovChain
@@ -446,6 +453,69 @@ class TestPrivacyEngine:
         assert isinstance(releases[0].value, float)
         assert np.asarray(releases[1].value).shape == (2,)
         assert engine.cache.misses == 2  # one per distinct query signature
+
+
+class _NoNoise(GroupDPMechanism):
+    """A zero-scale baseline: releases the true value, draws nothing."""
+
+    def noise_scale(self, query, data):
+        return 0.0
+
+
+def _single_release_mechanism(kind):
+    from repro.core.gaussian import GaussianMarkovQuiltMechanism
+    from repro.core.markov_quilt import MarkovQuiltMechanism
+    from repro.distributions.structured import hub_and_spoke_scenario
+
+    if kind == "zero-scale":
+        return _NoNoise(1.0)
+    scenario = hub_and_spoke_scenario(3, 2)
+    mechanism = (
+        MarkovQuiltMechanism if kind == "laplace-mqm" else GaussianMarkovQuiltMechanism
+    )
+    return mechanism(scenario.networks, 5.0, quilt_generator=scenario.quilt_generator)
+
+
+class TestOneReleaseBuilder:
+    """``release()``, ``release_repeated(d, q, 1)`` and
+    ``release_batch([(d, q)])`` are one path: the same value, draw and
+    ledger under one seed."""
+
+    PATHS = {
+        "release": lambda engine, data, query, gen: [engine.release(data, query, gen)],
+        "repeated": lambda engine, data, query, gen: engine.release_repeated(
+            data, query, 1, gen
+        ),
+        "batch": lambda engine, data, query, gen: engine.release_batch(
+            [(data, query)], gen
+        ),
+    }
+
+    @pytest.mark.parametrize("accountant", ["linear", "renyi"])
+    @pytest.mark.parametrize("kind", ["laplace-mqm", "gaussian-mqm", "zero-scale"])
+    def test_single_release_paths_agree(self, kind, accountant):
+        outcomes = []
+        for path in self.PATHS.values():
+            mechanism = _single_release_mechanism(kind)
+            engine = PrivacyEngine(mechanism, accountant=accountant)
+            data = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0])  # the hub's 7 nodes
+            query = CountQuery()
+            gen = np.random.default_rng(17)
+            before = gen.bit_generator.state
+            releases = path(engine, data, query, gen) + path(engine, data, query, gen)
+            outcomes.append(
+                (
+                    [(r.value, r.true_value, r.noise_scale, r.details) for r in releases],
+                    json.dumps(engine.accountant.state_dict(), sort_keys=True),
+                    gen.bit_generator.state,
+                    before == gen.bit_generator.state,
+                    engine.n_releases,
+                )
+            )
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        # Only the zero-scale baseline leaves the generator where it was.
+        assert outcomes[0][3] == (kind == "zero-scale")
+        assert outcomes[0][4] == 2
 
 
 class TestWassersteinThroughEngine:

@@ -186,6 +186,26 @@ def test_r2_flags_charge_after_its_check_lock_drops(tmp_path):
     assert finding.line == 6 and "'charge'" in finding.message
 
 
+# A stream chunk's admission cycle is a debit too.
+R2_VIOLATING_RECORD_EACH = """\
+    class Session:
+        def bad(self, n, eps):
+            with self._mutex:
+                remaining = self.accountant.remaining()
+            if remaining >= n * eps:
+                self.accountant.record_each(n, eps)  # lock dropped: check is stale
+"""
+
+
+def test_r2_flags_record_each_after_its_check_lock_drops(tmp_path):
+    result = run_lint(
+        tmp_path, {"mod.py": R2_VIOLATING_RECORD_EACH}, [CheckThenActRule(EVERYWHERE)]
+    )
+    assert rules_hit(result) == ["R2"]
+    (finding,) = result.findings
+    assert finding.line == 6 and "'record_each'" in finding.message
+
+
 def test_r2_yield_must_be_dominated_by_debit(tmp_path):
     source = """\
         class FooSession:
@@ -196,7 +216,7 @@ def test_r2_yield_must_be_dominated_by_debit(tmp_path):
         class BarSession:
             def stream(self):
                 while True:
-                    self.engine._debit_one(self._signature)
+                    self.engine.accountant.record_each(1, self._epsilon)
                     yield self._noise.pop()
     """
     result = run_lint(

@@ -397,14 +397,14 @@ class TestBudgetExhaustedPayload:
     ):
         """Any debit error mid-chunk returns the releases already debited;
         an error on a chunk's first draw raises, and a simulated crash
-        always escapes."""
+        always escapes, its debited release staying on the ledger."""
         from repro.faults import SimulatedCrashError
 
         family, data = workload
         query = StateFrequencyQuery(1, LENGTH)
         engine = make_engine(family)
         session = engine.stream(data, query, rng=1)
-        debit = engine._debit_one
+        debit = engine.accountant._record_locked
         # Debit attempts 3 and 4 error, attempt 6 is a simulated crash.
         failures = {
             3: OSError("disk blip"),
@@ -413,19 +413,20 @@ class TestBudgetExhaustedPayload:
         }
         calls = []
 
-        def flaky_debit(signature):
-            calls.append(signature)
+        def flaky_debit(n_releases, epsilon, signature, rdp_curve):
+            calls.append(n_releases)
             if len(calls) in failures:
                 raise failures[len(calls)]
-            debit(signature)
+            debit(n_releases, epsilon, signature, rdp_curve)
 
-        monkeypatch.setattr(engine, "_debit_one", flaky_debit)
+        monkeypatch.setattr(engine.accountant, "_record_locked", flaky_debit)
         assert len(session.take(5)) == 2
         with pytest.raises(OSError):
             session.take(5)  # the error persists into the first draw
         with pytest.raises(SimulatedCrashError):
             session.take(5)  # mid-chunk, after one debited release
-        assert session.n_yielded == 3
+        assert calls == [1] * 6  # each value is its own debit
+        assert session.n_yielded == 2  # the crashed chunk returned nothing
         assert engine.spent_epsilon() == pytest.approx(3.0)
 
     def test_batch_payload_reports_atomic_refusal(self, workload):
