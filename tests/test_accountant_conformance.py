@@ -405,13 +405,13 @@ class TestStateRoundTrip:
         assert drain(restored) == drain(source)
 
 
-def _per_value(accountant, n_releases: int, epsilon: float) -> int:
+def _per_value(accountant, n_releases: int, epsilon: float, signature) -> int:
     """Reference for one take: ``record`` value by value until the first
     refusal, which re-raises only when no value was recorded."""
     recorded = 0
     while recorded < n_releases:
         try:
-            accountant.record(epsilon, quilt_signature=("q",))
+            accountant.record(epsilon, quilt_signature=signature)
         except BudgetExhaustedError:
             if recorded:
                 break
@@ -424,33 +424,60 @@ def _state_bytes(accountant) -> str:
     return json.dumps(accountant.state_dict(), sort_keys=True)
 
 
+def _drain_in_random_takes(session, reference, epsilon, rng) -> None:
+    """Take random chunks from ``session`` until its accountant refuses a
+    chunk's first value, recording the same values one by one on
+    ``reference``; every take returns exactly the values the reference
+    admitted, and the refusal carries the same ledger."""
+    signature = session.engine._quilt_signature()
+    for _ in range(200):
+        n_releases = rng.randint(1, 9)
+        try:
+            expected = _per_value(reference, n_releases, epsilon, signature)
+        except BudgetExhaustedError as refusal:
+            with pytest.raises(BudgetExhaustedError) as excinfo:
+                session.take(n_releases)
+            ledger = excinfo.value.ledger()
+            assert ledger.pop("n_completed") == session.n_yielded
+            refused = refusal.ledger()
+            refused.pop("n_completed")
+            assert ledger == refused
+            return
+        assert len(session.take(n_releases)) == expected
+    pytest.fail("the schedule never reached the budget")
+
+
 class TestChunkedAdmission:
-    """``record_each`` — a stream chunk's one admission cycle — is the same
-    ledger as recording its values one ``record`` at a time."""
+    """A take's one admission cycle (``record_each``) is the same ledger as
+    recording its values one ``record`` at a time."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_take_schedules_match_per_value_records(self, make, seed):
         rng = random.Random(seed)
+        epsilon = rng.choice([0.25, 0.5])
         chunked, reference = make(budget=12.0), make(budget=12.0)
-        for _ in range(200):
-            n_releases = rng.randint(1, 9)
-            epsilon = rng.choice([0.25, 0.5])
+        engine = PrivacyEngine(GroupDPMechanism(epsilon), accountant=chunked)
+        session = engine.stream(np.zeros(10), CountQuery(), rng=seed)
+        _drain_in_random_takes(session, reference, epsilon, rng)
+        assert _state_bytes(chunked) == _state_bytes(reference)
+        assert session.n_yielded == len(chunked) == len(reference)
+
+    def test_record_each_admits_each_value_as_record_would(self, make):
+        """Mixed epsilons across cycles, at the accountant itself."""
+        chunked, reference = make(budget=6.0), make(budget=6.0)
+        for n_releases, epsilon in [(3, 0.25), (2, 0.5), (9, 0.25), (1, 0.5)] * 20:
             try:
-                expected = _per_value(reference, n_releases, epsilon)
-            except BudgetExhaustedError as refusal:
-                with pytest.raises(BudgetExhaustedError) as excinfo:
+                expected = _per_value(reference, n_releases, epsilon, ("q",))
+            except BudgetExhaustedError:
+                with pytest.raises(BudgetExhaustedError):
                     chunked.record_each(n_releases, epsilon, quilt_signature=("q",))
-                assert excinfo.value.ledger() == refusal.ledger()
                 break
-            assert (
-                chunked.record_each(n_releases, epsilon, quilt_signature=("q",))
-                == expected
-            )
+            admitted = chunked.record_each(n_releases, epsilon, quilt_signature=("q",))
+            assert admitted == expected
             assert _state_bytes(chunked) == _state_bytes(reference)
         else:
             pytest.fail("the schedule never reached the budget")
         assert _state_bytes(chunked) == _state_bytes(reference)
-        assert len(chunked) == len(reference)
 
     def test_mid_chunk_refusal_returns_the_prefix_then_the_next_take_raises(
         self, make
@@ -487,8 +514,8 @@ class TestChunkedAdmission:
 @pytest.mark.parametrize("kind", ["linear", "renyi", "sliding"])
 @pytest.mark.parametrize("seed", range(3))
 def test_reservation_takes_match_per_value_records(kind, seed):
-    """A :class:`~repro.service.ledger.ReservationAccountant` over an
-    in-memory ledger debits each value of a chunk in its own store
+    """Random takes on a :class:`~repro.service.ledger.ReservationAccountant`
+    over an in-memory ledger debit each value in its own store
     transaction, so the tenant ledger ends bit-identical to one debited
     value by value."""
     rng = random.Random(seed)
@@ -501,19 +528,10 @@ def test_reservation_takes_match_per_value_records(kind, seed):
         ReservationAccountant(ledger, ledger.reserve(15, EPSILON))
         for ledger in ledgers
     )
-    while True:
-        n_releases = rng.randint(1, 6)
-        try:
-            expected = _per_value(reference, n_releases, EPSILON)
-        except BudgetExhaustedError:
-            with pytest.raises(BudgetExhaustedError):
-                chunked.record_each(n_releases, EPSILON, quilt_signature=("q",))
-            break
-        assert (
-            chunked.record_each(n_releases, EPSILON, quilt_signature=("q",))
-            == expected
-        )
-    assert len(chunked) == len(reference) == 15
+    engine = PrivacyEngine(GroupDPMechanism(EPSILON), accountant=chunked)
+    session = engine.stream(np.zeros(10), CountQuery(), rng=seed)
+    _drain_in_random_takes(session, reference, EPSILON, rng)
+    assert session.n_yielded == len(chunked) == len(reference) == 15
     assert chunked.n_remaining == reference.n_remaining == 0
     states = [_state_bytes(ledger.accountant()) for ledger in ledgers]
     assert states[0] == states[1]
