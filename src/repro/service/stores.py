@@ -160,10 +160,6 @@ class SQLiteLedgerStore(LedgerStore):
     #: database and the next commit starts the WAL over.
     WAL_CHECKPOINT_PAGES = 32
 
-    #: Seconds a writer (or an opener switching the file to WAL) waits for
-    #: another connection's lock before raising ``database is locked``.
-    _BUSY_TIMEOUT = 60.0
-
     _SCHEMA = """
         CREATE TABLE IF NOT EXISTS tenant_ledgers (
             tenant TEXT PRIMARY KEY,
@@ -185,7 +181,7 @@ class SQLiteLedgerStore(LedgerStore):
             str(self.path), isolation_level=None, check_same_thread=False
         )
         try:
-            open_in_wal_mode(self._conn, self._BUSY_TIMEOUT)
+            open_in_wal_mode(self._conn)
             self._conn.execute("PRAGMA synchronous=FULL")
             self._conn.execute(
                 f"PRAGMA wal_autocheckpoint={self.WAL_CHECKPOINT_PAGES}"

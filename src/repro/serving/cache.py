@@ -132,10 +132,6 @@ class SQLiteCache(CacheBackend):
         )
     """
 
-    #: Seconds a writer (or an opener switching the file to WAL) waits for
-    #: another connection's lock before raising ``database is locked``.
-    _BUSY_TIMEOUT = 60.0
-
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -145,7 +141,7 @@ class SQLiteCache(CacheBackend):
             str(self.path), isolation_level=None, check_same_thread=False
         )
         try:
-            open_in_wal_mode(self._conn, self._BUSY_TIMEOUT)
+            open_in_wal_mode(self._conn)
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(self._SCHEMA)
         except sqlite3.OperationalError:

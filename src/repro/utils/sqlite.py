@@ -11,10 +11,14 @@ from __future__ import annotations
 import sqlite3
 import time
 
+#: Seconds a writer (or an opener switching the file to WAL) waits for
+#: another connection's lock before raising ``database is locked``.
+BUSY_TIMEOUT = 60.0
 
-def open_in_wal_mode(conn: sqlite3.Connection, busy_timeout: float) -> None:
-    """Set ``conn``'s busy timeout (seconds), then put its file in WAL mode,
-    waiting out concurrent openers for as long.
+
+def open_in_wal_mode(conn: sqlite3.Connection) -> None:
+    """Set ``conn``'s busy timeout to :data:`BUSY_TIMEOUT`, then put its
+    file in WAL mode, waiting out concurrent openers for as long.
 
     On a file not yet in WAL mode the switch reads the header under a
     shared lock and then asks for the write lock, and SQLite refuses that
@@ -25,8 +29,8 @@ def open_in_wal_mode(conn: sqlite3.Connection, busy_timeout: float) -> None:
     connection's switch can take the lock itself.  Any other error, or a
     lock held past the timeout, raises.
     """
-    conn.execute(f"PRAGMA busy_timeout={int(busy_timeout * 1000)}")
-    deadline = time.monotonic() + busy_timeout
+    conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT * 1000)}")
+    deadline = time.monotonic() + BUSY_TIMEOUT
     delay = 0.001
     while True:
         try:
