@@ -127,19 +127,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.staticcheck import cli as lint_cli
-
-    argv = [args.root, "--format", args.format]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.strict:
-        argv.append("--strict")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_cli.main(argv)
-
-
 def _cmd_info(_args: argparse.Namespace) -> int:
     import repro
 
@@ -218,36 +205,24 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_serve.set_defaults(func=_cmd_serve)
 
-    p_lint = sub.add_parser(
+    # The lint CLI parses its own options (repro.staticcheck.cli); this
+    # parser only names the command and hands it what follows.
+    sub.add_parser(
         "lint",
+        add_help=False,
         help="AST invariant lint over the tree (stdlib-only; rules R1-R6)",
     )
-    p_lint.add_argument(
-        "root", nargs="?", default=".",
-        help="tree to lint (default: current directory)",
-    )
-    p_lint.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format",
-    )
-    p_lint.add_argument(
-        "--select", default=None,
-        help="comma list of rule ids/names to run (default: all)",
-    )
-    p_lint.add_argument(
-        "--strict", action="store_true",
-        help="also fail on suppressions that no longer suppress anything",
-    )
-    p_lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    p_lint.set_defaults(func=_cmd_lint)
 
     p_info = sub.add_parser("info", help="version and inventory")
     p_info.set_defaults(func=_cmd_info)
 
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.staticcheck import cli as lint_cli
+
+        return lint_cli.main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

@@ -130,10 +130,7 @@ def model_supremum(
 
     One :class:`ModelOutputTable` per model; each admissible pair costs two
     (cached) conditional weight vectors and one
-    :func:`~repro.distributions.metrics.w_infinity_pooled` CDF pass.  This
-    is also the body of a ``wasserstein-model`` calibration shard
-    (:mod:`repro.parallel.shards`) — serial and sharded runs execute exactly
-    this function, which is what keeps them bit-identical.
+    :func:`~repro.distributions.metrics.w_infinity_pooled` CDF pass.
     """
     model = instantiation.models[theta_index]
     table = ModelOutputTable(model, query)

@@ -1,13 +1,17 @@
 """ParallelCalibrator: sharded multi-core calibration.
 
-The calibration cost of every mechanism in this library (Table 2's quantity)
-decomposes into independent shards — see :mod:`repro.parallel.shards` for the
-decomposition per mechanism.  :class:`ParallelCalibrator` plans those shards,
-executes them on a ``ProcessPoolExecutor`` (or inline, when a pool cannot
-pay for itself), and merges the results back into the mechanism's own memo
-structures, after which the mechanism's ordinary serial
+The two expensive calibrations behind Table 2 decompose into independent
+shards: Algorithm 3 (:class:`~repro.core.mqm_chain.MQMExact`, one shard per
+chain × segment length) and Algorithm 2 (the general
+:class:`~repro.core.markov_quilt.MarkovQuiltMechanism`, one shard per node)
+— see :mod:`repro.parallel.shards`.  :class:`ParallelCalibrator` plans those
+shards, executes them on a ``ProcessPoolExecutor`` (or inline, when a pool
+cannot pay for itself), and merges the results back into the mechanism's own
+memo structures, after which the mechanism's ordinary serial
 :meth:`~repro.core.laplace.Mechanism.calibrate` produces the final
-:class:`~repro.core.laplace.Calibration` from warm lookups.
+:class:`~repro.core.laplace.Calibration` from warm lookups.  Every other
+mechanism calibrates serially, and :meth:`ParallelCalibrator.calibrate_many`
+runs one shard per mechanism.
 
 Determinism guarantee
 ---------------------
@@ -27,7 +31,8 @@ The pool is skipped (shards run inline, same results) when any of:
   has a single shard;
 * the plan's estimated cost is below ``min_parallel_cost`` (small payloads
   lose more to process startup and pickling than they gain);
-* a shard payload is unpicklable (e.g. a ``ScalarQuery`` wrapping a lambda).
+* a shard payload is unpicklable (e.g. a ``calibrate_many`` shard whose
+  ``ScalarQuery`` wraps a lambda).
 
 Worker processes are per-call, not long-lived: calibration is a cold-path
 operation (the serving layer caches its results), so keeping a pool warm
@@ -44,16 +49,13 @@ from typing import Any, Callable, Sequence
 
 from repro.core.laplace import Calibration, Mechanism
 from repro.core.markov_quilt import MarkovQuiltMechanism
-from repro.core.mqm_chain import MQMApprox, MQMExact
+from repro.core.mqm_chain import MQMExact
 from repro.core.queries import Query
-from repro.core.wasserstein import WassersteinMechanism
 from repro.exceptions import ValidationError
 from repro.parallel.shards import (
     KIND_CALIBRATION,
-    KIND_MQM_APPROX,
     KIND_MQM_EXACT,
     KIND_MQM_GENERAL,
-    KIND_WASSERSTEIN,
     Shard,
     ShardResult,
     per_node_general_shard,
@@ -122,9 +124,9 @@ class ParallelCalibrator:
     def plan(self, mechanism: Mechanism, query: Query, data: Any) -> list[Shard]:
         """The shard decomposition :meth:`calibrate` would execute.
 
-        Empty when the mechanism is already warm for this workload or when
-        its calibration has no known decomposition (baselines) — in both
-        cases :meth:`calibrate` simply runs the serial path.
+        Empty when the mechanism is already warm for this workload or is
+        neither an ``MQMExact`` nor a general MQM — in both cases
+        :meth:`calibrate` simply runs the serial path.
         """
         if isinstance(mechanism, MQMExact):
             lengths = segment_lengths_of(data)
@@ -143,15 +145,6 @@ class ParallelCalibrator:
                 for index, chain in enumerate(mechanism.family.chains())
                 for length in key
             ]
-        if isinstance(mechanism, MQMApprox):
-            lengths = segment_lengths_of(data)
-            missing = sorted(
-                {int(n) for n in lengths} - set(mechanism._sigma_cache)
-            )
-            template = _pristine(mechanism)
-            return [
-                Shard(KIND_MQM_APPROX, length, (template,)) for length in missing
-            ]
         if isinstance(mechanism, MarkovQuiltMechanism):
             # Algorithm 2: one shard per node whose quilt search is cold.
             # Each clone ships Theta (networks pickle as their CPD arrays;
@@ -168,23 +161,6 @@ class ParallelCalibrator:
                 per_node_general_shard(template, node, mechanism.quilt_sets[node])
                 for node in missing
             ]
-        if isinstance(mechanism, WassersteinMechanism):
-            if query.output_dim != 1:
-                return []  # let the serial path raise its ValidationError
-            signature = query.signature()
-            if (
-                signature in mechanism._bound_cache
-                or repr(signature) in mechanism._warm_bounds
-            ):
-                return []
-            return [
-                Shard(
-                    KIND_WASSERSTEIN,
-                    theta_index,
-                    (mechanism.instantiation, query, theta_index),
-                )
-                for theta_index in range(len(mechanism.instantiation.models))
-            ]
         return []
 
     # -- execution -------------------------------------------------------
@@ -194,8 +170,6 @@ class ParallelCalibrator:
             if shard.kind == KIND_MQM_EXACT:
                 # The segment length: the positions this chain's search walks.
                 cost += float(shard.payload[3])
-            elif shard.kind == KIND_MQM_APPROX:
-                cost += float(shard.key)
             elif shard.kind == KIND_MQM_GENERAL:
                 # Cost hint: one variable-elimination run per candidate
                 # quilt per theta (the node's search loop body).
@@ -240,13 +214,14 @@ class ParallelCalibrator:
 
         Plans, executes, merges the shard results into the mechanism's memo
         state, and finishes with the ordinary serial ``calibrate`` — which
-        now only performs warm lookups.  Mechanisms without a decomposition
-        run fully serial.  The returned :class:`Calibration` (scale *and*
-        diagnostics) is bit-identical to the serial one.
+        now only performs warm lookups.  Mechanisms other than ``MQMExact``
+        and the general MQM run fully serial.  The returned
+        :class:`Calibration` (scale *and* diagnostics) is bit-identical to
+        the serial one.
         """
         shards = self.plan(mechanism, query, data)
         if shards:
-            self._merge(mechanism, query, data, self.execute(shards))
+            self._merge(mechanism, data, self.execute(shards))
         return mechanism.calibrate(query, data)
 
     def calibrate_many(
@@ -275,11 +250,7 @@ class ParallelCalibrator:
 
     # -- merging ---------------------------------------------------------
     def _merge(
-        self,
-        mechanism: Mechanism,
-        query: Query,
-        data: Any,
-        results: Sequence[ShardResult],
+        self, mechanism: Mechanism, data: Any, results: Sequence[ShardResult]
     ) -> None:
         """Fold shard results into the mechanism's own memo structures,
         reproducing exactly the state the serial computation leaves behind."""
@@ -289,23 +260,11 @@ class ParallelCalibrator:
             for result in results:
                 sigma = max(sigma, float(result.value))
             mechanism._sigma_cache[key] = sigma
-        elif isinstance(mechanism, MQMApprox):
-            for result in results:
-                mechanism._sigma_cache[int(result.key)] = float(result.value)
-        elif isinstance(mechanism, MarkovQuiltMechanism):
+        else:  # the general MQM, the only other mechanism plan() shards
             node_results = mechanism._node_results()
             for result in results:
                 sigma, quilt = result.value
                 node_results[str(result.key)] = (float(sigma), quilt)
-        elif isinstance(mechanism, WassersteinMechanism):
-            supremum = 0.0
-            for result in results:
-                supremum = max(supremum, float(result.value))
-            mechanism._bound_cache[query.signature()] = supremum
-        else:  # pragma: no cover - plan() never shards unknown mechanisms
-            raise ValidationError(
-                f"no merge rule for mechanism {type(mechanism).__name__}"
-            )
 
 
 def _picklable(shards: Sequence[Shard]) -> bool:
@@ -323,22 +282,19 @@ def _picklable(shards: Sequence[Shard]) -> bool:
 
 
 def as_calibrator(
-    spec: "bool | int | ParallelCalibrator | None",
+    spec: "int | ParallelCalibrator | None",
 ) -> ParallelCalibrator | None:
     """Normalize the user-facing ``parallel=`` option.
 
-    ``None``/``False`` → no parallelism; ``True`` → default calibrator
-    (``os.cpu_count()`` workers); an ``int`` → that many workers; an
-    existing :class:`ParallelCalibrator` is used as-is.
+    ``None`` → no parallelism; an ``int`` → that many workers; an existing
+    :class:`ParallelCalibrator` is used as-is.  ``True`` and ``False`` raise
+    :class:`~repro.exceptions.ValidationError`: a ``bool`` is an ``int``, so
+    ``True`` would otherwise become one worker.
     """
-    if spec is None or spec is False:
-        return None
-    if isinstance(spec, ParallelCalibrator):
+    if spec is None or isinstance(spec, ParallelCalibrator):
         return spec
-    if spec is True:
-        return ParallelCalibrator()
-    if isinstance(spec, int):
+    if isinstance(spec, int) and not isinstance(spec, bool):
         return ParallelCalibrator(max_workers=spec)
     raise ValidationError(
-        f"parallel= expects None, bool, int, or ParallelCalibrator, got {spec!r}"
+        f"parallel= expects None, an int, or a ParallelCalibrator, got {spec!r}"
     )

@@ -1,14 +1,10 @@
 """Shard decomposition for parallel calibration.
 
-Every expensive calibration in this library is a maximum (or a dictionary)
-of *independent* sub-computations:
+The two calibrations this package shards are each a maximum (or a
+dictionary) of *independent* sub-computations:
 
 * ``MQMExact.sigma_max`` maximizes ``_sigma_for_chain`` over ``(chain index,
   segment length)`` pairs — each pair is one quilt search (Algorithm 3);
-* ``MQMApprox.sigma_max`` maximizes ``_sigma_for_length`` over the distinct
-  segment lengths (Algorithm 4's candidate search per length);
-* ``wasserstein_bound`` maximizes per-model suprema over the models of
-  ``Theta`` (Algorithm 1's outer loop);
 * ``MarkovQuiltMechanism.sigma_max`` (Algorithm 2, general networks)
   maximizes ``sigma_for_node`` over the nodes — each node is one quilt
   search whose max-influence kernels run on the worker's own
@@ -22,10 +18,12 @@ of *independent* sub-computations:
   clone is a ``copy.copy``, so subclasses ride along unchanged: a
   :class:`~repro.core.gaussian.GaussianMarkovQuiltMechanism` shard carries
   the subclass (with its ``delta`` and Gaussian ``_quilt_score``) and the
-  worker's per-node search is the Gaussian one, bit-identically;
-* a multi-mechanism trial run calibrates each mechanism separately.
+  worker's per-node search is the Gaussian one, bit-identically.
 
-This module turns each of those sub-computations into a :class:`Shard` — a
+A multi-mechanism run (``ParallelCalibrator.calibrate_many``) also ships
+each mechanism's whole calibration as one shard.
+
+This module turns each of those computations into a :class:`Shard` — a
 picklable, self-contained work item — plus a module-level :func:`run_shard`
 dispatcher that a ``ProcessPoolExecutor`` worker (or the in-process serial
 fallback) executes.  Determinism rule: a shard runs *exactly the code the
@@ -48,20 +46,10 @@ from repro.exceptions import ValidationError
 
 #: Shard kinds understood by :func:`run_shard`.
 KIND_MQM_EXACT = "mqm-exact-chain-length"
-KIND_MQM_APPROX = "mqm-approx-length"
 KIND_MQM_GENERAL = "mqm-general-node"
-KIND_WASSERSTEIN = "wasserstein-model"
 KIND_CALIBRATION = "mechanism-calibration"
 
-_KNOWN_KINDS = frozenset(
-    {
-        KIND_MQM_EXACT,
-        KIND_MQM_APPROX,
-        KIND_MQM_GENERAL,
-        KIND_WASSERSTEIN,
-        KIND_CALIBRATION,
-    }
-)
+_KNOWN_KINDS = frozenset({KIND_MQM_EXACT, KIND_MQM_GENERAL, KIND_CALIBRATION})
 
 
 @dataclass(frozen=True)
@@ -89,10 +77,6 @@ class Shard:
         if self.kind not in _KNOWN_KINDS:
             raise ValidationError(f"unknown shard kind {self.kind!r}")
 
-    def describe(self) -> str:
-        """Human-readable rendering for plans and logs."""
-        return f"{self.kind}[{self.key!r}]"
-
 
 @dataclass(frozen=True)
 class ShardResult:
@@ -118,10 +102,6 @@ def run_shard(shard: Shard) -> ShardResult:
         mechanism, chain, chain_index, length = shard.payload
         value = float(mechanism._sigma_for_chain(chain_index, chain, length))
         return ShardResult(shard.kind, shard.key, value)
-    if shard.kind == KIND_MQM_APPROX:
-        (mechanism,) = shard.payload
-        value = float(mechanism._sigma_for_length(int(shard.key)))
-        return ShardResult(shard.kind, shard.key, value)
     if shard.kind == KIND_MQM_GENERAL:
         # One node's quilt search (Definition 4.5).  The worker resolves the
         # networks through its own engine registry, so repeated shards for
@@ -129,12 +109,6 @@ def run_shard(shard: Shard) -> ShardResult:
         mechanism, node = shard.payload
         sigma, quilt = mechanism.sigma_for_node(node)
         return ShardResult(shard.kind, shard.key, (float(sigma), quilt))
-    if shard.kind == KIND_WASSERSTEIN:
-        from repro.core.wasserstein import model_supremum
-
-        instantiation, query, theta_index = shard.payload
-        value = float(model_supremum(instantiation, query, theta_index))
-        return ShardResult(shard.kind, shard.key, value)
     if shard.kind == KIND_CALIBRATION:
         mechanism, query, data = shard.payload
         calibration = mechanism.calibrate(query, data)

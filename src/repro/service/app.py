@@ -358,13 +358,13 @@ class PrivacyService:
         ledger = self.ledger(tenant)
         if idempotency_key is None:
             charged = ChargeAccountant(ledger)
-            clone = engine.with_accountant(charged, tenant=tenant, rng=seed)
+            clone = engine.with_accountant(charged, rng=seed)
             releases = clone.release_repeated(workload.data, workload.query, n)
             response = self._release_response(tenant, workload, releases)
             return {**response, "ledger": charged.snapshot, "replayed": False}
         epsilon = workload.mechanism.epsilon
         clone = engine.with_accountant(
-            CompositionAccountant(budget=n * epsilon), tenant=tenant, rng=seed
+            CompositionAccountant(budget=n * epsilon), rng=seed
         )
         releases = clone.release_repeated(workload.data, workload.query, n)
         response = self._release_response(tenant, workload, releases)
@@ -411,7 +411,7 @@ class PrivacyService:
         reservation = ledger.reserve(n_reserved, workload.mechanism.epsilon)
         try:
             accountant = ReservationAccountant(ledger, reservation)
-            clone = engine.with_accountant(accountant, tenant=tenant, rng=seed)
+            clone = engine.with_accountant(accountant, rng=seed)
             clone.calibrate(workload.query, workload.data)
         except BaseException:
             ledger.release_unused(reservation.reservation_id)

@@ -193,9 +193,8 @@ class TenantLedger:
         accountant: str = "linear",
         delta: float = 1e-6,
         window_span: int = 1,
-        exist_ok: bool = True,
     ) -> dict:
-        """Create the tenant's ledger (idempotent when ``exist_ok``).
+        """Create the tenant's ledger, or read it if it exists.
 
         An existing ledger is returned untouched — budgets are never
         silently rewritten; raising on mismatch is the caller's business
@@ -222,10 +221,6 @@ class TenantLedger:
 
         def handler(txn: LedgerTransaction) -> dict:
             if txn.state is not None:
-                if not exist_ok:
-                    raise ValidationError(
-                        f"tenant {self.tenant!r} already has a ledger"
-                    )
                 return self._snapshot_from_state(txn.state)
             txn.state = {
                 "version": STATE_VERSION,
@@ -236,9 +231,6 @@ class TenantLedger:
             return self._snapshot_from_state(txn.state)
 
         return self.store.run(self.tenant, handler)
-
-    def exists(self) -> bool:
-        return self.store.peek(self.tenant) is not None
 
     # -- admission: charge, or reserve -> consume -> release-unused --------
     def charge(
@@ -811,14 +803,6 @@ class ReservationAccountant(BaseAccountant):
     @property
     def reservation_id(self) -> str:
         return self._reservation.reservation_id
-
-    @property
-    def epsilon(self) -> float:
-        return self._reservation.epsilon
-
-    @property
-    def n_reserved(self) -> int:
-        return self._reservation.n_reserved
 
     @property
     def n_remaining(self) -> int:

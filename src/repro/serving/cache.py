@@ -63,10 +63,6 @@ class CacheBackend(ABC):
     def __len__(self) -> int:
         """Number of stored entries."""
 
-    def clear(self) -> None:  # pragma: no cover - overridden where used
-        """Drop every entry (optional for backends)."""
-        raise NotImplementedError
-
 
 class InMemoryLRUCache(CacheBackend):
     """Bounded in-memory LRU backend (thread-safe).
@@ -106,10 +102,6 @@ class InMemoryLRUCache(CacheBackend):
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
 
 class SQLiteCache(CacheBackend):
@@ -174,10 +166,6 @@ class SQLiteCache(CacheBackend):
         with self._lock:
             return self._conn.execute("SELECT COUNT(*) FROM calibrations").fetchone()[0]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._conn.execute("DELETE FROM calibrations")
-
 
 class CalibrationCache:
     """Keyed front-end: memoizes :meth:`Mechanism.calibrate` results.
@@ -190,7 +178,7 @@ class CalibrationCache:
     Attributes
     ----------
     hits, misses:
-        Lookup statistics since construction (or :meth:`reset_stats`).
+        Lookup statistics since construction.
         The engine shares one cache across service worker threads, so the
         counters are mutated under a dedicated lock — unlocked ``+= 1``
         read-modify-writes drift under load and make ``hit_rate`` lie.
@@ -213,13 +201,6 @@ class CalibrationCache:
     def key_for(self, mechanism: Mechanism, query: Query, data: Any) -> str:
         """The cache key this triple resolves to (exposed for testing)."""
         return cache_key(mechanism, query, data)
-
-    def get(self, mechanism: Mechanism, query: Query, data: Any) -> Calibration | None:
-        """Cached calibration for the triple, or ``None``."""
-        payload = self.backend.get(self.key_for(mechanism, query, data))
-        if payload is None:
-            return None
-        return _checked_calibration(payload)
 
     def get_or_compute(
         self,
@@ -303,12 +284,6 @@ class CalibrationCache:
         with self._stats_lock:
             total = self.hits + self.misses
             return self.hits / total if total else 0.0
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters (entries are kept)."""
-        with self._stats_lock:
-            self.hits = 0
-            self.misses = 0
 
     def __len__(self) -> int:
         return len(self.backend)

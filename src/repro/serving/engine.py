@@ -93,18 +93,13 @@ class PrivacyEngine:
         Seed or generator for the engine's noise stream; per-call ``rng``
         arguments override it.
     parallel:
-        Shard cache-missing calibrations across worker processes (``True``
-        for one worker per core, an int for an explicit worker count, or a
-        preconfigured :class:`~repro.parallel.ParallelCalibrator`).  The
+        Shard cache-missing calibrations across worker processes: an int
+        worker count or a preconfigured
+        :class:`~repro.parallel.ParallelCalibrator` (``True`` and ``False``
+        raise :class:`~repro.exceptions.ValidationError`).  ``MQMExact`` and
+        the general MQM shard; other mechanisms calibrate serially.  The
         sharded result is bit-identical to the serial one and lands in the
         same cache entry, so warm hits stay O(1) lookups either way.
-    tenant:
-        Optional tenant name this engine serves (multi-tenant deployments;
-        surfaced in :meth:`stats` and diagnostics).  The engine itself is
-        tenant-agnostic — budget isolation comes from the accountant, e.g. a
-        :class:`~repro.service.ledger.ChargeAccountant` or
-        :class:`~repro.service.ledger.ReservationAccountant` bound to one
-        tenant's durable ledger.
     """
 
     def __init__(
@@ -115,11 +110,9 @@ class PrivacyEngine:
         epsilon_budget: float | None = None,
         accountant: "str | BaseAccountant | None" = None,
         rng: "int | np.random.Generator | None" = None,
-        parallel: "bool | int | ParallelCalibrator | None" = None,  # noqa: F821
-        tenant: str | None = None,
+        parallel: "int | ParallelCalibrator | None" = None,  # noqa: F821
     ) -> None:
         self.mechanism = mechanism
-        self.tenant = tenant
         self.cache = cache if cache is not None else CalibrationCache()
         if accountant is None or accountant == "linear":
             self.accountant: BaseAccountant = CompositionAccountant(
@@ -148,7 +141,7 @@ class PrivacyEngine:
         # Guards the release counter only; budget atomicity lives in the
         # accountant's own lock (streams and batches share both).
         self._count_lock = threading.Lock()
-        if parallel is None or parallel is False:
+        if parallel is None:
             self.calibrator = None
         else:
             from repro.parallel import as_calibrator
@@ -355,7 +348,6 @@ class PrivacyEngine:
         self,
         accountant: BaseAccountant,
         *,
-        tenant: str | None = None,
         rng: "int | np.random.Generator | None" = None,
     ) -> "PrivacyEngine":
         """A sibling engine over the same mechanism, cache, and calibrator,
@@ -374,7 +366,6 @@ class PrivacyEngine:
         clone.cache = self.cache
         clone.calibrator = self.calibrator
         clone.accountant = accountant
-        clone.tenant = tenant if tenant is not None else self.tenant
         clone._rng = resolve_rng(rng)
         clone._n_releases = 0
         clone._count_lock = threading.Lock()
@@ -431,7 +422,6 @@ class PrivacyEngine:
         return {
             "mechanism": self.mechanism.name,
             "epsilon": self.mechanism.epsilon,
-            "tenant": self.tenant,
             "parallel_workers": (
                 self.calibrator.max_workers if self.calibrator is not None else None
             ),

@@ -1,27 +1,14 @@
-"""Unit tests for analysis metrics, the trial runner, and reporting."""
+"""Unit tests for the trial runner and reporting."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import l1_error
 from repro.analysis.reporting import Table
 from repro.analysis.runner import run_release_trials
 from repro.baselines.group_dp import GroupDPMechanism
 from repro.core.queries import StateFrequencyQuery
 from repro.data.datasets import TimeSeriesDataset
 from repro.exceptions import ValidationError
-
-
-class TestMetrics:
-    def test_l1_scalar(self):
-        assert l1_error(1.5, 1.0) == pytest.approx(0.5)
-
-    def test_l1_vector(self):
-        assert l1_error(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == pytest.approx(3.0)
-
-    def test_l1_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            l1_error(np.zeros(2), np.zeros(3))
 
 
 class TestRunner:

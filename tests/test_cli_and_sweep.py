@@ -44,6 +44,8 @@ class TestCli:
             ["stream"],
             ["accounting"],
             ["temporal"],
+            # Only lint takes options this parser does not define.
+            ["info", "--bogus"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):

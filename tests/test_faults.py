@@ -441,22 +441,6 @@ def test_sweep_rerun_after_landed_commit_returns_the_landed_reclaim():
     assert ledger.snapshot()["n_reservations"] == 0
 
 
-def test_strict_create_rerun_after_landed_commit_returns_the_new_ledger():
-    # The row committed before the store errored: the re-run returns the
-    # ledger this call created instead of refusing it as already taken.
-    store = _retrying_store()
-    ledger = TenantLedger(store, "acme")
-    with injected(
-        [FaultRule("ledger.sqlite.commit.after", error="io", times=1)]
-    ) as inj:
-        created = ledger.create(budget=5.0, exist_ok=False)
-    assert inj.fired("ledger.sqlite.commit.after") == 1 and store.retries == 1
-    assert created == ledger.snapshot()
-    assert (created["budget"], created["spent_epsilon"]) == (5.0, 0.0)
-    with pytest.raises(ValidationError):
-        ledger.create(budget=5.0, exist_ok=False)
-
-
 def test_reserve_rerun_after_landed_commit_grants_one_sub_budget():
     # A reservation of the whole budget: a re-run that counted its own
     # landed entry would refuse it, and one that granted again would hold

@@ -2,10 +2,11 @@
 
 The contract of :class:`repro.parallel.ParallelCalibrator` is *exact*
 reproduction of the serial calibration — scale, diagnostics, and the
-mechanism's internal memo state — across MQMExact, MQMApprox, and the
-Wasserstein Mechanism, over a grid of (T, state count, epsilon), including
-the degenerate single-worker configuration and oversubscription (more
-workers than shards).  Comparisons use ``==``, never ``pytest.approx``.
+mechanism's internal memo state — for the two mechanisms it shards, MQMExact
+(over a grid of T, state count and epsilon) and the general Markov Quilt
+Mechanism, including the degenerate single-worker configuration and
+oversubscription (more workers than shards).  Every other mechanism takes
+the serial path.  Comparisons use ``==``, never ``pytest.approx``.
 """
 
 from __future__ import annotations
@@ -110,21 +111,13 @@ def test_mqm_exact_non_stationary_start_bit_identical():
     assert parallel.scale == serial.scale
 
 
-def test_mqm_approx_multi_segment_bit_identical():
-    family = _two_chains(3)
-    lengths = [15, 25, 35]
-    data = TimeSeriesDataset([np.zeros(n, dtype=int) for n in lengths], 3)
+def _mqm_approx_multi_segment():
+    data = TimeSeriesDataset([np.zeros(n, dtype=int) for n in (15, 25, 35)], 3)
     query = StateFrequencyQuery(1, data.n_observations)
-    serial_mech = MQMApprox(family, 1.0)
-    serial = serial_mech.calibrate(query, data)
-    parallel_mech = MQMApprox(family, 1.0)
-    parallel = _pooled().calibrate(parallel_mech, query, data)
-    assert parallel.scale == serial.scale
-    assert parallel.details == serial.details
-    assert parallel_mech._sigma_cache == serial_mech._sigma_cache
+    return MQMApprox(_two_chains(3), 1.0), query, data
 
 
-def test_wasserstein_bit_identical():
+def _wasserstein():
     chains = [
         MarkovChain([0.6, 0.4], [[0.85, 0.15], [0.2, 0.8]]),
         MarkovChain([0.5, 0.5], [[0.7, 0.3], [0.4, 0.6]]),
@@ -135,14 +128,35 @@ def test_wasserstein_bit_identical():
         length, 2, [MarkovChainModel(chain, length) for chain in chains]
     )
     query = StateFrequencyQuery(1, length)
-    data = np.zeros(length, dtype=int)
-    serial_mech = WassersteinMechanism(inst, 1.0)
+    return WassersteinMechanism(inst, 1.0), query, np.zeros(length, dtype=int)
+
+
+def _entry_dp():
+    return EntryDPMechanism(1.0), StateFrequencyQuery(1, 20), np.zeros(20, dtype=int)
+
+
+@pytest.mark.parametrize(
+    ("build", "memo"),
+    [
+        pytest.param(_mqm_approx_multi_segment, "_sigma_cache", id="mqm-approx"),
+        pytest.param(_wasserstein, "_bound_cache", id="wasserstein"),
+        pytest.param(_entry_dp, None, id="entry-dp"),
+    ],
+)
+def test_unsharded_mechanisms_take_the_serial_path(build, memo):
+    """Only MQMExact and the general MQM shard: any other mechanism plans
+    nothing, and calibrate runs its serial path without building a pool."""
+    serial_mech, query, data = build()
     serial = serial_mech.calibrate(query, data)
-    parallel_mech = WassersteinMechanism(inst, 1.0)
-    parallel = _pooled().calibrate(parallel_mech, query, data)
+    mechanism, query, data = build()
+    calibrator = _pooled(executor_factory=_forbidden_factory)
+    assert calibrator.plan(mechanism, query, data) == []
+    parallel = calibrator.calibrate(mechanism, query, data)
     assert parallel.scale == serial.scale
     assert parallel.details == serial.details
-    assert parallel_mech._bound_cache == serial_mech._bound_cache
+    if memo is not None:
+        assert getattr(mechanism, memo) == getattr(serial_mech, memo)
+    assert calibrator.shards_executed == 0
 
 
 def test_single_worker_is_inline_and_identical():
@@ -188,15 +202,23 @@ def test_small_payload_falls_back_to_inline():
 
 
 def test_unpicklable_query_falls_back_to_inline():
+    """A calibrate_many shard ships its query, so a lambda-wrapped
+    ScalarQuery keeps the whole plan inline, with the serial results."""
     chain = MarkovChain([0.6, 0.4], [[0.85, 0.15], [0.2, 0.8]])
     inst = entrywise_instantiation(4, 2, [MarkovChainModel(chain, 4)])
     query = ScalarQuery(lambda x: float(np.mean(x)), 0.25)  # lambda: unpicklable
     data = np.zeros(4, dtype=int)
-    serial = WassersteinMechanism(inst, 1.0).calibrate(query, data)
+    serial = [
+        WassersteinMechanism(inst, epsilon).calibrate(query, data)
+        for epsilon in (0.5, 1.0)
+    ]
     calibrator = _pooled(executor_factory=_forbidden_factory)
-    parallel = calibrator.calibrate(WassersteinMechanism(inst, 1.0), query, data)
-    assert parallel.scale == serial.scale
-    assert calibrator.serial_runs == 1
+    parallel = calibrator.calibrate_many(
+        [WassersteinMechanism(inst, epsilon) for epsilon in (0.5, 1.0)], query, data
+    )
+    assert [c.scale for c in parallel] == [c.scale for c in serial]
+    assert [c.details for c in parallel] == [c.details for c in serial]
+    assert calibrator.serial_runs == 1 and calibrator.pool_runs == 0
 
 
 def test_calibrate_many_matches_serial_and_warm_starts():
@@ -249,7 +271,7 @@ def test_engine_parallel_lands_in_shared_cache(tmp_path):
     assert warm.scale == MQMExact(family, 1.0, max_window=40).calibrate(query, data).scale
 
 
-def test_plan_is_empty_when_warm_or_undecomposable():
+def test_plan_is_empty_when_warm():
     family = _two_chains(2)
     query = StateFrequencyQuery(1, 20)
     data = np.zeros(20, dtype=int)
@@ -258,25 +280,17 @@ def test_plan_is_empty_when_warm_or_undecomposable():
     assert len(calibrator.plan(mechanism, query, data)) == 2
     mechanism.calibrate(query, data)  # warm
     assert calibrator.plan(mechanism, query, data) == []
-    # Baselines have no shard decomposition: calibrate runs fully serial.
-    baseline = EntryDPMechanism(1.0)
-    assert calibrator.plan(baseline, query, data) == []
-    assert (
-        calibrator.calibrate(baseline, query, data).scale
-        == EntryDPMechanism(1.0).calibrate(query, data).scale
-    )
 
 
 def test_as_calibrator_normalization():
     assert as_calibrator(None) is None
-    assert as_calibrator(False) is None
-    default = as_calibrator(True)
-    assert isinstance(default, ParallelCalibrator)
     assert as_calibrator(3).max_workers == 3
     existing = ParallelCalibrator(max_workers=2)
     assert as_calibrator(existing) is existing
-    with pytest.raises(ValidationError):
-        as_calibrator("four")
+    # A bool is an int: without its own check True would be one worker.
+    for spec in (True, False, "four"):
+        with pytest.raises(ValidationError):
+            as_calibrator(spec)
     with pytest.raises(ValidationError):
         ParallelCalibrator(max_workers=0)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.group_dp import GroupDPMechanism
-from repro.core.laplace import Calibration
 from repro.core.mqm_chain import MQMApprox, MQMExact
 from repro.core.queries import (
     CountQuery,
@@ -200,14 +199,6 @@ class TestCalibrationCache:
         assert cache.hits == 1 and cache.misses == 1
         assert 0.0 < cache.hit_rate < 1.0
 
-    def test_get_without_compute(self, family, data, query):
-        cache = CalibrationCache()
-        mech = MQMExact(family, 1.0, max_window=20)
-        assert cache.get(mech, query, data) is None
-        cache.get_or_compute(mech, query, data)
-        cached = cache.get(mech, query, data)
-        assert isinstance(cached, Calibration)
-
     def test_lru_eviction(self):
         backend = InMemoryLRUCache(max_entries=2)
         backend.put("a", {"v": 1})
@@ -257,12 +248,6 @@ class TestCalibrationCache:
         path.write_text("[1, 2, 3]")
         with pytest.raises(ValidationError):
             SQLiteCache(path)
-
-    def test_clear(self, tmp_path):
-        backend = SQLiteCache(tmp_path / "cache.sqlite")
-        backend.put("k", {"v": 1})
-        backend.clear()
-        assert len(backend) == 0
 
     def test_json_backend_merges_concurrent_writers(self, tmp_path):
         """Two backends over one file must accumulate each other's entries

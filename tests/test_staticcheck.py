@@ -15,6 +15,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.staticcheck import LintConfig, Linter
 from repro.staticcheck.rules import (
     CheckThenActRule,
@@ -639,18 +641,30 @@ def test_repo_tree_lints_clean_strict():
     assert len(result.suppressed) >= 1
 
 
-def test_module_entry_point_works_without_numpy(tmp_path):
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (["lint", str(REPO_ROOT), "--strict"], "0 finding(s)"),
+        # A leading option reaches the lint CLI too (the default root is
+        # the working directory, the repo here).
+        (["lint", "--strict"], "0 finding(s)"),
+        (["lint", "--list-rules"], "R6  transaction-discipline"),
+    ],
+    ids=["root-strict", "strict", "list-rules"],
+)
+def test_module_entry_point_works_without_numpy(argv, expected):
     """`python -m repro lint` in a bare container: numpy import blocked."""
     probe = (
         "import sys; sys.modules['numpy'] = None; "
         "from repro.__main__ import main; "
-        "sys.exit(main(['lint', %r, '--strict']))" % str(REPO_ROOT)
+        "sys.exit(main(%r))" % (argv,)
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
+        cwd=REPO_ROOT,
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "0 finding(s)" in proc.stdout
+    assert expected in proc.stdout
