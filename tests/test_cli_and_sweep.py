@@ -46,9 +46,28 @@ class TestCli:
             ["temporal"],
             # Only lint takes options this parser does not define.
             ["info", "--bogus"],
+            # ... and the lint CLI's own parser refuses what it lacks.
+            ["lint", "--bogus"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
         with pytest.raises(SystemExit) as excinfo:
             cli_main(argv)
         assert excinfo.value.code == 2
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "{experiments,verify,calibrate,serve,lint,info}" in out
+
+    def test_lint_help_is_the_lint_clis(self, capsys):
+        """The lint subparser has no -h of its own: --help reaches the
+        lint CLI, which prints its options."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["lint", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: repro lint")
+        assert "--list-rules" in out and "--strict" in out

@@ -271,6 +271,15 @@ def test_engine_parallel_lands_in_shared_cache(tmp_path):
     assert warm.scale == MQMExact(family, 1.0, max_window=40).calibrate(query, data).scale
 
 
+@pytest.mark.parametrize("spec", [True, False])
+def test_engine_refuses_bool_parallel(spec):
+    """The engine's parallel= goes through as_calibrator: True is not one
+    worker and False is not "off"; only None leaves calibration serial."""
+    with pytest.raises(ValidationError):
+        PrivacyEngine(EntryDPMechanism(1.0), parallel=spec)
+    assert PrivacyEngine(EntryDPMechanism(1.0), parallel=None).calibrator is None
+
+
 def test_plan_is_empty_when_warm():
     family = _two_chains(2)
     query = StateFrequencyQuery(1, 20)
