@@ -138,7 +138,11 @@ def _cmd_info(_args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("experiments", help="regenerate paper tables/figures")

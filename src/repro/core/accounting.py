@@ -246,6 +246,14 @@ class BaseAccountant:
         """Commit a token produced by :meth:`_stage_locked` (mutex held)."""
         raise NotImplementedError
 
+    def _cycle_curve_locked(
+        self, epsilon: float, rdp_curve: RdpCurve | None
+    ) -> RdpCurve | None:
+        """The curve each value of one :meth:`record_each` cycle is charged
+        with (mutex held): ``rdp_curve`` itself, unless the accountant can
+        price the whole cycle once."""
+        return rdp_curve
+
     # -- the one check-then-record cycle --------------------------------
     def record(
         self,
@@ -317,6 +325,7 @@ class BaseAccountant:
         quilt_signature = _kept_signature(quilt_signature)
         admitted = 0
         with self._mutex:
+            rdp_curve = self._cycle_curve_locked(epsilon, rdp_curve)
             while admitted < n_releases:
                 try:
                     self._record_locked(1, epsilon, quilt_signature, rdp_curve)
@@ -494,6 +503,20 @@ def accountant_from_state(state: Mapping) -> BaseAccountant:
     return accountant
 
 
+class _PricedCurve:
+    """A cost curve already evaluated and checked on one accountant's order
+    grid: what a :meth:`RenyiAccountant.record_each` cycle charges each of
+    its values with."""
+
+    __slots__ = ("costs",)
+
+    def __init__(self, costs: np.ndarray) -> None:
+        self.costs = costs
+
+    def __call__(self, orders: np.ndarray) -> np.ndarray:
+        return self.costs
+
+
 @dataclass
 class RenyiAccountant(BaseAccountant):
     """Rényi-Pufferfish composition behind the linear accountant's contract.
@@ -561,6 +584,8 @@ class RenyiAccountant(BaseAccountant):
 
     # -- arithmetic hooks -------------------------------------------------
     def _costs(self, epsilon: float, rdp_curve: RdpCurve | None) -> np.ndarray:
+        if type(rdp_curve) is _PricedCurve:
+            return rdp_curve.costs
         costs = (
             np.asarray(rdp_curve(self._order_array), dtype=float)
             if rdp_curve is not None
@@ -602,6 +627,14 @@ class RenyiAccountant(BaseAccountant):
 
     def _apply_locked(self, token: np.ndarray) -> None:
         self._rdp = token
+
+    def _cycle_curve_locked(
+        self, epsilon: float, rdp_curve: RdpCurve | None
+    ) -> RdpCurve | None:
+        # Evaluated and checked once per cycle.  Each value still adds
+        # ``1 * costs`` to the running curve, as one ``record`` would, so
+        # the ledger is float for float what per-value calls build.
+        return _PricedCurve(self._costs(epsilon, rdp_curve))
 
     def _state_extra_locked(self) -> dict:
         return {

@@ -145,7 +145,6 @@ def dataset_timings(
     epsilon: float = 1.0,
     *,
     include_warm: bool = False,
-    workers: int | None = None,
 ) -> dict[str, float | None]:
     """Scale-computation time for one estimated-chain dataset.
 
@@ -153,10 +152,7 @@ def dataset_timings(
     mechanism — the cost measured is one cache-missing calibration, i.e. the
     quantity the paper's Table 2 reports.  With ``include_warm`` a second
     MQMExact engine sharing the first's cache is timed as
-    ``MQMExact(warm)``, showing what repeat traffic actually pays.  With
-    ``workers`` a third, cold engine is timed as ``MQMExact(parallel)`` —
-    the same calibration sharded per segment length across that many worker
-    processes (multi-segment datasets are where the shards exist).
+    ``MQMExact(warm)``, showing what repeat traffic actually pays.
     """
     query = RelativeFrequencyHistogram(dataset.n_states, dataset.n_observations)
     out: dict[str, float | None] = {}
@@ -175,11 +171,6 @@ def dataset_timings(
             MQMExact(family, epsilon, max_window=window), cache=exact.cache
         )
         out["MQMExact(warm)"] = time_call(lambda: warm.calibrate(query, dataset))
-    if workers is not None:
-        sharded = PrivacyEngine(
-            MQMExact(family, epsilon, max_window=window), parallel=workers
-        )
-        out["MQMExact(parallel)"] = time_call(lambda: sharded.calibrate(query, dataset))
     return out
 
 
@@ -188,39 +179,27 @@ def run(
     power: PowerConfig = FULL.power,
     *,
     include_power: bool = True,
-    workers: int | None = None,
 ) -> Table:
-    """Regenerate Table 2 (seconds per scale computation).
-
-    ``workers`` adds an ``MQMExact(parallel)`` row: the same calibrations
-    sharded across that many worker processes (bit-identical scales).
-    """
+    """Regenerate Table 2 (seconds per scale computation)."""
     rng = resolve_rng(activity.seed)
     columns = ["synthetic"]
     results: dict[str, dict[str, float | None]] = {"synthetic": synthetic_timings()}
     for group in generate_study(rng, scale=activity.scale):
         chain = empirical_chain(group, smoothing=activity.smoothing)
         family = FiniteChainFamily.singleton(chain)
-        results[group.name] = dataset_timings(
-            family, group.pooled_dataset(), workers=workers
-        )
+        results[group.name] = dataset_timings(family, group.pooled_dataset())
         columns.append(group.name)
     if include_power:
         dataset, _ = generate_power_dataset(power.length, resolve_rng(power.seed))
         chain = empirical_chain(dataset, smoothing=power.smoothing)
-        results["power"] = dataset_timings(
-            FiniteChainFamily.singleton(chain), dataset, workers=workers
-        )
+        results["power"] = dataset_timings(FiniteChainFamily.singleton(chain), dataset)
         columns.append("power")
     table = Table(
         "Table 2 — seconds to compute the Laplace scale (eps=1); "
         "paper values in repro.paperdata.TABLE2",
         ["mechanism", *columns],
     )
-    mechanisms = ["GK16", "MQMApprox", "MQMExact"]
-    if workers is not None:
-        mechanisms.append("MQMExact(parallel)")
-    for mechanism in mechanisms:
+    for mechanism in ("GK16", "MQMApprox", "MQMExact"):
         table.add_row(mechanism, [results[c].get(mechanism) for c in columns])
     return table
 
@@ -228,10 +207,9 @@ def run(
 def main(
     activity: ActivityConfig = FULL.activity,
     power: PowerConfig = FULL.power,
-    workers: int | None = None,
 ) -> None:
     """Print measured timings next to the paper's."""
-    table = run(activity, power, workers=workers)
+    table = run(activity, power)
     print(table.render())
     print()
     paper = Table("Table 2 — paper-reported seconds", ["mechanism", *TABLE2["columns"]])

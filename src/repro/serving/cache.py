@@ -22,9 +22,11 @@ returned for exactly the (mechanism fingerprint, query signature, data
 signature, epsilon) combination it was computed under — see
 ``docs/architecture.md`` for why anything looser would be a privacy bug.
 A mechanism already holding an entry's state is not handed it again: the
-front-end remembers, per mechanism object, the last key it handed over or
-computed, and answers that key from a copy of the calibration alone while
-the mechanism still holds that state.
+front-end remembers, per mechanism object, the key parts of the last
+:data:`SLOT_KEYS` entries it handed over or computed, and answers a lookup
+whose parts equal one of them from a copy of that calibration alone, while
+the mechanism still holds that state.  Only a lookup that matches none of
+them hashes its key.
 """
 
 from __future__ import annotations
@@ -43,8 +45,14 @@ from repro.core.laplace import Calibration, Mechanism
 from repro.core.queries import Query
 from repro.exceptions import ValidationError
 from repro.faults import fire
-from repro.serving.fingerprint import cache_key
+from repro.serving.fingerprint import cache_key, kept_key_parts, key_parts, same_key_parts
 from repro.utils.sqlite import open_in_wal_mode
+
+
+#: How many entries one mechanism's hand-off slot remembers: enough for a
+#: mechanism serving a few queries or data lengths to switch between them
+#: without being handed any entry's state again.
+SLOT_KEYS = 8
 
 
 class CacheBackend(ABC):
@@ -191,10 +199,9 @@ class CalibrationCache:
         self._stats_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        #: mechanism -> ``(key, calibration JSON without state, state
-        #: holder)`` of the entry whose state it last received or computed
-        #: (see :func:`_state_holder`); a slot dies with its mechanism.
-        self._handed: weakref.WeakKeyDictionary[Mechanism, tuple[str, str, Any]] = (
+        #: mechanism -> the :class:`_Slot` of the entries whose state it
+        #: received or computed; a slot dies with its mechanism.
+        self._handed: weakref.WeakKeyDictionary[Mechanism, _Slot] = (
             weakref.WeakKeyDictionary()
         )
 
@@ -218,19 +225,27 @@ class CalibrationCache:
         ``noise_scale`` calls become lookups afterwards.  On a miss, the
         mechanism's exported state rides along with the payload.
 
-        The state is handed to a mechanism once per key: when the key is
-        the one this cache last handed that mechanism (or computed on it),
-        and the mechanism still holds that state, the hit reads neither the
-        backend nor calls ``warm_start``, and returns a fresh
-        :class:`Calibration` decoded from the remembered ~150 bytes of
-        JSON.  That is exact because entries are content-keyed and
+        The state is handed to a mechanism once per key.  Each mechanism
+        has a slot: its state holder (see :func:`_state_holder`) and the
+        key parts (:func:`~repro.serving.fingerprint.key_parts`) of up to
+        :data:`SLOT_KEYS` entries it was handed or computed since, most
+        recently used first.  A lookup first builds its parts and compares
+        them with the slot's (:func:`~repro.serving.fingerprint.
+        same_key_parts`, exact where tuple ``==`` is not).  When they match
+        one and the mechanism's holder is still the slot's, the hit reads
+        neither the backend nor calls ``warm_start`` nor hashes a key, and
+        returns a fresh :class:`Calibration` rebuilt from the one the slot
+        keeps.  That is exact because entries are content-keyed and
         deterministic and ``warm_start`` only merges, so the mechanism
-        already holds everything the entry would restore.  A mechanism
-        exposing ``calibration_state_holder`` (the general MQM) can lose
-        its state to an in-place edit and get the key back when the edit
-        is reverted; its holder is then a new object, and the hit hands
-        the state over again instead of leaving the next release to re-run
-        the search.
+        already holds everything the entry would restore.  Only a lookup
+        that matches no entry hashes its key (:meth:`key_for`), and then
+        takes the full path and joins the slot.  A mechanism exposing
+        ``calibration_state_holder`` (the general MQM) can lose its state
+        to an in-place edit and get the key back when the edit is reverted,
+        or keep its key through a ``quilt_sets`` reassignment to equal
+        content; its holder is then a new object, which empties the slot,
+        so the hit hands the state over again instead of leaving the next
+        release to re-run the search.
 
         A row whose ``scale`` is a bool, not a number, negative or not
         finite raises :class:`~repro.exceptions.ValidationError`, as does
@@ -244,39 +259,70 @@ class CalibrationCache:
         same warm state — as ``mechanism.calibrate`` would, which the
         parallel calibrator guarantees bit-for-bit.
         """
-        key = self.key_for(mechanism, query, data)
+        parts = key_parts(mechanism, query, data)
         holder = _state_holder(mechanism)
         with self._stats_lock:
-            slot = self._handed.get(mechanism)
-            handed = slot is not None and slot[0] == key and slot[2] is holder
-            if handed:
+            handed = self._handed_hit_locked(mechanism, parts, holder)
+            if handed is not None:
                 self.hits += 1
-        if handed:
-            return Calibration.from_payload(json.loads(slot[1])), True
+        if handed is not None:
+            return _copy_of(handed), True
+        key = self.key_for(mechanism, query, data)
         payload = self.backend.get(key)
         if payload is not None:
             calibration = _checked_calibration(payload)
             state = payload.pop("state", None)
             if state and hasattr(mechanism, "warm_start"):
                 mechanism.warm_start(state)
-            text = json.dumps(payload)
+            kept = _copy_of(calibration)
             holder = _state_holder(mechanism)
             with self._stats_lock:
                 self.hits += 1
-                self._handed[mechanism] = (key, text, holder)
+                self._remember_locked(mechanism, parts, holder, kept)
             return calibration, True
         with self._stats_lock:
             self.misses += 1
         calibration = compute() if compute is not None else mechanism.calibrate(query, data)
         stored = calibration.to_payload()
-        text = json.dumps(stored)
+        # What a backend hit would decode, so later hits return the same.
+        kept = Calibration.from_payload(json.loads(json.dumps(stored)))
         if hasattr(mechanism, "export_calibration_state"):
             stored["state"] = mechanism.export_calibration_state()
         self.backend.put(key, stored)
         holder = _state_holder(mechanism)
         with self._stats_lock:
-            self._handed[mechanism] = (key, text, holder)
+            self._remember_locked(mechanism, parts, holder, kept)
         return calibration, False
+
+    def _handed_hit_locked(
+        self, mechanism: Mechanism, parts: tuple, holder: Any
+    ) -> Calibration | None:
+        """The slot's calibration for ``parts`` when ``mechanism`` still
+        holds the state it was handed, else ``None``; a match moves to the
+        front (stats lock held)."""
+        slot = self._handed.get(mechanism)
+        if slot is None or slot.holder is not holder:
+            return None
+        entries = slot.entries
+        for position, (kept_parts, calibration) in enumerate(entries):
+            if same_key_parts(parts, kept_parts):
+                if position:
+                    entries.insert(0, entries.pop(position))
+                return calibration
+        return None
+
+    def _remember_locked(
+        self, mechanism: Mechanism, parts: tuple, holder: Any, calibration: Calibration
+    ) -> None:
+        """Put ``parts`` at the front of ``mechanism``'s slot, evicting the
+        least recently used entry past :data:`SLOT_KEYS`; a new holder
+        starts an empty slot, since the old one's state is gone (stats lock
+        held)."""
+        slot = self._handed.get(mechanism)
+        if slot is None or slot.holder is not holder:
+            slot = self._handed[mechanism] = _Slot(holder)
+        others = [entry for entry in slot.entries if not same_key_parts(parts, entry[0])]
+        slot.entries = [(kept_key_parts(parts), calibration), *others[: SLOT_KEYS - 1]]
 
     @property
     def hit_rate(self) -> float:
@@ -287,6 +333,38 @@ class CalibrationCache:
 
     def __len__(self) -> int:
         return len(self.backend)
+
+
+class _Slot:
+    """One mechanism's hand-off record: the state holder it had when its
+    entries were handed over or computed, and those entries as ``(kept key
+    parts, calibration)`` pairs, most recently used first.  The
+    calibrations never leave the slot; lookups return copies."""
+
+    __slots__ = ("holder", "entries")
+
+    def __init__(self, holder: Any) -> None:
+        self.holder = holder
+        self.entries: list[tuple[tuple, Calibration]] = []
+
+
+def _copy_of(calibration: Calibration) -> Calibration:
+    """An equal calibration with new ``details`` dicts and lists, so a
+    caller mutating what it got cannot change what the next one gets."""
+    return Calibration(
+        calibration.scale, calibration.epsilon, calibration.mechanism,
+        _copied(calibration.details),
+    )
+
+
+def _copied(value: Any) -> Any:
+    """A copy of a decoded JSON value: new dicts and lists, the same
+    (immutable) scalars."""
+    if type(value) is dict:
+        return {key: _copied(item) for key, item in value.items()}
+    if type(value) is list:
+        return [_copied(item) for item in value]
+    return value
 
 
 def _state_holder(mechanism: Mechanism) -> Any:

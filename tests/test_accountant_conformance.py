@@ -511,6 +511,48 @@ class TestChunkedAdmission:
         assert engine.n_releases == 3
 
 
+@pytest.mark.parametrize("curve", ["pure", "supplied"])
+def test_a_renyi_cycle_derives_its_cost_curve_once(monkeypatch, curve):
+    """``record_each`` evaluates and checks the Rényi cost curve once per
+    cycle, then adds it per value as ``record`` does, so the running
+    curve is float for float the per-value one."""
+    import repro.core.accounting as accounting
+
+    calls = []
+    pure = accounting.pure_rdp_curve
+
+    def counted_pure(epsilon, orders):
+        calls.append(epsilon)
+        return pure(epsilon, orders)
+
+    def supplied(orders):
+        calls.append(orders.size)
+        return np.minimum(0.5, 0.3 * orders * 0.25)
+
+    monkeypatch.setattr(accounting, "pure_rdp_curve", counted_pure)
+    rdp_curve = None if curve == "pure" else supplied
+    chunked, reference = RenyiAccountant(budget=100.0), RenyiAccountant(budget=100.0)
+    for n_releases in (50, 7, 1, 50):
+        calls.clear()
+        admitted = chunked.record_each(
+            n_releases, EPSILON, quilt_signature=("q",), rdp_curve=rdp_curve
+        )
+        assert admitted == n_releases
+        assert len(calls) == 1
+        for _ in range(n_releases):
+            reference.record(EPSILON, quilt_signature=("q",), rdp_curve=rdp_curve)
+        assert _state_bytes(chunked) == _state_bytes(reference)
+    assert len(chunked) == 108
+
+
+def test_a_renyi_cycle_refuses_a_bad_curve_before_any_value():
+    accountant = RenyiAccountant(budget=40.0)
+    state = _state_bytes(accountant)
+    with pytest.raises(PrivacyParameterError, match="non-negative"):
+        accountant.record_each(5, EPSILON, rdp_curve=lambda orders: -orders)
+    assert _state_bytes(accountant) == state and len(accountant) == 0
+
+
 @pytest.mark.parametrize("kind", ["linear", "renyi", "sliding"])
 @pytest.mark.parametrize("seed", range(3))
 def test_reservation_takes_match_per_value_records(kind, seed):

@@ -62,6 +62,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "{experiments,verify,calibrate,serve,lint,info}" in out
 
+    def test_help_prints_the_docstring_as_written(self, capsys):
+        """The command list keeps its heading and one line per command
+        instead of being reflowed into one paragraph."""
+        import repro.__main__
+
+        with pytest.raises(SystemExit):
+            cli_main(["--help"])
+        lines = capsys.readouterr().out.splitlines()
+        doc = repro.__main__.__doc__.strip().splitlines()
+        start = lines.index(doc[0])
+        assert lines[start : start + len(doc)] == doc
+        assert "Commands" in doc and "``lint``" in doc
+
     def test_lint_help_is_the_lint_clis(self, capsys):
         """The lint subparser has no -h of its own: --help reaches the
         lint CLI, which prints its options."""
