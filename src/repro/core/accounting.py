@@ -127,6 +127,17 @@ def _kept_signature(value: Hashable) -> "str | None":
     return signature_digest(value)
 
 
+def _checked_curve(rdp_curve: Any) -> "RdpCurve | None":
+    """``rdp_curve`` after checking it is ``None`` or callable: a Rényi
+    cycle stages its checked cost array in a curve's place
+    (:meth:`BaseAccountant._cycle_curve_locked`), a caller cannot."""
+    if rdp_curve is None or callable(rdp_curve):
+        return rdp_curve
+    raise PrivacyParameterError(
+        f"rdp_curve must be callable, got {type(rdp_curve).__name__}"
+    )
+
+
 def _legacy_signature(entry: Any) -> Any:
     """A ``signatures`` entry as rows written before digests stored it:
     tuples tagged as ``{"tuple": [...]}`` (read only, never written)."""
@@ -248,10 +259,10 @@ class BaseAccountant:
 
     def _cycle_curve_locked(
         self, epsilon: float, rdp_curve: RdpCurve | None
-    ) -> RdpCurve | None:
-        """The curve each value of one :meth:`record_each` cycle is charged
-        with (mutex held): ``rdp_curve`` itself, unless the accountant can
-        price the whole cycle once."""
+    ) -> "RdpCurve | np.ndarray | None":
+        """What each value of one :meth:`record_each` cycle is charged with
+        (mutex held): ``rdp_curve`` itself, unless the accountant prices
+        the whole cycle once, as a checked cost array."""
         return rdp_curve
 
     # -- the one check-then-record cycle --------------------------------
@@ -294,6 +305,7 @@ class BaseAccountant:
         """
         n_releases, epsilon = check_charge(n_releases, epsilon)
         quilt_signature = _kept_signature(quilt_signature)
+        rdp_curve = _checked_curve(rdp_curve)
         with self._mutex:
             self._record_locked(n_releases, epsilon, quilt_signature, rdp_curve)
 
@@ -323,6 +335,7 @@ class BaseAccountant:
         """
         n_releases, epsilon = check_charge(n_releases, epsilon)
         quilt_signature = _kept_signature(quilt_signature)
+        rdp_curve = _checked_curve(rdp_curve)
         admitted = 0
         with self._mutex:
             rdp_curve = self._cycle_curve_locked(epsilon, rdp_curve)
@@ -503,20 +516,6 @@ def accountant_from_state(state: Mapping) -> BaseAccountant:
     return accountant
 
 
-class _PricedCurve:
-    """A cost curve already evaluated and checked on one accountant's order
-    grid: what a :meth:`RenyiAccountant.record_each` cycle charges each of
-    its values with."""
-
-    __slots__ = ("costs",)
-
-    def __init__(self, costs: np.ndarray) -> None:
-        self.costs = costs
-
-    def __call__(self, orders: np.ndarray) -> np.ndarray:
-        return self.costs
-
-
 @dataclass
 class RenyiAccountant(BaseAccountant):
     """Rényi-Pufferfish composition behind the linear accountant's contract.
@@ -583,9 +582,11 @@ class RenyiAccountant(BaseAccountant):
         self._init_runtime(audit_trail)
 
     # -- arithmetic hooks -------------------------------------------------
-    def _costs(self, epsilon: float, rdp_curve: RdpCurve | None) -> np.ndarray:
-        if type(rdp_curve) is _PricedCurve:
-            return rdp_curve.costs
+    def _costs(
+        self, epsilon: float, rdp_curve: "RdpCurve | np.ndarray | None"
+    ) -> np.ndarray:
+        if type(rdp_curve) is np.ndarray:  # a cycle's, already checked
+            return rdp_curve
         costs = (
             np.asarray(rdp_curve(self._order_array), dtype=float)
             if rdp_curve is not None
@@ -630,11 +631,11 @@ class RenyiAccountant(BaseAccountant):
 
     def _cycle_curve_locked(
         self, epsilon: float, rdp_curve: RdpCurve | None
-    ) -> RdpCurve | None:
+    ) -> np.ndarray:
         # Evaluated and checked once per cycle.  Each value still adds
         # ``1 * costs`` to the running curve, as one ``record`` would, so
         # the ledger is float for float what per-value calls build.
-        return _PricedCurve(self._costs(epsilon, rdp_curve))
+        return self._costs(epsilon, rdp_curve)
 
     def _state_extra_locked(self) -> dict:
         return {

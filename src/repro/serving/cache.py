@@ -22,11 +22,10 @@ returned for exactly the (mechanism fingerprint, query signature, data
 signature, epsilon) combination it was computed under — see
 ``docs/architecture.md`` for why anything looser would be a privacy bug.
 A mechanism already holding an entry's state is not handed it again: the
-front-end remembers, per mechanism object, the key parts of the last
-:data:`SLOT_KEYS` entries it handed over or computed, and answers a lookup
-whose parts equal one of them from a copy of that calibration alone, while
-the mechanism still holds that state.  Only a lookup that matches none of
-them hashes its key.
+front-end remembers, per mechanism object, the key text of the last entry
+it handed over or computed, and answers a lookup with that text from a
+copy of the calibration alone while the mechanism still holds that state;
+only a lookup with another text hashes its key.
 """
 
 from __future__ import annotations
@@ -45,14 +44,8 @@ from repro.core.laplace import Calibration, Mechanism
 from repro.core.queries import Query
 from repro.exceptions import ValidationError
 from repro.faults import fire
-from repro.serving.fingerprint import cache_key, kept_key_parts, key_parts, same_key_parts
+from repro.serving.fingerprint import _key_text, cache_key
 from repro.utils.sqlite import open_in_wal_mode
-
-
-#: How many entries one mechanism's hand-off slot remembers: enough for a
-#: mechanism serving a few queries or data lengths to switch between them
-#: without being handed any entry's state again.
-SLOT_KEYS = 8
 
 
 class CacheBackend(ABC):
@@ -199,9 +192,10 @@ class CalibrationCache:
         self._stats_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        #: mechanism -> the :class:`_Slot` of the entries whose state it
-        #: received or computed; a slot dies with its mechanism.
-        self._handed: weakref.WeakKeyDictionary[Mechanism, _Slot] = (
+        #: mechanism -> ``(key text, state holder, calibration)`` of the
+        #: entry whose state it last received or computed (see
+        #: :func:`_state_holder`); a slot dies with its mechanism.
+        self._handed: weakref.WeakKeyDictionary[Mechanism, tuple[str, Any, Calibration]] = (
             weakref.WeakKeyDictionary()
         )
 
@@ -225,26 +219,23 @@ class CalibrationCache:
         ``noise_scale`` calls become lookups afterwards.  On a miss, the
         mechanism's exported state rides along with the payload.
 
-        The state is handed to a mechanism once per key.  Each mechanism
-        has a slot: its state holder (see :func:`_state_holder`) and the
-        key parts (:func:`~repro.serving.fingerprint.key_parts`) of up to
-        :data:`SLOT_KEYS` entries it was handed or computed since, most
-        recently used first.  A lookup first builds its parts and compares
-        them with the slot's (:func:`~repro.serving.fingerprint.
-        same_key_parts`, exact where tuple ``==`` is not).  When they match
-        one and the mechanism's holder is still the slot's, the hit reads
-        neither the backend nor calls ``warm_start`` nor hashes a key, and
-        returns a fresh :class:`Calibration` rebuilt from the one the slot
-        keeps.  That is exact because entries are content-keyed and
-        deterministic and ``warm_start`` only merges, so the mechanism
-        already holds everything the entry would restore.  Only a lookup
-        that matches no entry hashes its key (:meth:`key_for`), and then
-        takes the full path and joins the slot.  A mechanism exposing
-        ``calibration_state_holder`` (the general MQM) can lose its state
-        to an in-place edit and get the key back when the edit is reverted,
-        or keep its key through a ``quilt_sets`` reassignment to equal
-        content; its holder is then a new object, which empties the slot,
-        so the hit hands the state over again instead of leaving the next
+        The state is handed to a mechanism once per key: when a lookup's key
+        text (the ``repr`` of the parts
+        :func:`~repro.serving.fingerprint.cache_key` hashes, before
+        salting) is that of the entry this cache last handed that mechanism
+        (or computed on it), and the mechanism still holds that state, the
+        hit hashes no key, reads neither the backend nor calls
+        ``warm_start``, and returns a copy of the remembered
+        :class:`Calibration` with new ``details`` dicts and lists.  That is
+        exact because entries are content-keyed and deterministic and
+        ``warm_start`` only merges, so the mechanism already holds
+        everything the entry would restore.  Any other text hashes its key
+        (:meth:`key_for`), takes the full path and replaces the slot.  A
+        mechanism exposing ``calibration_state_holder`` (the general MQM)
+        can lose its state to an in-place edit and get the key back when
+        the edit is reverted, or keep its key through a ``quilt_sets``
+        reassignment to equal content; its holder is then a new object,
+        and the hit hands the state over again instead of leaving the next
         release to re-run the search.
 
         A row whose ``scale`` is a bool, not a number, negative or not
@@ -259,14 +250,15 @@ class CalibrationCache:
         same warm state — as ``mechanism.calibrate`` would, which the
         parallel calibrator guarantees bit-for-bit.
         """
-        parts = key_parts(mechanism, query, data)
+        text = _key_text(mechanism, query, data)
         holder = _state_holder(mechanism)
         with self._stats_lock:
-            handed = self._handed_hit_locked(mechanism, parts, holder)
-            if handed is not None:
+            slot = self._handed.get(mechanism)
+            handed = slot is not None and slot[0] == text and slot[1] is holder
+            if handed:
                 self.hits += 1
-        if handed is not None:
-            return _copy_of(handed), True
+        if handed:
+            return _copy_of(slot[2]), True
         key = self.key_for(mechanism, query, data)
         payload = self.backend.get(key)
         if payload is not None:
@@ -278,7 +270,7 @@ class CalibrationCache:
             holder = _state_holder(mechanism)
             with self._stats_lock:
                 self.hits += 1
-                self._remember_locked(mechanism, parts, holder, kept)
+                self._handed[mechanism] = (text, holder, kept)
             return calibration, True
         with self._stats_lock:
             self.misses += 1
@@ -291,38 +283,8 @@ class CalibrationCache:
         self.backend.put(key, stored)
         holder = _state_holder(mechanism)
         with self._stats_lock:
-            self._remember_locked(mechanism, parts, holder, kept)
+            self._handed[mechanism] = (text, holder, kept)
         return calibration, False
-
-    def _handed_hit_locked(
-        self, mechanism: Mechanism, parts: tuple, holder: Any
-    ) -> Calibration | None:
-        """The slot's calibration for ``parts`` when ``mechanism`` still
-        holds the state it was handed, else ``None``; a match moves to the
-        front (stats lock held)."""
-        slot = self._handed.get(mechanism)
-        if slot is None or slot.holder is not holder:
-            return None
-        entries = slot.entries
-        for position, (kept_parts, calibration) in enumerate(entries):
-            if same_key_parts(parts, kept_parts):
-                if position:
-                    entries.insert(0, entries.pop(position))
-                return calibration
-        return None
-
-    def _remember_locked(
-        self, mechanism: Mechanism, parts: tuple, holder: Any, calibration: Calibration
-    ) -> None:
-        """Put ``parts`` at the front of ``mechanism``'s slot, evicting the
-        least recently used entry past :data:`SLOT_KEYS`; a new holder
-        starts an empty slot, since the old one's state is gone (stats lock
-        held)."""
-        slot = self._handed.get(mechanism)
-        if slot is None or slot.holder is not holder:
-            slot = self._handed[mechanism] = _Slot(holder)
-        others = [entry for entry in slot.entries if not same_key_parts(parts, entry[0])]
-        slot.entries = [(kept_key_parts(parts), calibration), *others[: SLOT_KEYS - 1]]
 
     @property
     def hit_rate(self) -> float:
@@ -333,19 +295,6 @@ class CalibrationCache:
 
     def __len__(self) -> int:
         return len(self.backend)
-
-
-class _Slot:
-    """One mechanism's hand-off record: the state holder it had when its
-    entries were handed over or computed, and those entries as ``(kept key
-    parts, calibration)`` pairs, most recently used first.  The
-    calibrations never leave the slot; lookups return copies."""
-
-    __slots__ = ("holder", "entries")
-
-    def __init__(self, holder: Any) -> None:
-        self.holder = holder
-        self.entries: list[tuple[tuple, Calibration]] = []
 
 
 def _copy_of(calibration: Calibration) -> Calibration:

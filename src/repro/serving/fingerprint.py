@@ -5,8 +5,7 @@ on* is unchanged: the mechanism (with its distribution class Theta, its
 epsilon, and any search knobs), the query, and the shape of the data the
 chain mechanisms calibrate against (the multiset of segment lengths — never
 the record values, which the scale computation must not read).  This module
-turns those four components into a stable string key, and decides without
-hashing whether two calls would get the same key.
+turns those four components into a stable string key.
 
 Design rule (see ``docs/architecture.md`` for the full ADR): **an over-coarse
 key is a privacy bug, an over-fine key is only a cache miss.**  Every
@@ -25,8 +24,6 @@ fallback in this module therefore errs toward uniqueness:
 from __future__ import annotations
 
 import hashlib
-import math
-import operator
 import uuid
 from typing import Any
 
@@ -51,10 +48,7 @@ def mechanism_fingerprint(mechanism: Mechanism) -> tuple:
     outlives the process) the per-process salt is appended whenever an
     ``("instance", ...)`` marker is present.
     """
-    return _salted_fingerprint(mechanism.calibration_fingerprint())
-
-
-def _salted_fingerprint(fingerprint: tuple) -> tuple:
+    fingerprint = mechanism.calibration_fingerprint()
     if any(
         isinstance(part, tuple) and part and part[0] == "instance" for part in fingerprint
     ):
@@ -64,10 +58,7 @@ def _salted_fingerprint(fingerprint: tuple) -> tuple:
 
 def query_signature(query: Query) -> tuple:
     """The query component of a cache key (see :meth:`Query.signature`)."""
-    return _salted_signature(query.signature())
-
-
-def _salted_signature(signature: tuple) -> tuple:
+    signature = query.signature()
     # Signatures containing anonymous-callable tokens (tagged ``("id", ...)``
     # by the query layer) are process-local; salt them so a shared on-disk
     # cache cannot alias them either.
@@ -92,96 +83,36 @@ def data_signature(data: Any) -> tuple:
     return ("array", int(np.asarray(data).size))
 
 
-def key_parts(mechanism: Mechanism, query: Query, data: Any) -> tuple:
-    """The four components a cache key hashes, before salting: ``(mechanism
-    fingerprint, query signature, data signature, epsilon)``.
+def cache_key(mechanism: Mechanism, query: Query, data: Any) -> str:
+    """Deterministic string key for one (mechanism, query, data) triple.
 
     Epsilon is part of every mechanism fingerprint but is appended once more
     explicitly — the cost is zero and it makes the "epsilon changed, so the
     entry missed" property independent of any subclass's fingerprint
     discipline.
     """
-    return (
-        mechanism.calibration_fingerprint(),
-        query.signature(),
+    parts = (
+        mechanism_fingerprint(mechanism),
+        query_signature(query),
         data_signature(data),
         float(mechanism.epsilon),
     )
-
-
-def cache_key(mechanism: Mechanism, query: Query, data: Any) -> str:
-    """Deterministic string key for one (mechanism, query, data) triple: the
-    SHA-256 of the ``repr`` of its :func:`key_parts`, with process-local
-    fingerprints and signatures salted."""
-    fingerprint, signature, shape, epsilon = key_parts(mechanism, query, data)
-    parts = (_salted_fingerprint(fingerprint), _salted_signature(signature), shape, epsilon)
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-def kept_key_parts(parts: tuple) -> tuple:
-    """``parts`` as a remembered lookup keeps them for :func:`same_key_parts`:
-    tuples and ``str``, ``int``, ``bool``, ``float`` and ``None`` values as
-    they are, since none can change, and a value of any other type as its
-    ``repr``, the only thing :func:`cache_key` reads of it, so an object
-    changed in place later cannot match its old self."""
-    kind = type(parts)
-    if kind is tuple:
-        kept = tuple(map(kept_key_parts, parts))
-        return parts if all(map(operator.is_, kept, parts)) else kept
-    if kind in _PLAIN:
-        return parts
-    return _Repr(repr(parts))
+def _key_text(mechanism: Mechanism, query: Query, data: Any) -> str:
+    """The ``repr`` of the parts :func:`cache_key` hashes, before salting.
 
-
-def same_key_parts(live: tuple, kept: tuple) -> bool:
-    """Whether the :func:`key_parts` of a lookup match parts kept by
-    :func:`kept_key_parts`: ``True`` only when both hash to one key, decided
-    without hashing.
-
-    Tuple ``==`` alone would be coarser than the key: it equates ``1``,
-    ``1.0`` and ``True``, and ``0.0`` with ``-0.0``, whose ``repr`` differ,
-    and a fingerprint or signature (both extension points) may tell them
-    apart.  So the mechanism fingerprint, the query signature and epsilon
-    are compared leaf by leaf with their exact types, each leaf matching
-    only where its ``repr`` does.  The data signature is compared with
-    ``==``: :func:`data_signature` builds it from ``str`` literals and
-    ``int(...)`` values only, where ``==`` is exact.
+    Salting appends the per-process token only to parts carrying a
+    process-local marker, which this text shows, so within one process two
+    triples with one text get one key: a warm lookup compares texts and
+    hashes nothing.
     """
-    return (
-        live[2] == kept[2]
-        and _same(live[3], kept[3])
-        and _same(live[1], kept[1])
-        and _same(live[0], kept[0])
-    )
-
-
-#: Leaf types a kept part holds as they are; equal values of one of these
-#: exact types have equal ``repr``, except ``0.0`` and ``-0.0``.
-_PLAIN = (str, int, bool, float, type(None))
-
-
-class _Repr(str):
-    """A kept leaf of a type not in :data:`_PLAIN`: its ``repr``."""
-
-
-def _same(live: Any, kept: Any) -> bool:
-    # A kept part is immutable all the way down, so identity is equality.
-    if live is kept:
-        return True
-    kind = type(live)
-    if kind is not type(kept):
-        return type(kept) is _Repr and repr(live) == kept
-    if kind is tuple:
-        if len(live) != len(kept):
-            return False
-        for a, b in zip(live, kept):
-            if a is not b and not _same(a, b):
-                return False
-        return True
-    if kind is float:
-        # A ``nan`` matches only itself, above: any other is a miss, never
-        # an alias.
-        return live == kept and (
-            live != 0.0 or math.copysign(1.0, live) == math.copysign(1.0, kept)
+    return repr(
+        (
+            mechanism.calibration_fingerprint(),
+            query.signature(),
+            data_signature(data),
+            float(mechanism.epsilon),
         )
-    return live == kept
+    )

@@ -553,6 +553,18 @@ def test_a_renyi_cycle_refuses_a_bad_curve_before_any_value():
     assert _state_bytes(accountant) == state and len(accountant) == 0
 
 
+@pytest.mark.parametrize("method", ["record_many", "record_each"])
+def test_a_cost_array_is_refused_as_a_curve(method):
+    """Only a cycle's own checked costs stand in for a curve; a caller's
+    array, negative costs here, is refused before anything is recorded."""
+    accountant = RenyiAccountant(budget=40.0)
+    state = _state_bytes(accountant)
+    costs = -np.ones(len(accountant.orders))
+    with pytest.raises(PrivacyParameterError, match="callable"):
+        getattr(accountant, method)(2, EPSILON, rdp_curve=costs)
+    assert _state_bytes(accountant) == state and len(accountant) == 0
+
+
 @pytest.mark.parametrize("kind", ["linear", "renyi", "sliding"])
 @pytest.mark.parametrize("seed", range(3))
 def test_reservation_takes_match_per_value_records(kind, seed):

@@ -1,20 +1,16 @@
 """The calibration cache's hand-off slot.
 
-Per mechanism, the cache keeps the state holder and the raw key parts of
-up to ``SLOT_KEYS`` entries it handed over or computed.  A warm lookup
-compares its parts with them and hashes no key.  These tests pin that every
-key input still makes the next release miss, that the comparison tells
-apart every value the hashed key does, that a mechanism which lost its
-state is handed it once more, that switching queries or data lengths hands
-nothing over, that an evicted key takes the full path, that threads sharing
-one mechanism keep exact counters, and that keys still hash to the hex
-values entries were stored under before the slot compared parts.
+Per mechanism, the cache keeps the state holder, the key text (the
+``repr`` that ``cache_key`` hashes) and the calibration of the last entry
+it handed over or computed.  A warm lookup compares its text with the
+slot's and hashes no key.  These tests pin that every key input still
+makes the next release miss, that the comparison tells apart every value
+the hashed key does, that a mechanism which lost its state is handed it
+once more, and that keys still hash to the hex values entries were stored
+under before the slot compared text.
 """
 
 from __future__ import annotations
-
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -32,10 +28,7 @@ from repro.core.queries import (
 from repro.data.datasets import TimeSeriesDataset
 from repro.distributions.chain_family import FiniteChainFamily, IntervalChainFamily
 from repro.distributions.markov import MarkovChain
-from repro.distributions.structured import (
-    household_blocks_scenario,
-    hub_and_spoke_network,
-)
+from repro.distributions.structured import household_blocks_scenario
 from repro.distributions.temporal import TemporalNetwork
 from repro.serving import (
     CacheBackend,
@@ -44,8 +37,6 @@ from repro.serving import (
     PrivacyEngine,
     cache_key,
 )
-from repro.serving.cache import SLOT_KEYS
-from repro.serving.fingerprint import kept_key_parts, key_parts, same_key_parts
 
 EPSILON = 5.0
 
@@ -135,7 +126,7 @@ def _pinned_triples():
 
 
 #: ``cache_key`` of each triple above, computed before the slot compared
-#: raw parts: an on-disk entry written then must still be found.
+#: key text: an on-disk entry written then must still be found.
 PINNED_KEYS = {
     "mqm-blocks": "5fc8c9c902bd0161c8c0de33402db1eb56925275946ae9e4b71af34b35f06880",
     "exact-chain": "4018bcfbfd70b2abda5895170709c9a38e1de47770fe8ddbb0cb63918e478bb6",
@@ -233,7 +224,7 @@ def test_another_epsilon_misses(kind):
 
 
 # ---------------------------------------------------------------------------
-# The parts comparison tells apart what the hashed key does
+# The text comparison tells apart what the hashed key does
 # ---------------------------------------------------------------------------
 class _Box:
     """A fingerprint value whose ``repr`` follows a field changed in place."""
@@ -285,10 +276,7 @@ def test_values_equal_under_tuple_eq_still_miss(first, second):
     query, data = SumQuery(0, 2), np.ones(4)
     cache.get_or_compute(mechanism, query, data)
     assert cache.get_or_compute(mechanism, query, data)[1]
-    live = key_parts(mechanism, query, data)
     mechanism.tag = second
-    assert live == key_parts(mechanism, query, data)  # tuple == cannot tell
-    assert not same_key_parts(key_parts(mechanism, query, data), kept_key_parts(live))
     calibration, hit = cache.get_or_compute(mechanism, query, data)
     assert not hit
     assert calibration.scale == mechanism.noise_scale(query, data)
@@ -306,7 +294,7 @@ def test_a_value_changed_in_place_misses():
     calibration, hit = cache.get_or_compute(mechanism, query, data)
     assert not hit
     assert calibration.scale == 12.0
-    # Changed back, it matches the entry it was kept as again.
+    # Changed back, it hits the entry stored under its first text again.
     box.value = 1
     assert cache.get_or_compute(mechanism, query, data) == (
         cache.get_or_compute(_Tagged(1.0, _Box(1)), query, data)[0],
@@ -314,13 +302,16 @@ def test_a_value_changed_in_place_misses():
     )
 
 
-def test_equal_parts_built_afresh_match():
+def test_an_equal_triple_built_afresh_is_a_handed_hit(spies):
+    handed, _ = spies
     _, mechanism, data = _blocks()
-    query = SumQuery(0, 2)
-    kept = kept_key_parts(key_parts(mechanism, query, data))
-    assert same_key_parts(key_parts(mechanism, SumQuery(0, 2), data.copy()), kept)
-    assert not same_key_parts(key_parts(mechanism, SumQuery(0, 3), data), kept)
-    assert not same_key_parts(key_parts(mechanism, query, np.zeros(3)), kept)
+    backend = _CountingBackend()
+    cache = CalibrationCache(backend)
+    scale = cache.get_or_compute(mechanism, SumQuery(0, 2), data)[0].scale
+    gets = backend.gets
+    calibration, hit = cache.get_or_compute(mechanism, SumQuery(0, 2), data.copy())
+    assert hit and calibration.scale == scale
+    assert backend.gets == gets and handed == []
 
 
 # ---------------------------------------------------------------------------
@@ -366,81 +357,6 @@ def test_a_dropped_state_is_handed_over_once_more(spies, drop):
     assert mechanism.quilt_signature() == signature
 
 
-# ---------------------------------------------------------------------------
-# Switching keys on one mechanism hands nothing over
-# ---------------------------------------------------------------------------
-def test_alternating_queries_hand_nothing_over(spies):
-    handed, searched = spies
-    _, mechanism, data = _blocks()
-    backend = _CountingBackend()
-    engine = PrivacyEngine(mechanism, cache=CalibrationCache(backend), rng=1)
-    queries = (CountQuery(), SumQuery(0, 2))
-    scales = [engine.release(data, query).noise_scale for query in queries]
-    assert scales[1] == 2 * scales[0]
-    handed.clear()
-    searched.clear()
-    gets, hits = backend.gets, engine.cache.hits
-
-    for i in range(40):
-        assert engine.release(data, queries[i % 2]).noise_scale == scales[i % 2]
-    assert backend.gets == gets
-    assert handed == [] and searched == []
-    assert engine.cache.hits == hits + 40 and engine.cache.misses == 2
-
-
-def test_alternating_data_lengths_hand_nothing_over(monkeypatch):
-    handed = []
-    warm_start = MQMExact.warm_start
-
-    def spy(self, state):
-        handed.append(self)
-        warm_start(self, state)
-
-    monkeypatch.setattr(MQMExact, "warm_start", spy)
-    mechanism = MQMExact(_chain_family(), 1.0, max_window=20)
-    backend = _CountingBackend()
-    engine = PrivacyEngine(mechanism, cache=CalibrationCache(backend), rng=1)
-    query = CountQuery()
-    datasets = (np.zeros(20), np.zeros(30))
-    scales = [engine.release(data, query).noise_scale for data in datasets]
-    gets, hits = backend.gets, engine.cache.hits
-
-    for i in range(40):
-        assert engine.release(datasets[i % 2], query).noise_scale == scales[i % 2]
-    assert backend.gets == gets and handed == []
-    assert engine.cache.hits == hits + 40 and engine.cache.misses == 2
-    # Both lengths' state survives the switching.
-    assert set(mechanism._sigma_cache) == {(20,), (30,)}
-
-
-# ---------------------------------------------------------------------------
-# The slot is bounded
-# ---------------------------------------------------------------------------
-def test_an_evicted_key_takes_the_full_path(spies):
-    handed, searched = spies
-    _, mechanism, data = _blocks()
-    backend = _CountingBackend()
-    cache = CalibrationCache(backend)
-    queries = [SumQuery(0, width) for width in range(1, SLOT_KEYS + 2)]
-    scales = [cache.get_or_compute(mechanism, query, data)[0].scale for query in queries]
-    assert scales == [width * scales[0] for width in range(1, SLOT_KEYS + 2)]
-    assert len(cache._handed[mechanism].entries) == SLOT_KEYS
-    handed.clear()
-    searched.clear()
-    gets = backend.gets
-
-    # The most recent SLOT_KEYS keys are handed hits ...
-    for query, scale in zip(queries[1:], scales[1:]):
-        assert cache.get_or_compute(mechanism, query, data)[0].scale == scale
-    assert backend.gets == gets and handed == []
-    # ... and the evicted first one reads its entry again.
-    calibration, hit = cache.get_or_compute(mechanism, queries[0], data)
-    assert hit and calibration.scale == scales[0]
-    assert backend.gets == gets + 1 and handed == [mechanism]
-    assert searched == []
-    assert cache.misses == SLOT_KEYS + 1
-
-
 def test_mutating_a_backend_hit_leaves_the_slot_intact():
     _, mechanism, data = _blocks()
     query = CountQuery()
@@ -458,45 +374,3 @@ def test_mutating_a_backend_hit_leaves_the_slot_intact():
     assert hit
     assert second.details["active_quilt"] == expected
     assert second.details["sigma_max"] > 0
-
-
-# ---------------------------------------------------------------------------
-# Threads sharing one mechanism
-# ---------------------------------------------------------------------------
-def test_two_keys_hammered_from_threads_keep_exact_counters():
-    network = hub_and_spoke_network(2, 1)
-    data = np.ones(len(network.nodes))
-    queries = (CountQuery(), SumQuery(0, 2))
-    mechanism = MarkovQuiltMechanism([network], 0.5)
-    backend = _CountingBackend()
-    cache = CalibrationCache(backend)
-    expected = [cache.get_or_compute(mechanism, query, data)[0] for query in queries]
-    gets = backend.gets
-
-    n_threads, per_thread = 8, 200
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    errors: list = []
-    try:
-
-        def hammer(offset):
-            try:
-                for i in range(per_thread):
-                    which = (i + offset) % 2
-                    calibration, hit = cache.get_or_compute(mechanism, queries[which], data)
-                    assert hit and calibration == expected[which]
-            except BaseException as error:  # pragma: no cover - regression
-                errors.append(error)
-
-        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(n_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(previous)
-    assert not errors
-    assert cache.hits + cache.misses == n_threads * per_thread + 2
-    assert (cache.hits, cache.misses) == (n_threads * per_thread, 2)
-    assert backend.gets == gets
