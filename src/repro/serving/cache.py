@@ -22,10 +22,10 @@ returned for exactly the (mechanism fingerprint, query signature, data
 signature, epsilon) combination it was computed under — see
 ``docs/architecture.md`` for why anything looser would be a privacy bug.
 A mechanism already holding an entry's state is not handed it again: the
-front-end remembers, per mechanism object, the key text of the last entry
-it handed over or computed, and answers a lookup with that text from a
+front-end remembers, per mechanism object, the key parts of the last entry
+it handed over or computed, and answers a lookup with equal parts from a
 copy of the calibration alone while the mechanism still holds that state;
-only a lookup with another text hashes its key.
+only a lookup with other parts hashes its key.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from repro.core.laplace import Calibration, Mechanism
 from repro.core.queries import Query
 from repro.exceptions import ValidationError
 from repro.faults import fire
-from repro.serving.fingerprint import _key_text, cache_key
+from repro.serving.fingerprint import _kept_parts, _key_parts, _same_parts, cache_key
 from repro.utils.sqlite import open_in_wal_mode
 
 
@@ -192,10 +192,10 @@ class CalibrationCache:
         self._stats_lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        #: mechanism -> ``(key text, state holder, calibration)`` of the
+        #: mechanism -> ``(kept key parts, state holder, calibration)`` of the
         #: entry whose state it last received or computed (see
         #: :func:`_state_holder`); a slot dies with its mechanism.
-        self._handed: weakref.WeakKeyDictionary[Mechanism, tuple[str, Any, Calibration]] = (
+        self._handed: weakref.WeakKeyDictionary[Mechanism, tuple[tuple, Any, Calibration]] = (
             weakref.WeakKeyDictionary()
         )
 
@@ -220,16 +220,16 @@ class CalibrationCache:
         mechanism's exported state rides along with the payload.
 
         The state is handed to a mechanism once per key: when a lookup's key
-        text (the ``repr`` of the parts
-        :func:`~repro.serving.fingerprint.cache_key` hashes, before
-        salting) is that of the entry this cache last handed that mechanism
-        (or computed on it), and the mechanism still holds that state, the
-        hit hashes no key, reads neither the backend nor calls
-        ``warm_start``, and returns a copy of the remembered
+        parts (what :func:`~repro.serving.fingerprint.cache_key` hashes,
+        before salting) match, exactly as their ``repr`` would, those of
+        the entry this cache last handed that mechanism (or computed on
+        it), and the mechanism still holds that state, the hit hashes no
+        key, reads neither the backend nor calls ``warm_start``, and
+        returns a copy of the remembered
         :class:`Calibration` with new ``details`` dicts and lists.  That is
         exact because entries are content-keyed and deterministic and
         ``warm_start`` only merges, so the mechanism already holds
-        everything the entry would restore.  Any other text hashes its key
+        everything the entry would restore.  Any other parts hash their key
         (:meth:`key_for`), takes the full path and replaces the slot.  A
         mechanism exposing ``calibration_state_holder`` (the general MQM)
         can lose its state to an in-place edit and get the key back when
@@ -250,11 +250,11 @@ class CalibrationCache:
         same warm state — as ``mechanism.calibrate`` would, which the
         parallel calibrator guarantees bit-for-bit.
         """
-        text = _key_text(mechanism, query, data)
+        parts = _key_parts(mechanism, query, data)
         holder = _state_holder(mechanism)
         with self._stats_lock:
             slot = self._handed.get(mechanism)
-            handed = slot is not None and slot[0] == text and slot[1] is holder
+            handed = slot is not None and slot[1] is holder and _same_parts(parts, slot[0])
             if handed:
                 self.hits += 1
         if handed:
@@ -270,7 +270,7 @@ class CalibrationCache:
             holder = _state_holder(mechanism)
             with self._stats_lock:
                 self.hits += 1
-                self._handed[mechanism] = (text, holder, kept)
+                self._handed[mechanism] = (_kept_parts(parts), holder, kept)
             return calibration, True
         with self._stats_lock:
             self.misses += 1
@@ -283,7 +283,7 @@ class CalibrationCache:
         self.backend.put(key, stored)
         holder = _state_holder(mechanism)
         with self._stats_lock:
-            self._handed[mechanism] = (text, holder, kept)
+            self._handed[mechanism] = (_kept_parts(parts), holder, kept)
         return calibration, False
 
     @property

@@ -24,6 +24,8 @@ fallback in this module therefore errs toward uniqueness:
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
 import uuid
 from typing import Any
 
@@ -48,7 +50,10 @@ def mechanism_fingerprint(mechanism: Mechanism) -> tuple:
     outlives the process) the per-process salt is appended whenever an
     ``("instance", ...)`` marker is present.
     """
-    fingerprint = mechanism.calibration_fingerprint()
+    return _salted_fingerprint(mechanism.calibration_fingerprint())
+
+
+def _salted_fingerprint(fingerprint: tuple) -> tuple:
     if any(
         isinstance(part, tuple) and part and part[0] == "instance" for part in fingerprint
     ):
@@ -58,7 +63,10 @@ def mechanism_fingerprint(mechanism: Mechanism) -> tuple:
 
 def query_signature(query: Query) -> tuple:
     """The query component of a cache key (see :meth:`Query.signature`)."""
-    signature = query.signature()
+    return _salted_signature(query.signature())
+
+
+def _salted_signature(signature: tuple) -> tuple:
     # Signatures containing anonymous-callable tokens (tagged ``("id", ...)``
     # by the query layer) are process-local; salt them so a shared on-disk
     # cache cannot alias them either.
@@ -91,28 +99,74 @@ def cache_key(mechanism: Mechanism, query: Query, data: Any) -> str:
     entry missed" property independent of any subclass's fingerprint
     discipline.
     """
-    parts = (
-        mechanism_fingerprint(mechanism),
-        query_signature(query),
-        data_signature(data),
-        float(mechanism.epsilon),
-    )
+    fingerprint, signature, shape, epsilon = _key_parts(mechanism, query, data)
+    parts = (_salted_fingerprint(fingerprint), _salted_signature(signature), shape, epsilon)
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-def _key_text(mechanism: Mechanism, query: Query, data: Any) -> str:
-    """The ``repr`` of the parts :func:`cache_key` hashes, before salting.
-
-    Salting appends the per-process token only to parts carrying a
-    process-local marker, which this text shows, so within one process two
-    triples with one text get one key: a warm lookup compares texts and
-    hashes nothing.
-    """
-    return repr(
-        (
-            mechanism.calibration_fingerprint(),
-            query.signature(),
-            data_signature(data),
-            float(mechanism.epsilon),
-        )
+def _key_parts(mechanism: Mechanism, query: Query, data: Any) -> tuple:
+    """The four parts :func:`cache_key` hashes, before salting."""
+    return (
+        mechanism.calibration_fingerprint(),
+        query.signature(),
+        data_signature(data),
+        float(mechanism.epsilon),
     )
+
+
+def _kept_parts(value: Any) -> Any:
+    """``value`` as a cache slot keeps it for :func:`_same_parts`: tuples
+    leaf by leaf, a leaf of a :data:`_PLAIN` type as it is, and any other
+    leaf as its ``repr`` now, the only thing :func:`cache_key` reads of it,
+    so an object changed in place later cannot match its old self."""
+    kind = type(value)
+    if kind is tuple:
+        kept = tuple(map(_kept_parts, value))
+        # The tuple itself when all of it is kept as it is, so a memoized
+        # part matches the next lookup's by identity.
+        return value if all(map(operator.is_, kept, value)) else kept
+    return value if kind in _PLAIN else _Repr(repr(value))
+
+
+def _same_parts(live: tuple, kept: tuple) -> bool:
+    """Whether :func:`_key_parts` ``live`` have, leaf by leaf, the ``repr``
+    of parts kept by :func:`_kept_parts`, decided without building it.
+    Salting reads only what a ``repr`` shows, so matching parts get one
+    key.  Tuple ``==`` alone would be coarser: it equates ``1``, ``1.0``
+    and ``True``, and ``0.0`` with ``-0.0``.  The data signature is the
+    exception: :func:`data_signature` builds it from ``str`` literals and
+    ``int`` values only, where ``==`` is exact."""
+    return (
+        live[2] == kept[2]
+        and _same(live[3], kept[3])
+        and _same(live[1], kept[1])
+        and _same(live[0], kept[0])
+    )
+
+
+def _same(live: Any, kept: Any) -> bool:
+    if live is kept:
+        return True
+    kind = type(live)
+    if kind is not type(kept):
+        return type(kept) is _Repr and repr(live) == kept
+    if kind is tuple:
+        if len(live) != len(kept):
+            return False
+        for a, b in zip(live, kept):
+            if a is not b and not _same(a, b):
+                return False
+        return True
+    if kind is float:
+        # A ``nan`` matches only itself, above: any other is a miss.
+        return live == kept and math.copysign(1.0, live) == math.copysign(1.0, kept)
+    return live == kept
+
+
+#: Leaf types a slot keeps as they are: immutable, and equal values of one
+#: exact type among them have one ``repr``, except ``0.0`` and ``-0.0``.
+_PLAIN = (str, int, bool, float, type(None))
+
+
+class _Repr(str):
+    """A kept leaf of a type not in :data:`_PLAIN`: its ``repr``."""
