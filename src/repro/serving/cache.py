@@ -230,7 +230,7 @@ class CalibrationCache:
         exact because entries are content-keyed and deterministic and
         ``warm_start`` only merges, so the mechanism already holds
         everything the entry would restore.  Any other parts hash their key
-        (:meth:`key_for`), takes the full path and replaces the slot.  A
+        (:meth:`key_for`), take the full path and replace the slot.  A
         mechanism exposing ``calibration_state_holder`` (the general MQM)
         can lose its state to an in-place edit and get the key back when
         the edit is reverted, or keep its key through a ``quilt_sets``

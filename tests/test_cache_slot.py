@@ -1,13 +1,13 @@
 """The calibration cache's hand-off slot.
 
-Per mechanism, the cache keeps the state holder, the key text (the
-``repr`` that ``cache_key`` hashes) and the calibration of the last entry
-it handed over or computed.  A warm lookup compares its text with the
-slot's and hashes no key.  These tests pin that every key input still
+Per mechanism, the cache keeps the state holder, the key parts (what
+``cache_key`` hashes, before salting) and the calibration of the last
+entry it handed over or computed.  A warm lookup compares its parts with
+the slot's and hashes no key.  These tests pin that every key input still
 makes the next release miss, that the comparison tells apart every value
 the hashed key does, that a mechanism which lost its state is handed it
 once more, and that keys still hash to the hex values entries were stored
-under before the slot compared text.
+under before the slot compared parts.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _pinned_triples():
 
 
 #: ``cache_key`` of each triple above, computed before the slot compared
-#: key text: an on-disk entry written then must still be found.
+#: key parts: an on-disk entry written then must still be found.
 PINNED_KEYS = {
     "mqm-blocks": "5fc8c9c902bd0161c8c0de33402db1eb56925275946ae9e4b71af34b35f06880",
     "exact-chain": "4018bcfbfd70b2abda5895170709c9a38e1de47770fe8ddbb0cb63918e478bb6",
@@ -224,7 +224,7 @@ def test_another_epsilon_misses(kind):
 
 
 # ---------------------------------------------------------------------------
-# The text comparison tells apart what the hashed key does
+# The parts comparison tells apart what the hashed key does
 # ---------------------------------------------------------------------------
 class _Box:
     """A fingerprint value whose ``repr`` follows a field changed in place."""
@@ -294,7 +294,7 @@ def test_a_value_changed_in_place_misses():
     calibration, hit = cache.get_or_compute(mechanism, query, data)
     assert not hit
     assert calibration.scale == 12.0
-    # Changed back, it hits the entry stored under its first text again.
+    # Changed back, it hits the entry stored under its first key again.
     box.value = 1
     assert cache.get_or_compute(mechanism, query, data) == (
         cache.get_or_compute(_Tagged(1.0, _Box(1)), query, data)[0],
