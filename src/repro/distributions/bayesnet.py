@@ -14,11 +14,15 @@ Mechanism (Algorithm 2):
 * conditional distributions ``P(X_A | X_i = a)`` and marginals, computed by
   the :mod:`repro.inference` variable-elimination engine — exact for any
   network whose elimination width is tractable, with no joint-size cap,
-* Markov blankets and **d-separation** (Bayes-ball reachability over a
-  parent/child index), which certifies condition 2 of Definition 4.2
+* Markov blankets and **d-separation** (Bayes-ball reachability over
+  parent and child bitsets), which certifies condition 2 of Definition 4.2
   (``X_R`` independent of ``X_i`` given ``X_Q``) *for every* distribution
   that factorizes over G,
 * automatic generation of Markov-quilt candidates by graph distance.
+
+The graph walks (Bayes-ball, a quilt's nearby component, the distance
+shells) run on integer bitsets over the topological index: bit ``i`` stands
+for ``nodes[i]``.  Names stay the interface; a walk converts at its ends.
 
 Nodes are identified by string names; each node has a finite number of
 states labelled ``0..k-1``.
@@ -48,19 +52,29 @@ class MarkovQuilt:
     """A Markov quilt ``(X_N, X_Q, X_R)`` for a node (Definition 4.2).
 
     ``quilt`` separates the protected node's "nearby" set ``nearby`` (which
-    contains the node itself) from the "remote" set ``remote``.
+    contains the node itself) from the remote set, every other node of
+    ``nodes``, the network's node set.  The three sets are disjoint and
+    cover ``nodes``, so the remote set is derived rather than stored, and
+    every candidate of one network shares one ``nodes`` frozenset.  Two
+    quilts for one node are equal exactly when their quilt, nearby and
+    remote sets are.
     """
 
     node: str
     quilt: frozenset[str]
     nearby: frozenset[str]
-    remote: frozenset[str]
+    nodes: frozenset[str]
+
+    @property
+    def remote(self) -> frozenset[str]:
+        """``X_R``: the nodes neither in ``X_Q`` nor in ``X_N``."""
+        return self.nodes - self.quilt - self.nearby
 
     @property
     def is_trivial(self) -> bool:
         """The trivial quilt has an empty ``X_Q`` and ``X_R`` (everything is
         nearby); always admissible with max-influence 0."""
-        return not self.quilt and not self.remote
+        return not self.quilt and len(self.nearby) == len(self.nodes)
 
     def card_nearby(self) -> int:
         """``card(X_N)`` — the count entering the quilt's score."""
@@ -88,6 +102,13 @@ class DiscreteBayesianNetwork:
         self._children: dict[str, list[str]] = {}
         self._cpds: dict[str, np.ndarray] = {}
         self._order: list[str] = []
+        # Bitsets over the topological index (bit i is self._order[i]):
+        # each node's parents, children, and both (its skeleton neighbours).
+        self._index: dict[str, int] = {}
+        self._parent_bits: list[int] = []
+        self._child_bits: list[int] = []
+        self._neighbor_bits: list[int] = []
+        self._node_set: frozenset[str] | None = None
         self._fingerprint: str | None = None
         self._joint_memo: tuple[list[tuple[int, ...]], np.ndarray] | None = None
 
@@ -130,7 +151,19 @@ class DiscreteBayesianNetwork:
         for parent in dict.fromkeys(parents):
             self._children[parent].append(name)
         self._cpds[name] = table / table.sum(axis=-1, keepdims=True)
+        bit = 1 << len(self._order)
+        parent_bits = 0
+        for parent in parents:
+            i = self._index[parent]
+            parent_bits |= 1 << i
+            self._child_bits[i] |= bit
+            self._neighbor_bits[i] |= bit
+        self._index[name] = len(self._order)
+        self._parent_bits.append(parent_bits)
+        self._child_bits.append(0)
+        self._neighbor_bits.append(parent_bits)
         self._order.append(name)
+        self._node_set = None
         # Content changed: re-hash on next request and drop the memoized
         # joint (a stale fingerprint would also alias a stale inference
         # engine, since the engine registry keys on it).
@@ -247,8 +280,7 @@ class DiscreteBayesianNetwork:
         ``x`` inside ``given`` is ignored (it is the conditioning node, not
         evidence), and a target inside ``given`` counts as separated.  The
         search is Bayes-ball reachability (Shachter 1998; Koller & Friedman,
-        Algorithm 3.1): it walks the active trails out of ``x`` and stops at
-        the first target it reaches, so it visits only what ``x`` can reach.
+        Algorithm 3.1), the walk :meth:`quilt_from_set` certifies with.
         Raises :class:`ValidationError` naming any unknown node.
         """
         targets = set(targets)
@@ -257,38 +289,40 @@ class DiscreteBayesianNetwork:
         if x in targets:
             return False
         given.discard(x)
-        targets -= given
+        return self._separated(self._index[x], self._mask(targets), self._mask(given))
+
+    def _separated(self, x: int, targets: int, given: int) -> bool:
+        """Bayes-ball on bitsets: no active trail joins node ``x`` to a
+        node of ``targets`` given ``given`` (``x`` outside ``given``).
+
+        The ball travels up (arrived from a child, or at ``x``) or down
+        (arrived from a parent).  Each round moves every ball of the
+        frontier one edge, so a (node, direction) state is visited once and
+        the walk stops at the first round that reaches a target.
+        """
+        targets &= ~given
         if not targets:
             return True
+        parents, children = self._parent_bits, self._child_bits
         # A collider passes the ball only if it or a descendant is observed.
-        opens_collider = self._ancestral_closure(given)
-        # The ball travels up (arrived from a child, or at x) or down
-        # (arrived from a parent); each (node, direction) is visited once.
-        up, down = [x], []
-        seen_up: set[str] = set()
-        seen_down: set[str] = set()
+        opens_collider = frontier = given
+        while frontier:
+            frontier = _union_over(parents, frontier) & ~opens_collider
+            opens_collider |= frontier
+        up, down = 1 << x, 0
+        seen_up = seen_down = 0
         while up or down:
-            if up:
-                node = up.pop()
-                if node in seen_up:
-                    continue
-                seen_up.add(node)
-                if node in targets:
-                    return False
-                if node not in given:
-                    up.extend(self._parents[node])
-                    down.extend(self._children[node])
-            else:
-                node = down.pop()
-                if node in seen_down:
-                    continue
-                seen_down.add(node)
-                if node in targets:
-                    return False
-                if node not in given:
-                    down.extend(self._children[node])
-                if node in opens_collider:
-                    up.extend(self._parents[node])
+            up &= ~seen_up
+            down &= ~seen_down
+            if (up | down) & targets:
+                return False
+            seen_up |= up
+            seen_down |= down
+            passes = up & ~given
+            up, down = (
+                _union_over(parents, passes | (down & opens_collider)),
+                _union_over(children, passes | (down & ~given)),
+            )
         return True
 
     def _require_known(self, names: set[str]) -> None:
@@ -323,14 +357,35 @@ class DiscreteBayesianNetwork:
     # ------------------------------------------------------------------
     # Markov quilt candidates
     # ------------------------------------------------------------------
+    def _mask(self, names: Iterable[str]) -> int:
+        """The bitset of known node ``names``."""
+        index = self._index
+        mask = 0
+        for name in names:
+            mask |= 1 << index[name]
+        return mask
+
+    def _names(self, mask: int) -> frozenset[str]:
+        """The node names of bitset ``mask``."""
+        order = self._order
+        names = []
+        while mask:
+            low = mask & -mask
+            names.append(order[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(names)
+
+    def _all_nodes(self) -> frozenset[str]:
+        """Every node name, one frozenset shared by this network's quilts
+        until :meth:`add_node` changes the node set."""
+        if self._node_set is None:
+            self._node_set = frozenset(self._order)
+        return self._node_set
+
     def trivial_quilt(self, node: str) -> MarkovQuilt:
         """The always-valid quilt with ``X_Q = {}`` and ``X_N = X``."""
-        return MarkovQuilt(
-            node=node,
-            quilt=frozenset(),
-            nearby=frozenset(self._order),
-            remote=frozenset(),
-        )
+        nodes = self._all_nodes()
+        return MarkovQuilt(node=node, quilt=frozenset(), nearby=nodes, nodes=nodes)
 
     def quilt_from_set(self, node: str, quilt_nodes: Iterable[str]) -> MarkovQuilt | None:
         """Build the quilt induced by a candidate separator set.
@@ -343,19 +398,19 @@ class DiscreteBayesianNetwork:
         quilt_set = frozenset(quilt_nodes)
         self._require_known(quilt_set | {node})
         quilt_set -= {node}
+        x = self._index[node]
+        quilt = self._mask(quilt_set)
         # Connected component of `node` in the skeleton minus the quilt.
-        component = {node}
-        frontier = [node]
+        component = frontier = 1 << x
         while frontier:
-            current = frontier.pop()
-            for nxt in (*self._parents[current], *self._children[current]):
-                if nxt not in quilt_set and nxt not in component:
-                    component.add(nxt)
-                    frontier.append(nxt)
-        remote = frozenset(self._states.keys() - quilt_set - component)
-        if remote and not self.is_d_separated(node, remote, quilt_set):
+            frontier = _union_over(self._neighbor_bits, frontier) & ~(component | quilt)
+            component |= frontier
+        remote = ((1 << len(self._order)) - 1) & ~(quilt | component)
+        if remote and not self._separated(x, remote, quilt):
             return None
-        return MarkovQuilt(node=node, quilt=quilt_set, nearby=frozenset(component), remote=remote)
+        return MarkovQuilt(
+            node=node, quilt=quilt_set, nearby=self._names(component), nodes=self._all_nodes()
+        )
 
     def distance_quilts(self, node: str, max_radius: int | None = None) -> list[MarkovQuilt]:
         """Quilt candidates by skeleton distance plus the trivial quilt.
@@ -366,18 +421,26 @@ class DiscreteBayesianNetwork:
         two-sided quilts ``{X_{i-r}, X_{i+r}}``; :mod:`repro.core.mqm_chain`
         generates the richer asymmetric set of Lemma 4.6.
         """
-        distances = self._skeleton_distances(node)
-        finite = [d for d in distances.values() if np.isfinite(d) and d > 0]
-        radii = sorted(set(int(d) for d in finite))
+        shells = self._skeleton_shells(self._index[node])[1:]
         if max_radius is not None:
-            radii = [r for r in radii if r <= max_radius]
+            shells = shells[: max(max_radius, 0)]
         quilts = [self.trivial_quilt(node)]
-        for radius in radii:
-            separator = {n for n, d in distances.items() if d == radius}
-            candidate = self.quilt_from_set(node, separator)
+        for shell in shells:
+            candidate = self.quilt_from_set(node, self._names(shell))
             if candidate is not None and not candidate.is_trivial:
                 quilts.append(candidate)
         return quilts
+
+    def _skeleton_shells(self, source: int) -> list[int]:
+        """Bitsets of the nodes at skeleton distance 0, 1, 2, ... from node
+        ``source``, up to the farthest node its component reaches."""
+        shells = []
+        shell = seen = 1 << source
+        while shell:
+            shells.append(shell)
+            shell = _union_over(self._neighbor_bits, shell) & ~seen
+            seen |= shell
+        return shells
 
     def is_path_graph(self) -> bool:
         """True when the skeleton is a single simple path (a Markov chain).
@@ -398,8 +461,7 @@ class DiscreteBayesianNetwork:
         edges = sum(len(self._parents[name]) for name in self._order)
         if edges != n - 1:
             return False
-        distances = self._skeleton_distances(self._order[0])
-        return all(np.isfinite(d) for d in distances.values())
+        return sum(shell.bit_count() for shell in self._skeleton_shells(0)) == n
 
     def chain_quilts(self, node: str, max_window: int | None = None) -> list[MarkovQuilt]:
         """The Lemma 4.6 asymmetric quilt set for path-graph networks.
@@ -468,28 +530,12 @@ class DiscreteBayesianNetwork:
         if right is not None:
             quilt_set.add(order[right])
             nearby_hi = right - 1
-        nearby = set(order[nearby_lo : nearby_hi + 1])
-        remote = set(order) - nearby - quilt_set
         return MarkovQuilt(
             node=order[position],
             quilt=frozenset(quilt_set),
-            nearby=frozenset(nearby),
-            remote=frozenset(remote),
+            nearby=frozenset(order[nearby_lo : nearby_hi + 1]),
+            nodes=self._all_nodes(),
         )
-
-    def _skeleton_distances(self, source: str) -> dict[str, float]:
-        distances = {n: float("inf") for n in self._order}
-        distances[source] = 0.0
-        frontier = [source]
-        while frontier:
-            next_frontier: list[str] = []
-            for node in frontier:
-                for nxt in (*self._parents[node], *self._children[node]):
-                    if distances[nxt] == float("inf"):
-                        distances[nxt] = distances[node] + 1
-                        next_frontier.append(nxt)
-            frontier = next_frontier
-        return distances
 
     # ------------------------------------------------------------------
     # Exact inference by enumeration
@@ -576,3 +622,13 @@ class DiscreteBayesianNetwork:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DiscreteBayesianNetwork(nodes={len(self._order)})"
+
+
+def _union_over(table: list[int], mask: int) -> int:
+    """The union of ``table[i]`` over the set bits ``i`` of ``mask``."""
+    union = 0
+    while mask:
+        low = mask & -mask
+        union |= table[low.bit_length() - 1]
+        mask ^= low
+    return union

@@ -11,9 +11,9 @@ The two primitives here are:
 
 * :meth:`Factor.restrict` — condition on evidence by slicing one axis, and
 * :func:`contract` — multiply a list of factors and sum out every variable
-  not requested, in one ``np.einsum`` call (with a greedy contraction path),
-  which is where the per-shard Python loops of the enumeration era became
-  vectorized kernels.
+  not requested, in one ``np.einsum`` call (with a greedy contraction path,
+  planned once per shape of contraction), which is where the per-shard
+  Python loops of the enumeration era became vectorized kernels.
 
 ``np.einsum``'s integer-subscript interface only admits labels in
 ``range(0, 52)``, so :func:`contract` maps the variables of each call to
@@ -25,6 +25,7 @@ instead of failing cryptically if a caller exceeds it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,6 +39,13 @@ MAX_EINSUM_LABELS = 52
 #: Maximum operands per einsum call (numpy's NPY_MAXARGS is 32 on older
 #: releases; stay safely below and fold longer products pairwise).
 MAX_EINSUM_OPERANDS = 24
+
+#: Greedy contraction paths kept per process (LRU), one per distinct
+#: ``(operand shapes, operand labels, output labels)`` of three or more
+#: operands.  Cold calibrations of a 6x6 grid, an 8x6 hub and 20x10 blocks
+#: plan 900 such contractions over 261 distinct keys, and the 22 golden
+#: Algorithm 2 configurations 3,740 over 341.
+MAX_EINSUM_PATHS = 1024
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,15 @@ def contract(factors: Sequence[Factor], keep: Sequence[str]) -> Factor:
 
 
 def _einsum(factors: Sequence[Factor], keep: tuple[str, ...]) -> Factor:
-    """One einsum call: product of ``factors`` summed down to ``keep``."""
+    """One einsum call: product of ``factors`` summed down to ``keep``.
+
+    Numpy's greedy planner picks a path only for three or more operands,
+    and reads only their shapes and labels, so that path is planned once
+    per distinct contraction (:func:`_greedy_path`) and passed in: numpy
+    then makes the very calls ``optimize="greedy"`` would.  For one operand
+    the planner only hands the subscripts on to ``c_einsum``, which the
+    unplanned call does directly.
+    """
     labels: dict[str, int] = {}
     for factor in factors:
         for var in factor.variables:
@@ -135,10 +151,38 @@ def _einsum(factors: Sequence[Factor], keep: tuple[str, ...]) -> Factor:
             f"(> {MAX_EINSUM_LABELS}, the np.einsum subscript limit); "
             "the elimination bucket is too wide for this engine"
         )
-    operands: list = []
-    for factor in factors:
-        operands.append(factor.table)
-        operands.append([labels[v] for v in factor.variables])
-    operands.append([labels[v] for v in keep])
-    table = np.einsum(*operands, optimize="greedy")
+    subscripts = tuple(tuple(labels[v] for v in factor.variables) for factor in factors)
+    output = tuple(labels[v] for v in keep)
+    if len(factors) == 1:
+        table = np.einsum(factors[0].table, subscripts[0], output)
+    else:
+        path = "greedy"  # two operands have one path, which numpy takes unplanned
+        if len(factors) > 2:
+            shapes = tuple(factor.table.shape for factor in factors)
+            path = _greedy_path(shapes, subscripts, output)
+        operands: list = []
+        for factor, subscript in zip(factors, subscripts):
+            operands += (factor.table, subscript)
+        table = np.einsum(*operands, output, optimize=path)
     return Factor(keep, np.asarray(table, dtype=float))
+
+
+@functools.lru_cache(maxsize=MAX_EINSUM_PATHS)
+def _greedy_path(
+    shapes: tuple[tuple[int, ...], ...],
+    subscripts: tuple[tuple[int, ...], ...],
+    output: tuple[int, ...],
+) -> tuple:
+    """The path ``np.einsum(..., optimize="greedy")`` plans for operands of
+    ``shapes`` under integer ``subscripts`` summed down to ``output``, as
+    an explicit ``einsum_path``.
+
+    The planner reads shapes only, so zero-stride stand-ins of the right
+    shapes take the arrays' place.  The path is a tuple, so every caller
+    shares it read-only.
+    """
+    operands: list = []
+    for shape, subscript in zip(shapes, subscripts):
+        operands += (np.broadcast_to(0.0, shape), subscript)
+    path, _ = np.einsum_path(*operands, output, optimize="greedy")
+    return tuple(path)

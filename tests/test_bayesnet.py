@@ -324,25 +324,68 @@ CERTIFICATION_CASES = {
 }
 
 
+def skeleton_component(net, node, separator) -> set:
+    """The nodes joined to ``node`` in the skeleton minus ``separator``."""
+    component = {node}
+    frontier = [node]
+    while frontier:
+        for nxt in net.undirected_neighbors(frontier.pop()):
+            if nxt not in separator and nxt not in component:
+                component.add(nxt)
+                frontier.append(nxt)
+    return component
+
+
 @pytest.mark.parametrize("case", sorted(CERTIFICATION_CASES))
 def test_every_candidate_certifies_as_the_oracle_does(case):
-    """Each d-separation check a quilt generator makes — the certificate
-    behind every candidate it keeps or drops — answers as the oracle."""
+    """Each separator a quilt generator proposes is kept exactly when the
+    oracle certifies it: ``quilt_from_set`` answers ``None`` exactly when
+    the remote set the separator leaves is non-empty and not d-separated
+    from the node.  A kept quilt's nearby set is the node's skeleton
+    component, and every candidate's remote set is the node set minus its
+    quilt and nearby sets."""
     net, generator = CERTIFICATION_CASES[case]()
-    calls = []
-    check = net.is_d_separated
+    proposed = []
+    build = net.quilt_from_set
 
-    def recording(x, targets, given):
-        answer = check(x, targets, given)
-        calls.append((x, frozenset(targets), frozenset(given), answer))
-        return answer
+    def recording(node, separator):
+        separator = frozenset(separator)
+        quilt = build(node, separator)
+        proposed.append((node, separator - {node}, quilt))
+        return quilt
 
-    net.is_d_separated = recording
+    net.quilt_from_set = recording
+    everyone = frozenset(net.nodes)
     for node in net.nodes:
-        generator(net, node)
-    assert calls
-    for x, targets, given, answer in calls:
-        assert answer == moralized_d_separated(net, x, targets, given), (x, sorted(given))
+        for quilt in generator(net, node):
+            assert quilt.remote == everyone - quilt.quilt - quilt.nearby
+    assert proposed
+    for node, separator, quilt in proposed:
+        component = skeleton_component(net, node, separator)
+        remote = everyone - separator - component
+        certified = not remote or moralized_d_separated(net, node, remote, separator)
+        assert (quilt is not None) == certified, (node, sorted(separator))
+        if quilt is not None:
+            assert (quilt.quilt, quilt.nearby, quilt.remote) == (separator, component, remote)
+
+
+def test_the_certification_cases_drop_a_separator():
+    """The oracle test above sees rejected separators too."""
+    dropped = 0
+    for case in CERTIFICATION_CASES.values():
+        net, generator = case()
+        build = net.quilt_from_set
+
+        def counting(node, separator, build=build):
+            nonlocal dropped
+            quilt = build(node, separator)
+            dropped += quilt is None
+            return quilt
+
+        net.quilt_from_set = counting
+        for node in net.nodes:
+            generator(net, node)
+    assert dropped
 
 
 class TestUnknownNodes:

@@ -1,4 +1,5 @@
-"""The elimination-message memo of the inference engine.
+"""The elimination-message memo of the inference engine, and the
+contraction-path memo of ``contract``.
 
 ``InferenceEngine._eliminate`` keeps each bucket's message under the exact
 inputs of its contraction, so a quilt search contracts each distinct bucket
@@ -7,6 +8,11 @@ result of a memo-warm engine is compared, byte for byte (``tobytes()``, so
 NaN rows compare too), with a fresh ``InferenceEngine`` whose memo is empty
 and which therefore contracts every bucket itself.  The memo must also stay
 within ``MAX_MESSAGE_CELLS`` and stay exact when threads share one engine.
+
+``contract`` plans each distinct contraction's greedy path once per process
+(``repro.inference.factor._greedy_path``): its results must be the bytes
+``np.einsum(..., optimize="greedy")`` returns, the memo must stay within
+``MAX_EINSUM_PATHS``, and threads calibrating at once share it.
 """
 
 import sys
@@ -17,10 +23,14 @@ import numpy as np
 import pytest
 
 import repro.inference.engine as engine_module
+import repro.inference.factor as factor_module
+from repro.core.markov_quilt import MarkovQuiltMechanism
 from repro.distributions import DiscreteBayesianNetwork, structured
 from repro.inference import (
+    Factor,
     InferenceEngine,
     clear_engine_registry,
+    contract,
     engine_for,
     engine_registry_size,
 )
@@ -235,3 +245,111 @@ class TestThreadSafe:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors[:3]
         assert engine_registry_size() <= engine_module.MAX_CACHED_ENGINES
+
+
+def _greedy(factors, keep) -> np.ndarray:
+    """``contract`` as one planned ``np.einsum`` call, the reference."""
+    labels: dict = {}
+    operands: list = []
+    for factor in factors:
+        operands += (factor.table, [labels.setdefault(v, len(labels)) for v in factor.variables])
+    return np.einsum(*operands, [labels[v] for v in keep], optimize="greedy")
+
+
+def _random_contraction(rng, n_factors):
+    """``n_factors`` random factors over up to six variables, and a kept
+    subset in a shuffled order."""
+    names = [f"v{i}" for i in range(6)]
+    cards = dict(zip(names, rng.integers(1, 4, size=6)))
+    factors = []
+    for _ in range(n_factors):
+        scope = [str(v) for v in rng.choice(names, size=rng.integers(1, 4), replace=False)]
+        factors.append(Factor(tuple(scope), rng.random([cards[v] for v in scope])))
+    present = sorted({v for f in factors for v in f.variables})
+    keep = rng.choice(present, size=rng.integers(0, len(present) + 1), replace=False)
+    return factors, tuple(str(v) for v in keep)
+
+
+class TestPathMemo:
+    @pytest.mark.parametrize("n_factors", [1, 2, 3, 4, 6])
+    def test_contractions_are_the_greedy_einsum_bytes(self, n_factors):
+        rng = np.random.default_rng(32 + n_factors)
+        for _ in range(40):
+            factors, keep = _random_contraction(rng, n_factors)
+            for _ in range(2):  # planned, then from the memo
+                _assert_same_bytes(contract(factors, keep).table, _greedy(factors, keep))
+
+    def test_the_memo_stays_within_its_bound(self):
+        """More distinct three-operand contractions than the memo holds."""
+        bound = factor_module.MAX_EINSUM_PATHS
+        factor_module._greedy_path.cache_clear()
+        try:
+            rng = np.random.default_rng(7)
+            sizes = range(1, 40)
+            shapes = [(i, j) for i in sizes for j in sizes][: bound + 200]
+            assert len(shapes) > bound
+            middle = Factor(("b", "c"), rng.random((2, 3)))
+            for i, j in shapes:
+                factors = [
+                    Factor(("a", "b"), rng.random((i, 2))),
+                    middle,
+                    Factor(("c", "d"), rng.random((3, j))),
+                ]
+                _assert_same_bytes(
+                    contract(factors, ("a", "d")).table, _greedy(factors, ("a", "d"))
+                )
+                assert factor_module._greedy_path.cache_info().currsize <= bound
+            info = factor_module._greedy_path.cache_info()
+            assert info.misses == len(shapes) and info.currsize == bound
+        finally:
+            factor_module._greedy_path.cache_clear()
+
+    def test_threads_calibrating_at_once_get_serial_sigmas(self):
+        """Threads calibrate grid, hub and blocks at once, two per network,
+        on the shared registry engines and the shared path memo."""
+        scenarios = [
+            structured.grid_scenario(4, 5),
+            structured.hub_and_spoke_scenario(5, 4),
+            structured.household_blocks_scenario(6, 5),
+        ]
+
+        def calibrate(scenario):
+            mechanism = MarkovQuiltMechanism(
+                scenario.networks[:1], 0.5, quilt_generator=scenario.quilt_generator
+            )
+            mechanism.sigma_max()
+            return {
+                node: (sigma.hex(), sorted(quilt.quilt))
+                for node, (sigma, quilt) in mechanism._sigma_cache.items()
+            }
+
+        factor_module._greedy_path.cache_clear()
+        expected = [calibrate(scenario) for scenario in scenarios]
+        clear_engine_registry()
+        factor_module._greedy_path.cache_clear()
+        jobs = [i % len(scenarios) for i in range(2 * len(scenarios))]
+        results = [None] * len(jobs)
+        errors = []
+        start = threading.Barrier(len(jobs))
+
+        def run(index):
+            try:
+                start.wait(timeout=30)
+                results[index] = calibrate(scenarios[jobs[index]])
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        for index, got in enumerate(results):
+            assert got == expected[jobs[index]]

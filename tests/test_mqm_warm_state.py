@@ -150,7 +150,7 @@ def _explicit_quilts(x1_nearby: set[str]) -> dict[str, list[MarkovQuilt]]:
 
     def quilt(node, quilt_nodes, nearby):
         quilt_nodes, nearby = frozenset(quilt_nodes), frozenset(nearby)
-        return MarkovQuilt(node, quilt_nodes, nearby, everyone - quilt_nodes - nearby)
+        return MarkovQuilt(node, quilt_nodes, nearby, everyone)
 
     return {
         "X1": [quilt("X1", {"X3"}, x1_nearby)],
