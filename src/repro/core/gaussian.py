@@ -129,6 +129,9 @@ class GaussianMarkovQuiltMechanism(MarkovQuiltMechanism):
             2.0 * gaussian_rho(self.epsilon - influence, self.delta)
         )
 
+    def _score_parameters(self) -> tuple:
+        return (self.epsilon, self.delta)
+
     def calibration_fingerprint(self) -> tuple:
         """The Laplace MQM fingerprint re-tagged with the class and delta —
         a Gaussian calibration must never alias a Laplace one for the same

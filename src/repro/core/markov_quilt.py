@@ -175,10 +175,11 @@ class MarkovQuiltMechanism(Mechanism):
         Radius cap for the default quilt generation.
 
     Each node's ``(sigma, active quilt)`` is searched once and memoized for
-    the networks and candidate sets it was computed on: an in-place network
-    edit or a reassigned ``quilt_sets`` drops every result before its next
-    use (:meth:`_node_results`), and :meth:`quilt_signature` is built once
-    per set of results.
+    the networks, candidate sets and score parameters it was computed
+    under: an in-place network edit, a reassigned ``quilt_sets`` or a
+    reassigned ``epsilon`` drops every result before its next use
+    (:meth:`_node_results`), and :meth:`quilt_signature` is built once per
+    set of results.
     """
 
     name = "MarkovQuilt"
@@ -236,11 +237,13 @@ class MarkovQuiltMechanism(Mechanism):
                 candidates.append(self.reference.trivial_quilt(node))
         self.quilt_sets = quilt_sets
         self._sigma_cache: dict[str, tuple[float, MarkovQuilt]] = {}
-        #: ``(network fingerprints, quilt_sets object)`` the entries of
-        #: ``_sigma_cache`` were computed for (see :meth:`_node_results`).
-        self._sigma_inputs: tuple[tuple[str, ...], Mapping] = (
+        #: ``(network fingerprints, quilt_sets object, score parameters)``
+        #: the entries of ``_sigma_cache`` were computed for (see
+        #: :meth:`_node_results`).
+        self._sigma_inputs: tuple[tuple[str, ...], Mapping, tuple] = (
             self._fingerprints(),
             quilt_sets,
+            self._score_parameters(),
         )
         #: ``(quilt_sets object, digest)`` of :meth:`_quilt_sets_digest`.
         self._quilt_digest: tuple[Mapping, str] | None = None
@@ -262,30 +265,40 @@ class MarkovQuiltMechanism(Mechanism):
         state = self.__dict__.copy()
         state["_quilt_digest"] = None
         state["_signature"] = None
-        fingerprints, quilt_sets = self._sigma_inputs
+        fingerprints, quilt_sets, parameters = self._sigma_inputs
         if quilt_sets is not self.quilt_sets:
             state["_sigma_cache"] = {}
-            state["_sigma_inputs"] = (fingerprints, self.quilt_sets)
+            state["_sigma_inputs"] = (fingerprints, self.quilt_sets, parameters)
         return state
 
     def _fingerprints(self) -> tuple[str, ...]:
         """Every network's content fingerprint (memoized by the network)."""
         return tuple(network.fingerprint() for network in self.networks)
 
+    def _score_parameters(self) -> tuple:
+        """The scalars :meth:`_quilt_score` reads besides the quilt."""
+        return (self.epsilon,)
+
     def _node_results(self) -> dict[str, tuple[float, MarkovQuilt]]:
         """``_sigma_cache``, emptied first (with the signature memo) when a
-        network was edited or ``quilt_sets`` reassigned since its entries
-        were computed, so per-node results follow the inputs the cache key
-        reads.  Networks compare by their memoized fingerprints and
-        ``quilt_sets`` by identity: about a microsecond, where the
+        network was edited, ``quilt_sets`` reassigned or a score parameter
+        (:meth:`_score_parameters`) changed since its entries were computed,
+        so per-node results follow the inputs the cache key reads.  Networks
+        compare by their memoized fingerprints, ``quilt_sets`` by identity
+        and the parameters by value: about a microsecond, where the
         quilt-set digest would cost more than a recalibration.
         """
         fingerprints = self._fingerprints()
-        recorded, quilt_sets = self._sigma_inputs
-        if quilt_sets is not self.quilt_sets or recorded != fingerprints:
+        parameters = self._score_parameters()
+        recorded, quilt_sets, recorded_parameters = self._sigma_inputs
+        if (
+            quilt_sets is not self.quilt_sets
+            or recorded != fingerprints
+            or recorded_parameters != parameters
+        ):
             self._sigma_cache = {}
             self._signature = None
-            self._sigma_inputs = (fingerprints, self.quilt_sets)
+            self._sigma_inputs = (fingerprints, self.quilt_sets, parameters)
         return self._sigma_cache
 
     def calibration_state_holder(self) -> dict:

@@ -399,6 +399,9 @@ class MQMExact(Mechanism):
         self.restrict_support = restrict_support
         self._sigma_cache: dict[tuple[int, ...], float] = {}
         self._table_cache: dict[tuple[int, int], tuple] = {}
+        #: The calibration fingerprint both memos were filled under (see
+        #: :meth:`_length_results`).
+        self._sigma_inputs = self.calibration_fingerprint()
 
     # -- public API ----------------------------------------------------
     def calibration_fingerprint(self) -> tuple:
@@ -415,6 +418,17 @@ class MQMExact(Mechanism):
             self.restrict_support,
         )
 
+    def _length_results(self) -> dict[tuple[int, ...], float]:
+        """``_sigma_cache``, emptied first (with the chain-table memo) when
+        a part of :meth:`calibration_fingerprint` was reassigned since its
+        entries were computed."""
+        parameters = self.calibration_fingerprint()
+        if parameters != self._sigma_inputs:
+            self._sigma_cache = {}
+            self._table_cache = {}
+            self._sigma_inputs = parameters
+        return self._sigma_cache
+
     def export_calibration_state(self) -> dict:
         """JSON-safe snapshot of the per-length-set sigma results.
 
@@ -427,14 +441,15 @@ class MQMExact(Mechanism):
         """
         return {
             "sigma_by_lengths": [
-                [list(key), float(value)] for key, value in self._sigma_cache.items()
+                [list(key), float(value)] for key, value in self._length_results().items()
             ]
         }
 
     def warm_start(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`export_calibration_state`."""
+        results = self._length_results()
         for key, value in state.get("sigma_by_lengths", []):
-            self._sigma_cache[tuple(int(n) for n in key)] = float(value)
+            results[tuple(int(n) for n in key)] = float(value)
 
     def sigma_max(self, lengths: Iterable[int] | int) -> float:
         """``sigma_max`` over chains in Theta and segment lengths."""
@@ -443,13 +458,14 @@ class MQMExact(Mechanism):
         key = tuple(sorted(set(int(n) for n in lengths)))
         if any(n < 1 for n in key):
             raise ValidationError("segment lengths must be >= 1")
-        if key not in self._sigma_cache:
+        results = self._length_results()
+        if key not in results:
             sigma = 0.0
             for index, chain in enumerate(self.family.chains()):
                 for length in key:
                     sigma = max(sigma, self._sigma_for_chain(index, chain, length))
-            self._sigma_cache[key] = sigma
-        return self._sigma_cache[key]
+            results[key] = sigma
+        return results[key]
 
     def noise_scale(self, query: Query, data) -> float:
         lengths = getattr(data, "segment_lengths", None) or (int(np.asarray(data).size),)
@@ -660,6 +676,9 @@ class MQMApprox(Mechanism):
                 f"stationary mass (pi_min={self.pi_min:.3g}, g={self.gap:.3g})"
             )
         self._sigma_cache: dict[int, float] = {}
+        #: The scalars ``_sigma_cache`` was filled under (see
+        #: :meth:`_length_results`).
+        self._sigma_inputs = self.calibration_fingerprint()
 
     def _family_eigengap(self, reversible: bool | None) -> float:
         if reversible is None:
@@ -678,19 +697,31 @@ class MQMApprox(Mechanism):
         parameters genuinely share every MQMApprox noise scale."""
         return ("MQMApprox", self.epsilon, self.pi_min, self.gap)
 
+    def _length_results(self) -> dict[int, float]:
+        """``_sigma_cache``, emptied first when a scalar of
+        :meth:`calibration_fingerprint` was reassigned since its entries
+        were computed."""
+        parameters = self.calibration_fingerprint()
+        if parameters != self._sigma_inputs:
+            self._sigma_cache = {}
+            self._sigma_inputs = parameters
+        return self._sigma_cache
+
     def export_calibration_state(self) -> dict:
         """JSON-safe snapshot of the per-length sigma table (see
         :meth:`MQMExact.export_calibration_state`)."""
         return {
             "sigma_by_length": [
-                [int(length), float(value)] for length, value in self._sigma_cache.items()
+                [int(length), float(value)]
+                for length, value in self._length_results().items()
             ]
         }
 
     def warm_start(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`export_calibration_state`."""
+        results = self._length_results()
         for length, value in state.get("sigma_by_length", []):
-            self._sigma_cache[int(length)] = float(value)
+            results[int(length)] = float(value)
 
     # -- closed-form influence bounds -----------------------------------
     def _delta(self, t: np.ndarray | float) -> np.ndarray | float:
@@ -723,18 +754,19 @@ class MQMApprox(Mechanism):
         """``sigma_max`` over segment lengths (scores are index-independent)."""
         if isinstance(lengths, (int, np.integer)):
             lengths = (int(lengths),)
-        return max(self._sigma_for_length(int(n)) for n in lengths)
+        results = self._length_results()
+        return max(self._sigma_for_length(results, int(n)) for n in lengths)
 
-    def _sigma_for_length(self, length: int) -> float:
+    def _sigma_for_length(self, results: dict[int, float], length: int) -> float:
         if length < 1:
             raise ValidationError("segment lengths must be >= 1")
-        if length not in self._sigma_cache:
+        if length not in results:
             astar = self.a_star()
             if length >= 8 * astar:
-                self._sigma_cache[length] = self._sigma_middle(length, astar)
+                results[length] = self._sigma_middle(length, astar)
             else:
-                self._sigma_cache[length] = self._sigma_full(length, astar)
-        return self._sigma_cache[length]
+                results[length] = self._sigma_full(length, astar)
+        return results[length]
 
     def _candidates(self, max_extent: int) -> np.ndarray:
         return _geometric_ladder(max_extent, MAX_APPROX_CANDIDATES)

@@ -106,8 +106,14 @@ class RecalibrationReport:
 
 @dataclass
 class _CalibrationMemo:
+    """The candidate lists and per-node results of the calibration made
+    after edit ``edit_index``, copied out of its mechanism: a caller that
+    reassigns that mechanism's parameters drops its results, and never
+    changes what a later recalibration reuses."""
+
     edit_index: int
-    mechanism: "MarkovQuiltMechanism"
+    quilt_sets: dict[str, list[MarkovQuilt]]
+    results: dict[str, tuple[float, MarkovQuilt]]
 
 
 class TemporalNetwork:
@@ -418,7 +424,7 @@ class TemporalNetwork:
             # CPD values — so the previous candidate lists replay verbatim
             # and the O(nodes x candidates) d-separation sweep is skipped.
             mechanism = MarkovQuiltMechanism(
-                [self._net], epsilon, quilt_sets=memo.mechanism.quilt_sets
+                [self._net], epsilon, quilt_sets=memo.quilt_sets
             )
             mechanism.quilt_generator = quilt_generator
         reused = 0
@@ -428,13 +434,12 @@ class TemporalNetwork:
                 for edit in self._edits[memo.edit_index :]
                 for name in edit.dirty
             )
-            previous = memo.mechanism
             for node in self.nodes:
-                cached = previous._sigma_cache.get(node)
+                cached = memo.results.get(node)
                 if cached is None or node in stale:
                     continue
                 candidates = mechanism.quilt_sets[node]
-                if candidates != previous.quilt_sets.get(node):
+                if candidates != memo.quilt_sets.get(node):
                     continue
                 if all(stale.isdisjoint(quilt.quilt) for quilt in candidates):
                     mechanism._sigma_cache[node] = cached
@@ -442,7 +447,9 @@ class TemporalNetwork:
         mechanism.sigma_max()  # force every remaining node
         if key is not None:
             self._calibrations[key] = _CalibrationMemo(
-                edit_index=len(self._edits), mechanism=mechanism
+                edit_index=len(self._edits),
+                quilt_sets=mechanism.quilt_sets,
+                results=dict(mechanism._sigma_cache),
             )
         total = len(self.nodes)
         return mechanism, RecalibrationReport(

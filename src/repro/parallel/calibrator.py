@@ -133,7 +133,7 @@ class ParallelCalibrator:
             key = tuple(sorted(set(lengths)))
             if any(n < 1 for n in key):
                 raise ValidationError("segment lengths must be >= 1")
-            if key in mechanism._sigma_cache:
+            if key in mechanism._length_results():
                 return []
             template = _pristine(mechanism)
             return [
@@ -259,7 +259,7 @@ class ParallelCalibrator:
             sigma = 0.0
             for result in results:
                 sigma = max(sigma, float(result.value))
-            mechanism._sigma_cache[key] = sigma
+            mechanism._length_results()[key] = sigma
         else:  # the general MQM, the only other mechanism plan() shards
             node_results = mechanism._node_results()
             for result in results:
