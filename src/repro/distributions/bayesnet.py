@@ -103,11 +103,13 @@ class DiscreteBayesianNetwork:
         self._cpds: dict[str, np.ndarray] = {}
         self._order: list[str] = []
         # Bitsets over the topological index (bit i is self._order[i]):
-        # each node's parents, children, and both (its skeleton neighbours).
+        # each node's parents, children, and both (its skeleton neighbours),
+        # and the nodes with two or more parents.
         self._index: dict[str, int] = {}
         self._parent_bits: list[int] = []
         self._child_bits: list[int] = []
         self._neighbor_bits: list[int] = []
+        self._colliders = 0
         self._node_set: frozenset[str] | None = None
         self._fingerprint: str | None = None
         self._joint_memo: tuple[list[tuple[int, ...]], np.ndarray] | None = None
@@ -158,6 +160,8 @@ class DiscreteBayesianNetwork:
             parent_bits |= 1 << i
             self._child_bits[i] |= bit
             self._neighbor_bits[i] |= bit
+        if parent_bits.bit_count() > 1:
+            self._colliders |= bit
         self._index[name] = len(self._order)
         self._parent_bits.append(parent_bits)
         self._child_bits.append(0)
@@ -406,7 +410,9 @@ class DiscreteBayesianNetwork:
             frontier = _union_over(self._neighbor_bits, frontier) & ~(component | quilt)
             component |= frontier
         remote = ((1 << len(self._order)) - 1) & ~(quilt | component)
-        if remote and not self._separated(x, remote, quilt):
+        # Every trail to the remote set passes a quilt node, and is active
+        # there only if it enters and leaves through two of its parents.
+        if remote and quilt & self._colliders and not self._separated(x, remote, quilt):
             return None
         return MarkovQuilt(
             node=node, quilt=quilt_set, nearby=self._names(component), nodes=self._all_nodes()

@@ -286,6 +286,17 @@ class TestBayesBall:
             net, x, targets, given
         )
 
+    @settings(max_examples=400, deadline=None)
+    @for_all(dsep_queries())
+    def test_quilt_certification_matches_moralized_oracle(self, query):
+        """``quilt_from_set`` keeps a separator exactly when the remote set
+        it leaves is empty or d-separated from the node."""
+        net, x, _, given = query
+        separator = given - {x}
+        remote = set(net.nodes) - separator - skeleton_component(net, x, separator)
+        certified = not remote or moralized_d_separated(net, x, remote, separator)
+        assert (net.quilt_from_set(x, separator) is not None) == certified
+
     def test_x_in_given_is_ignored(self):
         """A naive Bayes-ball would block every trail at an observed ``x``."""
         chain4 = DiscreteBayesianNetwork.chain(
