@@ -278,7 +278,9 @@ class InferenceEngine:
         # Nodes outside the closure are barren: they sum out to exactly 1.
         for name in sorted(relevant, key=self._position.__getitem__):
             factor = self._factor_of[name]
-            pins = tuple((v, evidence[v]) for v in factor.variables if v in evidence)
+            pins = ()
+            if evidence:
+                pins = tuple((v, evidence[v]) for v in factor.variables if v in evidence)
             for var, value in pins:
                 factor = factor.restrict(var, value)
             if factor.is_scalar:
@@ -352,7 +354,8 @@ class InferenceEngine:
         The graph is held as integer bitsets, one adjacency mask per
         variable.  Eliminating ``v`` changes the neighbourhood of ``v``'s
         neighbours and can join two neighbours of their neighbours, so only
-        those are re-keyed; every other key stands.  The key is a total
+        ``v``'s neighbours and the variables with two neighbours among them
+        are re-keyed; every other key stands.  The key is a total
         order (positions are distinct), so the order is the one re-keying
         every variable at every step would pick.
         """
@@ -396,12 +399,17 @@ class InferenceEngine:
             best = min(keys, key=keys.__getitem__)
             del keys[best]
             adjacent = adjacency[best]
-            touched = adjacent
+            beyond = 0
             for j in _bits(adjacent):
                 adjacency[j] = (adjacency[j] | adjacent) & ~(1 << j) & ~(1 << best)
-                touched |= adjacency[j]
-            for j in _bits(touched):
-                if j in keys:
+                beyond |= adjacency[j]
+            # A variable beyond ``adjacent`` keeps its neighbours, and every
+            # new edge joins two of ``adjacent``: its fill-in moves only if
+            # two of its neighbours are there.
+            for j in _bits(beyond | adjacent):
+                if j in keys and (
+                    adjacent >> j & 1 or (adjacency[j] & adjacent).bit_count() > 1
+                ):
                     keys[j] = key(j)
             order.append(names[best])
         result = tuple(order)
