@@ -78,6 +78,16 @@ def test_every_candidate_shares_the_network_node_set(family):
     assert candidates[0].nodes == frozenset(network.nodes)
 
 
+def test_an_empty_separator_is_not_the_trivial_quilt():
+    """A block's empty separator leaves the other blocks remote: its quilt
+    set is empty, yet only the quilt with every node nearby is trivial."""
+    network, _ = _network("blocks")
+    node = network.nodes[0]
+    empty = network.quilt_from_set(node, ())
+    assert not empty.quilt and len(empty.remote) == 190 and not empty.is_trivial
+    assert network.trivial_quilt(node).is_trivial
+
+
 def test_blocks_candidate_lists_hold_a_fifth_of_the_stored_remote_sets():
     """4,600 candidates took 42.2 MB when each stored its remote set."""
     network, generator = _network("blocks")
