@@ -1,11 +1,15 @@
 #!/usr/bin/env python
-"""Golden Algorithm 2 calibrations, pinned bit for bit.
+"""Golden calibrations, pinned bit for bit.
 
 Calibrates a fixed set of general Markov-quilt mechanisms (Laplace and
 Gaussian, structured quilt generators and distance shells, one- and
 two-network Theta, and a blocks network after seeded CPD edits through
 ``TemporalNetwork``) and records, per configuration, ``sigma_max`` and every
-node's sigma as ``float.hex`` with the sorted members of its active quilt::
+node's sigma as ``float.hex`` with the sorted members of its active quilt.
+It also pins the chain mechanisms (Algorithms 3 and 4: the Section 4.4
+running example, a stationary-start chain, a free-initial interval family,
+Table 2's FAST activity cohorts) and the baselines (GK16 and the Section 3.1
+Wasserstein example) by the scale of one unit-Lipschitz release each::
 
     python scripts/calibration_golden.py           # compare with the pins
     python scripts/calibration_golden.py --write   # rewrite the pins
@@ -20,6 +24,7 @@ bit-identical calibrations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -34,6 +39,11 @@ EPSILON = 0.5
 #: Seeded single-CPD edits applied to blocks 20x10 before its last pin.
 N_EDITS = 6
 EDIT_SEED = 26
+
+#: The segment lengths MQMApprox is pinned at on ``IntervalChainFamily(0.3)``:
+#: a* is 8 there, so 50 takes the full search and the rest the Lemma 4.9
+#: middle-node path.
+APPROX_LENGTHS = (50, 100, 400, 5000, 20000)
 
 
 def _ensure_src() -> None:
@@ -127,12 +137,123 @@ def configurations() -> "dict[str, Callable[[], object]]":
                 make_bundle, epsilon, GaussianMarkovQuiltMechanism
             )
     configs[f"temporal-blocks-20x10-{N_EDITS}-edits"] = _edited_blocks
+    configs.update(_chain_configurations())
     return configs
 
 
-def pin(mechanism) -> dict:
-    """One mechanism's pins: ``sigma_max`` and, per node in network order,
-    ``[sigma, sorted active-quilt members]`` with every float as hex."""
+def _chain_configurations() -> "dict[str, Callable[[], tuple]]":
+    """Name -> zero-argument factory of ``(mechanism, data)`` for the chain
+    mechanisms and the baselines, pinned by :func:`pin`'s scale."""
+    import numpy as np
+
+    from repro import paperdata
+    from repro.baselines.gk16 import GK16Mechanism
+    from repro.core import MQMApprox, MQMExact, WassersteinMechanism
+    from repro.core.framework import entrywise_instantiation
+    from repro.core.models import FluCliqueModel
+    from repro.data.datasets import TimeSeriesDataset
+    from repro.distributions.chain_family import FiniteChainFamily, IntervalChainFamily
+    from repro.distributions.markov import MarkovChain
+
+    def theta(name: str) -> MarkovChain:
+        chain = paperdata.RUNNING_EXAMPLE[name]
+        return MarkovChain(chain["initial"], chain["transition"])
+
+    def running(name: str, **options):
+        return lambda: (
+            MQMExact(FiniteChainFamily([theta(name)]), 1.0, max_window=100, **options),
+            np.zeros(100),
+        )
+
+    def stationary_start():
+        transition = [[0.8, 0.2], [0.3, 0.7]]
+        chain = MarkovChain(MarkovChain([1.0, 0.0], transition).stationary(), transition)
+        data = TimeSeriesDataset([np.zeros(100, dtype=int), np.zeros(200, dtype=int)], 2)
+        return MQMExact(chain, 1.0, max_window=32), data
+
+    def approx(length: int):
+        return lambda: (MQMApprox(IntervalChainFamily(0.3), 1.0), np.zeros(length))
+
+    def cohort(index: int, exact: bool):
+        return lambda: _table2_cohort(index, exact)
+
+    def flu():
+        model = FluCliqueModel([4], [paperdata.FLU_EXAMPLE["count_distribution"]])
+        return WassersteinMechanism(entrywise_instantiation(4, 2, [model]), 1.0), np.zeros(4)
+
+    configs: "dict[str, Callable[[], tuple]]" = {
+        "running-example-theta1-T100-literal": running("theta1", restrict_support=False),
+        "running-example-theta1-T100": running("theta1"),
+        "running-example-theta2-T100": running("theta2"),
+        "stationary-start-T100-T200-window32": stationary_start,
+        "interval-0.3-free-initial-T100-window16": lambda: (
+            MQMExact(IntervalChainFamily(0.3), 1.0, max_window=16), np.zeros(100)
+        ),
+        "approx-running-example-T100": lambda: (
+            MQMApprox(
+                FiniteChainFamily([theta("theta1"), theta("theta2")]), 1.0, reversible=False
+            ),
+            np.zeros(100),
+        ),
+    }
+    for length in APPROX_LENGTHS:
+        configs[f"approx-interval-0.3-T{length}"] = approx(length)
+    for index, name in enumerate(("cyclist", "older-woman", "overweight-woman")):
+        configs[f"table2-fast-{name}-approx"] = cohort(index, exact=False)
+        configs[f"table2-fast-{name}-exact"] = cohort(index, exact=True)
+    configs["gk16-running-example-theta2-T100"] = lambda: (
+        GK16Mechanism(FiniteChainFamily([theta("theta2")]), 1.0, length=100),
+        np.zeros(100),
+    )
+    configs["wasserstein-flu-clique"] = flu
+    return configs
+
+
+@functools.lru_cache(maxsize=1)
+def _fast_cohorts() -> tuple:
+    """The FAST profile's activity cohorts, generated once."""
+    from repro.data.activity import generate_study
+    from repro.experiments.config import FAST
+
+    return tuple(generate_study(FAST.activity.seed, scale=FAST.activity.scale))
+
+
+def _table2_cohort(index: int, exact: bool) -> tuple:
+    """Table 2's MQMApprox or MQMExact on one FAST cohort, with its pooled
+    dataset, built as ``repro.experiments.table2_runtime.dataset_timings``
+    builds them."""
+    from repro.core import MQMApprox, MQMExact
+    from repro.data.estimation import empirical_chain
+    from repro.distributions.chain_family import FiniteChainFamily
+    from repro.experiments.config import FAST
+
+    group = _fast_cohorts()[index]
+    family = FiniteChainFamily.singleton(
+        empirical_chain(group, smoothing=FAST.activity.smoothing)
+    )
+    dataset = group.pooled_dataset()
+    approx = MQMApprox(family, FAST.activity.epsilon)
+    if not exact:
+        return approx, dataset
+    window = approx.optimal_quilt_extent(dataset.longest_segment) or 64
+    return MQMExact(family, FAST.activity.epsilon, max_window=window), dataset
+
+
+def pin(built) -> dict:
+    """One configuration's pins, every float as hex.
+
+    A general MQM pins ``sigma_max`` and, per node in network order,
+    ``[sigma, sorted active-quilt members]``.  A ``(mechanism, data)`` pair
+    pins, under ``sigma_max`` and with no nodes, the scale of a
+    ``CountQuery`` release on the data: the query is 1-Lipschitz and every
+    such configuration runs at epsilon 1, so that is a chain mechanism's
+    ``sigma_max``, GK16's amplification and the Wasserstein bound ``W``."""
+    if isinstance(built, tuple):
+        from repro.core.queries import CountQuery
+
+        mechanism, data = built
+        return {"sigma_max": float(mechanism.noise_scale(CountQuery(), data)).hex(), "nodes": {}}
+    mechanism = built
     nodes = {}
     for node in mechanism.reference.nodes:
         sigma, quilt = mechanism.sigma_for_node(node)
