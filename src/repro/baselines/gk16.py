@@ -189,20 +189,20 @@ class GK16Mechanism(Mechanism):
             family = FiniteChainFamily.singleton(family)
         self.family = family
         self.length = length
-        self._rho_cache: dict[int, float] = {}
 
     def calibration_fingerprint(self) -> tuple:
         return ("GK16", self.epsilon, self.family.fingerprint(), self.length)
 
     def rho(self, length: int) -> float:
         """Worst spectral norm over the family for the given chain length."""
-        if length not in self._rho_cache:
+        norms = self.calibration_state_holder()
+        if length not in norms:
             free = self.family.free_initial
-            self._rho_cache[length] = max(
+            norms[length] = max(
                 influence_spectral_norm(chain, length, free_initial=free)
                 for chain in self.family.chains()
             )
-        return self._rho_cache[length]
+        return norms[length]
 
     def is_applicable(self, length: int | None = None) -> bool:
         """Whether ``rho < 1`` (the condition is epsilon-independent)."""

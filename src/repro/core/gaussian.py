@@ -129,15 +129,11 @@ class GaussianMarkovQuiltMechanism(MarkovQuiltMechanism):
             2.0 * gaussian_rho(self.epsilon - influence, self.delta)
         )
 
-    def _score_parameters(self) -> tuple:
-        return (self.epsilon, self.delta)
-
-    def calibration_fingerprint(self) -> tuple:
-        """The Laplace MQM fingerprint re-tagged with the class and delta —
-        a Gaussian calibration must never alias a Laplace one for the same
+    def _leading_parameters(self) -> tuple:
+        """The Laplace MQM's head re-tagged with the class and delta — a
+        Gaussian calibration must never alias a Laplace one for the same
         Theta (the scales differ), nor two deltas each other."""
-        base = super().calibration_fingerprint()
-        return ("GaussianMarkovQuilt", float(self.delta)) + base[1:]
+        return ("GaussianMarkovQuilt", float(self.delta), self.epsilon)
 
     def scale_details(self, query, data) -> dict:
         details = super().scale_details(query, data)
@@ -158,7 +154,7 @@ class GaussianMarkovQuiltMechanism(MarkovQuiltMechanism):
         computation is repeated here.
         """
         sigma = self.sigma_max()
-        results = self._node_results()
+        results = self.calibration_state_holder()
         profile = []
         for node in self.reference.nodes:
             score, quilt = results[node]

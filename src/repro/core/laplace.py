@@ -183,7 +183,14 @@ _INSTANCE_COUNTER = itertools.count()
 
 
 class Mechanism(ABC):
-    """Base class: compute a noise scale, then release ``F(D) + noise``."""
+    """Base class: compute a noise scale, then release ``F(D) + noise``.
+
+    A mechanism that memoizes calibration results (per-node or per-length
+    sigmas, ``W`` bounds, spectral norms) keeps them in the one dict
+    :meth:`calibration_state_holder` returns, which is valid for one
+    :meth:`_memo_key`: by default the calibration fingerprint, so no result
+    outlives an input a cache key reads.
+    """
 
     #: Mechanism name used in reports ("MQMExact", "GroupDP", ...).
     name: str = "Mechanism"
@@ -199,6 +206,42 @@ class Mechanism(ABC):
             raise PrivacyParameterError(f"epsilon must be positive, got {epsilon}")
         self.epsilon = float(epsilon)
         self._instance_token = next(_INSTANCE_COUNTER)
+        #: Memoized calibration results and the :meth:`_memo_key` they were
+        #: computed under (see :meth:`calibration_state_holder`).
+        self._sigma_cache: dict[Any, Any] = {}
+        self._sigma_key: tuple | None = None
+
+    def __getstate__(self) -> dict:
+        """Copy and pickle without memoized results: a copy shares no
+        results with its original, and a parallel shard ships none of them
+        to its worker."""
+        state = self.__dict__.copy()
+        state["_sigma_cache"] = {}
+        state["_sigma_key"] = None
+        return state
+
+    def _memo_key(self) -> tuple:
+        """What the memoized results were computed from: the calibration
+        fingerprint unless a subclass can tell a change more cheaply."""
+        return self.calibration_fingerprint()
+
+    def calibration_state_holder(self) -> dict:
+        """The dict holding this mechanism's memoized calibration results,
+        replaced by an empty one whenever :meth:`_memo_key` differs from
+        the key its results were computed under, so a reassigned parameter
+        or an edited input never answers from an old result.
+
+        Every reader and writer of the results goes through here.  The
+        calibration cache compares the holder by identity to tell a
+        mechanism that still holds the state an entry handed it from one
+        that lost it since (:meth:`repro.serving.cache.CalibrationCache.
+        get_or_compute`).
+        """
+        key = self._memo_key()
+        if key != self._sigma_key:
+            self._sigma_cache = {}
+            self._sigma_key = key
+        return self._sigma_cache
 
     @abstractmethod
     def noise_scale(self, query: Query, data: np.ndarray) -> float:

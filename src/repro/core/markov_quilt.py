@@ -174,12 +174,12 @@ class MarkovQuiltMechanism(Mechanism):
     max_radius:
         Radius cap for the default quilt generation.
 
-    Each node's ``(sigma, active quilt)`` is searched once and memoized for
-    the networks, candidate sets and score parameters it was computed
-    under: an in-place network edit, a reassigned ``quilt_sets`` or a
-    reassigned ``epsilon`` drops every result before its next use
-    (:meth:`_node_results`), and :meth:`quilt_signature` is built once per
-    set of results.
+    Each node's ``(sigma, active quilt)`` is searched once and memoized in
+    :meth:`~repro.core.laplace.Mechanism.calibration_state_holder`: an
+    in-place network edit, a reassigned ``quilt_sets`` or a reassigned
+    score parameter drops every result before its next use
+    (:meth:`_memo_key`), and :meth:`quilt_signature` is built once per set
+    of results.
     """
 
     name = "MarkovQuilt"
@@ -236,82 +236,48 @@ class MarkovQuiltMechanism(Mechanism):
                 # Theorem 4.3 requires the trivial quilt to be available.
                 candidates.append(self.reference.trivial_quilt(node))
         self.quilt_sets = quilt_sets
-        self._sigma_cache: dict[str, tuple[float, MarkovQuilt]] = {}
-        #: ``(network fingerprints, quilt_sets object, score parameters)``
-        #: the entries of ``_sigma_cache`` were computed for (see
-        #: :meth:`_node_results`).
-        self._sigma_inputs: tuple[tuple[str, ...], Mapping, tuple] = (
-            self._fingerprints(),
-            quilt_sets,
-            self._score_parameters(),
-        )
         #: ``(quilt_sets object, digest)`` of :meth:`_quilt_sets_digest`.
         self._quilt_digest: tuple[Mapping, str] | None = None
-        #: Memo of :meth:`quilt_signature`, dropped whenever a per-node
-        #: result may change.
-        self._signature: str | None = None
+        #: ``(results, signature)`` of :meth:`quilt_signature`, valid while
+        #: ``results`` is the results dict and no ``warm_start`` changed it.
+        self._signature: tuple[dict, str] | None = None
 
     def __getstate__(self) -> dict:
-        """Copy and pickle without the quilt-set digest or signature memos.
-
-        The digest memo references the full ``quilt_sets`` map, and a
-        per-node parallel shard must ship only its own node's candidates;
-        for the same reason a clone whose ``quilt_sets`` was reassigned
-        ships neither its stale results nor the old map they were recorded
-        against.  Stale network fingerprints are kept as recorded:
-        :meth:`repro.distributions.temporal.TemporalNetwork.calibrated_mechanism`
-        reads a previous mechanism's results across edits on purpose.
+        """Copy and pickle without the quilt-set digest or signature memos
+        either: the digest memo references the full ``quilt_sets`` map, and
+        a per-node parallel shard must ship only its own node's candidates.
         """
-        state = self.__dict__.copy()
+        state = super().__getstate__()
         state["_quilt_digest"] = None
         state["_signature"] = None
-        fingerprints, quilt_sets, parameters = self._sigma_inputs
-        if quilt_sets is not self.quilt_sets:
-            state["_sigma_cache"] = {}
-            state["_sigma_inputs"] = (fingerprints, self.quilt_sets, parameters)
         return state
 
     def _fingerprints(self) -> tuple[str, ...]:
         """Every network's content fingerprint (memoized by the network)."""
-        return tuple(network.fingerprint() for network in self.networks)
+        return tuple([network.fingerprint() for network in self.networks])
 
-    def _score_parameters(self) -> tuple:
-        """The scalars :meth:`_quilt_score` reads besides the quilt."""
-        return (self.epsilon,)
+    def _leading_parameters(self) -> tuple:
+        """The head of :meth:`calibration_fingerprint`: the mechanism's tag
+        and the scalars :meth:`_quilt_score` reads besides the quilt."""
+        return ("MarkovQuilt", self.epsilon)
 
-    def _node_results(self) -> dict[str, tuple[float, MarkovQuilt]]:
-        """``_sigma_cache``, emptied first (with the signature memo) when a
-        network was edited, ``quilt_sets`` reassigned or a score parameter
-        (:meth:`_score_parameters`) changed since its entries were computed,
-        so per-node results follow the inputs the cache key reads.  Networks
-        compare by their memoized fingerprints, ``quilt_sets`` by identity
-        and the parameters by value: about a microsecond, where the
-        quilt-set digest would cost more than a recalibration.
+    def _memo_key(self) -> tuple:
+        """:meth:`calibration_fingerprint` with ``quilt_sets`` compared by
+        identity instead of by its digest, which costs milliseconds on its
+        first call per map (tens on blocks 20x10), and every
+        :class:`~repro.distributions.temporal.TemporalNetwork`
+        recalibration builds a new mechanism.  The map follows its ``id``:
+        while the recorded key holds it, no other map can have that ``id``,
+        and a different ``id`` ends the comparison before the maps would be
+        compared by content.
         """
-        fingerprints = self._fingerprints()
-        parameters = self._score_parameters()
-        recorded, quilt_sets, recorded_parameters = self._sigma_inputs
-        if (
-            quilt_sets is not self.quilt_sets
-            or recorded != fingerprints
-            or recorded_parameters != parameters
-        ):
-            self._sigma_cache = {}
-            self._signature = None
-            self._sigma_inputs = (fingerprints, self.quilt_sets, parameters)
-        return self._sigma_cache
-
-    def calibration_state_holder(self) -> dict:
-        """The object holding this mechanism's per-node results: the same
-        object for as long as they are kept, a new one once an in-place
-        network edit or a ``quilt_sets`` reassignment drops them.
-
-        The calibration cache compares it by identity to tell a mechanism
-        that still holds the state an entry handed it from one that lost
-        that state to an edit since reverted, whose key is the entry's
-        again (:meth:`repro.serving.cache.CalibrationCache.get_or_compute`).
-        """
-        return self._node_results()
+        quilt_sets = self.quilt_sets
+        return (
+            self._leading_parameters(),
+            self._fingerprints(),
+            id(quilt_sets),
+            quilt_sets,
+        )
 
     def calibration_fingerprint(self) -> tuple:
         """Theta (every network content-hashed), epsilon, and the candidate
@@ -320,9 +286,7 @@ class MarkovQuiltMechanism(Mechanism):
         Network fingerprints are read live, so an edit changes the key; the
         quilt-set part is a memoized digest (see :meth:`_quilt_sets_digest`).
         """
-        return (
-            "MarkovQuilt",
-            self.epsilon,
+        return self._leading_parameters() + (
             self._fingerprints(),
             self._quilt_sets_digest(),
         )
@@ -333,9 +297,9 @@ class MarkovQuiltMechanism(Mechanism):
         candidates differing only in ``X_N`` must not share a key).
 
         Computed on first use and kept while ``self.quilt_sets`` is the same
-        object, which is also as long as the per-node results are kept:
-        reassign ``quilt_sets`` rather than editing it in place once the
-        mechanism has been used.
+        object, which is also as long as the per-node results are kept
+        (:meth:`_memo_key`): reassign ``quilt_sets`` rather than editing it
+        in place once the mechanism has been used.
         """
         quilt_sets = self.quilt_sets
         memo = self._quilt_digest
@@ -365,10 +329,11 @@ class MarkovQuiltMechanism(Mechanism):
         valid under an identical :meth:`calibration_fingerprint`, which pins
         every node's ordered candidate list.
         """
+        results = self.calibration_state_holder()
         return {
             "sigma_by_node": [
                 [node, float(sigma), self.quilt_sets[node].index(quilt)]
-                for node, (sigma, quilt) in sorted(self._node_results().items())
+                for node, (sigma, quilt) in sorted(results.items())
             ]
         }
 
@@ -406,7 +371,7 @@ class MarkovQuiltMechanism(Mechanism):
                     "finite positive number"
                 )
             restored[node] = (float(sigma), candidates[index])
-        self._node_results().update(restored)
+        self.calibration_state_holder().update(restored)
         self._signature = None
 
     def _quilt_score(self, quilt: MarkovQuilt, influence: float) -> float:
@@ -425,7 +390,7 @@ class MarkovQuiltMechanism(Mechanism):
     def sigma_for_node(self, node: str) -> tuple[float, MarkovQuilt]:
         """``(sigma_i, active quilt)`` for one node (Definition 4.5): the
         first candidate, in candidate order, with the smallest score."""
-        results = self._node_results()
+        results = self.calibration_state_holder()
         if node not in results:
             candidates = self.quilt_sets[node]
             best_score = float("inf")
@@ -437,7 +402,6 @@ class MarkovQuiltMechanism(Mechanism):
             if best_quilt is None:  # pragma: no cover - trivial quilt always scores
                 raise PrivacyParameterError(f"no admissible quilt for node {node!r}")
             results[node] = (best_score, best_quilt)
-            self._signature = None
         return results[node]
 
     def _candidate_scores(self, candidates: Sequence[MarkovQuilt]) -> list[float]:
@@ -488,7 +452,7 @@ class MarkovQuiltMechanism(Mechanism):
     def _all_results(self) -> dict[str, tuple[float, MarkovQuilt]]:
         """Every node's ``(sigma, active quilt)``, searching the missing
         ones: one staleness check for the whole network, not one per node."""
-        results = self._node_results()
+        results = self.calibration_state_holder()
         for node in self.reference.nodes:
             if node not in results:
                 self.sigma_for_node(node)
@@ -524,18 +488,18 @@ class MarkovQuiltMechanism(Mechanism):
 
         The :func:`~repro.core.accounting.signature_digest` of the tuple of
         ``(node, sorted active-quilt members)`` pairs, in node order.
-        Built once and kept until a per-node result may change (a search,
-        a ``warm_start``, an edit).
+        Built once per results dict, and again after a ``warm_start``.
         """
-        self._node_results()
-        signature = self._signature
-        if signature is None:
+        memo = self._signature
+        if memo is None or memo[0] is not self.calibration_state_holder():
             results = self._all_results()
-            signature = signature_digest(
-                tuple(
-                    (node, tuple(sorted(results[node][1].quilt)))
-                    for node in self.reference.nodes
-                )
+            memo = self._signature = (
+                results,
+                signature_digest(
+                    tuple(
+                        (node, tuple(sorted(results[node][1].quilt)))
+                        for node in self.reference.nodes
+                    )
+                ),
             )
-            self._signature = signature
-        return signature
+        return memo[1]

@@ -397,11 +397,17 @@ class MQMExact(Mechanism):
         self.family = family
         self.max_window = max_window
         self.restrict_support = restrict_support
-        self._sigma_cache: dict[tuple[int, ...], float] = {}
-        self._table_cache: dict[tuple[int, int], tuple] = {}
-        #: The calibration fingerprint both memos were filled under (see
-        #: :meth:`_length_results`).
-        self._sigma_inputs = self.calibration_fingerprint()
+        #: ``(results, tables)``: the stationary-start score tables of
+        #: :meth:`_stationary_tables` by ``(chain index, window)``, valid
+        #: while ``results`` is the results dict.
+        self._table_cache: tuple[dict, dict] | None = None
+
+    def __getstate__(self) -> dict:
+        """Copy and pickle without the score tables either: a parallel
+        shard rebuilds the few it needs."""
+        state = super().__getstate__()
+        state["_table_cache"] = None
+        return state
 
     # -- public API ----------------------------------------------------
     def calibration_fingerprint(self) -> tuple:
@@ -418,17 +424,6 @@ class MQMExact(Mechanism):
             self.restrict_support,
         )
 
-    def _length_results(self) -> dict[tuple[int, ...], float]:
-        """``_sigma_cache``, emptied first (with the chain-table memo) when
-        a part of :meth:`calibration_fingerprint` was reassigned since its
-        entries were computed."""
-        parameters = self.calibration_fingerprint()
-        if parameters != self._sigma_inputs:
-            self._sigma_cache = {}
-            self._table_cache = {}
-            self._sigma_inputs = parameters
-        return self._sigma_cache
-
     def export_calibration_state(self) -> dict:
         """JSON-safe snapshot of the per-length-set sigma results.
 
@@ -441,13 +436,14 @@ class MQMExact(Mechanism):
         """
         return {
             "sigma_by_lengths": [
-                [list(key), float(value)] for key, value in self._length_results().items()
+                [list(key), float(value)]
+                for key, value in self.calibration_state_holder().items()
             ]
         }
 
     def warm_start(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`export_calibration_state`."""
-        results = self._length_results()
+        results = self.calibration_state_holder()
         for key, value in state.get("sigma_by_lengths", []):
             results[tuple(int(n) for n in key)] = float(value)
 
@@ -458,7 +454,7 @@ class MQMExact(Mechanism):
         key = tuple(sorted(set(int(n) for n in lengths)))
         if any(n < 1 for n in key):
             raise ValidationError("segment lengths must be >= 1")
-        results = self._length_results()
+        results = self.calibration_state_holder()
         if key not in results:
             sigma = 0.0
             for index, chain in enumerate(self.family.chains()):
@@ -514,8 +510,12 @@ class MQMExact(Mechanism):
         return self._sigma_per_node(chain, length, window)
 
     def _stationary_tables(self, index: int, chain: MarkovChain, window: int) -> tuple:
+        results = self.calibration_state_holder()
+        if self._table_cache is None or self._table_cache[0] is not results:
+            self._table_cache = (results, {})
+        memo = self._table_cache[1]
         key = (index, window)
-        if key not in self._table_cache:
+        if key not in memo:
             tables = _ChainTables(
                 chain, free_initial=False, restrict_support=self.restrict_support
             )
@@ -540,8 +540,8 @@ class MQMExact(Mechanism):
                 combined = np.where(np.isnan(combined), -np.inf, combined)
                 e_two[i] = combined.max(axis=(1, 2))
             e_two = np.maximum(e_two, 0.0)
-            self._table_cache[key] = (a_values, b_values, e_two, e_left, e_right)
-        return self._table_cache[key]
+            memo[key] = (a_values, b_values, e_two, e_left, e_right)
+        return memo[key]
 
     def _sigma_per_node(self, chain: MarkovChain, length: int, window: int) -> float:
         tables = _ChainTables(
@@ -675,10 +675,6 @@ class MQMApprox(Mechanism):
                 "MQMApprox requires irreducible aperiodic chains with positive "
                 f"stationary mass (pi_min={self.pi_min:.3g}, g={self.gap:.3g})"
             )
-        self._sigma_cache: dict[int, float] = {}
-        #: The scalars ``_sigma_cache`` was filled under (see
-        #: :meth:`_length_results`).
-        self._sigma_inputs = self.calibration_fingerprint()
 
     def _family_eigengap(self, reversible: bool | None) -> float:
         if reversible is None:
@@ -697,29 +693,19 @@ class MQMApprox(Mechanism):
         parameters genuinely share every MQMApprox noise scale."""
         return ("MQMApprox", self.epsilon, self.pi_min, self.gap)
 
-    def _length_results(self) -> dict[int, float]:
-        """``_sigma_cache``, emptied first when a scalar of
-        :meth:`calibration_fingerprint` was reassigned since its entries
-        were computed."""
-        parameters = self.calibration_fingerprint()
-        if parameters != self._sigma_inputs:
-            self._sigma_cache = {}
-            self._sigma_inputs = parameters
-        return self._sigma_cache
-
     def export_calibration_state(self) -> dict:
         """JSON-safe snapshot of the per-length sigma table (see
         :meth:`MQMExact.export_calibration_state`)."""
         return {
             "sigma_by_length": [
                 [int(length), float(value)]
-                for length, value in self._length_results().items()
+                for length, value in self.calibration_state_holder().items()
             ]
         }
 
     def warm_start(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`export_calibration_state`."""
-        results = self._length_results()
+        results = self.calibration_state_holder()
         for length, value in state.get("sigma_by_length", []):
             results[int(length)] = float(value)
 
@@ -754,7 +740,7 @@ class MQMApprox(Mechanism):
         """``sigma_max`` over segment lengths (scores are index-independent)."""
         if isinstance(lengths, (int, np.integer)):
             lengths = (int(lengths),)
-        results = self._length_results()
+        results = self.calibration_state_holder()
         return max(self._sigma_for_length(results, int(n)) for n in lengths)
 
     def _sigma_for_length(self, results: dict[int, float], length: int) -> float:

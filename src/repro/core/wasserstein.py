@@ -190,10 +190,6 @@ class WassersteinMechanism(Mechanism):
     def __init__(self, instantiation: PufferfishInstantiation, epsilon: float) -> None:
         super().__init__(epsilon)
         self.instantiation = instantiation
-        self._bound_cache: dict[tuple, float] = {}
-        # Bounds restored from a serialized snapshot, keyed by the repr of
-        # the query signature (tuples do not survive JSON round-trips).
-        self._warm_bounds: dict[str, float] = {}
 
     def calibration_fingerprint(self) -> tuple:
         """``W`` depends on the full framework ``(S, Q, Theta)`` and nothing
@@ -202,37 +198,39 @@ class WassersteinMechanism(Mechanism):
         return ("Wasserstein", self.epsilon, self.instantiation.fingerprint())
 
     def wasserstein_distance_bound(self, query: Query) -> float:
-        """The supremum ``W`` for ``query`` (cached by query signature, so
-        equal queries share the enumeration even across query objects)."""
-        key = query.signature()
-        if key not in self._bound_cache:
-            if repr(key) in self._warm_bounds:
-                self._bound_cache[key] = self._warm_bounds[repr(key)]
-            else:
-                self._bound_cache[key] = float(wasserstein_bound(self.instantiation, query))
-        return self._bound_cache[key]
+        """The supremum ``W`` for ``query`` (memoized by the ``repr`` of the
+        query signature, so equal queries share the enumeration even across
+        query objects, and a snapshot restores it).
+
+        A process-local signature (an anonymous callable's) is memoized by
+        the signature itself, which no snapshot names: its token is only
+        meaningful inside this process, so persisting it could alias a
+        *different* lambda in another process to this process's bound."""
+        signature = query.signature()
+        key = signature if signature_is_process_local(signature) else repr(signature)
+        bounds = self.calibration_state_holder()
+        if key not in bounds:
+            bounds[key] = float(wasserstein_bound(self.instantiation, query))
+        return bounds[key]
 
     def export_calibration_state(self) -> dict:
-        """JSON-safe snapshot of the computed ``W`` bounds (see
-        :meth:`repro.core.mqm_chain.MQMExact.export_calibration_state`).
-
-        Bounds for process-local query signatures (anonymous callables) are
-        excluded: their tokens are only meaningful inside this process, so
-        persisting them could alias a *different* lambda in another process
-        to this process's bound."""
-        bounds = dict(self._warm_bounds)
-        bounds.update(
-            (repr(key), float(value))
-            for key, value in self._bound_cache.items()
-            if not signature_is_process_local(key)
-        )
-        return {"bounds": sorted(bounds.items())}
+        """JSON-safe snapshot of the ``W`` bounds of every signature that is
+        not process-local (see
+        :meth:`repro.core.mqm_chain.MQMExact.export_calibration_state`)."""
+        return {
+            "bounds": sorted(
+                (key, value)
+                for key, value in self.calibration_state_holder().items()
+                if isinstance(key, str)
+            )
+        }
 
     def warm_start(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`export_calibration_state`.
         Only valid under an identical :meth:`calibration_fingerprint`."""
+        bounds = self.calibration_state_holder()
         for key_repr, value in state.get("bounds", []):
-            self._warm_bounds[str(key_repr)] = float(value)
+            bounds[str(key_repr)] = float(value)
 
     def noise_scale(self, query: Query, data: np.ndarray) -> float:
         return self.wasserstein_distance_bound(query) / self.epsilon

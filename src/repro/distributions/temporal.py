@@ -429,6 +429,7 @@ class TemporalNetwork:
             mechanism.quilt_generator = quilt_generator
         reused = 0
         if memo is not None:
+            results = mechanism.calibration_state_holder()
             stale = self._descendants(
                 name
                 for edit in self._edits[memo.edit_index :]
@@ -442,14 +443,14 @@ class TemporalNetwork:
                 if candidates != memo.quilt_sets.get(node):
                     continue
                 if all(stale.isdisjoint(quilt.quilt) for quilt in candidates):
-                    mechanism._sigma_cache[node] = cached
+                    results[node] = cached
                     reused += 1
         mechanism.sigma_max()  # force every remaining node
         if key is not None:
             self._calibrations[key] = _CalibrationMemo(
                 edit_index=len(self._edits),
                 quilt_sets=mechanism.quilt_sets,
-                results=dict(mechanism._sigma_cache),
+                results=dict(mechanism.calibration_state_holder()),
             )
         total = len(self.nodes)
         return mechanism, RecalibrationReport(

@@ -6,8 +6,9 @@ chain × segment length) and Algorithm 2 (the general
 :class:`~repro.core.markov_quilt.MarkovQuiltMechanism`, one shard per node)
 — see :mod:`repro.parallel.shards`.  :class:`ParallelCalibrator` plans those
 shards, executes them on a ``ProcessPoolExecutor`` (or inline, when a pool
-cannot pay for itself), and merges the results back into the mechanism's own
-memo structures, after which the mechanism's ordinary serial
+cannot pay for itself), and merges the results back into the mechanism's
+memoized results (:meth:`~repro.core.laplace.Mechanism.calibration_state_holder`),
+after which the mechanism's ordinary serial
 :meth:`~repro.core.laplace.Mechanism.calibrate` produces the final
 :class:`~repro.core.laplace.Calibration` from warm lookups.  Every other
 mechanism calibrates serially, and :meth:`ParallelCalibrator.calibrate_many`
@@ -63,27 +64,6 @@ from repro.parallel.shards import (
     segment_lengths_of,
 )
 
-#: Internal-cache attributes stripped from mechanism clones before pickling.
-#: Shipping warm tables (numpy arrays, per-length memos) would bloat every
-#: shard payload with state the worker is about to recompute or not need.
-_CACHE_ATTRS = ("_sigma_cache", "_table_cache", "_bound_cache", "_warm_bounds")
-
-
-def _pristine(mechanism: Mechanism) -> Mechanism:
-    """A shallow clone of ``mechanism`` with empty internal caches.
-
-    Shares the (immutable) family/instantiation objects; never mutates the
-    original.  Cloning instead of re-running ``__init__`` keeps derived
-    parameters (e.g. MQMApprox's ``pi_min``/eigengap) bit-identical without
-    recomputing them in the parent.
-    """
-    clone = copy.copy(mechanism)
-    for attr in _CACHE_ATTRS:
-        if hasattr(clone, attr):
-            setattr(clone, attr, {})
-    return clone
-
-
 class ParallelCalibrator:
     """Execute a calibration as independent shards across worker processes.
 
@@ -133,9 +113,10 @@ class ParallelCalibrator:
             key = tuple(sorted(set(lengths)))
             if any(n < 1 for n in key):
                 raise ValidationError("segment lengths must be >= 1")
-            if key in mechanism._length_results():
+            if key in mechanism.calibration_state_holder():
                 return []
-            template = _pristine(mechanism)
+            # A copy carries no memoized results (Mechanism.__getstate__).
+            template = copy.copy(mechanism)
             return [
                 Shard(
                     KIND_MQM_EXACT,
@@ -154,9 +135,9 @@ class ParallelCalibrator:
             # generator-stripping rules.  Subclasses match here too:
             # GaussianMarkovQuiltMechanism shards through the same plan,
             # and the copy.copy clone keeps its delta and Gaussian score.
-            results = mechanism._node_results()
+            results = mechanism.calibration_state_holder()
             missing = [node for node in mechanism.reference.nodes if node not in results]
-            template = _pristine(mechanism)
+            template = copy.copy(mechanism)
             return [
                 per_node_general_shard(template, node, mechanism.quilt_sets[node])
                 for node in missing
@@ -212,9 +193,9 @@ class ParallelCalibrator:
     def calibrate(self, mechanism: Mechanism, query: Query, data: Any) -> Calibration:
         """Sharded equivalent of ``mechanism.calibrate(query, data)``.
 
-        Plans, executes, merges the shard results into the mechanism's memo
-        state, and finishes with the ordinary serial ``calibrate`` — which
-        now only performs warm lookups.  Mechanisms other than ``MQMExact``
+        Plans, executes, merges the shard results into the mechanism's
+        memoized results, and finishes with the ordinary serial
+        ``calibrate`` — which now only performs warm lookups.  Mechanisms other than ``MQMExact``
         and the general MQM run fully serial.  The returned
         :class:`Calibration` (scale *and* diagnostics) is bit-identical to
         the serial one.
@@ -236,7 +217,7 @@ class ParallelCalibrator:
         exported state, so follow-up ``calibrate``/``noise_scale`` calls on
         the originals are lookups."""
         shards = [
-            Shard(KIND_CALIBRATION, position, (_pristine(mechanism), query, data))
+            Shard(KIND_CALIBRATION, position, (copy.copy(mechanism), query, data))
             for position, mechanism in enumerate(mechanisms)
         ]
         by_position = {result.key: result.value for result in self.execute(shards)}
@@ -252,16 +233,16 @@ class ParallelCalibrator:
     def _merge(
         self, mechanism: Mechanism, data: Any, results: Sequence[ShardResult]
     ) -> None:
-        """Fold shard results into the mechanism's own memo structures,
+        """Fold shard results into the mechanism's memoized results,
         reproducing exactly the state the serial computation leaves behind."""
         if isinstance(mechanism, MQMExact):
             key = tuple(sorted(set(segment_lengths_of(data))))
             sigma = 0.0
             for result in results:
                 sigma = max(sigma, float(result.value))
-            mechanism._length_results()[key] = sigma
+            mechanism.calibration_state_holder()[key] = sigma
         else:  # the general MQM, the only other mechanism plan() shards
-            node_results = mechanism._node_results()
+            node_results = mechanism.calibration_state_holder()
             for result in results:
                 sigma, quilt = result.value
                 node_results[str(result.key)] = (float(sigma), quilt)

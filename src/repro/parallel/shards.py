@@ -65,8 +65,9 @@ class Shard:
         length for a per-length shard, the node for a per-node shard.
     payload:
         Everything the worker needs, picklable.  Mechanism objects are
-        shipped as *pristine clones* (no warm tables) so the pickled payload
-        stays small.
+        shipped as copies, which carry no memoized results (see
+        :meth:`repro.core.laplace.Mechanism.__getstate__`), so the pickled
+        payload stays small.
     """
 
     kind: str
@@ -124,8 +125,8 @@ def run_shard(shard: Shard) -> ShardResult:
 def per_node_general_shard(template: Any, node: str, candidates: Any) -> Shard:
     """One Algorithm 2 node shard carrying only that node's quilt candidates.
 
-    ``template`` is a pristine :class:`~repro.core.markov_quilt.
-    MarkovQuiltMechanism` clone; ``candidates`` is the **exact** candidate
+    ``template`` is a copy of a :class:`~repro.core.markov_quilt.
+    MarkovQuiltMechanism`; ``candidates`` is the **exact** candidate
     list the serial search would walk for ``node`` (shared object identity
     with the parent's ``quilt_sets`` entry), so the worker's
     ``sigma_for_node`` is bit-identical to the serial one by construction —
@@ -136,9 +137,8 @@ def per_node_general_shard(template: Any, node: str, candidates: Any) -> Shard:
     volume linear in node count (shipping the full map in every shard would
     be quadratic), and the clone drops the generator strategy object itself:
     a user-supplied generator may be an unpicklable closure, which would
-    otherwise force the entire plan inline for no reason.  Reassigning
-    ``quilt_sets`` is also what leaves the clone with no per-node results:
-    the mechanism drops them on first use and pickles without them.
+    otherwise force the entire plan inline for no reason.  Like every copy
+    of a mechanism, the clone carries no per-node results.
     """
     clone = copy.copy(template)
     clone.quilt_sets = {node: list(candidates)}

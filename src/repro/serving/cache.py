@@ -194,7 +194,8 @@ class CalibrationCache:
         self.misses = 0
         #: mechanism -> ``(kept key parts, state holder, calibration)`` of the
         #: entry whose state it last received or computed (see
-        #: :func:`_state_holder`); a slot dies with its mechanism.
+        #: :meth:`~repro.core.laplace.Mechanism.calibration_state_holder`);
+        #: a slot dies with its mechanism.
         self._handed: weakref.WeakKeyDictionary[Mechanism, tuple[tuple, Any, Calibration]] = (
             weakref.WeakKeyDictionary()
         )
@@ -231,12 +232,13 @@ class CalibrationCache:
         ``warm_start`` only merges, so the mechanism already holds
         everything the entry would restore.  Any other parts hash their key
         (:meth:`key_for`), take the full path and replace the slot.  A
-        mechanism exposing ``calibration_state_holder`` (the general MQM)
-        can lose its state to an in-place edit and get the key back when
-        the edit is reverted, or keep its key through a ``quilt_sets``
-        reassignment to equal content; its holder is then a new object,
-        and the hit hands the state over again instead of leaving the next
-        release to re-run the search.
+        mechanism can lose its state and get the key back: the general MQM
+        through an in-place edit since reverted or a ``quilt_sets``
+        reassignment to equal content, any mechanism through a parameter
+        reassigned and then restored.  Its
+        :meth:`~repro.core.laplace.Mechanism.calibration_state_holder` is
+        then a new object, and the hit hands the state over again instead
+        of leaving the next release to re-run the search.
 
         A row whose ``scale`` is a bool, not a number, negative or not
         finite raises :class:`~repro.exceptions.ValidationError`, as does
@@ -251,7 +253,7 @@ class CalibrationCache:
         parallel calibrator guarantees bit-for-bit.
         """
         parts = _key_parts(mechanism, query, data)
-        holder = _state_holder(mechanism)
+        holder = mechanism.calibration_state_holder()
         with self._stats_lock:
             slot = self._handed.get(mechanism)
             handed = slot is not None and slot[1] is holder and _same_parts(parts, slot[0])
@@ -267,7 +269,7 @@ class CalibrationCache:
             if state and hasattr(mechanism, "warm_start"):
                 mechanism.warm_start(state)
             kept = _copy_of(calibration)
-            holder = _state_holder(mechanism)
+            holder = mechanism.calibration_state_holder()
             with self._stats_lock:
                 self.hits += 1
                 self._handed[mechanism] = (_kept_parts(parts), holder, kept)
@@ -281,7 +283,7 @@ class CalibrationCache:
         if hasattr(mechanism, "export_calibration_state"):
             stored["state"] = mechanism.export_calibration_state()
         self.backend.put(key, stored)
-        holder = _state_holder(mechanism)
+        holder = mechanism.calibration_state_holder()
         with self._stats_lock:
             self._handed[mechanism] = (_kept_parts(parts), holder, kept)
         return calibration, False
@@ -314,14 +316,6 @@ def _copied(value: Any) -> Any:
     if type(value) is list:
         return [_copied(item) for item in value]
     return value
-
-
-def _state_holder(mechanism: Mechanism) -> Any:
-    """The object holding ``mechanism``'s calibration state, compared by
-    identity: a new one means the state was dropped since it was handed
-    over.  ``None`` for a mechanism that never drops it."""
-    holder = getattr(mechanism, "calibration_state_holder", None)
-    return None if holder is None else holder()
 
 
 def _checked_calibration(payload: dict[str, Any]) -> Calibration:

@@ -265,23 +265,65 @@ def test_hit_miss_counters_are_exact_under_thread_hammering():
     assert cache.hit_rate == cache.hits / (cache.hits + cache.misses)
 
 
-def test_one_mechanism_alternating_keys_under_thread_hammering():
-    """Threads sharing one mechanism alternate two keys, so every lookup
-    replaces the mechanism's slot under a racing reader: each must still
-    return its own key's calibration, with exact counters."""
+def _hub_mqm():
     from repro.core.markov_quilt import MarkovQuiltMechanism
-    from repro.core.queries import CountQuery, SumQuery
     from repro.distributions.structured import hub_and_spoke_network
 
     network = hub_and_spoke_network(2, 1)
-    data = np.ones(len(network.nodes))
+    return MarkovQuiltMechanism([network], 0.5), np.ones(len(network.nodes))
+
+
+def _chain_exact():
+    from repro.core.mqm_chain import MQMExact
+    from repro.distributions.markov import MarkovChain
+
+    chain = MarkovChain([0.5, 0.5], [[0.8, 0.2], [0.3, 0.7]])
+    return MQMExact(chain, 0.5, max_window=8), np.ones(30)
+
+
+def _flu_wasserstein():
+    from repro.core.framework import entrywise_instantiation
+    from repro.core.models import FluCliqueModel
+    from repro.core.wasserstein import WassersteinMechanism
+
+    model = FluCliqueModel([4], [[0.1, 0.15, 0.5, 0.15, 0.1]])
+    return WassersteinMechanism(entrywise_instantiation(4, 2, [model]), 0.5), np.ones(4)
+
+
+def _sum_queries():
+    from repro.core.queries import CountQuery, SumQuery
+
     # SumQuery(0, 2) has L = 2, so the two keys' scales differ.
-    queries = (CountQuery(), SumQuery(0, 2))
-    mechanism = MarkovQuiltMechanism([network], 0.5)
+    return (CountQuery(), SumQuery(0, 2)), 2.0
+
+
+def _frequency_queries():
+    from repro.core.queries import CountQuery, StateFrequencyQuery
+
+    # On four binary records the frequency of state 1 is the count over 4,
+    # and so is its bound W.
+    return (CountQuery(), StateFrequencyQuery(1, 4)), 0.25
+
+
+@pytest.mark.parametrize(
+    ("build", "workload"),
+    [
+        pytest.param(_hub_mqm, _sum_queries, id="mqm"),
+        pytest.param(_chain_exact, _sum_queries, id="mqm-exact"),
+        pytest.param(_flu_wasserstein, _frequency_queries, id="wasserstein"),
+    ],
+)
+def test_one_mechanism_alternating_keys_under_thread_hammering(build, workload):
+    """Threads sharing one mechanism alternate two keys, so every lookup
+    replaces the mechanism's slot under a racing reader: each must still
+    return its own key's calibration, with exact counters."""
+    mechanism, data = build()
+    queries, ratio = workload()
     cache = CalibrationCache()
     expected = [cache.get_or_compute(mechanism, query, data)[0] for query in queries]
-    assert expected[1].scale == 2 * expected[0].scale
-    signature = mechanism.quilt_signature()
+    assert expected[1].scale == ratio * expected[0].scale
+    holder = mechanism.calibration_state_holder()
+    signature = getattr(mechanism, "quilt_signature", lambda: None)()
 
     per_thread = 200
     previous = sys.getswitchinterval()
@@ -298,7 +340,9 @@ def test_one_mechanism_alternating_keys_under_thread_hammering():
                     )
                     assert was_hit
                     assert calibration == expected[which]
-                    assert mechanism.quilt_signature() == signature
+                    assert mechanism.calibration_state_holder() is holder
+                    if signature is not None:
+                        assert mechanism.quilt_signature() == signature
             except BaseException as error:  # pragma: no cover - regression
                 errors.append(error)
 
@@ -315,6 +359,7 @@ def test_one_mechanism_alternating_keys_under_thread_hammering():
     assert not errors
     assert cache.misses == 2
     assert cache.hits == N_THREADS * per_thread
-    fresh = MarkovQuiltMechanism([network], 0.5)
-    fresh.sigma_max()
+    fresh, _ = build()
+    for query in queries:
+        fresh.noise_scale(query, data)
     assert mechanism.export_calibration_state() == fresh.export_calibration_state()

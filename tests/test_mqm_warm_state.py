@@ -622,6 +622,6 @@ def test_clones_carry_no_signature_memo():
     # A shard's reassigned candidates start with no per-node results.
     assert clones["pickled-shard"]._sigma_cache == {}
     for name in ("shard", "pickled-shard"):
-        assert clones[name]._node_results() == {}
+        assert clones[name].calibration_state_holder() == {}
         assert clones[name].sigma_for_node(node) == mechanism.sigma_for_node(node)
     assert mechanism.quilt_signature() is signature

@@ -139,7 +139,7 @@ def _entry_dp():
     ("build", "memo"),
     [
         pytest.param(_mqm_approx_multi_segment, "_sigma_cache", id="mqm-approx"),
-        pytest.param(_wasserstein, "_bound_cache", id="wasserstein"),
+        pytest.param(_wasserstein, "_sigma_cache", id="wasserstein"),
         pytest.param(_entry_dp, None, id="entry-dp"),
     ],
 )

@@ -1,6 +1,6 @@
 """Reassigning a calibration parameter of a used mechanism.
 
-A mechanism's ``epsilon`` (and each other scalar its
+A mechanism's ``epsilon`` (and each other input its
 ``calibration_fingerprint`` reads) may be reassigned after use.  The
 per-node or per-length results it memoized under the old value must not
 answer for the new one: the next scale equals a fresh mechanism's, also
@@ -13,10 +13,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.gk16 import GK16Mechanism
+from repro.core.framework import entrywise_instantiation
 from repro.core.gaussian import GaussianMarkovQuiltMechanism
 from repro.core.markov_quilt import MarkovQuiltMechanism
+from repro.core.models import FluCliqueModel
 from repro.core.mqm_chain import MQMApprox, MQMExact
 from repro.core.queries import CountQuery
+from repro.core.wasserstein import WassersteinMechanism
+from repro.distributions.chain_family import FiniteChainFamily
 from repro.distributions.markov import MarkovChain
 from repro.distributions.structured import household_blocks_scenario
 from repro.distributions.temporal import TemporalNetwork
@@ -48,6 +53,24 @@ def _pinned_start(restrict_support):
     return MQMExact(PINNED_START, 1.0, max_window=8, restrict_support=restrict_support)
 
 
+def _stationary_start(transition):
+    """A singleton family whose chain starts from its stationary law, so
+    ``MQMExact`` searches its memoized stationary-start tables."""
+    start = MarkovChain([1.0, 0.0], transition).stationary()
+    return FiniteChainFamily.singleton(MarkovChain(start, transition))
+
+
+def _flu_clique(count_law):
+    """The Section 3.1 flu clique of four records with this count law."""
+    return entrywise_instantiation(4, 2, [FluCliqueModel([4], [count_law])])
+
+
+def _symmetric_family(stay):
+    return FiniteChainFamily.singleton(
+        MarkovChain([0.5, 0.5], [[stay, 1.0 - stay], [1.0 - stay, stay]])
+    )
+
+
 #: id -> (factory, its keyword arguments, the reassigned one, its new value,
 #: the released data).
 CASES = {
@@ -67,9 +90,24 @@ CASES = {
     "exact-restrict-support": (
         _pinned_start, {"restrict_support": True}, "restrict_support", False, np.zeros(12)
     ),
+    "exact-stationary-family": (
+        lambda family: MQMExact(family, 1.0, max_window=8),
+        {"family": _stationary_start([[0.8, 0.2], [0.3, 0.7]])},
+        "family", _stationary_start([[0.9, 0.1], [0.2, 0.8]]), np.zeros(30),
+    ),
     "approx-epsilon": (
         lambda epsilon: MQMApprox(CHAIN, epsilon), {"epsilon": 1.0}, "epsilon", 0.5,
         np.zeros(300),
+    ),
+    "wasserstein-instantiation": (
+        lambda instantiation: WassersteinMechanism(instantiation, 1.0),
+        {"instantiation": _flu_clique([0.1, 0.15, 0.5, 0.15, 0.1])},
+        "instantiation", _flu_clique([0.4, 0.05, 0.1, 0.05, 0.4]), np.zeros(4),
+    ),
+    "gk16-family": (
+        lambda family: GK16Mechanism(family, 1.0),
+        {"family": _symmetric_family(0.6)}, "family", _symmetric_family(0.7),
+        np.zeros(30),
     ),
 }
 
@@ -84,6 +122,8 @@ def test_a_reassigned_parameter_recalibrates(case):
     fresh = factory(**{**kwargs, name: value}).noise_scale(query, data)
     assert fresh != before
     assert mechanism.noise_scale(query, data) == fresh
+    if not hasattr(mechanism, "export_calibration_state"):
+        return  # nothing to restore a second mechanism from
     restored = factory(**kwargs)
     restored.warm_start(mechanism.export_calibration_state())
     setattr(restored, name, value)
@@ -105,6 +145,19 @@ def test_a_shared_cache_serves_each_mechanism_its_own_scale(case):
     assert not hit and calibration.scale == want
     calibration, hit = cache.get_or_compute(factory(**{**kwargs, name: value}), query, data)
     assert hit and calibration.scale == want
+
+
+@pytest.mark.parametrize("case", ["mqm-epsilon", "gaussian-epsilon"])
+def test_a_reassigned_parameter_rebuilds_the_quilt_signature(case):
+    """The memoized active-quilt signature follows the results it was built
+    from, so the Theorem 4.4 same-quilt check sees the new active quilts."""
+    factory, kwargs, name, value, _ = CASES[case]
+    mechanism = factory(**kwargs)
+    before = mechanism.quilt_signature()
+    setattr(mechanism, name, value)
+    fresh = factory(**{**kwargs, name: value}).quilt_signature()
+    assert fresh != before
+    assert mechanism.quilt_signature() == fresh
 
 
 def test_a_recalibration_reuses_only_results_of_its_own_epsilon():
